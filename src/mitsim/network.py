@@ -124,9 +124,6 @@ class GraphView:
     nodes: frozenset[str]
     arcs: tuple[Arc, ...]
 
-    def out_arcs(self, node: str) -> list[Arc]:
-        return [a for a in self.arcs if a.from_node == node]
-
 
 class MultiLayerNetwork:
     """Validated, immutable container for modes, networks, nodes and segments."""
@@ -149,6 +146,7 @@ class MultiLayerNetwork:
         self._validate()
         self._shared_groups = self._index_shared_groups()
         self._views: dict[str, GraphView] = {}
+        self._out_arcs: dict[str, dict[str, tuple[Arc, ...]]] = {}
 
     # -- validation ---------------------------------------------------------
 
@@ -305,6 +303,12 @@ class MultiLayerNetwork:
             self._views[mode_id] = self._build_view(mode_id)
         return self._views[mode_id]
 
+    def out_arcs(self, mode_id: str) -> dict[str, tuple[Arc, ...]]:
+        """The ``usable_subgraph`` arcs grouped by from-node, built once per mode."""
+        if mode_id not in self._out_arcs:
+            self._out_arcs[mode_id] = group_by_from_node(self.usable_subgraph(mode_id).arcs)
+        return self._out_arcs[mode_id]
+
     def shared_group_members(self, segment_id: str) -> set[str]:
         """All segments on the same physical infrastructure, input included."""
         if segment_id not in self.segments:
@@ -320,6 +324,14 @@ class MultiLayerNetwork:
         for seg_id in segment_ids:
             out |= self.shared_group_members(seg_id)
         return out
+
+
+def group_by_from_node(arcs: Iterable[Arc]) -> dict[str, tuple[Arc, ...]]:
+    """Arcs by from-node, each node's arcs in their input order."""
+    grouped: dict[str, list[Arc]] = {}
+    for arc in arcs:
+        grouped.setdefault(arc.from_node, []).append(arc)
+    return {node: tuple(out) for node, out in grouped.items()}
 
 
 # -- construction from plain data -------------------------------------------

@@ -13,6 +13,15 @@ traversed in ``free_flow_time / residual``.  Ties between equal-cost plans
 break deterministically by fewer transfers, then by the lexicographically
 smallest segment id sequence, so identical inputs always yield the
 identical plan.
+
+A search walks each mode's static per-node adjacency (plus any arcs that
+usage contributions open) and reads the overlay only for the arcs it
+relaxes.  Its result is a move list whose durations depend on the overlay
+alone, never on the departure time, so the overlay keeps it under
+``(origin, dest, prefs)`` for as long as the overlay is unchanged (see
+:meth:`NetworkState.searches`).  Every call then times the moves from its
+own ``depart``, with the same float operations as a fresh search, so a
+reused search yields the plan a new one would.
 """
 
 from __future__ import annotations
@@ -102,19 +111,27 @@ def route(
             raise ValidationError(f"unknown mode {mode}")
     if origin == dest:
         return JourneyPlan(origin, dest, depart, (), (), 0.0, 0.0)
+    searches = state.searches()
+    query = (origin, dest, prefs)
+    if query not in searches:
+        searches[query] = _search(origin, dest, prefs, state)
+    moves = searches[query]
+    return None if moves is None else _assemble(origin, dest, depart, moves)
 
-    walk_modes = {m for m in prefs.allowed_modes if net.modes[m].category == "walk"}
-    out_arcs: dict[str, dict[str, list]] = {}
-    for mode in sorted(prefs.allowed_modes):
-        per_node: dict[str, list] = {}
-        for arc in state.mode_arcs(mode):
-            r = state.residual(arc.segment_id, mode)
-            if r <= 0.0:
-                continue
-            per_node.setdefault(arc.from_node, []).append(
-                (arc, arc.free_flow_time / r)
-            )
-        out_arcs[mode] = per_node
+
+def _search(
+    origin: str,
+    dest: str,
+    prefs: RoutingPreferences,
+    state: NetworkState,
+) -> Optional[tuple[Move, ...]]:
+    """Moves of the best plan, or None; independent of the departure time."""
+    net = state.net
+    # Without a walk limit nothing reads walk_run, so it stays 0.0 and walk
+    # states collapse to one label per (node, mode).
+    walk_modes = set() if prefs.max_walk == float("inf") else {
+        m for m in prefs.allowed_modes if net.modes[m].category == "walk"}
+    out_arcs = {mode: state.mode_arcs(mode) for mode in sorted(prefs.allowed_modes)}
 
     # Dijkstra over (node, mode, walk_run) with key (cost, transfers, seg seq).
     counter = itertools.count()
@@ -131,7 +148,8 @@ def route(
         heapq.heappush(heap, (key, next(counter), st))
 
     for mode in sorted(prefs.allowed_modes):
-        if origin not in out_arcs[mode]:
+        if not any(state.residual(arc.segment_id, mode) > 0.0
+                   for arc in out_arcs[mode].get(origin, ())):
             continue
         wait = state.wait_to_board(mode)
         push((origin, mode, 0.0), (wait, 0, ()), None, ("start", mode, wait))
@@ -148,13 +166,17 @@ def route(
             goal = st
             break
         cost, transfers, seq = key
-        for arc, tt in out_arcs[mode].get(node, ()):
+        for arc in out_arcs[mode].get(node, ()):
             if mode in walk_modes:
                 new_walk = walk_run + arc.length
                 if new_walk > prefs.max_walk:
                     continue
             else:
                 new_walk = 0.0
+            r = state.residual(arc.segment_id, mode)
+            if r <= 0.0:
+                continue
+            tt = arc.free_flow_time / r
             push(
                 (arc.to_node, mode, new_walk),
                 (cost + tt, transfers, seq + (arc.segment_id,)),
@@ -183,7 +205,7 @@ def route(
         moves.append(move)
         st = parent
     moves.reverse()
-    return _assemble(origin, dest, depart, moves)
+    return tuple(moves)
 
 
 def _assemble(origin: str, dest: str, depart: float, moves: Sequence[Move]) -> JourneyPlan:
@@ -198,15 +220,16 @@ def _assemble(origin: str, dest: str, depart: float, moves: Sequence[Move]) -> J
     leg_depart = t
 
     def close_leg():
+        # A mode passed through between two transfers at one node keeps its
+        # empty leg, so transfer i always sits between legs i and i + 1.
         nonlocal cur_segs, cur_times
-        if cur_segs:
-            legs.append(Leg(
-                mode_id=cur_mode,
-                segments=tuple(cur_segs),
-                depart=leg_depart,
-                arrive=cur_times[-1][2],
-                segment_times=tuple(cur_times),
-            ))
+        legs.append(Leg(
+            mode_id=cur_mode,
+            segments=tuple(cur_segs),
+            depart=leg_depart,
+            arrive=t,
+            segment_times=tuple(cur_times),
+        ))
         cur_segs, cur_times = [], []
 
     for move in moves[1:]:

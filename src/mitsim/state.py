@@ -13,14 +13,25 @@ register *contributions* in a capacity overlay:
 
 Every contribution carries an activity window and an owner id, so removing
 all contributions restores the pristine network exactly, field for field.
+
+Each write rebuilds an index from (segment, mode) to the contributions that
+name it, in insertion order, so ``residual`` reads only its own target's
+contributions (an untouched target is 1.0) and multiplies factors in the
+same order as a scan of every contribution would.  The overlay also keeps
+route search results (:meth:`NetworkState.searches`).  Their key of
+validity is a write counter plus the ids of the contributions active at
+``clock``: nothing else changes what ``residual``, ``traversal_time`` or
+``mode_arcs`` return, since the network and the boarding waits are fixed.
+The departure time is not part of it, because a search result holds
+durations only; the caller turns them into times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .network import Arc, MultiLayerNetwork
+from .network import Arc, MultiLayerNetwork, group_by_from_node
 
 PT_CATEGORIES = frozenset({"bus", "tram", "metro", "train"})
 
@@ -88,18 +99,37 @@ class NetworkState:
         self.clock = clock
         self.boarding_wait = dict(boarding_wait or {})
         self._contributions: dict[str, Contribution] = {}
+        self._writes = 0
+        self._by_target: dict[tuple[str, str], tuple[Contribution, ...]] = {}
+        self._searches_key: Optional[tuple] = None
+        self._searches: dict = {}
 
     # -- contribution management --------------------------------------------
 
     def add_contribution(self, contribution: Contribution) -> None:
         self._contributions[contribution.contrib_id] = contribution
+        self._reindex()
 
     def remove_contribution(self, contrib_id: str) -> None:
-        self._contributions.pop(contrib_id, None)
+        if self._contributions.pop(contrib_id, None) is not None:
+            self._reindex()
 
     def remove_owned(self, prefix: str) -> None:
-        for cid in [c for c in self._contributions if c.startswith(prefix)]:
+        owned = [c for c in self._contributions if c.startswith(prefix)]
+        for cid in owned:
             del self._contributions[cid]
+        if owned:
+            self._reindex()
+
+    def _reindex(self) -> None:
+        # A replaced id keeps its slot in _contributions, so rebuilding from
+        # it keeps every target's factors in the order residual() multiplies.
+        self._writes += 1
+        by_target: dict[tuple[str, str], list[Contribution]] = {}
+        for c in self._contributions.values():
+            for target in c.targets:
+                by_target.setdefault(target, []).append(c)
+        self._by_target = {t: tuple(cs) for t, cs in by_target.items()}
 
     def contributions(self) -> list[Contribution]:
         return [self._contributions[k] for k in sorted(self._contributions)]
@@ -110,14 +140,30 @@ class NetworkState:
     def pristine(self) -> bool:
         return not self.active_contributions()
 
+    def searches(self) -> dict:
+        """Route search results valid for the overlay as it is now.
+
+        Emptied whenever the write counter or the set of contributions
+        active at ``clock`` has changed since the last call.
+        """
+        key = (self._writes,
+               tuple(cid for cid, c in self._contributions.items() if c.active(self.clock)))
+        if key != self._searches_key:
+            self._searches_key = key
+            self._searches = {}
+        return self._searches
+
     # -- capacity queries ----------------------------------------------------
 
     def residual(self, segment_id: str, mode_id: str) -> float:
         """Effective residual capacity fraction in [0, 1]."""
+        patches = self._by_target.get((segment_id, mode_id))
+        if patches is None:
+            return 1.0
         factor = 1.0
         floor = 0.0
-        for c in self._contributions.values():
-            if not c.active(self.clock) or (segment_id, mode_id) not in c.targets:
+        for c in patches:
+            if not c.active(self.clock):
                 continue
             if c.kind == "factor":
                 factor *= c.value
@@ -134,63 +180,54 @@ class NetworkState:
                 out[(seg_id, entry.mode_id)] = self.residual(seg_id, entry.mode_id)
         return out
 
-    def extra_usage(self, mode_id: str) -> list[tuple[str, Contribution]]:
-        out = []
-        for c in self.active_contributions():
-            if c.kind != "usage":
-                continue
-            for seg_id, m in sorted(c.targets):
-                if m == mode_id:
-                    out.append((seg_id, c))
-        return out
-
-    def usable(self, segment_id: str, mode_id: str) -> bool:
-        seg = self.net.segments[segment_id]
-        if seg.usage_for(mode_id) is not None:
-            return True
-        return any(
-            (segment_id, mode_id) in c.targets
-            for c in self.active_contributions() if c.kind == "usage"
-        )
-
     def traversal_time(self, segment_id: str, mode_id: str) -> Optional[float]:
         """Congested traversal time, or None when impassable.
 
         Delay follows the reciprocal law: free-flow time divided by the
-        residual fraction, with a hard block at residual zero.
+        residual fraction, with a hard block at residual zero.  A segment
+        the mode uses only through usage contributions takes the free-flow
+        time of the active one with the smallest id.
         """
-        seg = self.net.segments[segment_id]
-        entry = seg.usage_for(mode_id)
+        entry = self.net.segments[segment_id].usage_for(mode_id)
         if entry is not None:
-            r = self.residual(segment_id, mode_id)
-            if r <= 0.0:
+            free_flow = entry.free_flow_time
+        else:
+            opened = min(
+                ((c.contrib_id, c.free_flow_time)
+                 for c in self._by_target.get((segment_id, mode_id), ())
+                 if c.kind == "usage" and c.active(self.clock)),
+                default=None,
+            )
+            if opened is None:
                 return None
-            return entry.free_flow_time / r
-        for c in self.active_contributions():
-            if c.kind == "usage" and (segment_id, mode_id) in c.targets:
-                r = self.residual(segment_id, mode_id)
-                if r <= 0.0:
-                    return None
-                return c.free_flow_time / r
-        return None
+            free_flow = opened[1]
+        r = self.residual(segment_id, mode_id)
+        if r <= 0.0:
+            return None
+        return free_flow / r
 
-    def mode_arcs(self, mode_id: str) -> list[Arc]:
-        """Directed arcs usable by a mode right now, extra usage included."""
-        arcs = list(self.net.usable_subgraph(mode_id).arcs)
-        seen: set[str] = set()
+    def mode_arcs(self, mode_id: str) -> Mapping[str, Sequence[Arc]]:
+        """Directed arcs usable by a mode right now, by from-node.
+
+        The network's static adjacency, unless active usage contributions
+        open segments to the mode: then both directions of each such
+        segment follow each node's own arcs, in contribution id order.
+        """
+        opened = []
         for c in self.active_contributions():
-            if c.kind != "usage" or c.contrib_id in seen:
+            if c.kind != "usage":
                 continue
-            seen.add(c.contrib_id)
             for seg_id, m in sorted(c.targets):
                 if m != mode_id:
                     continue
                 seg = self.net.segments[seg_id]
-                arcs.append(Arc(seg.from_node, seg.to_node, seg_id,
-                                c.free_flow_time, c.capacity, seg.length))
-                arcs.append(Arc(seg.to_node, seg.from_node, seg_id,
-                                c.free_flow_time, c.capacity, seg.length))
-        return arcs
+                opened.append(Arc(seg.from_node, seg.to_node, seg_id,
+                                  c.free_flow_time, c.capacity, seg.length))
+                opened.append(Arc(seg.to_node, seg.from_node, seg_id,
+                                  c.free_flow_time, c.capacity, seg.length))
+        if not opened:
+            return self.net.out_arcs(mode_id)
+        return group_by_from_node(self.net.usable_subgraph(mode_id).arcs + tuple(opened))
 
     def wait_to_board(self, mode_id: str) -> float:
         return self.boarding_wait.get(mode_id, 0.0)

@@ -101,22 +101,69 @@ def random_network(rng: random.Random, **kw) -> MultiLayerNetwork:
     return build_network(random_network_spec(rng, **kw))
 
 
+# Window edges shared by generated contributions and clock moves, so that
+# fuzzed clocks land on, just before and just after every edge.
+WINDOW_EDGES = (0.0, 100.0, 200.0, 300.0)
+CLOCKS = (0.0, 50.0, 99.0, 100.0, 150.0, 200.0, 250.0, 300.0, 1e9)
+
+
+def random_window(rng: random.Random) -> tuple[float, float]:
+    start = rng.choice(WINDOW_EDGES)
+    return start, rng.choice([e for e in WINDOW_EDGES if e > start] + [float("inf")] * 2)
+
+
+def random_contribution(rng: random.Random, net: MultiLayerNetwork, contrib_id: str,
+                        kind: str | None = None, targets=None) -> Contribution:
+    """A factor, floor or usage contribution with a random window.
+
+    Unless ``targets`` are given, factors and floors hit up to three
+    (segment, mode) pairs with base usage, and usage opens segments to modes
+    that do not use them, as rail replacement does (a factor is drawn
+    instead when every pair already has base usage).
+    """
+    kind = kind or rng.choice(["factor", "factor", "floor", "usage"])
+    based = [(s, e.mode_id) for s in sorted(net.segments) for e in net.segments[s].usage]
+    unbased = [(s, m) for s in sorted(net.segments) for m in sorted(net.modes)
+               if net.segments[s].usage_for(m) is None]
+    if kind == "usage" and not unbased:
+        kind = "factor"
+    pool = unbased if kind == "usage" else based
+    targets = targets or frozenset(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
+    start, end = random_window(rng)
+    if kind == "factor":
+        value = rng.choice([0.0, 0.0, 0.3, 0.5, 0.7, 0.8, 0.9, 1.2])
+    elif kind == "floor":
+        value = rng.choice([0.2, 0.7, 1.0])
+    else:
+        value = 1.0
+    return Contribution(
+        contrib_id=contrib_id, kind=kind, targets=targets, value=value,
+        start=start, end=end,
+        free_flow_time=float(rng.randint(1, 30) * 10) if kind == "usage" else 0.0,
+        capacity=float(rng.randint(1, 10) * 60) if kind == "usage" else 0.0,
+    )
+
+
 def random_state(rng: random.Random, net: MultiLayerNetwork,
                  block_prob: float = 0.25) -> NetworkState:
-    """Overlay with random blockages and degradations, plus boarding waits."""
+    """Overlay with random blockages and degradations, plus boarding waits.
+
+    On top of the per-pair factors come up to three random factor, floor
+    or usage contributions; every window is random and the clock sits on
+    one of ``CLOCKS``, so some contributions have expired or not begun.
+    """
     waits = {m: rng.choice([0.0, 0.0, 150.0, 300.0]) for m in net.modes}
-    state = NetworkState(net, boarding_wait=waits, clock=0.0)
+    state = NetworkState(net, boarding_wait=waits, clock=rng.choice(CLOCKS))
     i = 0
     for seg_id in sorted(net.segments):
         for entry in net.segments[seg_id].usage:
             if rng.random() < block_prob:
-                value = rng.choice([0.0, 0.0, 0.3, 0.5, 0.8])
-                state.add_contribution(Contribution(
-                    contrib_id=f"blk{i}", kind="factor",
-                    targets=frozenset({(seg_id, entry.mode_id)}),
-                    value=value, start=0.0, end=float("inf"),
-                ))
+                state.add_contribution(random_contribution(
+                    rng, net, f"blk{i}", kind="factor",
+                    targets=frozenset({(seg_id, entry.mode_id)})))
                 i += 1
+    for j in range(rng.randint(0, 3)):
+        state.add_contribution(random_contribution(rng, net, f"extra{j}"))
     return state
 
 
@@ -322,4 +369,106 @@ def random_scenario_dict(rng: random.Random, max_nodes: int = 8,
         "detection_sources": sources,
         "devices": devices,
         "policies": {"rsu_links": rsu_links, "pt_routes": [], "defaults": {}},
+    }
+
+
+def rail_line_scenario_dict(rng: random.Random, size: int = 4) -> dict:
+    """A size x size road grid (car and bus) with a train line along row 0.
+
+    Every row-0 node is a station attached to car, bus and train.  A D7
+    event breaks the whole train line soon after the start, so a detected
+    event yields a rail-replacement service: train usage over road
+    segments.  Two Poisson streams repeat the same origin-destination pair
+    (train only, and car or train), so many trips share one plan.
+    """
+    def node(r, c):
+        return f"g{r}_{c}"
+
+    nodes = [node(r, c) for r in range(size) for c in range(size)]
+    segments = []
+    for r in range(size):
+        for c in range(size):
+            for dr, dc in ((0, 1), (1, 0)):
+                if r + dr >= size or c + dc >= size:
+                    continue
+                fft = float(rng.randint(3, 8) * 10)
+                segments.append({
+                    "segment_id": f"r{r}_{c}_{r + dr}_{c + dc}", "network_id": "road",
+                    "from_node": node(r, c), "to_node": node(r + dr, c + dc),
+                    "length": fft * 10.0, "class": rng.choice(CLASSES),
+                    "usage": [
+                        {"mode_id": "car", "direction": "both",
+                         "base_capacity": 1000, "free_flow_time": fft},
+                        {"mode_id": "bus", "direction": "both",
+                         "base_capacity": 300, "free_flow_time": fft},
+                    ],
+                })
+    rail = [f"k{c}" for c in range(size - 1)]
+    for c, seg_id in enumerate(rail):
+        segments.append({
+            "segment_id": seg_id, "network_id": "rail",
+            "from_node": node(0, c), "to_node": node(0, c + 1),
+            "length": 1000.0, "class": "major",
+            "usage": [{"mode_id": "train", "direction": "both",
+                       "base_capacity": 600, "free_flow_time": 30.0}],
+        })
+    stations = [node(0, c) for c in range(size)]
+    network = {
+        "modes": [
+            {"mode_id": "car", "name": "car", "category": "private-car",
+             "agile": False, "maas_member": False},
+            {"mode_id": "bus", "name": "bus", "category": "bus",
+             "agile": False, "maas_member": False},
+            {"mode_id": "train", "name": "train", "category": "train",
+             "agile": False, "maas_member": False},
+        ],
+        "networks": [{"network_id": "road", "name": "road"},
+                     {"network_id": "rail", "name": "rail"}],
+        "usage_matrix": [["car", "road"], ["bus", "road"], ["train", "rail"]],
+        "nodes": nodes,
+        "segments": segments,
+        "multimodal_nodes": [
+            {"node_id": s,
+             "attachments": [["car", "road"], ["bus", "road"], ["train", "rail"]],
+             "services": ["rail-station"]}
+            for s in stations
+        ],
+    }
+    start = float(rng.randint(300, 900))
+    duration = float(rng.randint(30, 60) * 60)
+    far = node(size - 1, size - 1)
+    streams = [
+        {"origin": stations[0], "dest": stations[-1],
+         "rate_per_hour": float(rng.randint(20, 40)), "start": 0.0, "end": 3600.0,
+         "prefs": {"allowed_modes": ["train"]}},
+        {"origin": stations[-1], "dest": far,
+         "rate_per_hour": float(rng.randint(10, 20)), "start": 0.0, "end": 3600.0,
+         "prefs": {"allowed_modes": ["car", "train"]}},
+    ]
+    devices = [
+        {"device_id": "rsu0", "role": "roadside-unit",
+         "position": {"node": stations[0]}, "comm_range": 100000.0},
+        {"device_id": "tv0", "role": "traveler-app",
+         "position": {"node": stations[0]}, "comm_range": 1000.0,
+         "trip": {"origin": stations[0], "dest": far,
+                  "depart": start - 60.0,
+                  "prefs": {"allowed_modes": ["car", "train"]}}},
+    ]
+    return {
+        "seed": rng.randint(0, 2**31),
+        "end_time": 4 * 3600.0,
+        "network": network,
+        "demand": {"trips": [], "arrivals": streams, "ev_modifiers": []},
+        "disturbances": [{
+            "event_id": "train-fault", "kind": "D7", "segments": rail,
+            "nodes": [], "start": start, "estimated_duration": duration,
+            "true_duration": duration,
+            "severity": {"capacity_reduction": 1.0},
+        }],
+        "detection_sources": [{
+            "source_kind": "pt-dispatch", "applicable_kinds": ["D7"],
+            "detect_probability": 1.0, "latency_min": 30.0, "latency_max": 90.0,
+        }],
+        "devices": devices,
+        "policies": {"rsu_links": [], "pt_routes": [], "defaults": {}},
     }

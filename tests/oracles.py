@@ -1,6 +1,9 @@
 """Independent brute-force oracles used by the test and acceptance suites."""
 
+import itertools
+
 from mitsim.dissemination import distance_to_segment, is_relevant, position_distance
+from mitsim.network import Arc
 
 def brute_force_route(origin, dest, prefs, state):
     """Exhaustive enumeration over simple (node, mode, walk-run) paths.
@@ -16,7 +19,7 @@ def brute_force_route(origin, dest, prefs, state):
     arcs = {}
     for m in sorted(prefs.allowed_modes):
         per = {}
-        for arc in state.mode_arcs(m):
+        for arc in itertools.chain.from_iterable(state.mode_arcs(m).values()):
             r = state.residual(arc.segment_id, m)
             if r <= 0:
                 continue
@@ -61,10 +64,67 @@ def brute_force_route(origin, dest, prefs, state):
     return best[0]
 
 
-def plan_key(plan, prefs):
+def brute_force_residual(contributions, clock, segment_id, mode_id):
+    """Scan every contribution, in insertion order, for one target."""
+    factor = 1.0
+    floor = 0.0
+    for c in contributions:
+        if not c.active(clock) or (segment_id, mode_id) not in c.targets:
+            continue
+        if c.kind == "factor":
+            factor *= c.value
+        elif c.kind == "floor":
+            floor = max(floor, c.value)
+    effective = min(1.0, max(0.0, factor))
+    return max(effective, min(1.0, floor))
+
+
+def brute_force_traversal_time(net, contributions, clock, segment_id, mode_id):
+    """Free-flow time over residual; a segment the mode uses only through
+    usage contributions takes the active one with the smallest id."""
+    r = brute_force_residual(contributions, clock, segment_id, mode_id)
+    entry = net.segments[segment_id].usage_for(mode_id)
+    if entry is not None:
+        return None if r <= 0.0 else entry.free_flow_time / r
+    for c in sorted(contributions, key=lambda c: c.contrib_id):
+        if c.active(clock) and c.kind == "usage" and (segment_id, mode_id) in c.targets:
+            return None if r <= 0.0 else c.free_flow_time / r
+    return None
+
+
+def brute_force_mode_arcs(net, contributions, clock, mode_id):
+    """The mode's base arcs, then both directions of every segment an active
+    usage contribution opens to it, in contribution id order."""
+    arcs = list(net.usable_subgraph(mode_id).arcs)
+    for c in sorted(contributions, key=lambda c: c.contrib_id):
+        if c.kind != "usage" or not c.active(clock):
+            continue
+        for seg_id, m in sorted(c.targets):
+            if m == mode_id:
+                seg = net.segments[seg_id]
+                arcs.append(Arc(seg.from_node, seg.to_node, seg_id,
+                                c.free_flow_time, c.capacity, seg.length))
+                arcs.append(Arc(seg.to_node, seg.from_node, seg_id,
+                                c.free_flow_time, c.capacity, seg.length))
+    return arcs
+
+
+def plan_key(plan):
+    """(door-to-door time, transfers, segment sequence) of a plan."""
     seq = tuple(s for leg in plan.legs for s in leg.segments)
-    transfers = len(plan.transfers)
-    return (plan.total_cost + prefs.transfer_penalty * transfers, transfers, seq)
+    return (plan.total_cost, len(plan.transfers), seq)
+
+
+def oracle_key(oracle):
+    """``plan_key`` of the plan ``brute_force_route`` found.
+
+    Time, transfers and sequence fix the generalized cost as well.  It is
+    not compared itself: ``time + penalty * transfers`` and the searches'
+    running sum add the same terms in another order, which can differ in
+    the last bit.
+    """
+    (_cost, transfers, seq), time = oracle
+    return (time, transfers, seq)
 
 
 def oracle_notified(w, devices, topology, policy, net, actions, now):

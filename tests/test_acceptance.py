@@ -40,7 +40,7 @@ from generators import (
     random_topology,
     random_warning,
 )
-from oracles import brute_force_route, oracle_notified, plan_key
+from oracles import brute_force_route, oracle_key, oracle_notified, plan_key
 from test_adaptation import city_net, inject, make_event, make_world, plan_for
 from mitsim.dissemination import RelevancePolicy, distribute
 
@@ -167,9 +167,7 @@ def test_criterion_3_router_optimality():
                 assert oracle is None
             else:
                 assert oracle is not None
-                key, total_time = oracle
-                assert plan_key(plan_out, prefs) == key
-                assert plan_out.total_cost == total_time
+                assert plan_key(plan_out) == oracle_key(oracle)
 
 
 # -- 4: strategy conformance ----------------------------------------------------------------

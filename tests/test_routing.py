@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -15,10 +16,10 @@ from mitsim.routing import (
 from mitsim.state import Contribution, NetworkState
 
 from conftest import line_network_spec
-from generators import random_network, random_state
+from generators import random_network, random_network_spec, random_state
 
 
-from oracles import brute_force_route, plan_key
+from oracles import brute_force_route, oracle_key, plan_key
 
 
 
@@ -164,7 +165,7 @@ def test_route_matches_brute_force_on_random_networks():
     checked = 0
     for seed in range(100):
         rng = random.Random(1000 + seed)
-        net = random_network(rng, max_nodes=12, max_modes=3)
+        net = random_network(rng, max_nodes=16, max_modes=3)
         state = random_state(rng, net)
         nodes = sorted(net.nodes)
         origin, dest = rng.sample(nodes, 2)
@@ -178,11 +179,93 @@ def test_route_matches_brute_force_on_random_networks():
             assert oracle is None
             continue
         assert oracle is not None
-        key, time = oracle
-        assert plan_key(plan, prefs) == key
-        assert plan.total_cost == time
+        assert plan_key(plan) == oracle_key(oracle)
         checked += 1
     assert checked >= 30
+
+
+def test_walk_limit_matches_brute_force():
+    checked = 0
+    for seed in range(60):
+        rng = random.Random(9000 + seed)
+        spec = random_network_spec(rng, max_nodes=8, max_modes=2)
+        spec["modes"][0].update(category="walk", agile=True)
+        net = build_network(spec)
+        state = random_state(rng, net)
+        origin, dest = rng.sample(sorted(net.nodes), 2)
+        prefs = RoutingPreferences(frozenset(net.modes),
+                                   max_walk=rng.choice([500.0, 2000.0, 5000.0]))
+        plan = route(origin, dest, 0.0, prefs, state)
+        oracle = brute_force_route(origin, dest, prefs, state)
+        assert (plan is None) == (oracle is None)
+        if plan is not None:
+            assert plan_key(plan) == oracle_key(oracle)
+            checked += 1
+    assert checked >= 20
+
+
+def grid_spec(n, category, rng):
+    """n x n single-mode grid with random 15-40 s, 150-250 m segments."""
+    spec = line_network_spec(2, mode="m", category=category)
+    spec["nodes"] = [f"g{r}_{c}" for r in range(n) for c in range(n)]
+    spec["segments"] = [
+        {"segment_id": f"s{r}_{c}_{r + dr}_{c + dc}", "network_id": "net",
+         "from_node": f"g{r}_{c}", "to_node": f"g{r + dr}_{c + dc}",
+         "length": float(rng.randint(150, 250)), "class": "minor",
+         "usage": [{"mode_id": "m", "direction": "both", "base_capacity": 1000,
+                    "free_flow_time": float(rng.randint(15, 40))}]}
+        for r in range(n) for c in range(n)
+        for dr, dc in ((0, 1), (1, 0)) if r + dr < n and c + dc < n
+    ]
+    return spec
+
+
+def test_unlimited_walk_costs_what_a_car_search_costs():
+    walk = build_network(grid_spec(20, "walk", random.Random(5)))
+    car = build_network(grid_spec(20, "private-car", random.Random(5)))
+    prefs = RoutingPreferences(frozenset({"m"}))
+    t0 = time.perf_counter()
+    plan = route("g0_0", "g19_19", 0.0, prefs, NetworkState(walk))
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 0.1
+    assert plan == route("g0_0", "g19_19", 0.0, prefs, NetworkState(car))
+
+
+def test_transfers_chained_at_one_node_keep_their_order():
+    # at v1, car -> bus -> metro is cheaper than car -> metro directly
+    net = build_network({
+        "modes": [{"mode_id": m, "name": m, "category": cat, "agile": False,
+                   "maas_member": False}
+                  for m, cat in (("car", "private-car"), ("bus", "bus"),
+                                 ("metro", "metro"))],
+        "networks": [{"network_id": n, "name": n} for n in ("road", "lane", "rail")],
+        "usage_matrix": [["car", "road"], ["bus", "lane"], ["metro", "rail"]],
+        "nodes": ["v0", "v1", "v2", "v3"],
+        "segments": [
+            {"segment_id": sid, "network_id": netw, "from_node": a, "to_node": b,
+             "length": 1000, "class": "minor",
+             "usage": [{"mode_id": m, "direction": "both", "base_capacity": 1000,
+                        "free_flow_time": 100}]}
+            for sid, netw, m, a, b in (("r0", "road", "car", "v0", "v1"),
+                                       ("b0", "lane", "bus", "v1", "v3"),
+                                       ("m0", "rail", "metro", "v1", "v2"))
+        ],
+        "multimodal_nodes": [{
+            "node_id": "v1",
+            "attachments": [["car", "road"], ["bus", "lane"], ["metro", "rail"]],
+            "transfer_time": {"car,bus": 10, "bus,metro": 10, "car,metro": 500,
+                              "bus,car": 10, "metro,bus": 10, "metro,car": 500},
+        }],
+    })
+    state = NetworkState(net)
+    plan = route("v0", "v2", 0.0, RoutingPreferences(frozenset(net.modes)), state)
+    assert [leg.mode_id for leg in plan.legs] == ["car", "bus", "metro"]
+    assert plan.legs[1].segments == ()
+    assert [m[0] for m in plan_to_moves(plan)] == ["seg", "transfer", "transfer", "seg"]
+    assert is_feasible(plan, state, 0.0)
+    position, avail, pending = remaining_moves(plan, 105.0)
+    assert (position, avail) == ("v1", 105.0)
+    assert [m[0] for m in pending] == ["transfer", "transfer", "seg"]
 
 
 def test_feasibility_soundness_of_returned_plans():
@@ -260,7 +343,7 @@ def test_reroute_adopts_improving_detour():
     assert new is not plan
     position, avail, _pending = remaining_moves(plan, 500.0)
     oracle = brute_force_route(position, "v3", prefs, state)
-    assert plan_key(new, prefs) == oracle[0]
+    assert plan_key(new) == oracle_key(oracle)
 
 
 def test_is_feasible_cases(line3):
