@@ -19,7 +19,6 @@ per device.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
@@ -146,12 +145,7 @@ def position_node_distances(net: MultiLayerNetwork, pos: DevicePosition) -> dict
     return node_distances(net, _anchor_map(net, pos))
 
 
-def distance_to_segment(
-    net: MultiLayerNetwork,
-    pos: DevicePosition,
-    segment_id: str,
-    node_dist: Optional[Mapping[str, float]] = None,
-) -> float:
+def distance_to_segment(net: MultiLayerNetwork, pos: DevicePosition, segment_id: str) -> float:
     """Along-network meters from a position to the nearest end of a segment.
 
     A position on the segment itself is at distance zero.
@@ -159,11 +153,41 @@ def distance_to_segment(
     if pos.segment == segment_id:
         return 0.0
     seg = net.segments[segment_id]
-    dist = node_dist if node_dist is not None else position_node_distances(net, pos)
+    dist = position_node_distances(net, pos)
     return min(
         dist.get(seg.from_node, float("inf")),
         dist.get(seg.to_node, float("inf")),
     )
+
+
+class _SegmentDistances(dict):
+    """Segment id -> along-network meters from the segment's nearer end to
+    every node, each table computed on first use."""
+
+    def __init__(self, net: MultiLayerNetwork):
+        super().__init__()
+        self.net = net
+
+    def __missing__(self, seg_id: str) -> dict[str, float]:
+        seg = self.net.segments[seg_id]
+        table = self[seg_id] = node_distances(self.net, {seg.from_node: 0.0, seg.to_node: 0.0})
+        return table
+
+
+def _segment_distance(
+    net: MultiLayerNetwork,
+    pos: DevicePosition,
+    segment_id: str,
+    seg_dists: Mapping[str, Mapping[str, float]],
+) -> float:
+    """``distance_to_segment`` read from the segment's distance table: along-
+    network distance is symmetric, so the position's anchors look up their
+    distance to the segment."""
+    if pos.segment == segment_id:
+        return 0.0
+    table = seg_dists[segment_id]
+    return min(table.get(anchor, float("inf")) + extra
+               for anchor, extra in _anchor_map(net, pos).items())
 
 
 def position_distance(net: MultiLayerNetwork, a: DevicePosition, b: DevicePosition) -> float:
@@ -202,7 +226,7 @@ def predict_trajectory(
     start, head = _continuation_start(device, net, now)
     if start is None:
         return head
-    path = _free_flow_path(net, device.mode, start, device.destination)
+    path = net.free_flow_path(device.mode, start, device.destination)
     if path is None:
         return head
     t = head[-1][1] + _mode_time(net, head[-1][0], device.mode) if head else now
@@ -229,38 +253,6 @@ def _continuation_start(device, net, now):
     return seg.to_node, []
 
 
-def _free_flow_path(
-    net: MultiLayerNetwork,
-    mode: str,
-    origin: str,
-    dest: str,
-) -> Optional[list[str]]:
-    """Deterministic min-free-flow-time segment path within one mode."""
-    if origin == dest:
-        return []
-    view = net.usable_subgraph(mode)
-    out: dict[str, list] = {}
-    for arc in view.arcs:
-        out.setdefault(arc.from_node, []).append(arc)
-    best: dict[str, tuple] = {origin: (0.0, ())}
-    heap = [(0.0, (), origin)]
-    while heap:
-        cost, seq, node = heapq.heappop(heap)
-        if best.get(node, (cost, seq)) < (cost, seq):
-            continue
-        if node == dest:
-            return list(seq)
-        for arc in out.get(node, ()):
-            key = (cost + arc.free_flow_time, seq + (arc.segment_id,))
-            if node == dest:
-                continue
-            if arc.to_node in best and best[arc.to_node] <= key:
-                continue
-            best[arc.to_node] = key
-            heapq.heappush(heap, (key[0], key[1], arc.to_node))
-    return None
-
-
 # -- relevance ----------------------------------------------------------------
 
 
@@ -271,12 +263,15 @@ def is_relevant(
     net: MultiLayerNetwork,
     actions: Iterable,
     now: float,
-    _node_dist: Optional[Mapping[str, float]] = None,
+    seg_dists: Optional[Mapping[str, Mapping[str, float]]] = None,
 ) -> RelevanceDecision:
     """Decide whether one device should receive one warning.
 
     ``actions`` are the adaptation actions planned for the warning's event;
-    each must expose ``event_id`` and ``actor_device_ids()``.
+    each must expose ``event_id`` and ``actor_device_ids()``.  ``seg_dists``
+    maps each affected segment to the distances from its ends to every node
+    (``distribute`` shares one such map across its devices); built here when
+    not given.
     """
     if device.role == "roadside-unit":
         return NOT_RELEVANT
@@ -290,13 +285,14 @@ def is_relevant(
             if device.mode in entry.modes:
                 return RelevanceDecision(True, "trajectory-hit")
 
-    node_dist = _node_dist if _node_dist is not None else position_node_distances(net, device.position)
+    if seg_dists is None:
+        seg_dists = _SegmentDistances(net)
     for seg_id in sorted(entries):
         entry = entries[seg_id]
         if device.mode is not None and device.mode not in entry.modes:
             continue
         radius = policy.area_radius[entry.seg_class]
-        if distance_to_segment(net, device.position, seg_id, node_dist) <= radius:
+        if _segment_distance(net, device.position, seg_id, seg_dists) <= radius:
             return RelevanceDecision(True, "area")
 
     if policy.include_adaptation_actors:
@@ -355,9 +351,10 @@ def distribute(
     """
     devices = sorted(devices, key=lambda d: d.device_id)
     actions = list(actions)
+    seg_dists = _SegmentDistances(net)
     decisions: dict[str, RelevanceDecision] = {}
     for device in devices:
-        decision = is_relevant(w, device, policy, net, actions, now)
+        decision = is_relevant(w, device, policy, net, actions, now, seg_dists)
         if decision.relevant:
             decisions[device.device_id] = decision
     by_id = {d.device_id: d for d in devices}
@@ -376,26 +373,10 @@ def distribute(
         )
 
     affected_segs = sorted({e.segment_id for e in w.affected})
-    seg_dists = {
-        seg_id: node_distances(net, {
-            net.segments[seg_id].from_node: 0.0,
-            net.segments[seg_id].to_node: 0.0,
-        })
-        for seg_id in affected_segs
-    }
 
     def rsu_event_distance(rsu: EdgeDevice) -> float:
-        best = float("inf")
-        for seg_id in affected_segs:
-            if rsu.position.segment == seg_id:
-                return 0.0
-            anchors = _anchor_map(net, rsu.position)
-            d = min(
-                seg_dists[seg_id].get(anchor, float("inf")) + extra
-                for anchor, extra in anchors.items()
-            )
-            best = min(best, d)
-        return best
+        return min((_segment_distance(net, rsu.position, seg_id, seg_dists)
+                    for seg_id in affected_segs), default=float("inf"))
 
     origin = min(rsus, key=lambda r: (rsu_event_distance(r), r.device_id))
     depth, parent = _rsu_reach(rsus, origin.device_id, topology)

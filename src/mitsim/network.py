@@ -16,6 +16,7 @@ afterwards; disturbance effects live in a separate overlay (see
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
@@ -147,6 +148,8 @@ class MultiLayerNetwork:
         self._shared_groups = self._index_shared_groups()
         self._views: dict[str, GraphView] = {}
         self._out_arcs: dict[str, dict[str, tuple[Arc, ...]]] = {}
+        self._undirected: Optional[dict[str, tuple[tuple[str, float], ...]]] = None
+        self._free_flow_paths: dict[tuple[str, str, str], Optional[tuple[str, ...]]] = {}
 
     # -- validation ---------------------------------------------------------
 
@@ -309,6 +312,50 @@ class MultiLayerNetwork:
             self._out_arcs[mode_id] = group_by_from_node(self.usable_subgraph(mode_id).arcs)
         return self._out_arcs[mode_id]
 
+    def undirected_adjacency(self) -> dict[str, tuple[tuple[str, float], ...]]:
+        """(neighbour, length) of every segment at each node, both ways, in
+        segment id order; every node has an entry.  Built once."""
+        if self._undirected is None:
+            adj: dict[str, list[tuple[str, float]]] = {n: [] for n in self.nodes}
+            for seg_id in sorted(self.segments):
+                seg = self.segments[seg_id]
+                adj[seg.from_node].append((seg.to_node, seg.length))
+                adj[seg.to_node].append((seg.from_node, seg.length))
+            self._undirected = {n: tuple(out) for n, out in adj.items()}
+        return self._undirected
+
+    def free_flow_path(self, mode_id: str, origin: str, dest: str) -> Optional[tuple[str, ...]]:
+        """Segment ids of the least free-flow-time path within one mode.
+
+        Ties break on the segment id sequence.  ``None`` when ``dest`` is
+        unreachable.  Each (mode, origin, dest) is searched once per network.
+        """
+        key = (mode_id, origin, dest)
+        if key not in self._free_flow_paths:
+            self._free_flow_paths[key] = self._search_free_flow(mode_id, origin, dest)
+        return self._free_flow_paths[key]
+
+    def _search_free_flow(self, mode_id: str, origin: str,
+                          dest: str) -> Optional[tuple[str, ...]]:
+        if origin == dest:
+            return ()
+        out = self.out_arcs(mode_id)
+        best: dict[str, tuple] = {origin: (0.0, ())}
+        heap = [(0.0, (), origin)]
+        while heap:
+            cost, seq, node = heapq.heappop(heap)
+            if best.get(node, (cost, seq)) < (cost, seq):
+                continue
+            if node == dest:
+                return seq
+            for arc in out.get(node, ()):
+                key = (cost + arc.free_flow_time, seq + (arc.segment_id,))
+                if arc.to_node in best and best[arc.to_node] <= key:
+                    continue
+                best[arc.to_node] = key
+                heapq.heappush(heap, (key[0], key[1], arc.to_node))
+        return None
+
     def shared_group_members(self, segment_id: str) -> set[str]:
         """All segments on the same physical infrastructure, input included."""
         if segment_id not in self.segments:
@@ -444,17 +491,11 @@ def node_distances(
     mode, matching how warning areas are scoped.  ``sources`` may carry
     initial distances (for positions in a segment's interior).
     """
-    import heapq
-
     if isinstance(sources, Mapping):
         initial = dict(sources)
     else:
         initial = {s: 0.0 for s in sources}
-    adj: dict[str, list[tuple[str, float]]] = {n: [] for n in net.nodes}
-    for seg_id in sorted(net.segments):
-        seg = net.segments[seg_id]
-        adj[seg.from_node].append((seg.to_node, seg.length))
-        adj[seg.to_node].append((seg.from_node, seg.length))
+    adj = net.undirected_adjacency()
     dist: dict[str, float] = {}
     heap: list[tuple[float, str]] = []
     for s in sorted(initial):

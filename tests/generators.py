@@ -472,3 +472,118 @@ def rail_line_scenario_dict(rng: random.Random, size: int = 4) -> dict:
         "devices": devices,
         "policies": {"rsu_links": [], "pt_routes": [], "defaults": {}},
     }
+
+
+def idle_obu_grid_scenario_dict(rng: random.Random, size: int = 5) -> dict:
+    """A size x size car grid watched by idle OBUs and moving travelers.
+
+    Segment lengths and free-flow times vary and some streets are one-way,
+    so free-flow paths are not symmetric.  Routeless car OBUs carry a
+    ``destination``, so relevance predicts their trajectory; some sit
+    inside a segment, and one is a bus OBU on a road the bus does not use.
+    Device-bound car travelers leave early on long trips over slow
+    segments, so they are inside a segment when the warnings go out.  The
+    roadside units cover only part of the grid, so some relevant devices
+    are missed.
+    """
+    def node(r, c):
+        return f"n{r}_{c}"
+
+    nodes = [node(r, c) for r in range(size) for c in range(size)]
+    segments = []
+    for r in range(size):
+        for c in range(size):
+            for kind, r2, c2 in (("h", r, c + 1), ("v", r + 1, c)):
+                if r2 >= size or c2 >= size:
+                    continue
+                fft = float(rng.randint(6, 20) * 10)
+                usage = [{"mode_id": "car",
+                          "direction": "forward" if rng.random() < 0.15 else "both",
+                          "base_capacity": 1000, "free_flow_time": fft}]
+                if r == size // 2 and kind == "h":
+                    usage.append({"mode_id": "bus", "direction": "both",
+                                  "base_capacity": 300, "free_flow_time": fft})
+                segments.append({
+                    "segment_id": f"{kind}{r}_{c}", "network_id": "road",
+                    "from_node": node(r, c), "to_node": node(r2, c2),
+                    "length": float(rng.randint(10, 40) * 10),
+                    "class": rng.choice(CLASSES), "usage": usage,
+                })
+    seg_ids = [s["segment_id"] for s in segments]
+    car_only = {"allowed_modes": ["car"]}
+
+    def position():
+        if rng.random() < 0.5:
+            return {"node": rng.choice(nodes)}
+        seg = rng.choice(segments)
+        return {"segment": seg["segment_id"],
+                "offset": round(rng.uniform(0, seg["length"]), 1)}
+
+    devices = []
+    rsu_ids = [f"rsu{k}" for k in range(3)]
+    for rsu_id, node_id in zip(rsu_ids, rng.sample(nodes, len(rsu_ids))):
+        devices.append({"device_id": rsu_id, "role": "roadside-unit",
+                        "position": {"node": node_id},
+                        "comm_range": float(rng.randint(6, 12) * 100)})
+    for k in range(8):
+        origin, dest = rng.sample(nodes, 2)
+        devices.append({
+            "device_id": f"trav{k}", "role": rng.choice(["vehicle-obu", "traveler-app"]),
+            "position": {"node": origin}, "comm_range": 200.0, "mode": "car",
+            "trip": {"origin": origin, "dest": dest,
+                     "depart": float(rng.randint(0, 60) * 10), "prefs": car_only},
+        })
+    for k in range(12):
+        devices.append({"device_id": f"obu{k}", "role": "vehicle-obu",
+                        "position": position(), "comm_range": 200.0,
+                        "mode": "car", "destination": rng.choice(nodes)})
+    devices.append({"device_id": "busobu", "role": "vehicle-obu",
+                    "position": {"segment": "v0_0", "offset": 10.0},
+                    "comm_range": 200.0, "mode": "bus", "destination": node(size // 2, 0)})
+    devices.append({"device_id": "sc0", "role": "signal-controller",
+                    "position": position()})
+
+    disturbances = []
+    for k, seg_id in enumerate(rng.sample(seg_ids, 3)):
+        estimated = float(rng.randint(10, 30) * 60)
+        disturbances.append({
+            "event_id": f"ev{k}", "kind": "D1", "segments": [seg_id], "nodes": [],
+            "start": float(rng.randint(20, 90) * 10),
+            "estimated_duration": estimated,
+            "true_duration": estimated * rng.choice([1.0, 1.5]),
+            "severity": {"capacity_reduction": 1.0},
+        })
+    return {
+        "seed": rng.randint(0, 2**31),
+        "end_time": 3 * 3600.0,
+        "network": {
+            "modes": [
+                {"mode_id": "car", "name": "car", "category": "private-car",
+                 "agile": False, "maas_member": False},
+                {"mode_id": "bus", "name": "bus", "category": "bus",
+                 "agile": False, "maas_member": False},
+            ],
+            "networks": [{"network_id": "road", "name": "road"}],
+            "usage_matrix": [["car", "road"], ["bus", "road"]],
+            "nodes": nodes,
+            "segments": segments,
+            "multimodal_nodes": [],
+        },
+        "demand": {"trips": [], "arrivals": [], "ev_modifiers": []},
+        "disturbances": disturbances,
+        "detection_sources": [{
+            "source_kind": "user-app", "applicable_kinds": ["D1"],
+            "detect_probability": 1.0, "latency_min": 20.0, "latency_max": 60.0,
+        }],
+        "devices": devices,
+        "policies": {
+            "relevance": {"horizon": 1200,
+                          "area_radius": {"critical": 900, "major": 600,
+                                          "inferior": 400, "minor": 200},
+                          "include_adaptation_actors": True},
+            "rsu_links": [["rsu0", "rsu1"], ["rsu1", "rsu2"]],
+            "max_hops": 1,
+            "pt_routes": [],
+            "defaults": {},
+        },
+    }

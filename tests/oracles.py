@@ -2,8 +2,14 @@
 
 import itertools
 
-from mitsim.dissemination import distance_to_segment, is_relevant, position_distance
+from mitsim.dissemination import (
+    distance_to_segment,
+    position_distance,
+    position_node_distances,
+    predict_trajectory,
+)
 from mitsim.network import Arc
+
 
 def brute_force_route(origin, dest, prefs, state):
     """Exhaustive enumeration over simple (node, mode, walk-run) paths.
@@ -127,11 +133,86 @@ def oracle_key(oracle):
     return (time, transfers, seq)
 
 
+def brute_force_node_distances(net, sources):
+    """Bellman-Ford over the segment list, both directions of every segment.
+
+    ``sources`` maps each source node to its initial distance.
+    """
+    dist = dict(sources)
+    changed = True
+    while changed:
+        changed = False
+        for seg in net.segments.values():
+            for a, b in ((seg.from_node, seg.to_node), (seg.to_node, seg.from_node)):
+                if a in dist and dist[a] + seg.length < dist.get(b, float("inf")):
+                    dist[b] = dist[a] + seg.length
+                    changed = True
+    return dist
+
+
+def brute_force_free_flow_path(net, mode_id, origin, dest):
+    """Least (free-flow time, segment sequence) over every simple path of
+    one mode, with arcs read from the segments' usage directions."""
+    out = {}
+    for seg_id in sorted(net.segments):
+        seg = net.segments[seg_id]
+        entry = seg.usage_for(mode_id)
+        if entry is None:
+            continue
+        if entry.direction in ("forward", "both"):
+            out.setdefault(seg.from_node, []).append((seg.to_node, seg_id, entry.free_flow_time))
+        if entry.direction in ("backward", "both"):
+            out.setdefault(seg.to_node, []).append((seg.from_node, seg_id, entry.free_flow_time))
+    best = [None]
+
+    def rec(node, cost, seq, visited):
+        if node == dest:
+            if best[0] is None or (cost, seq) < best[0]:
+                best[0] = (cost, seq)
+            return
+        for to, seg_id, fft in out.get(node, ()):
+            if to not in visited:
+                rec(to, cost + fft, seq + (seg_id,), visited | {to})
+
+    rec(origin, 0.0, (), {origin})
+    return None if best[0] is None else best[0][1]
+
+
+def brute_force_relevant(w, device, policy, net, actions, now):
+    """Relevance reason of one device, with one forward Dijkstra from the
+    device's own position for the area test."""
+    if device.role == "roadside-unit":
+        return "none"
+    entries = {e.segment_id: e for e in w.affected}
+    if device.mode is not None:
+        for seg_id, eta in predict_trajectory(device, net, now):
+            entry = entries.get(seg_id)
+            if entry is not None and eta <= now + policy.horizon and device.mode in entry.modes:
+                return "trajectory-hit"
+    dist = position_node_distances(net, device.position)
+    for seg_id in sorted(entries):
+        entry = entries[seg_id]
+        if device.mode is not None and device.mode not in entry.modes:
+            continue
+        seg = net.segments[seg_id]
+        if device.position.segment == seg_id:
+            d = 0.0
+        else:
+            d = min(dist.get(seg.from_node, float("inf")), dist.get(seg.to_node, float("inf")))
+        if d <= policy.area_radius[entry.seg_class]:
+            return "area"
+    if policy.include_adaptation_actors:
+        for action in actions:
+            if action.event_id == w.event_id and device.device_id in action.actor_device_ids():
+                return "adaptation-actor"
+    return "none"
+
+
 def oracle_notified(w, devices, topology, policy, net, actions, now):
     """Brute force: the relevance set intersected with the reachable set."""
     relevant = {
         d.device_id for d in devices
-        if is_relevant(w, d, policy, net, actions, now).relevant
+        if brute_force_relevant(w, d, policy, net, actions, now) != "none"
     }
     rsus = sorted((d for d in devices if d.role == "roadside-unit"),
                   key=lambda d: d.device_id)

@@ -1,4 +1,7 @@
 import random
+from collections import Counter
+
+import pytest
 
 from mitsim.adaptation import BusDiversion
 from mitsim.disturbance import SeverityMeasure
@@ -69,6 +72,14 @@ def test_trajectory_shortest_continuation(line3):
     # brute-force shortest path on the toy graph: s0 then s1, cumulative ETAs
     assert predict_trajectory(device, line3, now=50.0) == [
         ("s0", 50.0), ("s1", 150.0)]
+
+
+def test_trajectory_does_not_alias_the_network_path(line3):
+    device = EdgeDevice("d", "vehicle-obu", DevicePosition(node="v0"),
+                        mode="car", destination="v2")
+    predict_trajectory(device, line3, now=0.0).clear()
+    assert predict_trajectory(device, line3, now=0.0) == [("s0", 0.0), ("s1", 100.0)]
+    assert line3.free_flow_path("car", "v0", "v2") == ("s0", "s1")
 
 
 def test_trajectory_none_without_destination(line3):
@@ -174,7 +185,49 @@ def test_position_distance_same_segment(line3):
 # -- distribution oracle --------------------------------------------------------------
 
 
-from oracles import oracle_notified
+from oracles import brute_force_relevant, oracle_notified
+
+TIGHT = RelevancePolicy(area_radius={"critical": 1500, "major": 800,
+                                     "inferior": 400, "minor": 200})
+
+
+class Actors:
+    """An adaptation action reduced to what relevance reads."""
+
+    def __init__(self, event_id, device_ids):
+        self.event_id = event_id
+        self.device_ids = frozenset(device_ids)
+
+    def actor_device_ids(self):
+        return self.device_ids
+
+
+@pytest.mark.parametrize("policy", [POLICY, TIGHT], ids=["default", "tight"])
+def test_distribute_matches_oracle_on_16_node_networks(policy):
+    seen = Counter()
+    for seed in range(120):
+        rng = random.Random(70_000 + seed)
+        net = random_network(rng, max_nodes=16, max_modes=3, max_extra_segments=16)
+        devices = random_devices(rng, net, max_devices=30)
+        topology = random_topology(rng, devices)
+        w = random_warning(rng, net)
+        picked = [d.device_id for d in devices if rng.random() < 0.1]
+        actions = [Actors(w.event_id, picked), Actors("other", [d.device_id for d in devices])]
+        now = w.issue_time
+        reasons = {d.device_id: brute_force_relevant(w, d, policy, net, actions, now)
+                   for d in devices}
+        for d in devices:
+            assert is_relevant(w, d, policy, net, actions, now).reason == reasons[d.device_id]
+        record = distribute(w, devices, topology, policy, net, actions, now)
+        expected, missed = oracle_notified(w, devices, topology, policy, net, actions, now)
+        assert set(record.notified) == expected
+        assert set(record.missed) == missed
+        assert record.reasons == dict(Counter(reasons[did] for did in expected))
+        seen.update(reasons.values())
+        seen["notified"] += len(expected)
+        seen["missed"] += len(missed)
+    assert min(seen[k] for k in ("trajectory-hit", "area", "adaptation-actor",
+                                 "none", "notified", "missed")) >= 20
 
 
 

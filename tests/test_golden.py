@@ -22,7 +22,11 @@ import pytest
 
 from mitsim.cli import main
 
-from generators import rail_line_scenario_dict, random_scenario_dict
+from generators import (
+    idle_obu_grid_scenario_dict,
+    rail_line_scenario_dict,
+    random_scenario_dict,
+)
 
 DEMO = Path(__file__).resolve().parent.parent / "scenarios" / "demo.json"
 OUTPUTS = ("metrics.json", "events.log", "warnings.log", "actions.log")
@@ -30,9 +34,12 @@ MODES = {"targeted": [], "broadcast": ["--broadcast"], "no_adapt": ["--no-adapt"
 
 # Scenario name -> the scenario as JSON text.  ``random-284`` is a
 # two-mode multimodal network with two events; ``rail-1`` has repeated-OD
-# arrival streams and a rail-replacement (usage) contribution.
+# arrival streams and a rail-replacement (usage) contribution; ``idle-1``
+# has routeless OBUs whose trajectories are predicted from a destination,
+# travelers inside a segment when warnings go out, and missed devices.
 SCENARIOS = {
     "demo": lambda: DEMO.read_text(encoding="utf-8"),
+    "idle-1": lambda: json.dumps(idle_obu_grid_scenario_dict(random.Random(1))),
     "random-284": lambda: json.dumps(random_scenario_dict(random.Random(284))),
     "rail-1": lambda: json.dumps(rail_line_scenario_dict(random.Random(1))),
 }
@@ -55,6 +62,24 @@ GOLDEN = {
         "events.log": "72c76475aab6008a8dded5f74b74eecb6a7a2ec7cf262300fdef9550651c7b7c",
         "warnings.log": "5140ae44ac89fbeb9edd24e6ef9d0d68c1ab191d5e4c5b1a88b80575e90c26f8",
         "actions.log": "4d03dc979706d83e8ca1e09deadbb8df7574819f33a7af3385b97194541fe4f2"
+    },
+    "idle-1/broadcast": {
+        "metrics.json": "98ee1fb607fda8058aa9b3ad00ad8ec57aff8b4ee33d7f9fdb1c1e3b2ea67f9e",
+        "events.log": "c9bb343c85957aa066d6ef0653e9a26cf9c3d8ca60b39141e07e2d52ab87049d",
+        "warnings.log": "cbf7a60e35f33c3d8549c4d556c3847e150371c5a4cec45109cd4b77211eb7f3",
+        "actions.log": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    },
+    "idle-1/no_adapt": {
+        "metrics.json": "d7ca6a5d1743ce849f7c1f6542dc9269c98c03b5b7cbe75ea72edcdae72b38be",
+        "events.log": "23d5d9af00449f002c2cb9be6316a489d5086ac7a33a7dff57100e68c75569bc",
+        "warnings.log": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "actions.log": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    },
+    "idle-1/targeted": {
+        "metrics.json": "8b8e07eb874e949ef2c7cc62f749d525dab9d0dd8d1524b553d129eaf6182734",
+        "events.log": "764bc8cd7ce5b3bbe8e57fa7401c43a42f87df32901486cdf70f5640e5e26787",
+        "warnings.log": "cbf7a60e35f33c3d8549c4d556c3847e150371c5a4cec45109cd4b77211eb7f3",
+        "actions.log": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
     },
     "rail-1/broadcast": {
         "metrics.json": "997fb313f586f0c38ee387d89543c263dc0fa6e1d7e4a9f956426021ff90eb8a",
@@ -91,7 +116,7 @@ GOLDEN = {
         "events.log": "6e3d8276043178b2291beceded29de250e115a5ceb2959bdabe85cc4d90a69b3",
         "warnings.log": "c1f32abf0af883ec92969739d0a6ecd0ca7fbaf239400abc499811d7087a4e90",
         "actions.log": "1672eb033c9b62ea3e5c061ffbcee72f3f001892e61a209d439dbdf42243faac"
-    },
+    }
 }
 
 

@@ -7,6 +7,7 @@ from mitsim.network import build_network, node_distances
 
 from conftest import line_network_spec
 from generators import random_network
+from oracles import brute_force_free_flow_path, brute_force_node_distances
 
 
 def test_minimal_valid_network():
@@ -151,3 +152,42 @@ def test_node_distances_multi_source(line3):
     assert dist == {"v0": 0.0, "v1": 1000.0, "v2": 2000.0}
     dist = node_distances(line3, {"v0": 0.0, "v2": 0.0})
     assert dist["v1"] == 1000.0
+
+
+def test_node_distances_match_bellman_ford():
+    for seed in range(200):
+        rng = random.Random(61_000 + seed)
+        net = random_network(rng, max_nodes=16, max_modes=3, max_extra_segments=16)
+        picked = rng.sample(sorted(net.nodes), rng.randint(1, 3))
+        if rng.random() < 0.5:
+            sources = {n: 0.0 for n in picked}
+            got = node_distances(net, picked)
+        else:
+            sources = {n: rng.uniform(0.0, 2000.0) for n in picked}
+            got = node_distances(net, sources)
+        assert got == brute_force_node_distances(net, sources)
+
+
+def test_free_flow_path_matches_exhaustive_enumeration():
+    found = 0
+    for seed in range(300):
+        rng = random.Random(62_000 + seed)
+        net = random_network(rng, max_nodes=8, max_modes=3, max_extra_segments=8)
+        nodes = sorted(net.nodes)
+        for mode in sorted(net.modes):
+            origin, dest = rng.choice(nodes), rng.choice(nodes)
+            path = net.free_flow_path(mode, origin, dest)
+            assert path == brute_force_free_flow_path(net, mode, origin, dest)
+            found += bool(path)
+    assert found >= 100
+
+
+def test_free_flow_path_is_reused_and_immutable(line3):
+    path = line3.free_flow_path("car", "v0", "v2")
+    assert path == ("s0", "s1")
+    assert line3.free_flow_path("car", "v0", "v2") is path
+    with pytest.raises(TypeError):
+        path[0] = "s9"
+    assert line3.free_flow_path("car", "v1", "v1") == ()
+    one_way = build_network(line_network_spec(3, direction="forward"))
+    assert one_way.free_flow_path("car", "v2", "v0") is None
