@@ -17,7 +17,8 @@ from typing import Iterable, Optional
 from .disturbance import DisturbanceEvent, EffectMatrix, displaced_volume, severity_index_from
 from .errors import InfeasibleError, ValidationError
 from .messages import WarningMessage
-from .network import MultiLayerNetwork, node_distances
+# node_distances stays bound here: perfbench's tracer test wraps it by this name.
+from .network import MultiLayerNetwork, node_distances  # noqa: F401
 from .routing import RoutingPreferences, route
 from .state import CavUnit, Contribution, PtRoute, WorldState
 
@@ -492,7 +493,7 @@ def _build_stop_guidance(action_id, event, state: WorldState, located, now, expi
     )
     if not stops:
         return None
-    dist = node_distances(net, stops)
+    dist = net.distance_table(dict.fromkeys(stops, 0.0))
     alternatives = []
     candidates = [
         n for n in sorted(net.multimodal_nodes)

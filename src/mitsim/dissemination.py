@@ -160,32 +160,14 @@ def distance_to_segment(net: MultiLayerNetwork, pos: DevicePosition, segment_id:
     )
 
 
-class _SegmentDistances(dict):
-    """Segment id -> along-network meters from the segment's nearer end to
-    every node, each table computed on first use."""
-
-    def __init__(self, net: MultiLayerNetwork):
-        super().__init__()
-        self.net = net
-
-    def __missing__(self, seg_id: str) -> dict[str, float]:
-        seg = self.net.segments[seg_id]
-        table = self[seg_id] = node_distances(self.net, {seg.from_node: 0.0, seg.to_node: 0.0})
-        return table
-
-
-def _segment_distance(
-    net: MultiLayerNetwork,
-    pos: DevicePosition,
-    segment_id: str,
-    seg_dists: Mapping[str, Mapping[str, float]],
-) -> float:
-    """``distance_to_segment`` read from the segment's distance table: along-
-    network distance is symmetric, so the position's anchors look up their
-    distance to the segment."""
+def _segment_distance(net: MultiLayerNetwork, pos: DevicePosition, segment_id: str) -> float:
+    """``distance_to_segment`` read from the network's distance table for
+    the segment's ends: along-network distance is symmetric, so the
+    position's anchors look up their distance to the segment."""
     if pos.segment == segment_id:
         return 0.0
-    table = seg_dists[segment_id]
+    seg = net.segments[segment_id]
+    table = net.distance_table({seg.from_node: 0.0, seg.to_node: 0.0})
     return min(table.get(anchor, float("inf")) + extra
                for anchor, extra in _anchor_map(net, pos).items())
 
@@ -263,15 +245,12 @@ def is_relevant(
     net: MultiLayerNetwork,
     actions: Iterable,
     now: float,
-    seg_dists: Optional[Mapping[str, Mapping[str, float]]] = None,
 ) -> RelevanceDecision:
     """Decide whether one device should receive one warning.
 
     ``actions`` are the adaptation actions planned for the warning's event;
-    each must expose ``event_id`` and ``actor_device_ids()``.  ``seg_dists``
-    maps each affected segment to the distances from its ends to every node
-    (``distribute`` shares one such map across its devices); built here when
-    not given.
+    each must expose ``event_id`` and ``actor_device_ids()``.  The area test
+    reads each affected segment's distance table, kept on the network.
     """
     if device.role == "roadside-unit":
         return NOT_RELEVANT
@@ -285,14 +264,12 @@ def is_relevant(
             if device.mode in entry.modes:
                 return RelevanceDecision(True, "trajectory-hit")
 
-    if seg_dists is None:
-        seg_dists = _SegmentDistances(net)
     for seg_id in sorted(entries):
         entry = entries[seg_id]
         if device.mode is not None and device.mode not in entry.modes:
             continue
         radius = policy.area_radius[entry.seg_class]
-        if _segment_distance(net, device.position, seg_id, seg_dists) <= radius:
+        if _segment_distance(net, device.position, seg_id) <= radius:
             return RelevanceDecision(True, "area")
 
     if policy.include_adaptation_actors:
@@ -351,10 +328,9 @@ def distribute(
     """
     devices = sorted(devices, key=lambda d: d.device_id)
     actions = list(actions)
-    seg_dists = _SegmentDistances(net)
     decisions: dict[str, RelevanceDecision] = {}
     for device in devices:
-        decision = is_relevant(w, device, policy, net, actions, now, seg_dists)
+        decision = is_relevant(w, device, policy, net, actions, now)
         if decision.relevant:
             decisions[device.device_id] = decision
     by_id = {d.device_id: d for d in devices}
@@ -375,16 +351,14 @@ def distribute(
     affected_segs = sorted({e.segment_id for e in w.affected})
 
     def rsu_event_distance(rsu: EdgeDevice) -> float:
-        return min((_segment_distance(net, rsu.position, seg_id, seg_dists)
+        return min((_segment_distance(net, rsu.position, seg_id)
                     for seg_id in affected_segs), default=float("inf"))
 
     origin = min(rsus, key=lambda r: (rsu_event_distance(r), r.device_id))
     depth, parent = _rsu_reach(rsus, origin.device_id, topology)
 
-    rsu_cover: dict[str, dict[str, float]] = {}
-    for rsu in rsus:
-        if rsu.device_id in depth:
-            rsu_cover[rsu.device_id] = position_node_distances(net, rsu.position)
+    rsu_cover = {rsu.device_id: net.distance_table(_anchor_map(net, rsu.position))
+                 for rsu in rsus if rsu.device_id in depth}
 
     notified: dict[str, int] = {}
     serving: dict[str, str] = {}

@@ -11,14 +11,18 @@ Multimodal nodes are the only places where a traveler can change modes.
 
 Networks are built once from a plain-dict description and are immutable
 afterwards; disturbance effects live in a separate overlay (see
-:mod:`mitsim.state`).
+:mod:`mitsim.state`).  What is a pure function of the network and some
+further inputs is computed once and kept on it, so every run over one
+network shares it: per-mode adjacency, free-flow paths, distance tables
+from fixed source sets, and route search results per overlay content.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from types import MappingProxyType
+from typing import Hashable, Iterable, Mapping, Optional, Union
 
 from .errors import ValidationError
 
@@ -150,6 +154,8 @@ class MultiLayerNetwork:
         self._out_arcs: dict[str, dict[str, tuple[Arc, ...]]] = {}
         self._undirected: Optional[dict[str, tuple[tuple[str, float], ...]]] = None
         self._free_flow_paths: dict[tuple[str, str, str], Optional[tuple[str, ...]]] = {}
+        self._distance_tables: dict[tuple[tuple[str, float], ...], Mapping[str, float]] = {}
+        self._searches: dict[Hashable, dict] = {}
 
     # -- validation ---------------------------------------------------------
 
@@ -355,6 +361,23 @@ class MultiLayerNetwork:
                 best[arc.to_node] = key
                 heapq.heappush(heap, (key[0], key[1], arc.to_node))
         return None
+
+    def distance_table(self, sources: Mapping[str, float]) -> Mapping[str, float]:
+        """``node_distances`` from ``sources``, computed once per distinct
+        source map on this network and returned read-only."""
+        key = tuple(sorted(sources.items()))
+        table = self._distance_tables.get(key)
+        if table is None:
+            table = self._distance_tables[key] = MappingProxyType(node_distances(self, sources))
+        return table
+
+    def searches(self, metric: Hashable) -> dict:
+        """Route search results for one overlay content (``metric``).
+
+        Every overlay on this network whose content equals ``metric`` reads
+        and fills the same dict (see :meth:`NetworkState.searches`).
+        """
+        return self._searches.setdefault(metric, {})
 
     def shared_group_members(self, segment_id: str) -> set[str]:
         """All segments on the same physical infrastructure, input included."""

@@ -16,9 +16,9 @@ identical plan.
 
 A search walks each mode's static per-node adjacency (plus any arcs that
 usage contributions open) and reads the overlay only for the arcs it
-relaxes.  Its result is a move list whose durations depend on the overlay
-alone, never on the departure time, so the overlay keeps it under
-``(origin, dest, prefs)`` for as long as the overlay is unchanged (see
+relaxes.  Its result is a move list whose durations depend on the overlay's
+content alone, never on the departure time, so the network keeps it under
+``(origin, dest, prefs)`` for every overlay with that content (see
 :meth:`NetworkState.searches`).  Every call then times the moves from its
 own ``depart``, with the same float operations as a fresh search, so a
 reused search yields the plan a new one would.

@@ -10,10 +10,12 @@ builds its own fresh world state from it.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .adaptation import DEFAULT_STRATEGY_TABLE, StrategyTable, validate_strategy_table
@@ -116,11 +118,17 @@ class Scenario:
         )
 
     def without_event(self, event_id: str) -> "Scenario":
-        raw = json.loads(json.dumps(self.raw))
+        """This scenario minus one event, sharing the parsed network.
+
+        Events are validated apart from every other section, so dropping
+        one leaves the rest of the parse valid as it is.
+        """
+        raw = dict(self.raw)
         raw["disturbances"] = [
             e for e in raw.get("disturbances", []) if e.get("event_id") != event_id
         ]
-        return load_scenario(raw)
+        return dataclasses.replace(
+            self, raw=raw, events=tuple(e for e in self.events if e.event_id != event_id))
 
     def stream(self, name: str) -> random.Random:
         return stream_rng(self.seed, name)
@@ -215,6 +223,8 @@ def load_scenario(raw: Mapping) -> Scenario:
             if node not in net.nodes:
                 raise ValidationError(f"demand arrivals {i}: unknown node {node}")
         rate = float(a["rate_per_hour"])
+        if not math.isfinite(rate):
+            raise ValidationError(f"demand arrivals {i}: rate must be finite")
         if rate < 0:
             raise ValidationError(f"demand arrivals {i}: negative rate")
         arrivals.append(ArrivalSpec(
@@ -223,14 +233,20 @@ def load_scenario(raw: Mapping) -> Scenario:
             end=float(a.get("end", end_time)),
             prefs=prefs,
         ))
-    ev_modifiers = tuple(
-        EvModifier(
-            event_id=m["event_id"],
-            multiplier=float(m["multiplier"]),
-            nodes=frozenset(m.get("nodes", [])),
-        )
-        for m in demand_raw.get("ev_modifiers", [])
-    )
+    # A modifier's event_id is not checked: modifiers of an event dropped by
+    # without_event stay in the scenario and simply never apply.
+    ev_modifiers: list[EvModifier] = []
+    for i, m in enumerate(demand_raw.get("ev_modifiers", [])):
+        multiplier = float(m["multiplier"])
+        if not (math.isfinite(multiplier) and multiplier >= 0):
+            raise ValidationError(
+                f"demand ev_modifiers {i}: multiplier must be finite and >= 0")
+        nodes = frozenset(m.get("nodes", []))
+        for node in sorted(nodes):
+            if node not in net.nodes:
+                raise ValidationError(f"demand ev_modifiers {i}: unknown node {node}")
+        ev_modifiers.append(EvModifier(event_id=m["event_id"], multiplier=multiplier,
+                                       nodes=nodes))
 
     # disturbances, closed over shared physical infrastructure
     events: list[DisturbanceEvent] = []
@@ -406,7 +422,7 @@ def load_scenario(raw: Mapping) -> Scenario:
         net=net,
         trips=tuple(trips),
         arrivals=tuple(arrivals),
-        ev_modifiers=ev_modifiers,
+        ev_modifiers=tuple(ev_modifiers),
         events=tuple(events),
         matrix=matrix,
         sources=sources,

@@ -17,12 +17,14 @@ all contributions restores the pristine network exactly, field for field.
 Each write rebuilds an index from (segment, mode) to the contributions that
 name it, in insertion order, so ``residual`` reads only its own target's
 contributions (an untouched target is 1.0) and multiplies factors in the
-same order as a scan of every contribution would.  The overlay also keeps
-route search results (:meth:`NetworkState.searches`).  Their key of
-validity is a write counter plus the ids of the contributions active at
-``clock``: nothing else changes what ``residual``, ``traversal_time`` or
-``mode_arcs`` return, since the network and the boarding waits are fixed.
-The departure time is not part of it, because a search result holds
+same order as a scan of every contribution would.
+
+Route search results live on the network, keyed by the overlay's content
+(:meth:`NetworkState.searches`): the boarding waits plus the contributions
+active at ``clock``, in insertion order.  Nothing else changes what
+``residual``, ``traversal_time`` or ``mode_arcs`` return, so every overlay
+on one network with that content, in any run, shares one search per query.
+The departure time is not part of the key, because a search result holds
 durations only; the caller turns them into times.
 """
 
@@ -143,14 +145,18 @@ class NetworkState:
     def searches(self) -> dict:
         """Route search results valid for the overlay as it is now.
 
-        Emptied whenever the write counter or the set of contributions
-        active at ``clock`` has changed since the last call.
+        The network's store for this overlay's content: the boarding waits
+        and the active contributions in insertion order, which fix the
+        factor order ``residual`` multiplies in.  The content is looked up
+        again only when the write counter or the set of ids active at
+        ``clock`` has changed since the last call.
         """
         key = (self._writes,
                tuple(cid for cid, c in self._contributions.items() if c.active(self.clock)))
         if key != self._searches_key:
             self._searches_key = key
-            self._searches = {}
+            self._searches = self.net.searches((tuple(sorted(self.boarding_wait.items())),
+                                                tuple(self._contributions[cid] for cid in key[1])))
         return self._searches
 
     # -- capacity queries ----------------------------------------------------

@@ -7,7 +7,10 @@ reproducible from their seed alone.
 from __future__ import annotations
 
 import random
+import tempfile
+from pathlib import Path
 
+from mitsim.cli import _write_result
 from mitsim.dissemination import DevicePosition, EdgeDevice, RsuTopology
 from mitsim.messages import AffectedEntry, WarningMessage
 from mitsim.disturbance import SeverityMeasure
@@ -99,6 +102,19 @@ def random_network_spec(rng: random.Random, max_nodes: int = 10,
 
 def random_network(rng: random.Random, **kw) -> MultiLayerNetwork:
     return build_network(random_network_spec(rng, **kw))
+
+
+def rebuilt(net: MultiLayerNetwork) -> MultiLayerNetwork:
+    """An equal network built anew, sharing none of ``net``'s caches."""
+    return MultiLayerNetwork(net.modes.values(), net.networks.values(), net.usage_matrix,
+                             net.nodes, net.segments.values(), net.multimodal_nodes.values())
+
+
+def run_outputs(result) -> dict[str, bytes]:
+    """The bytes ``mitsim run`` writes for one run result, by file name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_result(result, Path(tmp))
+        return {path.name: path.read_bytes() for path in sorted(Path(tmp).iterdir())}
 
 
 # Window edges shared by generated contributions and clock moves, so that

@@ -18,12 +18,14 @@ from mitsim.dissemination import (
     predict_trajectory,
 )
 from mitsim.messages import AffectedEntry, WarningMessage
-from mitsim.network import build_network
+from mitsim.network import MultiLayerNetwork, build_network
+from mitsim.routing import RoutingPreferences, route
 
 from conftest import line_network_spec
 from generators import (
     random_devices,
     random_network,
+    random_state,
     random_topology,
     random_warning,
 )
@@ -185,7 +187,14 @@ def test_position_distance_same_segment(line3):
 # -- distribution oracle --------------------------------------------------------------
 
 
-from oracles import brute_force_relevant, oracle_notified
+from oracles import (
+    brute_force_free_flow_path,
+    brute_force_mode_arcs,
+    brute_force_node_distances,
+    brute_force_relevant,
+    brute_force_route,
+    oracle_notified,
+)
 
 TIGHT = RelevancePolicy(area_radius={"critical": 1500, "major": 800,
                                      "inferior": 400, "minor": 200})
@@ -230,6 +239,35 @@ def test_distribute_matches_oracle_on_16_node_networks(policy):
                                  "none", "notified", "missed")) >= 20
 
 
+
+
+def test_oracles_do_not_read_the_network_memo(monkeypatch):
+    def forbidden(*_args):
+        raise AssertionError("read the network memo")
+
+    monkeypatch.setattr(MultiLayerNetwork, "distance_table", forbidden)
+    monkeypatch.setattr(MultiLayerNetwork, "searches", forbidden)
+    for seed in range(20):
+        rng = random.Random(74_000 + seed)
+        net = random_network(rng, max_nodes=12, max_modes=3, max_extra_segments=12)
+        devices = random_devices(rng, net, max_devices=20)
+        topology = random_topology(rng, devices)
+        w = random_warning(rng, net)
+        actions = [Actors(w.event_id, [d.device_id for d in devices if rng.random() < 0.2])]
+        oracle_notified(w, devices, topology, POLICY, net, actions, w.issue_time)
+        state = random_state(rng, net)
+        nodes = sorted(net.nodes)
+        brute_force_route(nodes[0], nodes[-1], RoutingPreferences(frozenset(net.modes)), state)
+        brute_force_node_distances(net, {nodes[0]: 0.0})
+        for mode in sorted(net.modes):
+            brute_force_free_flow_path(net, mode, nodes[0], nodes[-1])
+            brute_force_mode_arcs(net, state.contributions(), state.clock, mode)
+        # the fast paths do read it
+        idle = EdgeDevice("idle", "traveler-app", DevicePosition(node=nodes[0]))
+        with pytest.raises(AssertionError, match="network memo"):
+            is_relevant(w, idle, POLICY, net, [], w.issue_time)
+        with pytest.raises(AssertionError, match="network memo"):
+            route(nodes[0], nodes[-1], 0.0, RoutingPreferences(frozenset(net.modes)), state)
 
 
 def test_distribute_matches_oracle_on_random_scenarios():

@@ -166,6 +166,19 @@ def test_node_distances_match_bellman_ford():
             sources = {n: rng.uniform(0.0, 2000.0) for n in picked}
             got = node_distances(net, sources)
         assert got == brute_force_node_distances(net, sources)
+        assert net.distance_table(sources) == got
+
+
+def test_distance_table_is_reused_and_read_only(line3):
+    table = line3.distance_table({"v0": 0.0, "v2": 0.0})
+    assert table == {"v0": 0.0, "v1": 1000.0, "v2": 0.0}
+    assert line3.distance_table({"v2": 0.0, "v0": 0.0}) is table
+    assert line3.distance_table({"v0": 5.0}) == {"v0": 5.0, "v1": 1005.0, "v2": 2005.0}
+    with pytest.raises(TypeError):
+        table["v1"] = 0.0
+    with pytest.raises(AttributeError):
+        table.pop("v1")
+    assert line3.distance_table({"v0": 0.0, "v2": 0.0})["v1"] == 1000.0
 
 
 def test_free_flow_path_matches_exhaustive_enumeration():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,7 +6,10 @@ import pytest
 from mitsim.demo import demo_scenario
 from mitsim.disturbance import affected_pairs
 from mitsim.errors import ValidationError
-from mitsim.scenario import load_scenario, stream_rng
+from mitsim.scenario import Scenario, load_scenario, stream_rng
+from mitsim.simulation import MODE_BROADCAST, MODE_NO_ADAPT, MODE_TARGETED, run
+
+from generators import run_outputs
 
 
 def edited(**changes):
@@ -107,6 +111,45 @@ def test_without_event_roundtrip(demo):
     trimmed = demo.without_event("bridge-crash")
     assert trimmed.events == ()
     assert len(trimmed.device_specs) == len(demo.device_specs)
+    raw = demo_scenario()
+    raw["disturbances"] = [e for e in raw["disturbances"] if e["event_id"] != "bridge-crash"]
+    reloaded = load_scenario(raw)
+    assert trimmed.net is demo.net
+    for f in dataclasses.fields(Scenario):
+        if f.name != "net":
+            assert getattr(trimmed, f.name) == getattr(reloaded, f.name), f.name
+    for config in (MODE_TARGETED, MODE_BROADCAST, MODE_NO_ADAPT):
+        assert run_outputs(run(trimmed, config)) == run_outputs(run(reloaded, config))
+
+
+def test_without_event_keeps_modifiers_of_the_removed_event():
+    raw = demo_scenario()
+    raw["demand"]["ev_modifiers"] = [
+        {"event_id": "bridge-crash", "multiplier": 2.0, "nodes": ["a1"]}]
+    trimmed = load_scenario(raw).without_event("bridge-crash")
+    assert trimmed.events == ()
+    assert load_scenario(trimmed.raw).ev_modifiers == trimmed.ev_modifiers
+
+
+@pytest.mark.parametrize("modifier, message", [
+    ({"multiplier": 2.0, "nodes": ["a1", "nowhere"]}, "ev_modifiers 0: unknown node nowhere"),
+    ({"multiplier": -0.5}, "ev_modifiers 0: multiplier"),
+    ({"multiplier": float("nan")}, "ev_modifiers 0: multiplier"),
+    ({"multiplier": float("inf")}, "ev_modifiers 0: multiplier"),
+])
+def test_bad_ev_modifier_rejected(modifier, message):
+    raw = demo_scenario()
+    raw["demand"]["ev_modifiers"] = [{"event_id": "no-such-event", **modifier}]
+    with pytest.raises(ValidationError, match=message):
+        load_scenario(raw)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+def test_non_finite_arrival_rate_rejected(rate):
+    raw = demo_scenario()
+    raw["demand"]["arrivals"][0]["rate_per_hour"] = rate
+    with pytest.raises(ValidationError, match="arrivals 0: rate must be finite"):
+        load_scenario(raw)
 
 
 def test_raw_scenario_json_serializable(demo):

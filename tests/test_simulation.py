@@ -1,10 +1,25 @@
 import json
 import random
 
-from mitsim.scenario import load_scenario
-from mitsim.simulation import MODE_TARGETED, compare, ground_truth_affected, run
+import pytest
 
-from generators import random_scenario_dict
+from mitsim.demo import demo_scenario
+from mitsim.scenario import load_scenario
+from mitsim.simulation import (
+    MODE_BROADCAST,
+    MODE_NO_ADAPT,
+    MODE_TARGETED,
+    compare,
+    ground_truth_affected,
+    run,
+)
+
+from generators import (
+    idle_obu_grid_scenario_dict,
+    rail_line_scenario_dict,
+    random_scenario_dict,
+    run_outputs,
+)
 
 
 def mini_scenario(kind="D1", block=1.0, start=150.0, est=1800.0, true=None,
@@ -245,6 +260,22 @@ def test_ground_truth_traversal_only():
 
 
 # -- compare -----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make", [
+    demo_scenario,
+    lambda: idle_obu_grid_scenario_dict(random.Random(1)),
+    lambda: rail_line_scenario_dict(random.Random(1)),
+], ids=["demo", "idle-1", "rail-1"])
+def test_runs_after_compare_equal_runs_on_a_fresh_load(make):
+    """What compare leaves on the shared network changes no later run."""
+    text = json.dumps(make())
+    served = load_scenario(json.loads(text))
+    assert served.events
+    compare(served)
+    for config in (MODE_NO_ADAPT, MODE_BROADCAST, MODE_TARGETED):
+        fresh = load_scenario(json.loads(text))
+        assert run_outputs(run(served, config)) == run_outputs(run(fresh, config))
 
 
 def test_compare_no_disturbances_identical():

@@ -1,11 +1,14 @@
-"""The capacity overlay and route search reuse against brute-force scans."""
+"""The capacity overlay and route search reuse against brute-force scans
+and fresh searches."""
 
+import dataclasses
 import random
 
-from mitsim.routing import RoutingPreferences, route
+from mitsim import routing
+from mitsim.routing import RoutingPreferences, _assemble, _search, route
 from mitsim.state import Contribution, NetworkState
 
-from generators import CLOCKS, random_contribution, random_network
+from generators import CLOCKS, random_contribution, random_network, rebuilt
 from oracles import brute_force_mode_arcs, brute_force_residual, brute_force_traversal_time
 
 OWNERS = ("ev:a:", "ev:b:", "act:")
@@ -30,9 +33,10 @@ def check_overlay(state, model):
         assert got == expected
 
 
-def fresh_state(state, model):
-    """A new overlay holding the same contributions, in order, at the same clock."""
-    fresh = NetworkState(state.net, boarding_wait=state.boarding_wait, clock=state.clock)
+def fresh_state(state, model, net=None):
+    """A new overlay holding the same contributions, in order, at the same
+    clock, on ``net`` (default: the same network)."""
+    fresh = NetworkState(net or state.net, boarding_wait=state.boarding_wait, clock=state.clock)
     for c in model.values():
         fresh.add_contribution(c)
     return fresh
@@ -89,10 +93,12 @@ def test_overlay_matches_brute_force_under_random_writes():
 
 
 def test_reused_searches_equal_fresh_state_searches():
-    routed = 0
+    """Reused searches equal fresh searches on an equal, newly built network."""
+    routed = reused = 0
     for seed in range(60):
         rng = random.Random(32_000 + seed)
         net = random_network(rng, max_nodes=16, max_modes=3)
+        other = rebuilt(net)
         waits = {m: rng.choice([0.0, 150.0]) for m in net.modes}
         state = NetworkState(net, boarding_wait=waits, clock=rng.choice(CLOCKS))
         model: dict[str, Contribution] = {}
@@ -101,13 +107,51 @@ def test_reused_searches_equal_fresh_state_searches():
         queries = [tuple(rng.sample(sorted(net.nodes), 2)) for _ in range(3)]
         hot = hot_pairs(rng, net)
         for step in range(20):
+            fresh = fresh_state(state, model, other)
             for origin, dest in queries:
                 depart = float(rng.randint(0, 400))
+                query = (origin, dest, prefs)
+                reused += query in state.searches()
                 plan = route(origin, dest, depart, prefs, state)
-                assert plan == route(origin, dest, depart, prefs, fresh_state(state, model))
+                moves = _search(origin, dest, prefs, fresh)
+                assert state.searches()[query] == moves
+                assert plan == (None if moves is None else _assemble(origin, dest, depart, moves))
                 routed += plan is not None
             random_write(rng, net, state, model, step, hot)
     assert routed >= 1000
+    assert reused >= 1000
+
+
+def test_overlays_with_equal_content_share_one_search(line3, monkeypatch):
+    searched = []
+    monkeypatch.setattr(routing, "_search", lambda *args: searched.append(args) or _search(*args))
+    prefs = RoutingPreferences(frozenset({"car"}))
+    slow = Contribution("slow", "factor", frozenset({("s0", "car")}), 0.5, 0.0, 100.0)
+    later = Contribution("later", "factor", frozenset({("s1", "car")}), 0.0, 500.0, 600.0)
+    a = NetworkState(line3)
+    a.add_contribution(slow)
+    # another write history and clock, the same active contributions
+    b = NetworkState(line3, clock=50.0)
+    b.add_contribution(later)
+    b.add_contribution(slow)
+    assert route("v0", "v2", 0.0, prefs, a).total_cost == 300.0
+    assert route("v0", "v2", 50.0, prefs, b).total_cost == 300.0
+    assert len(searched) == 1
+    assert a.searches() is b.searches()
+    # other boarding waits are another content
+    c = NetworkState(line3, boarding_wait={"car": 30.0})
+    c.add_contribution(slow)
+    assert route("v0", "v2", 0.0, prefs, c).total_cost == 330.0
+    assert len(searched) == 2
+    # a same-id replacement with another value is another content
+    a.add_contribution(dataclasses.replace(slow, value=0.25))
+    assert route("v0", "v2", 0.0, prefs, a).total_cost == 500.0
+    assert len(b.searches()) == 1 and len(searched) == 3
+    # back to the pristine content: the first pristine search is reused
+    pristine_plan = route("v0", "v2", 0.0, prefs, NetworkState(line3))
+    a.remove_contribution("slow")
+    assert route("v0", "v2", 0.0, prefs, a) == pristine_plan
+    assert len(searched) == 4
 
 
 def test_route_after_write_or_clock_move(line3):
@@ -134,6 +178,22 @@ def test_route_after_write_or_clock_move(line3):
     state.remove_contribution("slow")
     state.clock = 150.0
     assert route("v0", "v2", 150.0, prefs, state).total_cost == 200.0
+
+
+def test_searches_keep_the_factor_order(line3):
+    # equal active sets inserted in another order are another content
+    prefs = RoutingPreferences(frozenset({"car"}))
+    factors = [Contribution(cid, "factor", frozenset({("s0", "car")}), value, 0.0, float("inf"))
+               for cid, value in (("c", 0.3), ("b", 0.7), ("a", 0.8))]
+    plans = []
+    for order in (factors, factors[::-1]):
+        state = NetworkState(line3)
+        for c in order:
+            state.add_contribution(c)
+        plans.append(route("v0", "v2", 0.0, prefs, state))
+        fresh = fresh_state(state, {c.contrib_id: c for c in order}, rebuilt(line3))
+        assert plans[-1] == route("v0", "v2", 0.0, prefs, fresh)
+    assert plans[0].total_cost != plans[1].total_cost
 
 
 def test_factors_multiply_in_insertion_order(line3):
