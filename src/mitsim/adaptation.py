@@ -665,10 +665,10 @@ def bus_diversion_favorable(
         pickup_times.append(best[2])
 
     # (c) favorability: worst passenger delay under diversion vs waiting out
-    direct_time = sum(
-        net.segments[s].usage_for(pt_route.mode_id).free_flow_time
-        for s in pt_route.segments[min(indices):max(indices) + 1]
-    )
+    # Added one by one: sum() of floats is compensated from Python 3.12 on.
+    direct_time = 0
+    for s in pt_route.segments[min(indices):max(indices) + 1]:
+        direct_time += net.segments[s].usage_for(pt_route.mode_id).free_flow_time
     detour_extra = detour.total_cost - direct_time
     delay_with = max([detour_extra] + pickup_times)
     wait_out = _blockage_wait(state, blocked_set, pt_route.mode_id, now)

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .errors import ValidationError
-from .scenario import load_scenario, load_scenario_file
+from .scenario import load_scenario_file
 from .simulation import (
     MODE_BROADCAST,
     MODE_NO_ADAPT,
@@ -25,9 +25,7 @@ from .simulation import (
 def _load(path: str, seed_override):
     scenario = load_scenario_file(path)
     if seed_override is not None:
-        raw = json.loads(json.dumps(scenario.raw))
-        raw["seed"] = seed_override
-        scenario = load_scenario(raw)
+        scenario = scenario.with_seed(seed_override)
     return scenario
 
 

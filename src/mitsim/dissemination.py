@@ -211,17 +211,13 @@ def predict_trajectory(
     path = net.free_flow_path(device.mode, start, device.destination)
     if path is None:
         return head
-    t = head[-1][1] + _mode_time(net, head[-1][0], device.mode) if head else now
+    free_flow = net.free_flow_times(device.mode)
+    t = head[-1][1] + free_flow.get(head[-1][0], 0.0) if head else now
     out = list(head)
     for seg_id in path:
         out.append((seg_id, t))
-        t += _mode_time(net, seg_id, device.mode)
+        t += free_flow.get(seg_id, 0.0)
     return out
-
-
-def _mode_time(net: MultiLayerNetwork, seg_id: str, mode: str) -> float:
-    entry = net.segments[seg_id].usage_for(mode)
-    return entry.free_flow_time if entry is not None else 0.0
 
 
 def _continuation_start(device, net, now):

@@ -13,8 +13,9 @@ Networks are built once from a plain-dict description and are immutable
 afterwards; disturbance effects live in a separate overlay (see
 :mod:`mitsim.state`).  What is a pure function of the network and some
 further inputs is computed once and kept on it, so every run over one
-network shares it: per-mode adjacency, free-flow paths, distance tables
-from fixed source sets, and route search results per overlay content.
+network shares it: per-mode adjacency and free-flow times, free-flow paths,
+distance tables from fixed source sets, and route search results per
+overlay content.
 """
 
 from __future__ import annotations
@@ -152,6 +153,7 @@ class MultiLayerNetwork:
         self._shared_groups = self._index_shared_groups()
         self._views: dict[str, GraphView] = {}
         self._out_arcs: dict[str, dict[str, tuple[Arc, ...]]] = {}
+        self._free_flow_times: dict[str, Mapping[str, float]] = {}
         self._undirected: Optional[dict[str, tuple[tuple[str, float], ...]]] = None
         self._free_flow_paths: dict[tuple[str, str, str], Optional[tuple[str, ...]]] = {}
         self._distance_tables: dict[tuple[tuple[str, float], ...], Mapping[str, float]] = {}
@@ -317,6 +319,20 @@ class MultiLayerNetwork:
         if mode_id not in self._out_arcs:
             self._out_arcs[mode_id] = group_by_from_node(self.usable_subgraph(mode_id).arcs)
         return self._out_arcs[mode_id]
+
+    def free_flow_times(self, mode_id: str) -> Mapping[str, float]:
+        """Free-flow time of every segment ``mode_id`` uses, by segment id,
+        from its first usage entry for the mode, as ``usage_for`` reads it.
+        Built once per mode and returned read-only."""
+        times = self._free_flow_times.get(mode_id)
+        if times is None:
+            built: dict[str, float] = {}
+            for seg_id, seg in self.segments.items():
+                for entry in seg.usage:
+                    if entry.mode_id == mode_id:
+                        built.setdefault(seg_id, entry.free_flow_time)
+            times = self._free_flow_times[mode_id] = MappingProxyType(built)
+        return times
 
     def undirected_adjacency(self) -> dict[str, tuple[tuple[str, float], ...]]:
         """(neighbour, length) of every segment at each node, both ways, in

@@ -16,12 +16,14 @@ identical plan.
 
 A search walks each mode's static per-node adjacency (plus any arcs that
 usage contributions open) and reads the overlay only for the arcs it
-relaxes.  Its result is a move list whose durations depend on the overlay's
+relaxes.  Its result (:class:`SearchResult`) holds the plan's moves with
+their durations and their executable form; both depend on the overlay's
 content alone, never on the departure time, so the network keeps it under
 ``(origin, dest, prefs)`` for every overlay with that content (see
-:meth:`NetworkState.searches`).  Every call then times the moves from its
-own ``depart``, with the same float operations as a fresh search, so a
-reused search yields the plan a new one would.
+:meth:`NetworkState.searches`).  Every call then sums the durations from
+its own ``depart``, with the same float operations as a fresh search, so a
+reused search yields the plan a new one would.  Plans share their search's
+result and derive legs and transfers only when asked for them.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import ValidationError
@@ -71,27 +74,86 @@ class Transfer:
     duration: float  # physical transfer time plus boarding wait
 
 
+@dataclass(frozen=True, slots=True)
+class SearchResult:
+    """One search's best plan, independent of the departure time.
+
+    ``moves`` open with ``("start", mode, wait)`` and carry each segment's
+    duration; ``atoms`` are the same plan as executable moves (see
+    :func:`plan_to_moves`), built once when the search runs.
+    """
+
+    moves: tuple[Move, ...]
+    atoms: tuple[Move, ...]
+
+
+# The plan that stays at its origin.
+_STAY = SearchResult((), ())
+
+
 @dataclass(frozen=True)
 class JourneyPlan:
+    """A search's plan timed from ``depart``.
+
+    Every plan of one search shares its :class:`SearchResult`; legs,
+    transfers and segment times are derived from it on first access.
+    """
+
     origin: str
     dest: str
     depart: float
-    legs: tuple[Leg, ...]
-    transfers: tuple[Transfer, ...]
-    initial_wait: float
+    search: SearchResult
     total_cost: float
 
     @property
     def arrival(self) -> float:
         return self.depart + self.total_cost
 
-    def segment_etas(self) -> list[tuple[str, float]]:
+    @property
+    def initial_wait(self) -> float:
+        moves = self.search.moves
+        return moves[0][2] if moves else 0.0
+
+    @property
+    def legs(self) -> tuple[Leg, ...]:
+        return self._timed[0]
+
+    @property
+    def transfers(self) -> tuple[Transfer, ...]:
+        return self._timed[1]
+
+    def segment_etas(self) -> tuple[tuple[str, float], ...]:
         """Planned (segment, entry time) pairs, in traversal order."""
-        out = []
-        for leg in self.legs:
-            for seg_id, enter, _exit, _to in leg.segment_times:
-                out.append((seg_id, enter))
-        return out
+        return tuple((seg_id, enter) for leg in self.legs
+                     for seg_id, enter, _exit, _to in leg.segment_times)
+
+    @cached_property
+    def _timed(self) -> tuple[tuple[Leg, ...], tuple[Transfer, ...]]:
+        moves = self.search.moves
+        if not moves:
+            return (), ()
+        t = self.depart + moves[0][2]
+        legs: list[Leg] = []
+        transfers: list[Transfer] = []
+        mode = moves[0][1]
+        leg_depart = t
+        times: list[SegTime] = []
+        for move in moves[1:]:
+            if move[0] == "seg":
+                _, seg_id, _mode, to_node, tt = move
+                enter = t
+                t = t + tt
+                times.append((seg_id, enter, t, to_node))
+                continue
+            # A mode passed through between two transfers at one node keeps
+            # its empty leg, so transfer i always sits between legs i and i + 1.
+            _, node, from_mode, to_mode, duration = move
+            legs.append(Leg(mode, tuple(s[0] for s in times), leg_depart, t, tuple(times)))
+            transfers.append(Transfer(node, from_mode, to_mode, duration))
+            t = t + duration
+            mode, leg_depart, times = to_mode, t, []
+        legs.append(Leg(mode, tuple(s[0] for s in times), leg_depart, t, tuple(times)))
+        return tuple(legs), tuple(transfers)
 
 
 def route(
@@ -110,13 +172,20 @@ def route(
         if mode not in net.modes:
             raise ValidationError(f"unknown mode {mode}")
     if origin == dest:
-        return JourneyPlan(origin, dest, depart, (), (), 0.0, 0.0)
+        return JourneyPlan(origin, dest, depart, _STAY, 0.0)
     searches = state.searches()
     query = (origin, dest, prefs)
     if query not in searches:
         searches[query] = _search(origin, dest, prefs, state)
-    moves = searches[query]
-    return None if moves is None else _assemble(origin, dest, depart, moves)
+    search = searches[query]
+    if search is None:
+        return None
+    # The same sequential adds from depart as the legs' times.
+    moves = search.moves
+    t = depart + moves[0][2]
+    for i in range(1, len(moves)):
+        t = t + moves[i][4]
+    return JourneyPlan(origin, dest, depart, search, t - depart)
 
 
 def _search(
@@ -124,8 +193,8 @@ def _search(
     dest: str,
     prefs: RoutingPreferences,
     state: NetworkState,
-) -> Optional[tuple[Move, ...]]:
-    """Moves of the best plan, or None; independent of the departure time."""
+) -> Optional[SearchResult]:
+    """The best plan's search result, or None."""
     net = state.net
     # Without a walk limit nothing reads walk_run, so it stays 0.0 and walk
     # states collapse to one label per (node, mode).
@@ -205,57 +274,10 @@ def _search(
         moves.append(move)
         st = parent
     moves.reverse()
-    return tuple(moves)
-
-
-def _assemble(origin: str, dest: str, depart: float, moves: Sequence[Move]) -> JourneyPlan:
-    assert moves and moves[0][0] == "start"
-    initial_wait = moves[0][2]
-    t = depart + initial_wait
-    legs: list[Leg] = []
-    transfers: list[Transfer] = []
-    cur_mode: Optional[str] = moves[0][1]
-    cur_segs: list[str] = []
-    cur_times: list[SegTime] = []
-    leg_depart = t
-
-    def close_leg():
-        # A mode passed through between two transfers at one node keeps its
-        # empty leg, so transfer i always sits between legs i and i + 1.
-        nonlocal cur_segs, cur_times
-        legs.append(Leg(
-            mode_id=cur_mode,
-            segments=tuple(cur_segs),
-            depart=leg_depart,
-            arrive=t,
-            segment_times=tuple(cur_times),
-        ))
-        cur_segs, cur_times = [], []
-
+    atoms: list[Move] = [("wait", moves[0][2])] if moves[0][2] > 0 else []
     for move in moves[1:]:
-        if move[0] == "seg":
-            _, seg_id, mode, to_node, tt = move
-            enter = t
-            t = t + tt
-            cur_segs.append(seg_id)
-            cur_times.append((seg_id, enter, t, to_node))
-        else:
-            _, node, from_mode, to_mode, duration = move
-            close_leg()
-            transfers.append(Transfer(node, from_mode, to_mode, duration))
-            t = t + duration
-            cur_mode = to_mode
-            leg_depart = t
-    close_leg()
-    return JourneyPlan(
-        origin=origin,
-        dest=dest,
-        depart=depart,
-        legs=tuple(legs),
-        transfers=tuple(transfers),
-        initial_wait=initial_wait,
-        total_cost=t - depart,
-    )
+        atoms.append(move[:4] if move[0] == "seg" else move)
+    return SearchResult(tuple(moves), tuple(atoms))
 
 
 # -- working with partially executed plans -----------------------------------
@@ -335,17 +357,8 @@ def evaluate_moves(
 
 
 def plan_to_moves(plan: JourneyPlan) -> list[Move]:
-    """Flatten a plan into executable moves, initial wait included."""
-    moves: list[Move] = []
-    if plan.initial_wait > 0:
-        moves.append(("wait", plan.initial_wait))
-    for li, leg in enumerate(plan.legs):
-        for seg_id, _enter, _exit, to_node in leg.segment_times:
-            moves.append(("seg", seg_id, leg.mode_id, to_node))
-        if li < len(plan.transfers):
-            tr = plan.transfers[li]
-            moves.append(("transfer", tr.node, tr.from_mode, tr.to_mode, tr.duration))
-    return moves
+    """Executable moves of a plan, initial wait included; a fresh list."""
+    return list(plan.search.atoms)
 
 
 def reroute(

@@ -16,7 +16,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .adaptation import DEFAULT_STRATEGY_TABLE, StrategyTable, validate_strategy_table
 from .disturbance import (
@@ -43,6 +43,13 @@ class TripSpec:
     device_id: Optional[str] = None
 
 
+# A stream's peak rate may draw at most this many arrivals between t = 0
+# and the end of its window.  So the mean gap between draws is at least a
+# millionth of any time the stream reaches, far above the clock's rounding
+# step, and the arrival loop always ends after a bounded number of draws.
+MAX_STREAM_ARRIVALS = 1_000_000
+
+
 @dataclass(frozen=True)
 class ArrivalSpec:
     index: int
@@ -59,6 +66,28 @@ class EvModifier:
     event_id: str
     multiplier: float
     nodes: frozenset[str]
+
+
+def ev_rate_windows(
+    entry: ArrivalSpec,
+    modifiers: Iterable[EvModifier],
+    events: Mapping[str, DisturbanceEvent],
+) -> tuple[list[tuple[float, float, float]], float]:
+    """The (start, end, multiplier) windows of the EV events in ``events``
+    whose modifiers apply to ``entry``, in modifier order, and the stream's
+    peak rate per hour over them."""
+    windows = []
+    for mod in modifiers:
+        event = events.get(mod.event_id)
+        if event is None or event.kind != "EV":
+            continue
+        if mod.nodes and entry.origin not in mod.nodes and entry.dest not in mod.nodes:
+            continue
+        windows.append((event.start, event.true_end, mod.multiplier))
+    peak = entry.rate_per_hour
+    for _s, _e, m in windows:
+        peak *= max(1.0, m)
+    return windows, peak
 
 
 @dataclass(frozen=True)
@@ -130,6 +159,17 @@ class Scenario:
         return dataclasses.replace(
             self, raw=raw, events=tuple(e for e in self.events if e.event_id != event_id))
 
+    def with_seed(self, seed: int) -> "Scenario":
+        """This scenario under another seed, sharing the parsed network.
+
+        The seed is only stored at parse time, so nothing else changes.
+        """
+        if not isinstance(seed, int):
+            raise ValidationError("scenario: seed must be an integer")
+        raw = dict(self.raw)
+        raw["seed"] = seed
+        return dataclasses.replace(self, raw=raw, seed=seed)
+
     def stream(self, name: str) -> random.Random:
         return stream_rng(self.seed, name)
 
@@ -191,7 +231,7 @@ def load_scenario(raw: Mapping) -> Scenario:
     if not isinstance(seed, int):
         raise ValidationError("scenario: seed must be an integer")
     end_time = float(raw["end_time"])
-    if end_time <= 0:
+    if not end_time > 0:
         raise ValidationError("scenario: end_time must be > 0")
 
     defaults_raw = (raw.get("policies") or {}).get("defaults", {})
@@ -227,11 +267,18 @@ def load_scenario(raw: Mapping) -> Scenario:
             raise ValidationError(f"demand arrivals {i}: rate must be finite")
         if rate < 0:
             raise ValidationError(f"demand arrivals {i}: negative rate")
+        if rate > 0 and rate / 3600.0 == 0.0:
+            raise ValidationError(f"demand arrivals {i}: rate is 0 per second")
+        # end = +inf is fine: the stream stops at end_time.
+        start = float(a.get("start", 0.0))
+        end = float(a.get("end", end_time))
+        if not (math.isfinite(start) and start >= 0):
+            raise ValidationError(f"demand arrivals {i}: start must be finite and >= 0")
+        if math.isnan(end):
+            raise ValidationError(f"demand arrivals {i}: end must be a number")
         arrivals.append(ArrivalSpec(
             index=i, origin=a["origin"], dest=a["dest"], rate_per_hour=rate,
-            start=float(a.get("start", 0.0)),
-            end=float(a.get("end", end_time)),
-            prefs=prefs,
+            start=start, end=end, prefs=prefs,
         ))
     # A modifier's event_id is not checked: modifiers of an event dropped by
     # without_event stay in the scenario and simply never apply.
@@ -290,6 +337,16 @@ def load_scenario(raw: Mapping) -> Scenario:
         if event.start >= end_time:
             raise ValidationError(f"event {event_id}: starts after end_time")
         events.append(event)
+    events_by_id = {e.event_id: e for e in events}
+    for entry in arrivals:
+        if entry.rate_per_hour <= 0:
+            continue
+        _windows, peak = ev_rate_windows(entry, ev_modifiers, events_by_id)
+        # NaN (an overflowed peak times 0) is rejected too.
+        if not peak * min(entry.end, end_time) / 3600.0 <= MAX_STREAM_ARRIVALS:
+            raise ValidationError(
+                f"demand arrivals {entry.index}: the peak rate draws more than "
+                f"{MAX_STREAM_ARRIVALS} arrivals before the window ends")
 
     # effect matrix: scenario rows override the documented default
     matrix = dict(default_effect_matrix(

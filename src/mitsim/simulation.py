@@ -28,7 +28,7 @@ from .dissemination import DevicePosition, DisseminationRecord
 from .errors import ValidationError
 from .messages import WarningStore, encode, make_warning
 from .routing import evaluate_moves, plan_to_moves, route
-from .scenario import Scenario, TripSpec, device_trips, stream_rng
+from .scenario import Scenario, TripSpec, device_trips, ev_rate_windows, stream_rng
 from .state import Contribution, NetworkState, WorldState
 
 MOBILE_ROLES = ("vehicle-obu", "traveler-app")
@@ -135,15 +135,35 @@ def _round6(x):
 
 
 def _canon(obj):
+    """A copy of ``obj`` with floats rounded to 6 decimals and tuples made
+    lists, as the log lines and metrics print them.  Leaves are handled
+    inline, so only containers cost a recursive call."""
     if isinstance(obj, dict):
-        return {k: _canon(obj[k]) for k in obj}
+        out = {}
+        for k, v in obj.items():
+            if isinstance(v, float):
+                v = round(v, 6)
+            elif isinstance(v, (dict, list, tuple)):
+                v = _canon(v)
+            out[k] = v
+        return out
     if isinstance(obj, (list, tuple)):
-        return [_canon(v) for v in obj]
+        items = []
+        for v in obj:
+            if isinstance(v, float):
+                v = round(v, 6)
+            elif isinstance(v, (dict, list, tuple)):
+                v = _canon(v)
+            items.append(v)
+        return items
     return _round6(obj)
 
 
-def _json_line(obj: dict) -> str:
-    return json.dumps(_canon(obj), separators=(",", ":"))
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def _json_line(record: dict) -> str:
+    return _ENCODER.encode(_canon(record))
 
 
 class _Sim:
@@ -177,7 +197,7 @@ class _Sim:
         self.seq += 1
 
     def log(self, t: float, record: dict) -> None:
-        self.event_log.append(_json_line({"t": _round6(t), **record}))
+        self.event_log.append(_json_line({"t": t, **record}))
 
     # -- setup ----------------------------------------------------------------
 
@@ -219,17 +239,7 @@ class _Sim:
         if entry.rate_per_hour <= 0:
             return []
         rng = stream_rng(self.scenario.seed, f"demand:{entry.index}")
-        windows = []
-        for mod in self.scenario.ev_modifiers:
-            event = self.events.get(mod.event_id)
-            if event is None or event.kind != "EV":
-                continue
-            if mod.nodes and entry.origin not in mod.nodes and entry.dest not in mod.nodes:
-                continue
-            windows.append((event.start, event.true_end, mod.multiplier))
-        peak = entry.rate_per_hour
-        for _s, _e, m in windows:
-            peak *= max(1.0, m)
+        windows, peak = ev_rate_windows(entry, self.scenario.ev_modifiers, self.events)
         out = []
         t = entry.start
         horizon = min(entry.end, self.scenario.end_time)
@@ -258,7 +268,7 @@ class _Sim:
             tv.moves = plan_to_moves(plan)
             if device_id is not None:
                 device = self.world.devices[device_id]
-                device.planned_route = tuple(plan.segment_etas()) or None
+                device.planned_route = plan.segment_etas() or None
                 device.destination = trip.dest
                 if plan.legs and device.mode is None:
                     device.mode = plan.legs[0].mode_id
@@ -285,7 +295,7 @@ class _Sim:
         tv.moves = plan_to_moves(plan)
         device = self._device(tv)
         if device is not None:
-            device.planned_route = tuple(plan.segment_etas()) or None
+            device.planned_route = plan.segment_etas() or None
             if plan.legs:
                 device.mode = plan.legs[0].mode_id
         self.log(t, {"type": "replan", "traveler": tv.tid,
@@ -591,13 +601,16 @@ class _Sim:
     def run(self) -> RunResult:
         self.setup()
         end_time = self.scenario.end_time
+        handlers = {name[len("handle_"):]: getattr(self, name)
+                    for name in dir(self) if name.startswith("handle_")}
+        overlay = self.world.overlay
         while self.heap:
             t, _seq, kind, payload = heapq.heappop(self.heap)
             if t > end_time:
                 break
-            self.world.overlay.clock = t
-            getattr(self, f"handle_{kind}")(t, *payload)
-        self.world.overlay.clock = end_time
+            overlay.clock = t
+            handlers[kind](t, *payload)
+        overlay.clock = end_time
         self._finalize()
         return RunResult(
             config=self.config,
@@ -633,7 +646,14 @@ class _Sim:
                 m.trips_abandoned += 1
             else:
                 m.trips_in_progress += 1
-        m.total_delay_s = sum(delays)
+        # Added one by one: sum() of floats is compensated from Python 3.12
+        # on, and metrics.json must not depend on the interpreter version.
+        # The int start is sum()'s, so a run without completed trips still
+        # prints 0.
+        total = 0
+        for delay in delays:
+            total += delay
+        m.total_delay_s = total
         m.mean_delay_s = m.total_delay_s / len(delays) if delays else 0.0
         infra = {
             d.device_id for d in self.world.devices.values()
@@ -662,11 +682,7 @@ def ground_truth_affected(
     event is active.
     """
     if seed is not None and seed != scenario.seed:
-        raw = json.loads(json.dumps(scenario.raw))
-        raw["seed"] = seed
-        from .scenario import load_scenario
-
-        scenario = load_scenario(raw)
+        scenario = scenario.with_seed(seed)
     with_event = base_result if base_result is not None else run(scenario, MODE_TARGETED)
     without = run(scenario.without_event(event.event_id), MODE_TARGETED)
     located = set(event.segments)

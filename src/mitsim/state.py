@@ -194,10 +194,8 @@ class NetworkState:
         the mode uses only through usage contributions takes the free-flow
         time of the active one with the smallest id.
         """
-        entry = self.net.segments[segment_id].usage_for(mode_id)
-        if entry is not None:
-            free_flow = entry.free_flow_time
-        else:
+        free_flow = self.net.free_flow_times(mode_id).get(segment_id)
+        if free_flow is None:
             opened = min(
                 ((c.contrib_id, c.free_flow_time)
                  for c in self._by_target.get((segment_id, mode_id), ())

@@ -9,6 +9,7 @@ from mitsim.dissemination import (
     predict_trajectory,
 )
 from mitsim.network import Arc
+from mitsim.routing import Leg, Transfer, plan_to_moves
 
 
 def brute_force_route(origin, dest, prefs, state):
@@ -113,6 +114,75 @@ def brute_force_mode_arcs(net, contributions, clock, mode_id):
                 arcs.append(Arc(seg.to_node, seg.from_node, seg_id,
                                 c.free_flow_time, c.capacity, seg.length))
     return arcs
+
+
+def brute_force_assemble(origin, dest, depart, moves):
+    """Eagerly build a plan's parts from a search's moves, as routing once did.
+
+    Returns the fields a plan exposes: origin, dest, depart, legs,
+    transfers, initial wait, segment ETAs, executable moves and total cost,
+    every time summed from ``depart`` in move order.  ``moves`` is empty for
+    an origin == dest plan.
+    """
+    if not moves:
+        return {"origin": origin, "dest": dest, "depart": depart,
+                "legs": (), "transfers": (), "initial_wait": 0.0,
+                "segment_etas": (), "moves": [], "total_cost": 0.0}
+    assert moves[0][0] == "start"
+    initial_wait = moves[0][2]
+    t = depart + initial_wait
+    legs, transfers = [], []
+    cur_mode, cur_segs, cur_times, leg_depart = moves[0][1], [], [], t
+    for move in moves[1:]:
+        if move[0] == "seg":
+            _, seg_id, _mode, to_node, tt = move
+            enter = t
+            t = t + tt
+            cur_segs.append(seg_id)
+            cur_times.append((seg_id, enter, t, to_node))
+        else:
+            _, node, from_mode, to_mode, duration = move
+            legs.append(Leg(cur_mode, tuple(cur_segs), leg_depart, t, tuple(cur_times)))
+            transfers.append(Transfer(node, from_mode, to_mode, duration))
+            t = t + duration
+            cur_mode, cur_segs, cur_times, leg_depart = to_mode, [], [], t
+    legs.append(Leg(cur_mode, tuple(cur_segs), leg_depart, t, tuple(cur_times)))
+    flat = [("wait", initial_wait)] if initial_wait > 0 else []
+    for li, leg in enumerate(legs):
+        flat.extend(("seg", s, leg.mode_id, to) for s, _enter, _exit, to in leg.segment_times)
+        if li < len(transfers):
+            tr = transfers[li]
+            flat.append(("transfer", tr.node, tr.from_mode, tr.to_mode, tr.duration))
+    return {
+        "origin": origin,
+        "dest": dest,
+        "depart": depart,
+        "legs": tuple(legs),
+        "transfers": tuple(transfers),
+        "initial_wait": initial_wait,
+        "segment_etas": tuple((s, enter) for leg in legs
+                              for s, enter, _exit, _to in leg.segment_times),
+        "moves": flat,
+        "total_cost": t - depart,
+    }
+
+
+def brute_force_canon(obj):
+    """Log-line canonical copy, one call per value: floats rounded to 6
+    decimals, tuples made lists, every container copied."""
+    if isinstance(obj, dict):
+        return {k: brute_force_canon(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [brute_force_canon(v) for v in obj]
+    return round(obj, 6) if isinstance(obj, float) else obj
+
+
+def plan_view(plan):
+    """The ``brute_force_assemble`` fields, read through a plan's own API."""
+    return {"origin": plan.origin, "dest": plan.dest, "depart": plan.depart,
+            "legs": plan.legs, "transfers": plan.transfers,
+            "initial_wait": plan.initial_wait, "segment_etas": plan.segment_etas(),
+            "moves": plan_to_moves(plan), "total_cost": plan.total_cost}
 
 
 def plan_key(plan):

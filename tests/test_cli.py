@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mitsim import scenario as scenario_module
 from mitsim.cli import main
 from mitsim.demo import demo_scenario, write_demo_scenario
 
@@ -69,6 +70,25 @@ def test_run_seed_override_changes_logs(demo_path, tmp_path):
     assert main(["run", demo_path, "--out", str(out1)]) == 0
     assert main(["run", demo_path, "--out", str(out2), "--seed", "7"]) == 0
     assert (out1 / "events.log").read_bytes() != (out2 / "events.log").read_bytes()
+
+
+def test_run_seed_override_parses_once_and_equals_a_reseeded_file(demo_path, tmp_path,
+                                                                  monkeypatch):
+    raw = json.loads(open(demo_path, encoding="utf-8").read())
+    assert raw["seed"] != 7
+    raw["seed"] = 7
+    seeded = tmp_path / "seed7.json"
+    seeded.write_text(json.dumps(raw))
+    loads = []
+    original = scenario_module.load_scenario
+    monkeypatch.setattr(scenario_module, "load_scenario",
+                        lambda doc: loads.append(doc) or original(doc))
+    overridden, from_file = tmp_path / "override", tmp_path / "file"
+    assert main(["run", demo_path, "--out", str(overridden), "--seed", "7"]) == 0
+    assert len(loads) == 1
+    assert main(["run", str(seeded), "--out", str(from_file)]) == 0
+    for name in ("metrics.json", "events.log", "warnings.log", "actions.log"):
+        assert (overridden / name).read_bytes() == (from_file / name).read_bytes()
 
 
 def test_compare_writes_report(demo_path, tmp_path):

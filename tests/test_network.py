@@ -6,7 +6,7 @@ from mitsim.errors import ValidationError
 from mitsim.network import build_network, node_distances
 
 from conftest import line_network_spec
-from generators import random_network
+from generators import random_network, random_network_spec
 from oracles import brute_force_free_flow_path, brute_force_node_distances
 
 
@@ -204,3 +204,34 @@ def test_free_flow_path_is_reused_and_immutable(line3):
     assert line3.free_flow_path("car", "v1", "v1") == ()
     one_way = build_network(line_network_spec(3, direction="forward"))
     assert one_way.free_flow_path("car", "v2", "v0") is None
+
+
+def test_free_flow_times_match_usage_for(demo_net):
+    """Every (segment, mode) of random networks whose segments carry
+    several modes' usage, read through the map and through ``usage_for``."""
+    nets = [demo_net]
+    for seed in range(60):
+        rng = random.Random(41_000 + seed)
+        spec = random_network_spec(rng, max_nodes=12, max_modes=4)
+        modes = [m["mode_id"] for m in spec["modes"]]
+        for seg in spec["segments"]:
+            for mode_id in modes:
+                if rng.random() < 0.3 and all(u["mode_id"] != mode_id for u in seg["usage"]):
+                    seg["usage"].append({"mode_id": mode_id,
+                                         "free_flow_time": float(rng.randint(1, 30) * 10)})
+                    if [mode_id, seg["network_id"]] not in spec["usage_matrix"]:
+                        spec["usage_matrix"].append([mode_id, seg["network_id"]])
+        nets.append(build_network(spec))
+    shared = 0
+    for net in nets:
+        for mode_id in [*net.modes, "no-such-mode"]:
+            times = net.free_flow_times(mode_id)
+            assert net.free_flow_times(mode_id) is times
+            with pytest.raises(TypeError):
+                times["no-such-segment"] = 1.0
+            for seg_id, seg in net.segments.items():
+                entry = seg.usage_for(mode_id)
+                assert times.get(seg_id) == (None if entry is None else entry.free_flow_time)
+            assert set(times) <= set(net.segments)
+        shared += sum(len(seg.usage) > 1 for seg in net.segments.values())
+    assert shared >= 200

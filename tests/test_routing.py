@@ -7,6 +7,7 @@ from mitsim.errors import ValidationError
 from mitsim.network import build_network
 from mitsim.routing import (
     RoutingPreferences,
+    _search,
     is_feasible,
     plan_to_moves,
     remaining_moves,
@@ -19,7 +20,7 @@ from conftest import line_network_spec
 from generators import random_network, random_network_spec, random_state
 
 
-from oracles import brute_force_route, oracle_key, plan_key
+from oracles import brute_force_assemble, brute_force_route, oracle_key, plan_key, plan_view
 
 
 
@@ -266,6 +267,67 @@ def test_transfers_chained_at_one_node_keep_their_order():
     position, avail, pending = remaining_moves(plan, 105.0)
     assert (position, avail) == ("v1", 105.0)
     assert [m[0] for m in pending] == ["transfer", "transfer", "seg"]
+
+
+PLAN_FIELDS = ("origin", "dest", "depart", "legs", "transfers", "initial_wait",
+               "segment_etas", "moves", "total_cost")
+
+
+def test_plans_equal_the_eager_oracle():
+    """Every part of a routed plan, derived from the shared search on
+    demand, equals eager assembly from a fresh search's moves bit for bit."""
+    seen = {"plans": 0, "transfers": 0, "chained": 0, "waits": 0, "stay": 0}
+    for seed in range(150):
+        rng = random.Random(51_000 + seed)
+        net = random_network(rng, max_nodes=16, max_modes=4)
+        state = random_state(rng, net)
+        nodes = sorted(net.nodes)
+        prefs = RoutingPreferences(frozenset(net.modes),
+                                   transfer_penalty=rng.choice([0.0, 0.0, 45.0]))
+        for _ in range(6):
+            origin, dest = rng.choice(nodes), rng.choice(nodes)
+            for depart in (0.0, rng.uniform(0.0, 5000.0), rng.uniform(0.0, 5000.0)):
+                plan = route(origin, dest, depart, prefs, state)
+                search = _search(origin, dest, prefs, state) if origin != dest else None
+                if plan is None:
+                    assert search is None
+                    continue
+                oracle = brute_force_assemble(origin, dest, depart, () if search is None else search.moves)
+                view = plan_view(plan)
+                for name in PLAN_FIELDS:
+                    assert repr(view[name]) == repr(oracle[name]), name
+                assert plan.arrival == depart + oracle["total_cost"]
+                seen["plans"] += 1
+                seen["stay"] += origin == dest
+                seen["transfers"] += bool(plan.transfers)
+                seen["waits"] += plan.initial_wait > 0
+                seen["chained"] += any(not leg.segments for leg in plan.legs[1:-1])
+    assert seen["plans"] >= 1500
+    assert min(seen.values()) >= 10, seen
+
+
+def test_plans_share_their_search_without_aliasing(line3):
+    """Changing one traveler's move list changes neither the stored search
+    nor any other plan of it."""
+    state = NetworkState(line3, boarding_wait={"car": 30.0})
+    prefs = RoutingPreferences(frozenset({"car"}))
+    first = route("v0", "v2", 0.0, prefs, state)
+    second = route("v0", "v2", 250.0, prefs, state)
+    stored = state.searches()[("v0", "v2", prefs)]
+    assert first.search is second.search is stored
+    atoms = stored.atoms
+    expected = plan_to_moves(second)
+    assert expected == [("wait", 30.0), ("seg", "s0", "car", "v1"), ("seg", "s1", "car", "v2")]
+    moves = plan_to_moves(first)
+    moves.pop(0)
+    moves[0] = ("seg", "s1", "car", "v2")
+    moves.append(("wait", 5.0))
+    assert stored.atoms is atoms and list(atoms) == expected
+    assert plan_to_moves(second) == expected
+    assert plan_to_moves(first) == expected
+    assert route("v0", "v2", 0.0, prefs, state) == first
+    assert first.segment_etas() == (("s0", 30.0), ("s1", 130.0))
+    assert second.segment_etas() == (("s0", 280.0), ("s1", 380.0))
 
 
 def test_feasibility_soundness_of_returned_plans():

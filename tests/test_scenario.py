@@ -6,7 +6,7 @@ import pytest
 from mitsim.demo import demo_scenario
 from mitsim.disturbance import affected_pairs
 from mitsim.errors import ValidationError
-from mitsim.scenario import Scenario, load_scenario, stream_rng
+from mitsim.scenario import MAX_STREAM_ARRIVALS, Scenario, load_scenario, stream_rng
 from mitsim.simulation import MODE_BROADCAST, MODE_NO_ADAPT, MODE_TARGETED, run
 
 from generators import run_outputs
@@ -150,6 +150,97 @@ def test_non_finite_arrival_rate_rejected(rate):
     raw["demand"]["arrivals"][0]["rate_per_hour"] = rate
     with pytest.raises(ValidationError, match="arrivals 0: rate must be finite"):
         load_scenario(raw)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("start", float("nan"), "arrivals 0: start must be finite"),
+    ("start", float("-inf"), "arrivals 0: start must be finite"),
+    ("start", float("inf"), "arrivals 0: start must be finite"),
+    ("start", -1e20, "arrivals 0: start must be finite and >= 0"),
+    ("start", -1.0, "arrivals 0: start must be finite and >= 0"),
+    ("end", float("nan"), "arrivals 0: end must be a number"),
+])
+def test_non_finite_arrival_window_rejected(field, value, message):
+    raw = demo_scenario()
+    raw["demand"]["arrivals"][0][field] = value
+    with pytest.raises(ValidationError, match=message):
+        load_scenario(raw)
+
+
+@pytest.mark.parametrize("rate, end, end_time", [
+    (1e300, 3600.0, 14400.0),
+    (MAX_STREAM_ARRIVALS + 1.0, 3600.0, 14400.0),
+    (MAX_STREAM_ARRIVALS, 3600.0 + 1e-6, 14400.0),
+    (6.0, float("inf"), 1e30),
+])
+def test_stream_drawing_too_many_arrivals_rejected(rate, end, end_time):
+    raw = demo_scenario()
+    raw["end_time"] = end_time
+    raw["demand"]["arrivals"][0].update(rate_per_hour=rate, end=end)
+    with pytest.raises(ValidationError, match="arrivals 0: the peak rate draws more than"):
+        load_scenario(raw)
+
+
+def test_rate_that_is_zero_per_second_rejected():
+    raw = demo_scenario()
+    raw["demand"]["arrivals"][0]["rate_per_hour"] = 1e-321
+    with pytest.raises(ValidationError, match="arrivals 0: rate is 0 per second"):
+        load_scenario(raw)
+
+
+def test_stream_at_the_cap_loads():
+    raw = demo_scenario()
+    raw["demand"]["arrivals"][0].update(rate_per_hour=MAX_STREAM_ARRIVALS, end=3600.0)
+    assert load_scenario(raw).arrivals[0].rate_per_hour == MAX_STREAM_ARRIVALS
+
+
+def test_late_stream_on_a_large_clock_ends():
+    """A stream at the cap near a clock where one step is 0.125 s: its
+    draws stay in the window and the run ends."""
+    raw = demo_scenario()
+    end_time = 1e15
+    raw["end_time"] = end_time
+    raw["demand"]["arrivals"][0].update(
+        rate_per_hour=MAX_STREAM_ARRIVALS * 3600.0 / end_time,
+        start=end_time - 1e10, end=float("inf"))
+    result = run(load_scenario(raw))
+    departs = [tv.depart for tid, tv in result.trips.items() if tid.startswith("arr0-")]
+    assert departs
+    assert all(end_time - 1e10 < d < end_time for d in departs)
+
+
+def test_nan_end_time_rejected():
+    raw = demo_scenario()
+    raw["end_time"] = float("nan")
+    with pytest.raises(ValidationError, match="end_time must be > 0"):
+        load_scenario(raw)
+
+
+def test_unbounded_arrival_window_end_runs_to_end_time():
+    raw = demo_scenario()
+    raw["demand"]["arrivals"][0]["end"] = float("inf")
+    result = run(load_scenario(raw))
+    stream = [tid for tid in result.trips if tid.startswith("arr0-")]
+    assert stream
+    assert all(tv.depart < raw["end_time"] for tid, tv in result.trips.items()
+               if tid in stream)
+
+
+def test_with_seed_equals_a_load_under_that_seed(demo):
+    raw = demo_scenario()
+    raw["seed"] = 7
+    reseeded = demo.with_seed(7)
+    assert reseeded.net is demo.net
+    assert reseeded.raw == raw
+    assert demo.seed != 7 and demo.raw["seed"] != 7
+    loaded = load_scenario(raw)
+    for f in dataclasses.fields(Scenario):
+        if f.name != "net":
+            assert getattr(reseeded, f.name) == getattr(loaded, f.name), f.name
+    for mode in (MODE_TARGETED, MODE_BROADCAST, MODE_NO_ADAPT):
+        assert run_outputs(run(reseeded, mode)) == run_outputs(run(loaded, mode))
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        demo.with_seed(7.0)
 
 
 def test_raw_scenario_json_serializable(demo):

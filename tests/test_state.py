@@ -5,11 +5,17 @@ import dataclasses
 import random
 
 from mitsim import routing
-from mitsim.routing import RoutingPreferences, _assemble, _search, route
+from mitsim.routing import RoutingPreferences, _search, route
 from mitsim.state import Contribution, NetworkState
 
 from generators import CLOCKS, random_contribution, random_network, rebuilt
-from oracles import brute_force_mode_arcs, brute_force_residual, brute_force_traversal_time
+from oracles import (
+    brute_force_assemble,
+    brute_force_mode_arcs,
+    brute_force_residual,
+    brute_force_traversal_time,
+    plan_view,
+)
 
 OWNERS = ("ev:a:", "ev:b:", "act:")
 
@@ -113,9 +119,13 @@ def test_reused_searches_equal_fresh_state_searches():
                 query = (origin, dest, prefs)
                 reused += query in state.searches()
                 plan = route(origin, dest, depart, prefs, state)
-                moves = _search(origin, dest, prefs, fresh)
-                assert state.searches()[query] == moves
-                assert plan == (None if moves is None else _assemble(origin, dest, depart, moves))
+                result = _search(origin, dest, prefs, fresh)
+                assert state.searches()[query] == result
+                assert (plan is None) == (result is None)
+                if result is not None:
+                    assert plan.search is state.searches()[query]
+                    assert repr(plan_view(plan)) == repr(brute_force_assemble(
+                        origin, dest, depart, result.moves))
                 routed += plan is not None
             random_write(rng, net, state, model, step, hot)
     assert routed >= 1000
