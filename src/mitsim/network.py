@@ -14,8 +14,8 @@ afterwards; disturbance effects live in a separate overlay (see
 :mod:`mitsim.state`).  What is a pure function of the network and some
 further inputs is computed once and kept on it, so every run over one
 network shares it: per-mode adjacency and free-flow times, free-flow paths,
-distance tables from fixed source sets, and route search results per
-overlay content.
+distance tables from fixed source sets, the route search's landmark tables,
+and route search results per overlay content.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ AGILE_CATEGORIES = frozenset({"walk", "cycle"})
 SEGMENT_CLASSES = ("critical", "major", "inferior", "minor")
 DIRECTIONS = frozenset({"forward", "backward", "both"})
 NODE_SERVICES = frozenset({"pt-stop", "bike-nest", "cav-pickup", "rail-station"})
+# Landmarks behind the route search's lower bounds (see landmark_tables).
+LANDMARKS = 4
 
 
 @dataclass(frozen=True)
@@ -156,6 +158,7 @@ class MultiLayerNetwork:
         self._free_flow_times: dict[str, Mapping[str, float]] = {}
         self._undirected: Optional[dict[str, tuple[tuple[str, float], ...]]] = None
         self._free_flow_paths: dict[tuple[str, str, str], Optional[tuple[str, ...]]] = {}
+        self._landmark_tables: Optional[tuple[Mapping[str, float], ...]] = None
         self._distance_tables: dict[tuple[tuple[str, float], ...], Mapping[str, float]] = {}
         self._searches: dict[Hashable, dict] = {}
 
@@ -240,6 +243,12 @@ class MultiLayerNetwork:
                             f"multimodal node {mn.node_id}: missing transfer time "
                             f"({a} -> {b})"
                         )
+            for (a, b), duration in sorted(mn.transfer_time.items()):
+                if not duration >= 0:
+                    raise ValidationError(
+                        f"multimodal node {mn.node_id}: transfer time ({a} -> {b}) "
+                        f"must be >= 0"
+                    )
             for service in mn.services:
                 if service not in NODE_SERVICES:
                     raise ValidationError(
@@ -350,33 +359,54 @@ class MultiLayerNetwork:
         """Segment ids of the least free-flow-time path within one mode.
 
         Ties break on the segment id sequence.  ``None`` when ``dest`` is
-        unreachable.  Each (mode, origin, dest) is searched once per network.
+        unreachable.  Each (mode, origin, dest) is searched once per network,
+        by the route search on a pristine overlay without boarding waits.
         """
         key = (mode_id, origin, dest)
         if key not in self._free_flow_paths:
-            self._free_flow_paths[key] = self._search_free_flow(mode_id, origin, dest)
+            # Imported here: routing and state build on this module.
+            from .routing import RoutingPreferences, _search
+            from .state import NetworkState
+
+            path: Optional[tuple[str, ...]] = ()
+            if origin != dest:
+                found = _search(origin, dest, RoutingPreferences(frozenset({mode_id})),
+                                NetworkState(self))
+                path = None if found is None else tuple(m[1] for m in found.moves[1:])
+            self._free_flow_paths[key] = path
         return self._free_flow_paths[key]
 
-    def _search_free_flow(self, mode_id: str, origin: str,
-                          dest: str) -> Optional[tuple[str, ...]]:
-        if origin == dest:
-            return ()
-        out = self.out_arcs(mode_id)
-        best: dict[str, tuple] = {origin: (0.0, ())}
-        heap = [(0.0, (), origin)]
-        while heap:
-            cost, seq, node = heapq.heappop(heap)
-            if best.get(node, (cost, seq)) < (cost, seq):
-                continue
-            if node == dest:
-                return seq
-            for arc in out.get(node, ()):
-                key = (cost + arc.free_flow_time, seq + (arc.segment_id,))
-                if arc.to_node in best and best[arc.to_node] <= key:
-                    continue
-                best[arc.to_node] = key
-                heapq.heappush(heap, (key[0], key[1], arc.to_node))
-        return None
+    def landmark_tables(self) -> tuple[Mapping[str, float], ...]:
+        """Free-flow times from up to ``LANDMARKS`` landmarks to every node,
+        the route search's lower bounds.
+
+        Each table is a Dijkstra over the undirected graph whose segment
+        weight is the least free-flow time among the segment's usage
+        entries; a node the landmark cannot reach reads infinity.  The
+        first landmark is the smallest node id, each next one the node
+        farthest from all chosen so far (ties to the smallest id).  Built
+        on the first search, once per network, and returned read-only.
+        """
+        if self._landmark_tables is None:
+            adj: dict[str, list[tuple[str, float]]] = {n: [] for n in self.nodes}
+            for seg_id in sorted(self.segments):
+                seg = self.segments[seg_id]
+                weight = min(entry.free_flow_time for entry in seg.usage)
+                adj[seg.from_node].append((seg.to_node, weight))
+                adj[seg.to_node].append((seg.from_node, weight))
+            inf = float("inf")
+            nodes = sorted(self.nodes)
+            nearest = dict.fromkeys(nodes, inf)
+            landmark = nodes[0]
+            tables = []
+            while len(tables) < LANDMARKS and nearest[landmark] > 0.0:
+                dist = _dijkstra(adj, {landmark: 0.0})
+                tables.append(MappingProxyType({n: dist.get(n, inf) for n in nodes}))
+                for n in nodes:
+                    nearest[n] = min(nearest[n], tables[-1][n])
+                landmark = max(nodes, key=nearest.__getitem__)
+            self._landmark_tables = tuple(tables)
+        return self._landmark_tables
 
     def distance_table(self, sources: Mapping[str, float]) -> Mapping[str, float]:
         """``node_distances`` from ``sources``, computed once per distinct
@@ -493,6 +523,8 @@ def build_network(spec: Mapping) -> MultiLayerNetwork:
         ))
     multimodal_nodes = []
     default_transfer = float(spec.get("transfer_time_default", 120.0))
+    if not default_transfer >= 0:
+        raise ValidationError("network: transfer_time_default must be >= 0")
     for raw in spec.get("multimodal_nodes", []):
         node_id = _require(raw, "node_id", "multimodal node")
         attachments = frozenset(tuple(a) for a in _require(raw, "attachments", f"node {node_id}"))
@@ -534,7 +566,13 @@ def node_distances(
         initial = dict(sources)
     else:
         initial = {s: 0.0 for s in sources}
-    adj = net.undirected_adjacency()
+    return _dijkstra(net.undirected_adjacency(), initial)
+
+
+def _dijkstra(adj: Mapping[str, Iterable[tuple[str, float]]],
+              initial: Mapping[str, float]) -> dict[str, float]:
+    """Least distance from the ``initial`` nodes, at their initial
+    distances, to every node reachable over the weighted ``adj``."""
     dist: dict[str, float] = {}
     heap: list[tuple[float, str]] = []
     for s in sorted(initial):

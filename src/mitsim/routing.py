@@ -14,9 +14,9 @@ break deterministically by fewer transfers, then by the lexicographically
 smallest segment id sequence, so identical inputs always yield the
 identical plan.
 
-A search walks each mode's static per-node adjacency (plus any arcs that
-usage contributions open) and reads the overlay only for the arcs it
-relaxes.  Its result (:class:`SearchResult`) holds the plan's moves with
+A search is A* with landmark bounds (see :func:`_search`): it walks each
+mode's static per-node adjacency (plus any arcs that usage contributions
+open) and reads the overlay only for the arcs it relaxes.  Its result (:class:`SearchResult`) holds the plan's moves with
 their durations and their executable form; both depend on the overlay's
 content alone, never on the departure time, so the network keeps it under
 ``(origin, dest, prefs)`` for every overlay with that content (see
@@ -29,7 +29,6 @@ result and derive legs and transfers only when asked for them.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -55,6 +54,11 @@ class RoutingPreferences:
     def __post_init__(self):
         if not self.allowed_modes:
             raise ValidationError("routing preferences: allowed_modes empty")
+        # A negative cost breaks the search's settle order and its bounds.
+        if not self.transfer_penalty >= 0:
+            raise ValidationError("routing preferences: transfer_penalty must be >= 0")
+        if not self.max_walk >= 0:
+            raise ValidationError("routing preferences: max_walk must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -188,91 +192,155 @@ def route(
     return JourneyPlan(origin, dest, depart, search, t - depart)
 
 
+# The landmark bound is scaled by this factor: the relative margin that keeps
+# float rounding from letting a worse label settle first (see _search).
+_BOUND_SCALE = 1.0 - 1e-6
+
+
 def _search(
     origin: str,
     dest: str,
     prefs: RoutingPreferences,
     state: NetworkState,
 ) -> Optional[SearchResult]:
-    """The best plan's search result, or None."""
+    """The best plan's search result, or None.
+
+    A* over (node, mode, walk run) states with ALT bounds (Goldberg and
+    Harrelson, SODA 2005): ``h(v)`` is the largest ``|d_L(dest) - d_L(v)|``
+    over the network's landmark tables (:meth:`MultiLayerNetwork.
+    landmark_tables`), times ``_BOUND_SCALE``.  Table weights are each
+    segment's least free-flow time; a mode's segment costs
+    ``free_flow_time / residual`` with ``residual <= 1``, and transfers,
+    waits and penalties are >= 0 and stay at their node, so no plan from
+    ``v`` costs less than ``h(v)``.  An arc that a usage contribution opens
+    may be faster than the tables know: while ``mode_arcs`` returns any
+    such arc the bound is zero and the search is Dijkstra's.
+
+    The result equals plain Dijkstra's (``tests/oracles.py``) bit for bit.
+    Labels are ordered by (cost, transfers, segment sequence), then by their
+    parent label and their place among its pushes, which is the order in
+    which Dijkstra's insertion counter meets equal keys.  The heap orders
+    them by ``(g + h, label)``.  Two labels of one state share ``h``, and
+    rounding ``g + h`` never reverses the order of two ``g``; an equal sum
+    falls through to ``g``, so of two labels of one state the better pops
+    first.  Along an arc ``g + h`` never falls: exactly, a segment lowers
+    the bound by at most its table weight, which its cost is at least, and
+    scaling the bound by ``1 - 1e-6`` leaves a slack of a millionth of that
+    weight.  The rounding of ``g + h`` and of the
+    table sums is a few units in the last place of the plan's cost and of
+    the network's free-flow diameter, far below that slack while every
+    free-flow time exceeds 1e-9 of them.  So every ancestor of a state's
+    best label pops before any worse label of that state, each state
+    settles with Dijkstra's label, and the first destination label popped
+    is Dijkstra's goal.
+
+    With a finite ``max_walk``, a label is dropped when a label of its
+    (node, mode) with no longer a walk run has settled: that one is no
+    worse in the order above, and it can make every move the dropped one
+    could (Pareto pruning on cost and walk, Martins, EJOR 1984).
+    """
     net = state.net
+    inf = float("inf")
     # Without a walk limit nothing reads walk_run, so it stays 0.0 and walk
     # states collapse to one label per (node, mode).
-    walk_modes = set() if prefs.max_walk == float("inf") else {
+    walk_modes = set() if prefs.max_walk == inf else {
         m for m in prefs.allowed_modes if net.modes[m].category == "walk"}
-    out_arcs = {mode: state.mode_arcs(mode) for mode in sorted(prefs.allowed_modes)}
+    modes = sorted(prefs.allowed_modes)
+    out_arcs = {mode: state.mode_arcs(mode) for mode in modes}
+    # mode_arcs hands out the static adjacency itself unless a usage
+    # contribution opens arcs to the mode; only then are the bounds unsafe.
+    if all(out_arcs[mode] is net.out_arcs(mode) for mode in modes):
+        ends = [(table[dest], table) for table in net.landmark_tables()]
+    else:
+        ends = []
+    bounds = {dest: 0.0}
 
-    # Dijkstra over (node, mode, walk_run) with key (cost, transfers, seg seq).
-    counter = itertools.count()
+    # label: (g, transfers, segment sequence, parent label, index among the
+    # parent's pushes, move, state); a start label's parent is ().
     labels: dict[tuple, tuple] = {}
-    parents: dict[tuple, tuple] = {}
+    # Least walk run settled at each node, per mode.
+    walked: dict[str, dict[str, float]] = {mode: {} for mode in modes}
     heap: list[tuple] = []
 
-    def push(st, key, parent, move):
+    def push(st, g, transfers, seq, parent, index, move):
+        label = (g, transfers, seq, parent, index, move, st)
         best = labels.get(st)
-        if best is not None and best <= key:
+        if best is not None and best <= label:
             return
-        labels[st] = key
-        parents[st] = (parent, move)
-        heapq.heappush(heap, (key, next(counter), st))
+        node = st[0]
+        h = bounds.get(node)
+        if h is None:
+            h = 0.0
+            for at_dest, table in ends:
+                at_node = table[node]
+                # Equal ends, both infinite ones included, bound nothing.
+                if at_node != at_dest:
+                    d = at_dest - at_node if at_dest > at_node else at_node - at_dest
+                    if d > h:
+                        h = d
+            h = bounds[node] = h * _BOUND_SCALE
+        if h == inf:  # the destination is unreachable from here
+            return
+        labels[st] = label
+        heapq.heappush(heap, (g + h, label))
 
-    for mode in sorted(prefs.allowed_modes):
+    for index, mode in enumerate(modes):
         if not any(state.residual(arc.segment_id, mode) > 0.0
                    for arc in out_arcs[mode].get(origin, ())):
             continue
         wait = state.wait_to_board(mode)
-        push((origin, mode, 0.0), (wait, 0, ()), None, ("start", mode, wait))
+        push((origin, mode, 0.0), wait, 0, (), (), index, ("start", mode, wait))
 
-    settled: set[tuple] = set()
     goal: Optional[tuple] = None
     while heap:
-        key, _, st = heapq.heappop(heap)
-        if st in settled or labels.get(st, key) < key:
+        label = heapq.heappop(heap)[1]
+        g, transfers, seq, _parent, _index, _move, st = label
+        if labels[st] is not label:
             continue
-        settled.add(st)
         node, mode, walk_run = st
+        done = walked[mode]
+        if walk_run >= done.get(node, inf):
+            continue
+        done[node] = walk_run
         if node == dest:
-            goal = st
+            goal = label
             break
-        cost, transfers, seq = key
-        for arc in out_arcs[mode].get(node, ()):
-            if mode in walk_modes:
+        walking = mode in walk_modes
+        arcs = out_arcs[mode].get(node, ())
+        for index, arc in enumerate(arcs):
+            if walking:
                 new_walk = walk_run + arc.length
                 if new_walk > prefs.max_walk:
                     continue
             else:
                 new_walk = 0.0
+            if new_walk >= done.get(arc.to_node, inf):
+                continue
             r = state.residual(arc.segment_id, mode)
             if r <= 0.0:
                 continue
             tt = arc.free_flow_time / r
-            push(
-                (arc.to_node, mode, new_walk),
-                (cost + tt, transfers, seq + (arc.segment_id,)),
-                st,
-                ("seg", arc.segment_id, mode, arc.to_node, tt),
-            )
+            push((arc.to_node, mode, new_walk), g + tt, transfers,
+                 seq + (arc.segment_id,), label, index,
+                 ("seg", arc.segment_id, mode, arc.to_node, tt))
         mn = net.multimodal_nodes.get(node)
         if mn is not None and mode in mn.attached_modes():
-            for to_mode in sorted(mn.attached_modes()):
-                if to_mode == mode or to_mode not in prefs.allowed_modes:
+            for index, to_mode in enumerate(sorted(mn.attached_modes()), len(arcs)):
+                if (to_mode == mode or to_mode not in prefs.allowed_modes
+                        or walked[to_mode].get(node, inf) <= 0.0):
                     continue
                 duration = mn.transfer(mode, to_mode) + state.wait_to_board(to_mode)
-                push(
-                    (node, to_mode, 0.0),
-                    (cost + duration + prefs.transfer_penalty, transfers + 1, seq),
-                    st,
-                    ("transfer", node, mode, to_mode, duration),
-                )
+                push((node, to_mode, 0.0), g + duration + prefs.transfer_penalty,
+                     transfers + 1, seq, label, index,
+                     ("transfer", node, mode, to_mode, duration))
 
     if goal is None:
         return None
     moves: list[Move] = []
-    st = goal
-    while st is not None:
-        parent, move = parents[st]
-        moves.append(move)
-        st = parent
+    label = goal
+    while label:
+        moves.append(label[5])
+        label = label[3]
     moves.reverse()
     atoms: list[Move] = [("wait", moves[0][2])] if moves[0][2] > 0 else []
     for move in moves[1:]:

@@ -190,11 +190,14 @@ def _prefs_from(raw: Optional[Mapping], net: MultiLayerNetwork, context: str) ->
     for mode in modes:
         if mode not in net.modes:
             raise ValidationError(f"{context}: unknown mode {mode}")
-    return RoutingPreferences(
-        allowed_modes=modes,
-        transfer_penalty=float(raw.get("transfer_penalty", 0.0)),
-        max_walk=float(raw.get("max_walk", float("inf"))),
-    )
+    try:
+        return RoutingPreferences(
+            allowed_modes=modes,
+            transfer_penalty=float(raw.get("transfer_penalty", 0.0)),
+            max_walk=float(raw.get("max_walk", float("inf"))),
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{context}: {exc}") from None
 
 
 def _device_from_spec(spec: Mapping, net: MultiLayerNetwork) -> EdgeDevice:
@@ -240,6 +243,10 @@ def load_scenario(raw: Mapping) -> Scenario:
         if key not in known:
             raise ValidationError(f"policies.defaults: unknown key {key!r}")
     defaults = SimDefaults(**{k: float(v) for k, v in defaults_raw.items()})
+    # Boarding waits are route costs, which must not be negative.
+    for key in ("cav_boarding_wait", "default_headway"):
+        if not getattr(defaults, key) >= 0:
+            raise ValidationError(f"policies.defaults: {key} must be >= 0")
 
     # demand
     demand_raw = raw.get("demand") or {}
@@ -468,10 +475,12 @@ def load_scenario(raw: Mapping) -> Scenario:
         for stop in stops:
             if stop not in net.nodes:
                 raise ValidationError(f"pt route {route_id}: unknown stop {stop}")
+        headway = float(r.get("headway", defaults.default_headway))
+        if not headway > 0:
+            raise ValidationError(f"pt route {route_id}: headway must be > 0")
         pt_routes.append(PtRoute(
             route_id=route_id, mode_id=mode_id, stops=stops, segments=segments,
-            headway=float(r.get("headway", defaults.default_headway)),
-            priority=bool(r.get("priority", False)),
+            headway=headway, priority=bool(r.get("priority", False)),
         ))
 
     scenario = Scenario(

@@ -178,14 +178,6 @@ class NetworkState:
         effective = min(1.0, max(0.0, factor))
         return max(effective, min(1.0, floor))
 
-    def residual_map(self) -> dict[tuple[str, str], float]:
-        """Residuals for every (segment, mode) pair with base usage."""
-        out = {}
-        for seg_id in sorted(self.net.segments):
-            for entry in self.net.segments[seg_id].usage:
-                out[(seg_id, entry.mode_id)] = self.residual(seg_id, entry.mode_id)
-        return out
-
     def traversal_time(self, segment_id: str, mode_id: str) -> Optional[float]:
         """Congested traversal time, or None when impassable.
 

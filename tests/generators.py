@@ -104,6 +104,54 @@ def random_network(rng: random.Random, **kw) -> MultiLayerNetwork:
     return build_network(random_network_spec(rng, **kw))
 
 
+GRID_MODES = (("car", "private-car"), ("cav", "cav-taxi"), ("bus", "bus"), ("walk", "walk"))
+
+
+def random_grid_network(rng: random.Random, n: int = 30) -> MultiLayerNetwork:
+    """An n x n city of integer free-flow times, so that plans tie exactly.
+
+    Every street carries car and CAV, often in the same time, every third
+    row and column a bus line at twice car speed, and about half of them a
+    footway; a sixth of the nodes are hubs where all four modes meet, with
+    transfer times of 0-90 s.
+    """
+    def node(r, c):
+        return f"g{r:02d}_{c:02d}"
+
+    segments = []
+    for r in range(n):
+        for c in range(n):
+            for kind, r2, c2 in (("h", r, c + 1), ("v", r + 1, c)):
+                if r2 >= n or c2 >= n:
+                    continue
+                car = float(rng.randint(2, 6) * 10)
+                usage = [{"mode_id": "car", "free_flow_time": car,
+                          "direction": rng.choice(["both", "both", "both", "forward"])},
+                         {"mode_id": "cav",
+                          "free_flow_time": rng.choice([car, car, car + 10.0])}]
+                if (r if kind == "h" else c) % 3 == 1:
+                    usage.append({"mode_id": "bus", "free_flow_time": car / 2})
+                if rng.random() < 0.5:
+                    usage.append({"mode_id": "walk", "free_flow_time": car * 2})
+                segments.append({"segment_id": f"{kind}{r:02d}_{c:02d}", "network_id": "road",
+                                 "from_node": node(r, c), "to_node": node(r2, c2),
+                                 "length": float(rng.randint(1, 3) * 100),
+                                 "class": rng.choice(CLASSES), "usage": usage})
+    modes = [m for m, _ in GRID_MODES]
+    nodes = [node(r, c) for r in range(n) for c in range(n)]
+    hubs = [{"node_id": h, "attachments": [[m, "road"] for m in modes],
+             "transfer_time": {f"{a},{b}": float(rng.randint(0, 3) * 30)
+                               for a in modes for b in modes if a != b}}
+            for h in nodes if rng.random() < 1 / 6]
+    return build_network({
+        "modes": [{"mode_id": m, "name": m, "category": cat, "maas_member": False}
+                  for m, cat in GRID_MODES],
+        "networks": [{"network_id": "road", "name": "road"}],
+        "usage_matrix": [[m, "road"] for m in modes],
+        "nodes": nodes, "segments": segments, "multimodal_nodes": hubs,
+    })
+
+
 def rebuilt(net: MultiLayerNetwork) -> MultiLayerNetwork:
     """An equal network built anew, sharing none of ``net``'s caches."""
     return MultiLayerNetwork(net.modes.values(), net.networks.values(), net.usage_matrix,
@@ -138,13 +186,14 @@ def random_contribution(rng: random.Random, net: MultiLayerNetwork, contrib_id: 
     instead when every pair already has base usage).
     """
     kind = kind or rng.choice(["factor", "factor", "floor", "usage"])
-    based = [(s, e.mode_id) for s in sorted(net.segments) for e in net.segments[s].usage]
-    unbased = [(s, m) for s in sorted(net.segments) for m in sorted(net.modes)
-               if net.segments[s].usage_for(m) is None]
-    if kind == "usage" and not unbased:
-        kind = "factor"
-    pool = unbased if kind == "usage" else based
-    targets = targets or frozenset(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
+    if not targets:
+        based = [(s, e.mode_id) for s in sorted(net.segments) for e in net.segments[s].usage]
+        unbased = [(s, m) for s in sorted(net.segments) for m in sorted(net.modes)
+                   if net.segments[s].usage_for(m) is None]
+        if kind == "usage" and not unbased:
+            kind = "factor"
+        pool = unbased if kind == "usage" else based
+        targets = frozenset(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
     start, end = random_window(rng)
     if kind == "factor":
         value = rng.choice([0.0, 0.0, 0.3, 0.5, 0.7, 0.8, 0.9, 1.2])

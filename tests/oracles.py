@@ -1,5 +1,6 @@
 """Independent brute-force oracles used by the test and acceptance suites."""
 
+import heapq
 import itertools
 
 from mitsim.dissemination import (
@@ -9,7 +10,7 @@ from mitsim.dissemination import (
     predict_trajectory,
 )
 from mitsim.network import Arc
-from mitsim.routing import Leg, Transfer, plan_to_moves
+from mitsim.routing import Leg, SearchResult, Transfer, plan_to_moves
 
 
 def brute_force_route(origin, dest, prefs, state):
@@ -69,6 +70,129 @@ def brute_force_route(origin, dest, prefs, state):
         wait = state.wait_to_board(m)
         rec(origin, m, 0.0, wait, 0, (), wait, {(origin, m, 0.0)})
     return best[0]
+
+
+def reference_search(origin, dest, prefs, state):
+    """Plain Dijkstra over (node, mode, walk run) states, one label per
+    state, keyed by (cost, transfers, segment sequence) with ties to the
+    first push: the search ``routing._search`` must equal bit for bit.
+    Returns a ``SearchResult`` or None."""
+    net = state.net
+    # Without a walk limit nothing reads walk_run, so it stays 0.0 and walk
+    # states collapse to one label per (node, mode).
+    walk_modes = set() if prefs.max_walk == float("inf") else {
+        m for m in prefs.allowed_modes if net.modes[m].category == "walk"}
+    out_arcs = {mode: state.mode_arcs(mode) for mode in sorted(prefs.allowed_modes)}
+
+    # Dijkstra over (node, mode, walk_run) with key (cost, transfers, seg seq).
+    counter = itertools.count()
+    labels = {}
+    parents = {}
+    heap = []
+
+    def push(st, key, parent, move):
+        best = labels.get(st)
+        if best is not None and best <= key:
+            return
+        labels[st] = key
+        parents[st] = (parent, move)
+        heapq.heappush(heap, (key, next(counter), st))
+
+    for mode in sorted(prefs.allowed_modes):
+        if not any(state.residual(arc.segment_id, mode) > 0.0
+                   for arc in out_arcs[mode].get(origin, ())):
+            continue
+        wait = state.wait_to_board(mode)
+        push((origin, mode, 0.0), (wait, 0, ()), None, ("start", mode, wait))
+
+    settled = set()
+    goal = None
+    while heap:
+        key, _, st = heapq.heappop(heap)
+        if st in settled or labels.get(st, key) < key:
+            continue
+        settled.add(st)
+        node, mode, walk_run = st
+        if node == dest:
+            goal = st
+            break
+        cost, transfers, seq = key
+        for arc in out_arcs[mode].get(node, ()):
+            if mode in walk_modes:
+                new_walk = walk_run + arc.length
+                if new_walk > prefs.max_walk:
+                    continue
+            else:
+                new_walk = 0.0
+            r = state.residual(arc.segment_id, mode)
+            if r <= 0.0:
+                continue
+            tt = arc.free_flow_time / r
+            push(
+                (arc.to_node, mode, new_walk),
+                (cost + tt, transfers, seq + (arc.segment_id,)),
+                st,
+                ("seg", arc.segment_id, mode, arc.to_node, tt),
+            )
+        mn = net.multimodal_nodes.get(node)
+        if mn is not None and mode in mn.attached_modes():
+            for to_mode in sorted(mn.attached_modes()):
+                if to_mode == mode or to_mode not in prefs.allowed_modes:
+                    continue
+                duration = mn.transfer(mode, to_mode) + state.wait_to_board(to_mode)
+                push(
+                    (node, to_mode, 0.0),
+                    (cost + duration + prefs.transfer_penalty, transfers + 1, seq),
+                    st,
+                    ("transfer", node, mode, to_mode, duration),
+                )
+
+    if goal is None:
+        return None
+    moves = []
+    st = goal
+    while st is not None:
+        parent, move = parents[st]
+        moves.append(move)
+        st = parent
+    moves.reverse()
+    atoms = [("wait", moves[0][2])] if moves[0][2] > 0 else []
+    for move in moves[1:]:
+        atoms.append(move[:4] if move[0] == "seg" else move)
+    return SearchResult(tuple(moves), tuple(atoms))
+
+
+def reference_free_flow_path(net, mode_id, origin, dest):
+    """Dijkstra over one mode's static arcs keyed by (free-flow time, segment
+    sequence): the path ``MultiLayerNetwork.free_flow_path`` must return."""
+    if origin == dest:
+        return ()
+    out = net.out_arcs(mode_id)
+    best = {origin: (0.0, ())}
+    heap = [(0.0, (), origin)]
+    while heap:
+        cost, seq, node = heapq.heappop(heap)
+        if best.get(node, (cost, seq)) < (cost, seq):
+            continue
+        if node == dest:
+            return seq
+        for arc in out.get(node, ()):
+            key = (cost + arc.free_flow_time, seq + (arc.segment_id,))
+            if arc.to_node in best and best[arc.to_node] <= key:
+                continue
+            best[arc.to_node] = key
+            heapq.heappush(heap, (key[0], key[1], arc.to_node))
+    return None
+
+
+def brute_force_residual_map(state):
+    """``brute_force_residual`` of every (segment, mode) pair with base
+    usage, scanning the overlay's contributions in id order."""
+    contributions = state.contributions()
+    return {(seg_id, entry.mode_id): brute_force_residual(
+                contributions, state.clock, seg_id, entry.mode_id)
+            for seg_id in sorted(state.net.segments)
+            for entry in state.net.segments[seg_id].usage}
 
 
 def brute_force_residual(contributions, clock, segment_id, mode_id):

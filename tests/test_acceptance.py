@@ -40,7 +40,13 @@ from generators import (
     random_topology,
     random_warning,
 )
-from oracles import brute_force_route, oracle_key, oracle_notified, plan_key
+from oracles import (
+    brute_force_residual_map,
+    brute_force_route,
+    oracle_key,
+    oracle_notified,
+    plan_key,
+)
 from test_adaptation import city_net, inject, make_event, make_world, plan_for
 from mitsim.dissemination import RelevancePolicy, distribute
 
@@ -277,7 +283,7 @@ def test_criterion_5_restore_exactness():
             sim = _Sim(scenario, MODE_TARGETED)
             sim.run()
             assert sim.world.overlay.pristine(), seed
-            residuals = sim.world.overlay.residual_map()
+            residuals = brute_force_residual_map(sim.world.overlay)
             assert all(v == 1.0 for v in residuals.values()), seed
             assert sim.world.advisories == {}
 

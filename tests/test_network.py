@@ -2,8 +2,12 @@ import random
 
 import pytest
 
+from mitsim.demo import demo_scenario
 from mitsim.errors import ValidationError
-from mitsim.network import build_network, node_distances
+from mitsim.network import MultiLayerNetwork, build_network, node_distances
+from mitsim.routing import RoutingPreferences, route
+from mitsim.scenario import load_scenario
+from mitsim.state import NetworkState
 
 from conftest import line_network_spec
 from generators import random_network, random_network_spec
@@ -235,3 +239,54 @@ def test_free_flow_times_match_usage_for(demo_net):
             assert set(times) <= set(net.segments)
         shared += sum(len(seg.usage) > 1 for seg in net.segments.values())
     assert shared >= 200
+
+
+def test_landmark_tables_hold_least_free_flow_times():
+    """The smallest node id, then each node farthest from the landmarks
+    chosen before it; each table equals Bellman-Ford from its landmark over
+    every segment, both ways, weighted by its fastest usage entry, and a
+    node it cannot reach reads infinity."""
+    checked = 0
+    for seed in range(60):
+        rng = random.Random(43_000 + seed)
+        spec = random_network_spec(rng, max_nodes=12, max_modes=3)
+        for seg in spec["segments"][::2]:
+            other = spec["modes"][-1]["mode_id"]
+            if all(u["mode_id"] != other for u in seg["usage"]):
+                seg["usage"].append({"mode_id": other, "free_flow_time": float(rng.randint(1, 30))})
+                if [other, seg["network_id"]] not in spec["usage_matrix"]:
+                    spec["usage_matrix"].append([other, seg["network_id"]])
+        net = build_network(spec)
+        tables = net.landmark_tables()
+        assert net.landmark_tables() is tables
+        assert len(tables) == min(4, len(net.nodes))
+        nodes = sorted(net.nodes)
+        for k, table in enumerate(tables):
+            (landmark,) = [n for n in table if table[n] == 0.0]
+            assert landmark == (nodes[0] if k == 0 else max(
+                nodes, key=lambda n: min(t[n] for t in tables[:k])))
+            dist = {landmark: 0.0}
+            changed = True
+            while changed:
+                changed = False
+                for seg in net.segments.values():
+                    weight = min(u.free_flow_time for u in seg.usage)
+                    for a, b in ((seg.from_node, seg.to_node), (seg.to_node, seg.from_node)):
+                        if a in dist and dist[a] + weight < dist.get(b, float("inf")):
+                            dist[b] = dist[a] + weight
+                            changed = True
+            assert dict(table) == {n: dist.get(n, float("inf")) for n in net.nodes}
+            with pytest.raises(TypeError):
+                table[landmark] = 1.0
+            checked += float("inf") in table.values()
+    assert checked >= 10
+
+
+def test_landmark_tables_wait_for_the_first_search(monkeypatch):
+    def forbidden(_net):
+        raise AssertionError("landmark tables built")
+
+    monkeypatch.setattr(MultiLayerNetwork, "landmark_tables", forbidden)
+    scenario = load_scenario(demo_scenario())
+    with pytest.raises(AssertionError, match="landmark tables built"):
+        route("a1", "b1", 0.0, RoutingPreferences(frozenset({"M3"})), NetworkState(scenario.net))

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -17,13 +18,22 @@ from mitsim.routing import (
 from mitsim.state import Contribution, NetworkState
 
 from conftest import line_network_spec
-from generators import random_network, random_network_spec, random_state
-
-
-from oracles import brute_force_assemble, brute_force_route, oracle_key, plan_key, plan_view
-
-
-
+from generators import (
+    random_contribution,
+    random_grid_network,
+    random_network,
+    random_network_spec,
+    random_state,
+)
+from oracles import (
+    brute_force_assemble,
+    brute_force_route,
+    oracle_key,
+    plan_key,
+    plan_view,
+    reference_free_flow_path,
+    reference_search,
+)
 
 # -- basics ---------------------------------------------------------------------
 
@@ -364,6 +374,208 @@ def test_monotone_degradation():
         cost_before = before.total_cost if before else float("inf")
         cost_after = after.total_cost if after else float("inf")
         assert cost_after >= cost_before
+
+
+# -- the goal-directed search against plain Dijkstra -------------------------------------
+
+
+def same_as_reference(origin, dest, prefs, state):
+    """``route``'s search result, checked against ``reference_search`` by repr."""
+    plan = route(origin, dest, 0.0, prefs, state)
+    reference = reference_search(origin, dest, prefs, state)
+    assert (plan is None) == (reference is None), (origin, dest, prefs)
+    if plan is not None:
+        assert repr(plan.search) == repr(reference), (origin, dest, prefs)
+    return plan
+
+
+def bounded(prefs, state):
+    """True when the search runs with landmark bounds: no usage contribution
+    opens a segment to an allowed mode."""
+    return all(state.mode_arcs(m) is state.net.out_arcs(m) for m in prefs.allowed_modes)
+
+
+def test_route_equals_the_reference_on_30x30_grids():
+    """Integer times make equal-cost plans common; blockages, floors, usage
+    contributions, boarding waits and walk limits vary per grid."""
+    seen = {"plans": 0, "none": 0, "bounded": 0, "unbounded": 0, "walk_limited": 0,
+            "transfers": 0}
+    for seed in range(4):
+        rng = random.Random(88_000 + seed)
+        net = random_grid_network(rng, n=30)
+        state = random_state(rng, net, block_prob=0.04)
+        for j in range(3):
+            state.add_contribution(random_contribution(rng, net, f"floor{j}", kind="floor"))
+        for j in range(seed % 2 * rng.randint(1, 3)):
+            state.add_contribution(random_contribution(rng, net, f"use{j}", kind="usage"))
+        modes = sorted(net.modes)
+        nodes = sorted(net.nodes)
+        for _ in range(25):
+            origin, dest = rng.sample(nodes, 2)
+            prefs = RoutingPreferences(
+                frozenset(rng.sample(modes, rng.randint(1, len(modes)))),
+                transfer_penalty=rng.choice([0.0, 0.0, 30.0]),
+                max_walk=rng.choice([float("inf"), float("inf"), 600.0, 2000.0]))
+            plan = same_as_reference(origin, dest, prefs, state)
+            seen["plans" if plan else "none"] += 1
+            seen["bounded" if bounded(prefs, state) else "unbounded"] += 1
+            seen["walk_limited"] += prefs.max_walk < float("inf") and "walk" in prefs.allowed_modes
+            seen["transfers"] += bool(plan and plan.transfers)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_route_equals_the_reference_on_16_node_networks_with_walk_limits():
+    seen = {"plans": 0, "none": 0, "walked": 0}
+    for seed in range(300):
+        rng = random.Random(89_000 + seed)
+        spec = random_network_spec(rng, max_nodes=16, max_modes=3, max_extra_segments=16)
+        spec["modes"][0].update(category="walk", agile=True)
+        net = build_network(spec)
+        state = random_state(rng, net)
+        origin, dest = rng.sample(sorted(net.nodes), 2)
+        prefs = RoutingPreferences(frozenset(net.modes),
+                                   transfer_penalty=rng.choice([0.0, 45.0]),
+                                   max_walk=rng.choice([500.0, 2000.0, 5000.0]))
+        plan = same_as_reference(origin, dest, prefs, state)
+        seen["plans" if plan else "none"] += 1
+        seen["walked"] += bool(plan and any(leg.mode_id == "m0" and leg.segments
+                                            for leg in plan.legs))
+    assert min(seen.values()) >= 30, seen
+
+
+def segment_network(nodes, segments, mode="car"):
+    """One car mode over (segment id, from, to, free-flow time) segments."""
+    spec = line_network_spec(2, mode=mode)
+    spec["nodes"] = nodes
+    spec["segments"] = [
+        {"segment_id": seg_id, "network_id": "net", "from_node": a, "to_node": b,
+         "length": 100.0, "class": "minor",
+         "usage": [{"mode_id": mode, "free_flow_time": fft}]}
+        for seg_id, a, b, fft in segments]
+    return build_network(spec)
+
+
+def segments_of(plan):
+    return [s for leg in plan.legs for s in leg.segments]
+
+
+def test_paths_one_ulp_apart_keep_the_cheaper():
+    # z then y cost S = 0.3 + 1e-9; a costs one ulp more and has the smaller
+    # sequence.  M is 1000 s from D, so P and a's label at M add up to the
+    # same g + h: only g says that P, on the cheaper path, goes first.
+    cheaper = 0.3 + 1e-9
+    net = segment_network(["A", "D", "M", "P"], [
+        ("z", "A", "P", 0.3), ("y", "P", "M", 1e-9), ("a", "A", "M", math.nextafter(cheaper, 1.0)),
+        ("m", "M", "D", 1000.0)])
+    plan = same_as_reference("A", "D", RoutingPreferences(frozenset({"car"})), NetworkState(net))
+    assert segments_of(plan) == ["z", "y", "m"]
+
+
+def test_plans_equal_in_every_key_keep_dijkstras_push_order():
+    """A 5 km walk limit on a 6.2 km walk: the walk restarts after a tram
+    round trip at B or at C.  Both plans cost 550 s with two transfers over
+    the same segments; plain Dijkstra pushes the restart at B first."""
+    net = build_network({
+        "modes": [{"mode_id": "foot", "name": "foot", "category": "walk"},
+                  {"mode_id": "tram", "name": "tram", "category": "tram"}],
+        "networks": [{"network_id": "path", "name": "path"},
+                     {"network_id": "rail", "name": "rail"}],
+        "usage_matrix": [["foot", "path"], ["tram", "rail"]],
+        "nodes": ["A", "B", "C", "D"],
+        "segments": [
+            {"segment_id": sid, "network_id": "path", "from_node": a, "to_node": b,
+             "length": length, "usage": [{"mode_id": "foot", "free_flow_time": fft}]}
+            for sid, a, b, length, fft in (("ab", "A", "B", 1700.0, 100.0),
+                                           ("bc", "B", "C", 1700.0, 200.0),
+                                           ("cd", "C", "D", 2800.0, 50.0))],
+        "multimodal_nodes": [
+            {"node_id": node, "attachments": [["foot", "path"], ["tram", "rail"]],
+             "transfer_time": {"foot,tram": 100.0, "tram,foot": 100.0}}
+            for node in ("B", "C")],
+    })
+    prefs = RoutingPreferences(frozenset({"foot", "tram"}), max_walk=5000.0)
+    plan = same_as_reference("A", "D", prefs, NetworkState(net))
+    assert plan.total_cost == 550.0
+    assert [tr.node for tr in plan.transfers] == ["B", "B"]
+
+
+def test_equal_costs_tie_on_the_sequence_where_a_bound_rounds_up():
+    # s4 then s6 cost 0.3 + 0.1, exactly s8's 0.4, and win on the sequence.
+    # From landmark v3, v1 and v0 sit at 2.0 + 0.3 and 2.0 + 0.4, so the
+    # bound at v1 is 2.4 - 2.3 = 0.10000000000000009, above the 0.1 left.
+    net = segment_network(["v0", "v1", "v2", "v3"], [
+        ("s4", "v1", "v2", 0.3), ("s6", "v1", "v0", 0.1), ("s8", "v2", "v0", 0.4),
+        ("x", "v3", "v2", 2.0)])
+    plan = same_as_reference("v2", "v0", RoutingPreferences(frozenset({"car"})),
+                             NetworkState(net))
+    assert segments_of(plan) == ["s4", "s6"]
+
+
+def test_a_segment_opened_by_usage_is_found_although_the_bounds_miss_it():
+    # The rail segment AD takes 500 s by metro, so the landmark tables put
+    # A 300 s from D by road; opened to cars at 1 s it makes O-A-D the best.
+    net = build_network({
+        "modes": [{"mode_id": "car", "name": "car", "category": "private-car"},
+                  {"mode_id": "metro", "name": "metro", "category": "metro"}],
+        "networks": [{"network_id": "road", "name": "road"},
+                     {"network_id": "rail", "name": "rail"}],
+        "usage_matrix": [["car", "road"], ["metro", "rail"]],
+        "nodes": ["A", "B", "C", "D", "O", "X"],
+        "segments": [
+            {"segment_id": sid, "network_id": netw, "from_node": a, "to_node": b,
+             "length": 100.0, "usage": [{"mode_id": m, "free_flow_time": fft}]}
+            for sid, netw, m, a, b, fft in (
+                ("OA", "road", "car", "O", "A", 100.0), ("AB", "road", "car", "A", "B", 100.0),
+                ("BC", "road", "car", "B", "C", 100.0), ("CD", "road", "car", "C", "D", 100.0),
+                ("OX", "road", "car", "O", "X", 125.0), ("XD", "road", "car", "X", "D", 125.0),
+                ("AD", "rail", "metro", "A", "D", 500.0))],
+        "multimodal_nodes": [],
+    })
+    state = NetworkState(net)
+    prefs = RoutingPreferences(frozenset({"car"}))
+    assert segments_of(route("O", "D", 0.0, prefs, state)) == ["OX", "XD"]
+    state.add_contribution(Contribution("shuttle", "usage", frozenset({("AD", "car")}), 1.0,
+                                        0.0, float("inf"), free_flow_time=1.0, capacity=60.0))
+    assert not bounded(prefs, state)
+    plan = same_as_reference("O", "D", prefs, state)
+    assert segments_of(plan) == ["OA", "AD"] and plan.total_cost == 101.0
+
+
+def test_walk_labels_are_pruned_by_cost_and_walk():
+    """A 10 x 10 walk grid, walking at most 2.5 km: the reference keeps one
+    label per walked distance and takes most of a second."""
+    net = build_network(grid_spec(10, "walk", random.Random(5)))
+    prefs = RoutingPreferences(frozenset({"m"}), max_walk=2500.0)
+    for dest in ("g9_9", "g6_6"):
+        start = time.perf_counter()
+        found = _search("g0_0", dest, prefs, NetworkState(net))
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.1
+        assert repr(found) == repr(reference_search("g0_0", dest, prefs, NetworkState(net)))
+        assert (found is None) == (dest == "g9_9")
+
+
+def test_free_flow_paths_equal_the_reference():
+    checked = 0
+    for seed in range(40):
+        rng = random.Random(90_000 + seed)
+        net = random_network(rng, max_nodes=16, max_modes=3, max_extra_segments=16)
+        nodes = sorted(net.nodes)
+        for mode in sorted(net.modes):
+            for _ in range(8):
+                origin, dest = rng.choice(nodes), rng.choice(nodes)
+                path = net.free_flow_path(mode, origin, dest)
+                assert path == reference_free_flow_path(net, mode, origin, dest)
+                checked += bool(path)
+    grid = random_grid_network(random.Random(90_100), n=30)
+    rng = random.Random(90_101)
+    for _ in range(40):
+        mode = rng.choice(sorted(grid.modes))
+        origin, dest = rng.sample(sorted(grid.nodes), 2)
+        path = grid.free_flow_path(mode, origin, dest)
+        assert path == reference_free_flow_path(grid, mode, origin, dest)
+        checked += bool(path)
+    assert checked >= 200
 
 
 # -- replanning ------------------------------------------------------------------------

@@ -245,3 +245,77 @@ def test_with_seed_equals_a_load_under_that_seed(demo):
 
 def test_raw_scenario_json_serializable(demo):
     json.dumps(demo.raw)
+
+
+def _device_trip_prefs(raw, **prefs):
+    # a copy: the demo's device trips and arrival streams share one prefs dict
+    trip = next(d["trip"] for d in raw["devices"] if d["device_id"] == "veh1")
+    trip["prefs"] = {**trip["prefs"], **prefs}
+
+
+def _multimodal_transfer(raw, value):
+    raw["network"]["multimodal_nodes"][0]["transfer_time"] = {"M1,M2": value}
+
+
+def _defaults(raw, **values):
+    raw["policies"]["defaults"] = values
+
+
+def _headway(raw, value):
+    raw["policies"]["pt_routes"][0]["headway"] = value
+
+
+def _default_headway_only(raw, value):
+    del raw["policies"]["pt_routes"][0]["headway"]
+    raw["policies"]["defaults"] = {"default_headway": value}
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: _device_trip_prefs(raw, transfer_penalty=-600),
+     "device veh1 trip: routing preferences: transfer_penalty must be >= 0"),
+    (lambda raw: _device_trip_prefs(raw, transfer_penalty=NAN), "veh1 trip: .*transfer_penalty"),
+    (lambda raw: _device_trip_prefs(raw, max_walk=NAN), "veh1 trip: .*max_walk must be >= 0"),
+    (lambda raw: _device_trip_prefs(raw, max_walk=-1.0), "veh1 trip: .*max_walk must be >= 0"),
+    (lambda raw: raw["demand"]["arrivals"][0].update(prefs={"transfer_penalty": -1}),
+     "demand arrivals 0: .*transfer_penalty must be >= 0"),
+    (lambda raw: raw["demand"]["trips"].append(
+        {"origin": "a1", "dest": "b1", "depart": 0, "prefs": {"transfer_penalty": -1}}),
+     "demand trip 0: .*transfer_penalty must be >= 0"),
+    (lambda raw: raw["network"].update(transfer_time_default=-1.0),
+     "transfer_time_default must be >= 0"),
+    (lambda raw: raw["network"].update(transfer_time_default=NAN),
+     "transfer_time_default must be >= 0"),
+    (lambda raw: _multimodal_transfer(raw, -5.0),
+     r"multimodal node a1: transfer time \(M1 -> M2\) must be >= 0"),
+    (lambda raw: _multimodal_transfer(raw, NAN), r"node a1: transfer time \(M1 -> M2\)"),
+    (lambda raw: _headway(raw, 0), "pt route Met1: headway must be > 0"),
+    (lambda raw: _headway(raw, -600), "pt route Met1: headway must be > 0"),
+    (lambda raw: _headway(raw, NAN), "pt route Met1: headway must be > 0"),
+    (lambda raw: _default_headway_only(raw, 0.0), "pt route Met1: headway must be > 0"),
+    (lambda raw: _defaults(raw, default_headway=-1.0),
+     "policies.defaults: default_headway must be >= 0"),
+    (lambda raw: _defaults(raw, default_headway=NAN), "default_headway must be >= 0"),
+    (lambda raw: _defaults(raw, cav_boarding_wait=-1.0),
+     "policies.defaults: cav_boarding_wait must be >= 0"),
+    (lambda raw: _defaults(raw, cav_boarding_wait=NAN), "cav_boarding_wait must be >= 0"),
+])
+def test_costs_that_break_shortest_paths_rejected(edit, message):
+    """Negative or NaN transfer penalties, walk limits, transfer times,
+    headways and boarding waits: one negative transfer at a node is a
+    negative cycle, and the route search would never settle."""
+    raw = demo_scenario()
+    edit(raw)
+    with pytest.raises(ValidationError, match=message):
+        load_scenario(raw)
+
+
+def test_zero_costs_and_an_unbounded_walk_load():
+    raw = demo_scenario()
+    _device_trip_prefs(raw, transfer_penalty=0, max_walk=float("inf"))
+    _multimodal_transfer(raw, 0.0)
+    raw["network"]["transfer_time_default"] = 0.0
+    raw["policies"]["defaults"] = {"cav_boarding_wait": 0.0, "default_headway": 0.0}
+    load_scenario(raw)
