@@ -507,7 +507,7 @@ def _build_stop_guidance(action_id, event, state: WorldState, located, now, expi
                 best = (d, cand)
         if best is not None and best[0] < float("inf"):
             node = best[1]
-            modes = tuple(sorted(net.multimodal_nodes[node].attached_modes()))
+            modes = net.multimodal_nodes[node].modes
             alternatives.append((node, modes))
     displays = tuple(
         d for d in sorted(state.devices)
@@ -738,7 +738,7 @@ def build_replacement(
         n for n in chain
         if n in net.multimodal_nodes
         and any(net.modes[m].category in RAIL_CATEGORIES
-                for m in net.multimodal_nodes[n].attached_modes())
+                for m in net.multimodal_nodes[n].modes)
     ]
     for endpoint in (chain[0], chain[-1]):
         if endpoint not in stations:
@@ -749,8 +749,8 @@ def build_replacement(
     if vehicle_mode is None:
         raise InfeasibleError("replacement infeasible: no road fleet mode")
     for station in stations:
-        attached = net.multimodal_nodes[station].attached_modes()
-        if not any(net.modes[m].category in ROAD_CATEGORIES for m in attached):
+        if not any(net.modes[m].category in ROAD_CATEGORIES
+                   for m in net.multimodal_nodes[station].modes):
             raise InfeasibleError(
                 f"replacement infeasible: station {station} has no road attachment"
             )

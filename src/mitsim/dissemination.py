@@ -166,10 +166,24 @@ def _segment_distance(net: MultiLayerNetwork, pos: DevicePosition, segment_id: s
     position's anchors look up their distance to the segment."""
     if pos.segment == segment_id:
         return 0.0
+    return _table_distance(_end_table(net, segment_id), _anchor_map(net, pos).items())
+
+
+def _end_table(net: MultiLayerNetwork, segment_id: str) -> Mapping[str, float]:
+    """The network's distance table from both ends of a segment."""
     seg = net.segments[segment_id]
-    table = net.distance_table({seg.from_node: 0.0, seg.to_node: 0.0})
-    return min(table.get(anchor, float("inf")) + extra
-               for anchor, extra in _anchor_map(net, pos).items())
+    return net.distance_table({seg.from_node: 0.0, seg.to_node: 0.0})
+
+
+def _table_distance(table: Mapping[str, float], anchors) -> float:
+    """Least table distance plus offset over a position's (anchor, offset)
+    pairs, the items of its ``_anchor_map``."""
+    inf = best = float("inf")
+    for anchor, extra in anchors:
+        d = table.get(anchor, inf) + extra
+        if d < best:
+            best = d
+    return best
 
 
 def position_distance(net: MultiLayerNetwork, a: DevicePosition, b: DevicePosition) -> float:
@@ -205,30 +219,28 @@ def predict_trajectory(
         return [(seg, eta) for seg, eta in device.planned_route if eta >= now]
     if device.mode is None or device.destination is None:
         return []
-    start, head = _continuation_start(device, net, now)
-    if start is None:
-        return head
-    path = net.free_flow_path(device.mode, start, device.destination)
-    if path is None:
-        return head
     free_flow = net.free_flow_times(device.mode)
-    t = head[-1][1] + free_flow.get(head[-1][0], 0.0) if head else now
-    out = list(head)
-    for seg_id in path:
+    out = []
+    t = now
+    for seg_id in _continuation(device, net):
         out.append((seg_id, t))
         t += free_flow.get(seg_id, 0.0)
     return out
 
 
-def _continuation_start(device, net, now):
+def _continuation(device: EdgeDevice, net: MultiLayerNetwork) -> tuple[str, ...]:
+    """Segments of a routeless device's free-flow continuation: the segment
+    it is on, when its mode uses it (it is committed to finishing it), then
+    the least free-flow path on to its destination, if there is one."""
     pos = device.position
-    if pos.node is not None:
-        return pos.node, []
-    seg = net.segments[pos.segment]
-    # committed to finishing the current segment first
-    if seg.usage_for(device.mode) is not None:
-        return seg.to_node, [(seg.segment_id, now)]
-    return seg.to_node, []
+    head: tuple[str, ...] = ()
+    start = pos.node
+    if start is None:
+        seg = net.segments[pos.segment]
+        if seg.usage_for(device.mode) is not None:
+            head = (seg.segment_id,)
+        start = seg.to_node
+    return head + (net.free_flow_path(device.mode, start, device.destination) or ())
 
 
 # -- relevance ----------------------------------------------------------------
@@ -321,15 +333,75 @@ def distribute(
     distance, then id).  ``messages_sent`` counts relay transmissions on
     the used tree paths plus one delivery per notified device.  Relevant
     devices no reachable unit covers are reported as missed.
+
+    ``is_relevant`` decides, in device-id order, only for the candidates:
+    the devices the warning can touch, as in geocast addressing.  What
+    that takes is found once per warning: each affected segment's modes,
+    radius and distance table, and the ids of the event's adaptation
+    actors.  A device is a candidate when
+
+    - it is a roadside unit (``is_relevant`` turns those away) or an actor;
+    - for an affected segment whose modes admit its mode (or it has none),
+      it sits on the segment or an anchor of it is within the segment's
+      radius by the table; or
+    - it has a mode, and its planned route or its free-flow continuation
+      names an affected segment whose modes hold that mode.
+
+    Every relevant device is a candidate, so the result is the one of
+    deciding for every device.  A trajectory hit names a segment of the
+    predicted trajectory in the device's mode, and that trajectory is a
+    suffix of the planned route or the continuation itself; the candidate
+    test only drops the horizon.  The area reason is the same distance
+    test on the same table.  An actor is in the actor set.
     """
+    inf = float("inf")
     devices = sorted(devices, key=lambda d: d.device_id)
     actions = list(actions)
-    decisions: dict[str, RelevanceDecision] = {}
+    entries = {e.segment_id: e for e in w.affected}
+    areas = []
+    # A fleet of roadside units alone holds no relevant device and needs no table.
+    if any(d.role != "roadside-unit" for d in devices):
+        areas = [(seg_id, entries[seg_id].modes, policy.area_radius[entries[seg_id].seg_class],
+                  _end_table(net, seg_id)) for seg_id in sorted(entries)]
+    hits: dict[str, set[str]] = {}  # affected segments by mode
+    for seg_id, entry in entries.items():
+        for mode in entry.modes:
+            hits.setdefault(mode, set()).add(seg_id)
+    actors: set[str] = set()
+    if policy.include_adaptation_actors:
+        for action in actions:
+            if action.event_id == w.event_id:
+                actors.update(action.actor_device_ids())
+
+    def candidate(device: EdgeDevice) -> bool:
+        if device.role == "roadside-unit" or device.device_id in actors:
+            return True
+        pos, mode = device.position, device.mode
+        for seg_id, modes, radius, table in areas:
+            if mode is not None and mode not in modes:
+                continue
+            if pos.node is not None:  # its one anchor, at offset 0
+                if table.get(pos.node, inf) <= radius:
+                    return True
+            elif (pos.segment == seg_id
+                  or _table_distance(table, _anchor_map(net, pos).items()) <= radius):
+                return True
+        if mode is None:
+            return False
+        if device.planned_route is not None:
+            route: Iterable[str] = (seg_id for seg_id, _eta in device.planned_route)
+        elif device.destination is not None:
+            route = _continuation(device, net)
+        else:
+            return False
+        return not hits.get(mode, set()).isdisjoint(route)
+
+    decisions: dict[str, tuple[EdgeDevice, RelevanceDecision]] = {}
     for device in devices:
-        decision = is_relevant(w, device, policy, net, actions, now)
-        if decision.relevant:
-            decisions[device.device_id] = decision
-    by_id = {d.device_id: d for d in devices}
+        if candidate(device):
+            decision = is_relevant(w, device, policy, net, actions, now)
+            if decision.relevant:
+                decisions[device.device_id] = (device, decision)
     rsus = [d for d in devices if d.role == "roadside-unit"]
     baseline = broadcast_baseline(w, devices)
 
@@ -344,44 +416,40 @@ def distribute(
             baseline=baseline,
         )
 
-    affected_segs = sorted({e.segment_id for e in w.affected})
+    def event_distance(rsu: EdgeDevice) -> float:
+        anchors = _anchor_map(net, rsu.position).items()
+        return min((0.0 if rsu.position.segment == seg_id else _table_distance(table, anchors)
+                    for seg_id, _modes, _radius, table in areas), default=inf)
 
-    def rsu_event_distance(rsu: EdgeDevice) -> float:
-        return min((_segment_distance(net, rsu.position, seg_id)
-                    for seg_id in affected_segs), default=float("inf"))
-
-    origin = min(rsus, key=lambda r: (rsu_event_distance(r), r.device_id))
+    origin = min(rsus, key=lambda r: (event_distance(r), r.device_id))
     depth, parent = _rsu_reach(rsus, origin.device_id, topology)
-
-    rsu_cover = {rsu.device_id: net.distance_table(_anchor_map(net, rsu.position))
-                 for rsu in rsus if rsu.device_id in depth}
+    # The reachable units by depth, then id: the order of the serving key.
+    reach = sorted(((depth[rsu.device_id], rsu, net.distance_table(_anchor_map(net, rsu.position)))
+                    for rsu in rsus if rsu.device_id in depth), key=lambda item: item[0])
 
     notified: dict[str, int] = {}
     serving: dict[str, str] = {}
     missed: set[str] = set()
-    for device_id in sorted(decisions):
-        device = by_id[device_id]
+    for device_id, (device, _decision) in decisions.items():
+        pos = device.position
+        anchors = _anchor_map(net, pos).items()
         best_key = None
-        best_rsu = None
-        for rsu_id in sorted(rsu_cover):
-            rsu = by_id[rsu_id]
-            d = min(
-                rsu_cover[rsu_id].get(anchor, float("inf")) + extra
-                for anchor, extra in _anchor_map(net, device.position).items()
-            )
-            if rsu.position.segment is not None and rsu.position.segment == device.position.segment:
-                d = min(d, abs(rsu.position.offset - device.position.offset))
+        for hops, rsu, cover in reach:
+            if best_key is not None and hops > best_key[0]:
+                break  # no deeper unit serves better
+            d = _table_distance(cover, anchors)
+            if rsu.position.segment is not None and rsu.position.segment == pos.segment:
+                d = min(d, abs(rsu.position.offset - pos.offset))
             if d > max(rsu.comm_range, device.comm_range):
                 continue
-            key = (depth[rsu_id], d, rsu_id)
+            key = (hops, d, rsu.device_id)
             if best_key is None or key < best_key:
                 best_key = key
-                best_rsu = rsu_id
-        if best_rsu is None:
+        if best_key is None:
             missed.add(device_id)
         else:
-            serving[device_id] = best_rsu
-            notified[device_id] = depth[best_rsu] + 1
+            notified[device_id] = best_key[0] + 1
+            serving[device_id] = best_key[2]
 
     relay_edges: set[tuple[str, str]] = set()
     for rsu_id in sorted(set(serving.values())):
@@ -393,7 +461,7 @@ def distribute(
 
     reasons: dict[str, int] = {}
     for device_id in notified:
-        reason = decisions[device_id].reason
+        reason = decisions[device_id][1].reason
         reasons[reason] = reasons.get(reason, 0) + 1
 
     return DisseminationRecord(

@@ -102,9 +102,11 @@ class MultimodalNode:
     attachments: frozenset[tuple[str, str]]  # (mode_id, network_id)
     transfer_time: Mapping[tuple[str, str], float]
     services: frozenset[str] = frozenset()
+    # the attached modes, sorted; derived from ``attachments``
+    modes: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
-    def attached_modes(self) -> set[str]:
-        return {m for m, _ in self.attachments}
+    def __post_init__(self):
+        object.__setattr__(self, "modes", tuple(sorted({m for m, _ in self.attachments})))
 
     def transfer(self, from_mode: str, to_mode: str) -> float:
         if from_mode == to_mode:
@@ -235,9 +237,8 @@ class MultiLayerNetwork:
                         f"multimodal node {mn.node_id}: attachment ({mode_id}, "
                         f"{network_id}) not in the usage matrix"
                     )
-            attached = sorted(mn.attached_modes())
-            for a in attached:
-                for b in attached:
+            for a in mn.modes:
+                for b in mn.modes:
                     if a != b and (a, b) not in mn.transfer_time:
                         raise ValidationError(
                             f"multimodal node {mn.node_id}: missing transfer time "

@@ -324,8 +324,8 @@ def _search(
                  seq + (arc.segment_id,), label, index,
                  ("seg", arc.segment_id, mode, arc.to_node, tt))
         mn = net.multimodal_nodes.get(node)
-        if mn is not None and mode in mn.attached_modes():
-            for index, to_mode in enumerate(sorted(mn.attached_modes()), len(arcs)):
+        if mn is not None and mode in mn.modes:
+            for index, to_mode in enumerate(mn.modes, len(arcs)):
                 if (to_mode == mode or to_mode not in prefs.allowed_modes
                         or walked[to_mode].get(node, inf) <= 0.0):
                     continue
@@ -471,7 +471,6 @@ def is_feasible(plan: JourneyPlan, state: NetworkState, now: float) -> bool:
         mn = net.multimodal_nodes.get(tr.node)
         if mn is None:
             return False
-        attached = mn.attached_modes()
-        if tr.from_mode not in attached or tr.to_mode not in attached:
+        if tr.from_mode not in mn.modes or tr.to_mode not in mn.modes:
             return False
     return True

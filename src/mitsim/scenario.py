@@ -239,14 +239,26 @@ def load_scenario(raw: Mapping) -> Scenario:
 
     defaults_raw = (raw.get("policies") or {}).get("defaults", {})
     known = set(SimDefaults.__dataclass_fields__)
-    for key in defaults_raw:
+    values: dict[str, float] = {}
+    for key, value in defaults_raw.items():
         if key not in known:
             raise ValidationError(f"policies.defaults: unknown key {key!r}")
-    defaults = SimDefaults(**{k: float(v) for k, v in defaults_raw.items()})
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValidationError(f"policies.defaults: {key} must be a number")
+        try:
+            values[key] = float(value)
+        except OverflowError:  # an integer beyond every float
+            raise ValidationError(f"policies.defaults: {key} must be finite") from None
+    defaults = SimDefaults(**values)
     # Boarding waits are route costs, which must not be negative.
     for key in ("cav_boarding_wait", "default_headway"):
         if not getattr(defaults, key) >= 0:
             raise ValidationError(f"policies.defaults: {key} must be >= 0")
+    if not 0 < defaults.signal_multiplier <= 2:
+        raise ValidationError("policies.defaults: signal_multiplier must be in (0, 2]")
+    for key in sorted(values):
+        if not math.isfinite(values[key]):
+            raise ValidationError(f"policies.defaults: {key} must be finite")
 
     # demand
     demand_raw = raw.get("demand") or {}

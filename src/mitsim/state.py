@@ -64,10 +64,8 @@ class SimDefaults:
     police_restore_floor: float = 0.7
     signal_multiplier: float = 1.2
     replacement_vehicle_capacity: float = 60.0
-    cav_capacity: float = 8.0
     default_headway: float = 600.0
     cav_boarding_wait: float = 120.0
-    transfer_penalty: float = 0.0
     flow_window: float = 3600.0
 
 

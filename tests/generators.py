@@ -241,12 +241,12 @@ def random_position(rng: random.Random, net: MultiLayerNetwork) -> DevicePositio
 
 
 def random_devices(rng: random.Random, net: MultiLayerNetwork,
-                   max_devices: int = 10) -> list[EdgeDevice]:
+                   max_devices: int = 10, max_rsus: int = 3) -> list[EdgeDevice]:
     modes = sorted(net.modes)
     segments = sorted(net.segments)
     devices = []
     n = rng.randint(1, max_devices)
-    n_rsu = rng.randint(0, min(3, n))
+    n_rsu = rng.randint(0, min(max_rsus, n))
     for i in range(n):
         if i < n_rsu:
             devices.append(EdgeDevice(

@@ -53,8 +53,8 @@ def brute_force_route(origin, dest, prefs, state):
             rec(arc.to_node, mode, nw, cost + tt, transfers,
                 seq + (arc.segment_id,), time + tt, visited | {stt})
         mn = net.multimodal_nodes.get(node)
-        if mn is not None and mode in mn.attached_modes():
-            for m2 in sorted(mn.attached_modes()):
+        if mn is not None and mode in {m for m, _ in mn.attachments}:
+            for m2 in sorted({m for m, _ in mn.attachments}):
                 if m2 == mode or m2 not in prefs.allowed_modes:
                     continue
                 dur = mn.transfer(mode, m2) + state.wait_to_board(m2)
@@ -135,8 +135,8 @@ def reference_search(origin, dest, prefs, state):
                 ("seg", arc.segment_id, mode, arc.to_node, tt),
             )
         mn = net.multimodal_nodes.get(node)
-        if mn is not None and mode in mn.attached_modes():
-            for to_mode in sorted(mn.attached_modes()):
+        if mn is not None and mode in {m for m, _ in mn.attachments}:
+            for to_mode in sorted({m for m, _ in mn.attachments}):
                 if to_mode == mode or to_mode not in prefs.allowed_modes:
                     continue
                 duration = mn.transfer(mode, to_mode) + state.wait_to_board(to_mode)
@@ -404,6 +404,18 @@ def brute_force_relevant(w, device, policy, net, actions, now):
 
 def oracle_notified(w, devices, topology, policy, net, actions, now):
     """Brute force: the relevance set intersected with the reachable set."""
+    hops, _messages, missed = oracle_delivery(w, devices, topology, policy, net, actions, now)
+    return set(hops), missed
+
+
+def oracle_delivery(w, devices, topology, policy, net, actions, now):
+    """Brute force: (hops of each notified device, messages sent, missed).
+
+    Each relevant device is served by the reachable unit in range with the
+    least (depth, along-network distance, id); a message goes over every
+    relay tree edge on the path to a serving unit, plus one per notified
+    device.
+    """
     relevant = {
         d.device_id for d in devices
         if brute_force_relevant(w, d, policy, net, actions, now) != "none"
@@ -411,7 +423,7 @@ def oracle_notified(w, devices, topology, policy, net, actions, now):
     rsus = sorted((d for d in devices if d.role == "roadside-unit"),
                   key=lambda d: d.device_id)
     if not rsus or not relevant:
-        return set(), relevant
+        return {}, 0, relevant
 
     def event_distance(rsu):
         return min(distance_to_segment(net, rsu.position, e.segment_id)
@@ -420,6 +432,7 @@ def oracle_notified(w, devices, topology, policy, net, actions, now):
     origin = min(rsus, key=lambda r: (event_distance(r), r.device_id))
     ids = {r.device_id for r in rsus}
     depth = {origin.device_id: 0}
+    parent = {}
     frontier = [origin.device_id]
     while frontier:
         nxt = []
@@ -429,16 +442,24 @@ def oracle_notified(w, devices, topology, policy, net, actions, now):
             for v in sorted(topology.adjacency.get(u, ())):
                 if v in ids and v not in depth:
                     depth[v] = depth[u] + 1
+                    parent[v] = u
                     nxt.append(v)
         frontier = nxt
     by_id = {d.device_id: d for d in devices}
-    covered = set()
-    for did in relevant:
+    hops = {}
+    edges = set()
+    for did in sorted(relevant):
         dev = by_id[did]
+        served = []
         for rid in depth:
             rsu = by_id[rid]
             dist = position_distance(net, rsu.position, dev.position)
             if dist <= max(rsu.comm_range, dev.comm_range):
-                covered.add(did)
-                break
-    return covered, relevant - covered
+                served.append((depth[rid], dist, rid))
+        if served:
+            _depth, _dist, node = min(served)
+            hops[did] = depth[node] + 1
+            while node != origin.device_id:
+                edges.add((parent[node], node))
+                node = parent[node]
+    return hops, len(edges) + len(hops), relevant - set(hops)

@@ -28,6 +28,16 @@ def test_validate_bad_scenario(tmp_path, capsys):
     assert "missing-segment" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["abc", float("nan"), -1])
+def test_validate_rejects_bad_signal_multiplier(tmp_path, capsys, value):
+    raw = demo_scenario()
+    raw["policies"]["defaults"] = {"signal_multiplier": value}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["validate", str(bad)]) == 1
+    assert "validation error: policies.defaults: signal_multiplier" in capsys.readouterr().err
+
+
 def test_validate_unparseable_file(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{nope")

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from mitsim import dissemination
 from mitsim.adaptation import BusDiversion
 from mitsim.disturbance import SeverityMeasure
 from mitsim.dissemination import (
@@ -193,6 +194,7 @@ from oracles import (
     brute_force_node_distances,
     brute_force_relevant,
     brute_force_route,
+    oracle_delivery,
     oracle_notified,
 )
 
@@ -228,9 +230,12 @@ def test_distribute_matches_oracle_on_16_node_networks(policy):
         for d in devices:
             assert is_relevant(w, d, policy, net, actions, now).reason == reasons[d.device_id]
         record = distribute(w, devices, topology, policy, net, actions, now)
-        expected, missed = oracle_notified(w, devices, topology, policy, net, actions, now)
+        hops, messages, missed = oracle_delivery(w, devices, topology, policy, net, actions, now)
+        expected = set(hops)
         assert set(record.notified) == expected
         assert set(record.missed) == missed
+        assert record.hops == hops
+        assert record.messages_sent == messages
         assert record.reasons == dict(Counter(reasons[did] for did in expected))
         seen.update(reasons.values())
         seen["notified"] += len(expected)
@@ -239,6 +244,88 @@ def test_distribute_matches_oracle_on_16_node_networks(policy):
                                  "none", "notified", "missed")) >= 20
 
 
+
+
+@pytest.fixture
+def asked(monkeypatch):
+    """Ids of the devices ``distribute`` runs ``is_relevant`` on, in call order."""
+    calls = []
+
+    def counting(w, device, *args):
+        calls.append(device.device_id)
+        return is_relevant(w, device, *args)
+
+    monkeypatch.setattr(dissemination, "is_relevant", counting)
+    return calls
+
+
+@pytest.mark.parametrize("policy", [POLICY, TIGHT], ids=["default", "tight"])
+def test_distribute_matches_oracle_on_200_device_networks(policy, asked):
+    """Up to 200 devices of every role on networks of up to 60 nodes:
+    ``distribute`` asks ``is_relevant`` about a superset of the relevant
+    devices, in id order, and its record equals the brute-force oracle's."""
+    seen = Counter()
+    for seed in range(24):
+        rng = random.Random(76_000 + seed)
+        net = random_network(rng, max_nodes=60, max_modes=3, max_extra_segments=40)
+        devices = random_devices(rng, net, max_devices=200, max_rsus=12)
+        topology = random_topology(rng, devices)
+        w = random_warning(rng, net)
+        picked = [d.device_id for d in devices if rng.random() < 0.05]
+        actions = [Actors(w.event_id, picked), Actors("other", [d.device_id for d in devices])]
+        now = w.issue_time
+        reasons = {d.device_id: brute_force_relevant(w, d, policy, net, actions, now)
+                   for d in devices}
+        for d in devices:
+            assert is_relevant(w, d, policy, net, actions, now).reason == reasons[d.device_id]
+        asked.clear()
+        record = distribute(w, devices, topology, policy, net, actions, now)
+        assert asked == sorted(asked)
+        assert {did for did, reason in reasons.items() if reason != "none"} <= set(asked)
+        hops, messages, missed = oracle_delivery(w, devices, topology, policy, net, actions, now)
+        expected = set(hops)
+        assert set(record.notified) == expected
+        assert set(record.missed) == missed
+        assert record.hops == hops
+        assert record.messages_sent == messages
+        assert record.reasons == dict(Counter(reasons[did] for did in expected))
+        seen.update(reasons.values())
+        seen.update(d.role for d in devices)
+        seen["routeless"] += sum(d.mode is not None and d.planned_route is None
+                                 and d.destination is not None for d in devices)
+        seen["notified"] += len(expected)
+        seen["missed"] += len(missed)
+        seen["asked"] += len(asked)
+        seen["devices"] += len(devices)
+    assert min(seen[k] for k in ("trajectory-hit", "area", "adaptation-actor", "notified",
+                                 "missed", "stop-display", "signal-controller",
+                                 "routeless")) >= 20
+    assert seen["asked"] < 0.8 * seen["devices"]
+
+
+def test_distribute_asks_only_devices_the_warning_can_touch(line3, asked):
+    w = warn_on(line3, ["s0"], ["car"])
+    devices = [
+        EdgeDevice("r1", "roadside-unit", DevicePosition(node="v1"), comm_range=5000.0),
+        EdgeDevice("near", "vehicle-obu", DevicePosition(node="v1"), mode="car"),
+        EdgeDevice("bound", "vehicle-obu", DevicePosition(node="v2"), mode="car",
+                   planned_route=(("s1", 100.0), ("s0", 200.0))),
+        EdgeDevice("heading", "vehicle-obu", DevicePosition(segment="s1", offset=900.0),
+                   mode="car", destination="v0"),
+    ]
+    # Beyond the minor class's 300 m radius, on a route or a way home
+    # that avoids s0, or in another mode.
+    devices += [EdgeDevice(f"far{i}", "vehicle-obu", DevicePosition(node="v2"), mode="car",
+                           planned_route=(("s1", 100.0),)) for i in range(3)]
+    devices += [EdgeDevice(f"home{i}", "traveler-app", DevicePosition(node="v2"), mode="car",
+                           destination="v2") for i in range(3)]
+    devices.append(EdgeDevice("tram", "vehicle-obu", DevicePosition(node="v1"), mode="tram"))
+    record = distribute(w, devices, RsuTopology(), POLICY, line3, [], 0.0)
+    expected, missed = oracle_notified(w, devices, RsuTopology(), POLICY, line3, [], 0.0)
+    assert set(record.notified) == expected == {"near", "bound", "heading"}
+    assert not missed
+    assert record.reasons == {"area": 1, "trajectory-hit": 2}
+    assert asked == ["bound", "heading", "near", "r1"]
 
 
 def test_oracles_do_not_read_the_network_memo(monkeypatch):

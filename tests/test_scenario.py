@@ -52,6 +52,44 @@ def test_unknown_default_key_rejected():
         load_scenario(raw)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("patience", "abc", "policies.defaults: patience must be a number"),
+    ("patience", "600", "patience must be a number"),
+    ("patience", True, "patience must be a number"),
+    ("patience", None, "patience must be a number"),
+    ("patience", float("nan"), "policies.defaults: patience must be finite"),
+    ("police_response_delay", float("inf"), "police_response_delay must be finite"),
+    ("flow_window", float("-inf"), "flow_window must be finite"),
+    ("flow_window", 10 ** 400, "flow_window must be finite"),
+    ("signal_multiplier", float("nan"), r"signal_multiplier must be in \(0, 2\]"),
+    ("signal_multiplier", -1, r"signal_multiplier must be in \(0, 2\]"),
+    ("signal_multiplier", 0, r"signal_multiplier must be in \(0, 2\]"),
+    ("signal_multiplier", 2.5, r"signal_multiplier must be in \(0, 2\]"),
+    ("signal_multiplier", float("inf"), r"signal_multiplier must be in \(0, 2\]"),
+])
+def test_bad_default_value_rejected(key, value, message):
+    raw = demo_scenario()
+    raw["policies"]["defaults"] = {key: value}
+    with pytest.raises(ValidationError, match=message):
+        load_scenario(raw)
+
+
+@pytest.mark.parametrize("key", ["transfer_penalty", "cav_capacity"])
+def test_unread_default_keys_are_unknown(key):
+    raw = demo_scenario()
+    raw["policies"]["defaults"] = {key: 1.0}
+    with pytest.raises(ValidationError, match=f"unknown key '{key}'"):
+        load_scenario(raw)
+
+
+def test_numeric_defaults_load_as_floats():
+    raw = demo_scenario()
+    raw["policies"]["defaults"] = {"signal_multiplier": 2, "patience": 0}
+    defaults = load_scenario(raw).defaults
+    assert defaults.signal_multiplier == 2.0 and isinstance(defaults.signal_multiplier, float)
+    assert defaults.patience == 0.0
+
+
 def test_duplicate_device_rejected():
     raw = demo_scenario()
     raw["devices"].append(dict(raw["devices"][0]))
