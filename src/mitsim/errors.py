@@ -1,4 +1,5 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the number check that
+raises one for scenario input."""
 
 
 class ValidationError(ValueError):
@@ -21,3 +22,17 @@ class CodecError(ValueError):
 
 class InfeasibleError(RuntimeError):
     """A requested adaptation cannot be realized on the current network."""
+
+
+def as_float(value, where: str, key: str) -> float:
+    """``float(value)`` for the ``key`` field of the scenario entry ``where``.
+
+    A value ``float`` rejects, and an integer beyond every float, raise a
+    :class:`ValidationError` naming the entry and the field instead.
+    """
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{where}: {key} must be a number") from None
+    except OverflowError:
+        raise ValidationError(f"{where}: {key} is too large") from None

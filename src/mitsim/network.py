@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Optional, Union
 
-from .errors import ValidationError
+from .errors import ValidationError, as_float
 
 MODE_CATEGORIES = frozenset(
     {"walk", "cycle", "private-car", "cav-taxi", "bus", "tram", "metro", "train"}
@@ -501,34 +501,39 @@ def build_network(spec: Mapping) -> MultiLayerNetwork:
         if seg_id in seen_segs:
             raise ValidationError(f"duplicate segment identifier {seg_id}")
         seen_segs.add(seg_id)
+        where = f"segment {seg_id}"
         usage = tuple(
             UsageEntry(
-                mode_id=_require(u, "mode_id", f"segment {seg_id} usage"),
+                mode_id=_require(u, "mode_id", f"{where} usage"),
                 direction=u.get("direction", "both"),
-                base_capacity=float(u.get("base_capacity", 1000.0)),
-                free_flow_time=float(u.get("free_flow_time", 60.0)),
+                base_capacity=as_float(u.get("base_capacity", 1000.0), where,
+                                       "usage base_capacity"),
+                free_flow_time=as_float(u.get("free_flow_time", 60.0), where,
+                                        "usage free_flow_time"),
                 reserved=bool(u.get("reserved", False)),
                 accessible=bool(u.get("accessible", True)),
             )
-            for u in _require(raw, "usage", f"segment {seg_id}")
+            for u in _require(raw, "usage", where)
         )
         segments.append(Segment(
             segment_id=seg_id,
-            network_id=_require(raw, "network_id", f"segment {seg_id}"),
-            from_node=_require(raw, "from_node", f"segment {seg_id}"),
-            to_node=_require(raw, "to_node", f"segment {seg_id}"),
-            length=float(_require(raw, "length", f"segment {seg_id}")),
+            network_id=_require(raw, "network_id", where),
+            from_node=_require(raw, "from_node", where),
+            to_node=_require(raw, "to_node", where),
+            length=as_float(_require(raw, "length", where), where, "length"),
             usage=usage,
             seg_class=raw.get("class", "minor"),
             shared_group=raw.get("shared_group"),
         ))
     multimodal_nodes = []
-    default_transfer = float(spec.get("transfer_time_default", 120.0))
+    default_transfer = as_float(spec.get("transfer_time_default", 120.0), "network",
+                                "transfer_time_default")
     if not default_transfer >= 0:
         raise ValidationError("network: transfer_time_default must be >= 0")
     for raw in spec.get("multimodal_nodes", []):
         node_id = _require(raw, "node_id", "multimodal node")
-        attachments = frozenset(tuple(a) for a in _require(raw, "attachments", f"node {node_id}"))
+        where = f"node {node_id}"
+        attachments = frozenset(tuple(a) for a in _require(raw, "attachments", where))
         attached_modes = sorted({m for m, _ in attachments})
         transfer: dict[tuple[str, str], float] = {}
         raw_transfer = raw.get("transfer_time", {})
@@ -536,7 +541,8 @@ def build_network(spec: Mapping) -> MultiLayerNetwork:
             for b in attached_modes:
                 if a == b:
                     continue
-                transfer[(a, b)] = float(raw_transfer.get(f"{a},{b}", default_transfer))
+                transfer[(a, b)] = as_float(raw_transfer.get(f"{a},{b}", default_transfer),
+                                            where, "transfer_time")
         multimodal_nodes.append(MultimodalNode(
             node_id=node_id,
             attachments=attachments,

@@ -93,6 +93,8 @@ class SearchResult:
 
 # The plan that stays at its origin.
 _STAY = SearchResult((), ())
+# A query the search store does not hold yet.
+_UNSEEN = object()
 
 
 @dataclass(frozen=True)
@@ -168,20 +170,22 @@ def route(
     state: NetworkState,
 ) -> Optional[JourneyPlan]:
     """Minimum-generalized-cost plan, or None when no feasible plan exists."""
-    net = state.net
-    for node in (origin, dest):
-        if node not in net.nodes:
-            raise ValidationError(f"unknown node {node}")
-    for mode in prefs.allowed_modes:
-        if mode not in net.modes:
-            raise ValidationError(f"unknown mode {mode}")
-    if origin == dest:
-        return JourneyPlan(origin, dest, depart, _STAY, 0.0)
     searches = state.searches()
     query = (origin, dest, prefs)
-    if query not in searches:
-        searches[query] = _search(origin, dest, prefs, state)
-    search = searches[query]
+    search = searches.get(query, _UNSEEN)
+    if search is _UNSEEN:
+        # Only this branch writes the store, so a stored query has passed
+        # these checks against the same network.
+        net = state.net
+        for node in (origin, dest):
+            if node not in net.nodes:
+                raise ValidationError(f"unknown node {node}")
+        for mode in prefs.allowed_modes:
+            if mode not in net.modes:
+                raise ValidationError(f"unknown mode {mode}")
+        if origin == dest:
+            return JourneyPlan(origin, dest, depart, _STAY, 0.0)
+        search = searches[query] = _search(origin, dest, prefs, state)
     if search is None:
         return None
     # The same sequential adds from depart as the legs' times.

@@ -27,7 +27,7 @@ from .disturbance import (
     validate_effect_matrix,
 )
 from .dissemination import DevicePosition, EdgeDevice, RelevancePolicy, RsuTopology
-from .errors import ValidationError
+from .errors import ValidationError, as_float
 from .network import MultiLayerNetwork, build_network
 from .routing import RoutingPreferences
 from .state import CavUnit, NetworkState, PtRoute, SimDefaults, WorldState, boarding_waits
@@ -190,11 +190,11 @@ def _prefs_from(raw: Optional[Mapping], net: MultiLayerNetwork, context: str) ->
     for mode in modes:
         if mode not in net.modes:
             raise ValidationError(f"{context}: unknown mode {mode}")
+    penalty = as_float(raw.get("transfer_penalty", 0.0), context, "transfer_penalty")
+    max_walk = as_float(raw.get("max_walk", float("inf")), context, "max_walk")
     try:
         return RoutingPreferences(
-            allowed_modes=modes,
-            transfer_penalty=float(raw.get("transfer_penalty", 0.0)),
-            max_walk=float(raw.get("max_walk", float("inf"))),
+            allowed_modes=modes, transfer_penalty=penalty, max_walk=max_walk,
         )
     except ValidationError as exc:
         raise ValidationError(f"{context}: {exc}") from None
@@ -202,22 +202,25 @@ def _prefs_from(raw: Optional[Mapping], net: MultiLayerNetwork, context: str) ->
 
 def _device_from_spec(spec: Mapping, net: MultiLayerNetwork) -> EdgeDevice:
     device_id = spec["device_id"]
+    where = f"device {device_id}"
     pos_raw = spec.get("position")
     if not isinstance(pos_raw, Mapping):
-        raise ValidationError(f"device {device_id}: missing position")
+        raise ValidationError(f"{where}: missing position")
     if "node" in pos_raw:
         position = DevicePosition(node=pos_raw["node"])
     else:
         position = DevicePosition(
-            segment=pos_raw.get("segment"), offset=float(pos_raw.get("offset", 0.0))
+            segment=pos_raw.get("segment"),
+            offset=as_float(pos_raw.get("offset", 0.0), where, "position offset"),
         )
     planned = spec.get("planned_route")
-    planned_route = tuple((s, float(t)) for s, t in planned) if planned else None
+    planned_route = (tuple((s, as_float(t, where, "planned_route time")) for s, t in planned)
+                     if planned else None)
     return EdgeDevice(
         device_id=device_id,
         role=spec["role"],
         position=position,
-        comm_range=float(spec.get("comm_range", 0.0)),
+        comm_range=as_float(spec.get("comm_range", 0.0), where, "comm_range"),
         planned_route=planned_route,
         mode=spec.get("mode"),
         destination=spec.get("destination"),
@@ -233,7 +236,7 @@ def load_scenario(raw: Mapping) -> Scenario:
     seed = raw["seed"]
     if not isinstance(seed, int):
         raise ValidationError("scenario: seed must be an integer")
-    end_time = float(raw["end_time"])
+    end_time = as_float(raw["end_time"], "scenario", "end_time")
     if not end_time > 0:
         raise ValidationError("scenario: end_time must be > 0")
 
@@ -264,11 +267,12 @@ def load_scenario(raw: Mapping) -> Scenario:
     demand_raw = raw.get("demand") or {}
     trips: list[TripSpec] = []
     for i, t in enumerate(demand_raw.get("trips", [])):
-        prefs = _prefs_from(t.get("prefs"), net, f"demand trip {i}")
+        where = f"demand trip {i}"
+        prefs = _prefs_from(t.get("prefs"), net, where)
         for node in (t["origin"], t["dest"]):
             if node not in net.nodes:
-                raise ValidationError(f"demand trip {i}: unknown node {node}")
-        depart = float(t["depart"])
+                raise ValidationError(f"{where}: unknown node {node}")
+        depart = as_float(t["depart"], where, "depart")
         if depart < 0 or depart >= end_time:
             raise ValidationError(f"demand trip {i}: depart outside [0, end_time)")
         trips.append(TripSpec(
@@ -277,11 +281,12 @@ def load_scenario(raw: Mapping) -> Scenario:
         ))
     arrivals: list[ArrivalSpec] = []
     for i, a in enumerate(demand_raw.get("arrivals", [])):
-        prefs = _prefs_from(a.get("prefs"), net, f"demand arrivals {i}")
+        where = f"demand arrivals {i}"
+        prefs = _prefs_from(a.get("prefs"), net, where)
         for node in (a["origin"], a["dest"]):
             if node not in net.nodes:
-                raise ValidationError(f"demand arrivals {i}: unknown node {node}")
-        rate = float(a["rate_per_hour"])
+                raise ValidationError(f"{where}: unknown node {node}")
+        rate = as_float(a["rate_per_hour"], where, "rate_per_hour")
         if not math.isfinite(rate):
             raise ValidationError(f"demand arrivals {i}: rate must be finite")
         if rate < 0:
@@ -289,8 +294,8 @@ def load_scenario(raw: Mapping) -> Scenario:
         if rate > 0 and rate / 3600.0 == 0.0:
             raise ValidationError(f"demand arrivals {i}: rate is 0 per second")
         # end = +inf is fine: the stream stops at end_time.
-        start = float(a.get("start", 0.0))
-        end = float(a.get("end", end_time))
+        start = as_float(a.get("start", 0.0), where, "start")
+        end = as_float(a.get("end", end_time), where, "end")
         if not (math.isfinite(start) and start >= 0):
             raise ValidationError(f"demand arrivals {i}: start must be finite and >= 0")
         if math.isnan(end):
@@ -303,7 +308,7 @@ def load_scenario(raw: Mapping) -> Scenario:
     # without_event stay in the scenario and simply never apply.
     ev_modifiers: list[EvModifier] = []
     for i, m in enumerate(demand_raw.get("ev_modifiers", [])):
-        multiplier = float(m["multiplier"])
+        multiplier = as_float(m["multiplier"], f"demand ev_modifiers {i}", "multiplier")
         if not (math.isfinite(multiplier) and multiplier >= 0):
             raise ValidationError(
                 f"demand ev_modifiers {i}: multiplier must be finite and >= 0")
@@ -330,26 +335,29 @@ def load_scenario(raw: Mapping) -> Scenario:
         for node in e.get("nodes", []):
             if node not in net.nodes:
                 raise ValidationError(f"event {event_id}: unknown node {node}")
+        where = f"event {event_id}"
         sev_raw = e.get("severity") or {}
         severity = SeverityMeasure(
             capacity_reduction=(None if "capacity_reduction" not in sev_raw
-                                else float(sev_raw["capacity_reduction"])),
+                                else as_float(sev_raw["capacity_reduction"], where,
+                                              "severity capacity_reduction")),
             lanes_affected=(None if "lanes_affected" not in sev_raw
                             else int(sev_raw["lanes_affected"])),
             severity_index=(None if "severity_index" not in sev_raw
                             else int(sev_raw["severity_index"])),
             displaced_volume=(None if "displaced_volume" not in sev_raw
-                              else float(sev_raw["displaced_volume"])),
+                              else as_float(sev_raw["displaced_volume"], where,
+                                            "severity displaced_volume")),
         )
-        estimated = float(e["estimated_duration"])
+        estimated = as_float(e["estimated_duration"], where, "estimated_duration")
         event = DisturbanceEvent(
             event_id=event_id,
             kind=e["kind"],
             segments=expanded,
             nodes=tuple(sorted(e.get("nodes", []))),
-            start=float(e["start"]),
+            start=as_float(e["start"], where, "start"),
             estimated_duration=estimated,
-            true_duration=float(e.get("true_duration", estimated)),
+            true_duration=as_float(e.get("true_duration", estimated), where, "true_duration"),
             severity=severity,
             specifics=dict(e.get("specifics", {})),
         )
@@ -379,11 +387,14 @@ def load_scenario(raw: Mapping) -> Scenario:
         DetectionSource(
             source_kind=s["source_kind"],
             applicable_kinds=frozenset(s["applicable_kinds"]),
-            detect_probability=float(s["detect_probability"]),
-            latency_min=float(s.get("latency_min", 0.0)),
-            latency_max=float(s.get("latency_max", 0.0)),
+            detect_probability=as_float(s["detect_probability"], f"detection source {i}",
+                                        "detect_probability"),
+            latency_min=as_float(s.get("latency_min", 0.0), f"detection source {i}",
+                                 "latency_min"),
+            latency_max=as_float(s.get("latency_max", 0.0), f"detection source {i}",
+                                 "latency_max"),
         )
-        for s in raw.get("detection_sources", [])
+        for i, s in enumerate(raw.get("detection_sources", []))
     )
 
     # devices (validated by building them once)
@@ -426,7 +437,7 @@ def load_scenario(raw: Mapping) -> Scenario:
                     raise ValidationError(
                         f"device {device.device_id}: unknown trip node {node}"
                     )
-            depart = float(trip_raw["depart"])
+            depart = as_float(trip_raw["depart"], f"device {device.device_id}", "trip depart")
             if depart < 0 or depart >= end_time:
                 raise ValidationError(
                     f"device {device.device_id}: trip depart outside [0, end_time)"
@@ -435,13 +446,14 @@ def load_scenario(raw: Mapping) -> Scenario:
     # policies
     pol = raw.get("policies") or {}
     rel_raw = pol.get("relevance", {})
+    radius_raw = rel_raw.get("area_radius", {})
     policy = RelevancePolicy(
-        horizon=float(rel_raw.get("horizon", 1800.0)),
+        horizon=as_float(rel_raw.get("horizon", 1800.0), "policies.relevance", "horizon"),
         area_radius={
-            "critical": float(rel_raw.get("area_radius", {}).get("critical", 5000.0)),
-            "major": float(rel_raw.get("area_radius", {}).get("major", 2000.0)),
-            "inferior": float(rel_raw.get("area_radius", {}).get("inferior", 800.0)),
-            "minor": float(rel_raw.get("area_radius", {}).get("minor", 300.0)),
+            level: as_float(radius_raw.get(level, default), "policies.relevance",
+                            f"area_radius {level}")
+            for level, default in (("critical", 5000.0), ("major", 2000.0),
+                                   ("inferior", 800.0), ("minor", 300.0))
         },
         include_adaptation_actors=bool(rel_raw.get("include_adaptation_actors", True)),
     )
@@ -487,7 +499,8 @@ def load_scenario(raw: Mapping) -> Scenario:
         for stop in stops:
             if stop not in net.nodes:
                 raise ValidationError(f"pt route {route_id}: unknown stop {stop}")
-        headway = float(r.get("headway", defaults.default_headway))
+        headway = as_float(r.get("headway", defaults.default_headway),
+                           f"pt route {route_id}", "headway")
         if not headway > 0:
             raise ValidationError(f"pt route {route_id}: headway must be > 0")
         pt_routes.append(PtRoute(

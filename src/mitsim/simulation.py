@@ -24,7 +24,7 @@ from typing import Optional
 from . import adaptation, dissemination
 from .adaptation import PoliceNotification, plan as plan_actions
 from .disturbance import DisturbanceEvent, detect, direct_effects, escalate
-from .dissemination import DevicePosition, DisseminationRecord
+from .dissemination import DevicePosition, DisseminationRecord, EdgeDevice
 from .errors import ValidationError
 from .messages import WarningStore, encode, make_warning
 from .routing import evaluate_moves, plan_to_moves, route
@@ -136,8 +136,8 @@ def _round6(x):
 
 def _canon(obj):
     """A copy of ``obj`` with floats rounded to 6 decimals and tuples made
-    lists, as the log lines and metrics print them.  Leaves are handled
-    inline, so only containers cost a recursive call."""
+    lists, as ``metrics.json`` prints them.  Leaves are handled inline, so
+    only containers cost a recursive call."""
     if isinstance(obj, dict):
         out = {}
         for k, v in obj.items():
@@ -159,11 +159,51 @@ def _canon(obj):
     return _round6(obj)
 
 
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_ascii = json.encoder.encode_basestring_ascii
+_NO_T = object()
 
 
-def _json_line(record: dict) -> str:
-    return _ENCODER.encode(_canon(record))
+def _json(value) -> str:
+    """``value`` as the log lines print it: ``json.dumps`` of its
+    ``_canon`` copy with ``separators=(",", ":")``, built in one pass."""
+    if isinstance(value, str):
+        return _ascii(value)
+    if isinstance(value, float):
+        if value - value == 0.0:  # finite
+            return repr(round(value, 6))
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        return _json_line(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join([_json(v) for v in value]) + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_line(record: dict, t=_NO_T) -> str:
+    """``record`` as one JSON object (string keys only), led by ``"t": t``
+    when ``t`` is given; as in ``{"t": t, **record}``, a record's own
+    ``"t"`` then takes that first place."""
+    parts = []
+    sep = "{"
+    if t is not _NO_T:
+        if "t" in record:
+            t = record["t"]
+            record = {k: v for k, v in record.items() if k != "t"}
+        parts += ('{"t":', _json(t))
+        sep = ","
+    for k, v in record.items():
+        parts += (sep, _ascii(k), ":", _json(v))
+        sep = ","
+    parts.append("}" if parts else "{}")
+    return "".join(parts)
 
 
 class _Sim:
@@ -197,7 +237,7 @@ class _Sim:
         self.seq += 1
 
     def log(self, t: float, record: dict) -> None:
-        self.event_log.append(_json_line({"t": t, **record}))
+        self.event_log.append(_json_line(record, t))
 
     # -- setup ----------------------------------------------------------------
 
@@ -279,17 +319,8 @@ class _Sim:
 
     # -- movement --------------------------------------------------------------
 
-    def _device(self, tv: Traveler):
+    def _device(self, tv: Traveler) -> Optional[EdgeDevice]:
         return self.world.devices.get(tv.device_id) if tv.device_id else None
-
-    def _update_device_route(self, tv: Traveler, t: float) -> None:
-        device = self._device(tv)
-        if device is None:
-            return
-        evaluated = evaluate_moves(tv.node, t, tv.moves, self.world.overlay)
-        if evaluated is not None:
-            etas = [(seg, enter) for seg, enter, _exit, _to in evaluated[1]]
-            device.planned_route = tuple(etas) or None
 
     def _adopt(self, tv: Traveler, plan, t: float) -> None:
         tv.moves = plan_to_moves(plan)
@@ -312,7 +343,8 @@ class _Sim:
         if candidate is not None and candidate.arrival < evaluated[0]:
             self._adopt(tv, candidate, t)
 
-    def _advance(self, tv: Traveler, t: float) -> None:
+    def _advance(self, tv: Traveler, t: float, device: Optional[EdgeDevice]) -> None:
+        """Starts ``tv``'s next move at ``t``; ``device`` is ``tv``'s, or None."""
         if tv.status in ("completed", "abandoned"):
             return
         tv.status = "moving"
@@ -331,7 +363,6 @@ class _Sim:
                 tv.moves.pop(0)
                 _, node, _from_mode, to_mode, duration = move
                 tv.mode = to_mode
-                device = self._device(tv)
                 if device is not None:
                     device.mode = to_mode
                 self.schedule(t + duration, "arrive", (tv.tid, node))
@@ -347,7 +378,6 @@ class _Sim:
                 continue
             tv.moves.pop(0)
             tv.mode = mode
-            device = self._device(tv)
             if device is not None:
                 device.mode = mode
             self.world.record_flow(t, seg_id, mode)
@@ -382,8 +412,7 @@ class _Sim:
             self.schedule(t, "retry", (tid,))
 
     def _refresh_positions(self, now: float) -> None:
-        for tid in sorted(self.travelers):
-            tv = self.travelers[tid]
+        for tv in self.by_device.values():
             device = self._device(tv)
             if device is None or tv.current is None or tv.status != "moving":
                 continue
@@ -404,7 +433,7 @@ class _Sim:
         tv.node = tv.origin
         self.log(t, {"type": "spawn", "traveler": tid, "origin": tv.origin,
                      "dest": tv.dest})
-        self._advance(tv, t)
+        self._advance(tv, t, self._device(tv))
 
     def handle_arrive(self, t: float, tid: str, node: str) -> None:
         tv = self.travelers[tid]
@@ -415,15 +444,18 @@ class _Sim:
         device = self._device(tv)
         if device is not None:
             device.position = DevicePosition(node=node)
-            self._update_device_route(tv, t)
-        self._advance(tv, t)
+            evaluated = evaluate_moves(node, t, tv.moves, self.world.overlay)
+            if evaluated is not None:
+                etas = [(seg, enter) for seg, enter, _exit, _to in evaluated[1]]
+                device.planned_route = tuple(etas) or None
+        self._advance(tv, t, device)
 
     def handle_retry(self, t: float, tid: str) -> None:
         tv = self.travelers[tid]
         if tv.status != "waiting":
             return
         self.waiting.discard(tid)
-        self._advance(tv, t)
+        self._advance(tv, t, self._device(tv))
 
     def handle_patience(self, t: float, tid: str, version: int) -> None:
         tv = self.travelers[tid]
@@ -540,7 +572,7 @@ class _Sim:
     def handle_retry_flagged(self, t: float, tid: str) -> None:
         tv = self.travelers[tid]
         if tv.status == "moving" and tv.current is None and tv.node is not None:
-            self._advance(tv, t)
+            self._advance(tv, t, self._device(tv))
 
     def handle_escalate(self, t: float, event_id: str, trigger: str) -> None:
         event = self.events[event_id]

@@ -110,3 +110,19 @@ def test_compare_writes_report(demo_path, tmp_path):
     assert report["relevance_recall"] == 1.0
     for mode in ("no_adapt", "broadcast", "targeted"):
         assert (out / mode / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda raw: raw.update(end_time="abc"),
+    lambda raw: raw["network"]["segments"][0].update(length="abc"),
+    lambda raw: raw["demand"]["trips"].append({"origin": "a1", "dest": "b1", "depart": "abc"}),
+    lambda raw: raw.update(end_time=10 ** 400),
+], ids=["end_time", "segment-length", "trip-depart", "huge-int"])
+def test_validate_rejects_a_non_number(tmp_path, capsys, edit):
+    raw = demo_scenario()
+    edit(raw)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["validate", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and "Traceback" not in err

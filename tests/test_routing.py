@@ -57,6 +57,26 @@ def test_unknown_node_rejected(line3):
         route("v0", "nowhere", 0.0, RoutingPreferences(frozenset({"car"})), state)
 
 
+def test_warm_store_still_checks_nodes_and_modes(line3):
+    """route() reads the search store first; queries it does not hold are
+    checked as on a cold store and are never stored."""
+    state = NetworkState(line3)
+    prefs = RoutingPreferences(frozenset({"car"}))
+    for origin, dest in (("v0", "v2"), ("v2", "v0"), ("v1", "v2")):
+        assert route(origin, dest, 0.0, prefs, state) is not None
+    stored = dict(state.searches())
+    assert len(stored) == 3
+    for origin, dest in (("nowhere", "v2"), ("v0", "nowhere"), ("nowhere", "nowhere")):
+        with pytest.raises(ValidationError, match="unknown node nowhere"):
+            route(origin, dest, 0.0, prefs, state)
+    with pytest.raises(ValidationError, match="unknown mode tram"):
+        route("v0", "v2", 0.0, RoutingPreferences(frozenset({"car", "tram"})), state)
+    stay = route("v2", "v2", 50.0, prefs, state)
+    assert stay.total_cost == 0.0 and stay.arrival == 50.0 and stay.legs == ()
+    assert state.searches() == stored
+    assert route("v0", "v2", 50.0, prefs, state).search is stored[("v0", "v2", prefs)]
+
+
 def test_blocked_segment_impassable(line3):
     state = NetworkState(line3)
     state.add_contribution(Contribution(

@@ -357,3 +357,52 @@ def test_zero_costs_and_an_unbounded_walk_load():
     raw["network"]["transfer_time_default"] = 0.0
     raw["policies"]["defaults"] = {"cav_boarding_wait": 0.0, "default_headway": 0.0}
     load_scenario(raw)
+
+
+def _device(raw, device_id):
+    return next(d for d in raw["devices"] if d["device_id"] == device_id)
+
+
+def _segment(raw):
+    return next(s for s in raw["network"]["segments"] if s["segment_id"] == "R1")
+
+
+NUMBER_FIELDS = {
+    "end_time": (lambda raw, v: raw.update(end_time=v), "scenario: end_time"),
+    "segment length": (lambda raw, v: _segment(raw).update(length=v), "segment R1: length"),
+    "usage free_flow_time": (lambda raw, v: _segment(raw)["usage"][0].update(free_flow_time=v),
+                             "segment R1: usage free_flow_time"),
+    "transfer time": (_multimodal_transfer, "node a1: transfer_time"),
+    "trip depart": (lambda raw, v: raw["demand"]["trips"].append(
+        {"origin": "a1", "dest": "b1", "depart": v}), "demand trip 0: depart"),
+    "device trip depart": (lambda raw, v: _device(raw, "veh1")["trip"].update(depart=v),
+                           "device veh1: trip depart"),
+    "trip max_walk": (lambda raw, v: _device_trip_prefs(raw, max_walk=v),
+                      "device veh1 trip: max_walk"),
+    "arrival rate": (lambda raw, v: raw["demand"]["arrivals"][0].update(rate_per_hour=v),
+                     "demand arrivals 0: rate_per_hour"),
+    "event start": (lambda raw, v: raw["disturbances"][0].update(start=v),
+                    "event bridge-crash: start"),
+    "comm_range": (lambda raw, v: _device(raw, "rsu_a").update(comm_range=v),
+                   "device rsu_a: comm_range"),
+    "detect_probability": (lambda raw, v: raw["detection_sources"][0].update(
+        detect_probability=v), "detection source 0: detect_probability"),
+    "area radius": (lambda raw, v: raw["policies"]["relevance"]["area_radius"].update(major=v),
+                    "policies.relevance: area_radius major"),
+    "headway": (_headway, "pt route Met1: headway"),
+}
+
+
+@pytest.mark.parametrize("value, problem", [
+    ("abc", "must be a number"),
+    (None, "must be a number"),
+    ([1], "must be a number"),
+    (10 ** 400, "is too large"),  # a JSON integer beyond every float
+], ids=["string", "null", "list", "huge-int"])
+@pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
+def test_non_number_rejected_naming_the_entry(field, value, problem):
+    edit, entry = NUMBER_FIELDS[field]
+    raw = demo_scenario()
+    edit(raw, value)
+    with pytest.raises(ValidationError, match=f"^{entry} {problem}$"):
+        load_scenario(raw)

@@ -1,5 +1,6 @@
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from mitsim.simulation import (
     MODE_TARGETED,
     _canon,
     _json_line,
+    _Sim,
     compare,
     ground_truth_affected,
     run,
@@ -509,7 +511,13 @@ LOG_FLOATS = st.one_of(
                      float("nan"), float("inf"), float("-inf"), 0.1 + 0.2, 2.5e-6]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
-LOG_TEXT = st.text(alphabet=st.characters(min_codepoint=0, max_codepoint=0x2FFF), max_size=8)
+# Every code point, lone surrogates included; astral ones print as
+# surrogate-pair escapes.
+LOG_TEXT = st.one_of(
+    st.text(alphabet=st.characters(exclude_categories=()), max_size=8),
+    st.sampled_from(["\U00010000", "a\U0001F600b", "\U0010FFFF", "\ud83d", "\ud83d\ude00",
+                     "\x00\x1f\x7f\"\\", "\u2028\u2029", "t"]),
+)
 LOG_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), LOG_FLOATS, LOG_TEXT)
 LOG_VALUES = st.recursive(
     LOG_SCALARS,
@@ -527,4 +535,18 @@ def test_log_line_equals_dumps_of_the_rounded_copy(record):
     expected = brute_force_canon(record)
     assert repr(_canon(record)) == repr(expected)
     assert _json_line(record) == json.dumps(expected, separators=(",", ":"))
+    assert repr(record) == before
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(LOG_FLOATS, st.integers()),
+       st.dictionaries(st.one_of(st.just("t"), LOG_TEXT), LOG_VALUES, max_size=6))
+def test_event_log_line_equals_dumps_of_the_merged_record(t, record):
+    """An event line is the record led by "t", as ``{"t": t, **record}``
+    prints: a record's own "t" value takes the first place."""
+    before = repr(record)
+    sim = SimpleNamespace(event_log=[])
+    _Sim.log(sim, t, record)
+    expected = brute_force_canon({"t": t, **record})
+    assert sim.event_log == [json.dumps(expected, separators=(",", ":"))]
     assert repr(record) == before
