@@ -7,11 +7,15 @@ Generates ``city-commute`` and ``city-compare`` with ``perfbench/grid_city.py``
 and runs each workload's entry point (targeted ``run`` or ``compare``) in
 this process.  One run counts the event-log lines written (``_Sim.log``),
 the ``arrive`` events handled (``_Sim.handle_arrive``), the ``route()``
-calls and how many of them the search store already held; counts repeat
+calls and how many of them the search store already held, and the entries
+``setup`` scheduled (``setup_entries``, summed over the workload's runs);
+``heap_len_median`` is the median length of the heap of entries scheduled
+during the run, read as each entry reaches its handler.  Counts repeat
 exactly.  Then ``--repeat`` runs, each on a freshly loaded scenario, time
-every ``_Sim.log`` call (``time.perf_counter``, no reference scaling);
-``log_line_us`` is the median over those runs of the mean microseconds per
-line.
+every ``_Sim.log`` call, and ``--repeat`` more every ``_Sim.handle_arrive``
+call (``time.perf_counter``, no reference scaling); ``log_line_us`` and
+``arrive_us`` are the medians over those runs of the mean microseconds per
+call.
 
 Writes the report to ``--out`` (default: ``BENCH_events.json`` at the repo
 root) and prints it.  Stdlib only; not part of any gate.
@@ -55,54 +59,91 @@ def _patch_route(replacement) -> list:
     return modules
 
 
+def _patch_handlers(before) -> dict:
+    """Wraps every ``_Sim.handle_*`` so that ``before(sim, name)`` runs
+    first; returns the originals by name."""
+    originals = {name: getattr(simulation._Sim, name) for name in dir(simulation._Sim)
+                 if name.startswith("handle_")}
+
+    def wrapped(name, handler):
+        def call(self, *args):
+            before(self, name)
+            return handler(self, *args)
+        return call
+
+    for name, handler in originals.items():
+        setattr(simulation._Sim, name, wrapped(name, handler))
+    return originals
+
+
 def count(workload: str, seed: int) -> dict:
-    """One run of ``workload`` with log lines, arrivals and routes counted."""
-    counts = {"log_lines": 0, "arrive_events": 0, "route_calls": 0, "store_hits": 0}
-    log, handle_arrive, route = simulation._Sim.log, simulation._Sim.handle_arrive, routing.route
+    """One run of ``workload`` with log lines, arrivals, routes, setup
+    entries and heap lengths counted."""
+    counts = {"log_lines": 0, "arrive_events": 0, "route_calls": 0, "store_hits": 0,
+              "setup_entries": 0}
+    heap_lens: list[int] = []
+    log, setup, route = simulation._Sim.log, simulation._Sim.setup, routing.route
 
     def counted_log(self, t, record):
         counts["log_lines"] += 1
         log(self, t, record)
 
-    def counted_arrive(self, *args):
-        counts["arrive_events"] += 1
-        handle_arrive(self, *args)
+    def counted_setup(self):
+        setup(self)
+        counts["setup_entries"] += len(self.setup_entries)
 
     def counted_route(origin, dest, depart, prefs, state):
         counts["route_calls"] += 1
         counts["store_hits"] += (origin, dest, prefs) in state.searches()
         return route(origin, dest, depart, prefs, state)
 
-    simulation._Sim.log, simulation._Sim.handle_arrive = counted_log, counted_arrive
+    def before_handler(sim, name):
+        heap_lens.append(len(sim.heap))
+        counts["arrive_events"] += name == "handle_arrive"
+
+    simulation._Sim.log, simulation._Sim.setup = counted_log, counted_setup
+    handlers = _patch_handlers(before_handler)
     patched = _patch_route(counted_route)
     try:
         run_workload(workload, seed)
     finally:
-        simulation._Sim.log, simulation._Sim.handle_arrive = log, handle_arrive
+        simulation._Sim.log, simulation._Sim.setup = log, setup
+        for name, handler in handlers.items():
+            setattr(simulation._Sim, name, handler)
         for module in patched:
             module.route = route
+    counts["heap_len_median"] = statistics.median(heap_lens)
     return counts
 
 
-def log_seconds(workload: str, seed: int) -> tuple[float, int]:
-    """Plain seconds spent in ``_Sim.log`` during one run, and its calls."""
+def timed_seconds(workload: str, seed: int, method: str) -> tuple[float, int]:
+    """Plain seconds spent in ``_Sim.<method>`` during one run, and its calls."""
     total = [0.0, 0]
-    log = simulation._Sim.log
+    original = getattr(simulation._Sim, method)
 
-    def timed_log(self, t, record):
+    def timed(self, *args):
         start = time.perf_counter()
         try:
-            log(self, t, record)
+            original(self, *args)
         finally:
             total[0] += time.perf_counter() - start
             total[1] += 1
 
-    simulation._Sim.log = timed_log
+    setattr(simulation._Sim, method, timed)
     try:
         run_workload(workload, seed)
     finally:
-        simulation._Sim.log = log
+        setattr(simulation._Sim, method, original)
     return total[0], total[1]
+
+
+def per_call_us(workload: str, seed: int, method: str, repeat: int, calls: int) -> float:
+    """Median over ``repeat`` runs of the mean microseconds per
+    ``_Sim.<method>`` call; every run must make ``calls`` calls."""
+    runs = [timed_seconds(workload, seed, method) for _ in range(repeat)]
+    if any(n != calls for _seconds, n in runs):
+        raise RuntimeError(f"{workload}: {method} call counts differ between runs")
+    return round(1e6 * statistics.median(seconds / n for seconds, n in runs), 3)
 
 
 def main() -> int:
@@ -120,11 +161,10 @@ def main() -> int:
     }
     for workload in grid_city.WORKLOADS:
         out = count(workload, args.seed)
-        runs = [log_seconds(workload, args.seed) for _ in range(args.repeat)]
-        if any(lines != out["log_lines"] for _seconds, lines in runs):
-            raise RuntimeError(f"{workload}: log line counts differ between runs")
-        per_line = statistics.median(seconds / lines for seconds, lines in runs)
-        out["log_line_us"] = round(1e6 * per_line, 3)
+        out["log_line_us"] = per_call_us(workload, args.seed, "log", args.repeat,
+                                         out["log_lines"])
+        out["arrive_us"] = per_call_us(workload, args.seed, "handle_arrive", args.repeat,
+                                       out["arrive_events"])
         report["workloads"][workload] = out
     text = json.dumps(report, indent=2, sort_keys=True)
     args.out.write_text(text + "\n", encoding="utf-8")

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
-from .errors import ValidationError
+from .errors import ValidationError, as_float
 from .network import MultiLayerNetwork
 
 DISTURBANCE_KINDS = (
@@ -82,6 +82,9 @@ class DisturbanceEvent:
     ``specifics`` holds case data such as ``partial_blockage``,
     ``reserved_lane_hit``, ``details_at`` (when an unplanned work zone gets
     registry backing), ``registered_duration``, or ``expected_visitors``.
+    ``details_at`` is also read into the number :attr:`details_at` when the
+    event is built, so a value that is no number fails there, naming the
+    event.
     """
 
     event_id: str
@@ -93,8 +96,12 @@ class DisturbanceEvent:
     severity: SeverityMeasure
     nodes: tuple[str, ...] = ()
     specifics: Mapping[str, object] = field(default_factory=dict)
+    details_at: Optional[float] = field(default=None, init=False)
 
     def __post_init__(self):
+        if "details_at" in self.specifics:
+            object.__setattr__(self, "details_at", as_float(
+                self.specifics["details_at"], f"event {self.event_id}", "details_at"))
         if self.kind not in DISTURBANCE_KINDS:
             raise ValidationError(f"event {self.event_id}: unknown kind {self.kind!r}")
         if not self.segments:

@@ -1,5 +1,5 @@
-"""Exception types shared across the simulator, and the number check that
-raises one for scenario input."""
+"""Exception types shared across the simulator, and the number checks that
+raise one for scenario input."""
 
 
 class ValidationError(ValueError):
@@ -36,3 +36,16 @@ def as_float(value, where: str, key: str) -> float:
         raise ValidationError(f"{where}: {key} must be a number") from None
     except OverflowError:
         raise ValidationError(f"{where}: {key} is too large") from None
+
+
+def as_int(value, where: str, key: str) -> int:
+    """``int(value)`` for the ``key`` field of the scenario entry ``where``.
+
+    A value ``int`` rejects (text that is no integer, null, a list, an
+    infinite or NaN float) raises a :class:`ValidationError` naming the
+    entry and the field instead.
+    """
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{where}: {key} must be an integer") from None

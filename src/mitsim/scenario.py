@@ -27,7 +27,7 @@ from .disturbance import (
     validate_effect_matrix,
 )
 from .dissemination import DevicePosition, EdgeDevice, RelevancePolicy, RsuTopology
-from .errors import ValidationError, as_float
+from .errors import ValidationError, as_float, as_int
 from .network import MultiLayerNetwork, build_network
 from .routing import RoutingPreferences
 from .state import CavUnit, NetworkState, PtRoute, SimDefaults, WorldState, boarding_waits
@@ -277,7 +277,7 @@ def load_scenario(raw: Mapping) -> Scenario:
             raise ValidationError(f"demand trip {i}: depart outside [0, end_time)")
         trips.append(TripSpec(
             origin=t["origin"], dest=t["dest"], depart=depart,
-            count=int(t.get("count", 1)), prefs=prefs,
+            count=as_int(t.get("count", 1), where, "count"), prefs=prefs,
         ))
     arrivals: list[ArrivalSpec] = []
     for i, a in enumerate(demand_raw.get("arrivals", [])):
@@ -342,9 +342,11 @@ def load_scenario(raw: Mapping) -> Scenario:
                                 else as_float(sev_raw["capacity_reduction"], where,
                                               "severity capacity_reduction")),
             lanes_affected=(None if "lanes_affected" not in sev_raw
-                            else int(sev_raw["lanes_affected"])),
+                            else as_int(sev_raw["lanes_affected"], where,
+                                        "severity lanes_affected")),
             severity_index=(None if "severity_index" not in sev_raw
-                            else int(sev_raw["severity_index"])),
+                            else as_int(sev_raw["severity_index"], where,
+                                        "severity severity_index")),
             displaced_volume=(None if "displaced_volume" not in sev_raw
                               else as_float(sev_raw["displaced_volume"], where,
                                             "severity displaced_volume")),
@@ -475,7 +477,8 @@ def load_scenario(raw: Mapping) -> Scenario:
         tmp.setdefault(a, set()).add(b)
         tmp.setdefault(b, set()).add(a)
     adjacency = {k: frozenset(v) for k, v in tmp.items()}
-    topology = RsuTopology(adjacency=adjacency, max_hops=int(pol.get("max_hops", 8)))
+    topology = RsuTopology(adjacency=adjacency,
+                           max_hops=as_int(pol.get("max_hops", 8), "policies", "max_hops"))
 
     pt_routes = []
     seen_routes: set[str] = set()

@@ -6,16 +6,20 @@ replan -> expiry restores the overlay.  Travelers execute their plans
 segment by segment; they replan only when warned, when they run into a
 blocked segment, or when woken after waiting.
 
-Everything is driven by a single priority queue ordered by (time,
-insertion sequence), and all randomness flows from named substreams of the
-scenario seed (one per detection event, one per demand entry), so a run is
-a pure function of (scenario, seed): repeated runs produce byte-identical
-logs, and removing one event does not perturb the draws of the others.
+Entries run in (time, scheduling order).  Those ``setup`` schedules wait in
+one list sorted that way, the rest in a heap, and ``run`` takes the smaller
+of the two next entries; every setup entry was scheduled before any
+run-time entry, so this merge yields a single heap's order, ties included.
+All randomness flows from named substreams of the scenario seed (one per
+detection event, one per demand entry), so a run is a pure function of
+(scenario, seed): repeated runs produce byte-identical logs, and removing
+one event does not perturb the draws of the others.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -216,8 +220,9 @@ class _Sim:
         self.pristine = NetworkState(
             self.net, boarding_wait=self.world.overlay.boarding_wait
         )
-        self.heap: list[tuple] = []
-        self.seq = 0
+        self.heap: list[tuple] = []  # entries scheduled during the run
+        self.setup_entries: list[tuple] = []  # setup's, sorted, next one last
+        self._seq = itertools.count()
         self.event_log: list[str] = []
         self.warning_log: list[str] = []
         self.action_log: list[str] = []
@@ -233,8 +238,7 @@ class _Sim:
     # -- infrastructure -------------------------------------------------------
 
     def schedule(self, t: float, kind: str, payload: tuple) -> None:
-        heapq.heappush(self.heap, (t, self.seq, kind, payload))
-        self.seq += 1
+        heapq.heappush(self.heap, (t, next(self._seq), kind, payload))
 
     def log(self, t: float, record: dict) -> None:
         self.event_log.append(_json_line(record, t))
@@ -264,8 +268,8 @@ class _Sim:
                                   (event.event_id, detect_time, source))
                 else:
                     self.metrics.detection[event.event_id] = None
-                if event.kind == "D3" and "details_at" in event.specifics:
-                    self.schedule(float(event.specifics["details_at"]),
+                if event.kind == "D3" and event.details_at is not None:
+                    self.schedule(event.details_at,
                                   "escalate", (event.event_id, "details"))
                 if event.kind == "D4":
                     self.schedule(
@@ -274,6 +278,8 @@ class _Sim:
                     )
                 if event.true_end > event.estimated_end:
                     self.schedule(event.estimated_end, "revise", (event.event_id,))
+        self.setup_entries = sorted(self.heap, reverse=True)
+        self.heap = []
 
     def _arrival_times(self, entry) -> list[float]:
         if entry.rate_per_hour <= 0:
@@ -315,7 +321,7 @@ class _Sim:
         self.travelers[tid] = tv
         if device_id is not None:
             self.by_device[device_id] = tv
-        self.schedule(trip.depart, "spawn", (tid,))
+        self.schedule(trip.depart, "spawn", (tv,))
 
     # -- movement --------------------------------------------------------------
 
@@ -357,7 +363,7 @@ class _Sim:
             move = tv.moves[0]
             if move[0] == "wait":
                 tv.moves.pop(0)
-                self.schedule(t + move[1], "arrive", (tv.tid, tv.node))
+                self.schedule(t + move[1], "arrive", (tv, tv.node))
                 return
             if move[0] == "transfer":
                 tv.moves.pop(0)
@@ -365,7 +371,7 @@ class _Sim:
                 tv.mode = to_mode
                 if device is not None:
                     device.mode = to_mode
-                self.schedule(t + duration, "arrive", (tv.tid, node))
+                self.schedule(t + duration, "arrive", (tv, node))
                 return
             _, seg_id, mode, to_node = move
             tt = self.world.overlay.traversal_time(seg_id, mode)
@@ -380,10 +386,11 @@ class _Sim:
             tv.mode = mode
             if device is not None:
                 device.mode = mode
-            self.world.record_flow(t, seg_id, mode)
-            tv.current = (seg_id, t, t + tt, to_node)
-            tv.traversals.append((seg_id, t, t + tt))
-            self.schedule(t + tt, "arrive", (tv.tid, to_node))
+            self.world.flow_entries.append((t, seg_id, mode))
+            exit_t = t + tt
+            tv.current = (seg_id, t, exit_t, to_node)
+            tv.traversals.append((seg_id, t, exit_t))
+            heapq.heappush(self.heap, (exit_t, next(self._seq), "arrive", (tv, to_node)))
             return
 
     def _start_waiting(self, tv: Traveler, t: float) -> None:
@@ -392,7 +399,7 @@ class _Sim:
         self.waiting.add(tv.tid)
         self.log(t, {"type": "blocked", "traveler": tv.tid, "node": tv.node})
         self.schedule(t + self.world.defaults.patience, "patience",
-                      (tv.tid, tv.wait_version))
+                      (tv, tv.wait_version))
 
     def _complete(self, tv: Traveler, t: float) -> None:
         tv.status = "completed"
@@ -409,7 +416,7 @@ class _Sim:
 
     def _wake_waiting(self, t: float) -> None:
         for tid in sorted(self.waiting):
-            self.schedule(t, "retry", (tid,))
+            self.schedule(t, "retry", (self.travelers[tid],))
 
     def _refresh_positions(self, now: float) -> None:
         for tv in self.by_device.values():
@@ -424,24 +431,22 @@ class _Sim:
 
     # -- handlers ----------------------------------------------------------------
 
-    def handle_spawn(self, t: float, tid: str) -> None:
-        tv = self.travelers[tid]
+    def handle_spawn(self, t: float, tv: Traveler) -> None:
         if tv.no_route:
-            self.log(t, {"type": "spawn", "traveler": tid, "routable": False})
+            self.log(t, {"type": "spawn", "traveler": tv.tid, "routable": False})
             self._abandon(tv, t, "no feasible plan")
             return
         tv.node = tv.origin
-        self.log(t, {"type": "spawn", "traveler": tid, "origin": tv.origin,
+        self.log(t, {"type": "spawn", "traveler": tv.tid, "origin": tv.origin,
                      "dest": tv.dest})
         self._advance(tv, t, self._device(tv))
 
-    def handle_arrive(self, t: float, tid: str, node: str) -> None:
-        tv = self.travelers[tid]
+    def handle_arrive(self, t: float, tv: Traveler, node: str) -> None:
         if tv.status != "moving":
             return
         tv.node = node
         tv.current = None
-        device = self._device(tv)
+        device = self.world.devices.get(tv.device_id) if tv.device_id else None
         if device is not None:
             device.position = DevicePosition(node=node)
             evaluated = evaluate_moves(node, t, tv.moves, self.world.overlay)
@@ -450,15 +455,13 @@ class _Sim:
                 device.planned_route = tuple(etas) or None
         self._advance(tv, t, device)
 
-    def handle_retry(self, t: float, tid: str) -> None:
-        tv = self.travelers[tid]
+    def handle_retry(self, t: float, tv: Traveler) -> None:
         if tv.status != "waiting":
             return
-        self.waiting.discard(tid)
+        self.waiting.discard(tv.tid)
         self._advance(tv, t, self._device(tv))
 
-    def handle_patience(self, t: float, tid: str, version: int) -> None:
-        tv = self.travelers[tid]
+    def handle_patience(self, t: float, tv: Traveler, version: int) -> None:
         if tv.status == "waiting" and tv.wait_version == version:
             self._abandon(tv, t, "patience exhausted")
 
@@ -567,10 +570,9 @@ class _Sim:
             if tv.status == "waiting":
                 self.waiting.discard(tv.tid)
                 tv.status = "moving"
-                self.schedule(t, "retry_flagged", (tv.tid,))
+                self.schedule(t, "retry_flagged", (tv,))
 
-    def handle_retry_flagged(self, t: float, tid: str) -> None:
-        tv = self.travelers[tid]
+    def handle_retry_flagged(self, t: float, tv: Traveler) -> None:
         if tv.status == "moving" and tv.current is None and tv.node is not None:
             self._advance(tv, t, self._device(tv))
 
@@ -636,8 +638,14 @@ class _Sim:
         handlers = {name[len("handle_"):]: getattr(self, name)
                     for name in dir(self) if name.startswith("handle_")}
         overlay = self.world.overlay
-        while self.heap:
-            t, _seq, kind, payload = heapq.heappop(self.heap)
+        pending = self.setup_entries
+        heap = self.heap
+        heappop = heapq.heappop
+        while heap or pending:
+            if pending and (not heap or pending[-1] < heap[0]):
+                t, _seq, kind, payload = pending.pop()
+            else:
+                t, _seq, kind, payload = heappop(heap)
             if t > end_time:
                 break
             overlay.clock = t

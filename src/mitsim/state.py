@@ -182,13 +182,17 @@ class NetworkState:
         Delay follows the reciprocal law: free-flow time divided by the
         residual fraction, with a hard block at residual zero.  A segment
         the mode uses only through usage contributions takes the free-flow
-        time of the active one with the smallest id.
+        time of the active one with the smallest id.  A target no
+        contribution names has residual 1.0, so its time is the free-flow
+        time itself (``x / 1.0 == x`` for every float).
         """
         free_flow = self.net.free_flow_times(mode_id).get(segment_id)
+        patches = self._by_target.get((segment_id, mode_id))
+        if patches is None:
+            return free_flow
         if free_flow is None:
             opened = min(
-                ((c.contrib_id, c.free_flow_time)
-                 for c in self._by_target.get((segment_id, mode_id), ())
+                ((c.contrib_id, c.free_flow_time) for c in patches
                  if c.kind == "usage" and c.active(self.clock)),
                 default=None,
             )
@@ -273,9 +277,6 @@ class WorldState:
     @property
     def clock(self) -> float:
         return self.overlay.clock
-
-    def record_flow(self, t: float, segment_id: str, mode_id: str) -> None:
-        self.flow_entries.append((t, segment_id, mode_id))
 
     def flows(self, now: float) -> dict[tuple[str, str], float]:
         """Observed hourly flow per (segment, mode) over the trailing window."""

@@ -437,6 +437,57 @@ def random_scenario_dict(rng: random.Random, max_nodes: int = 8,
     }
 
 
+TIE_SECONDS = (0, 60, 120, 180, 240)
+
+
+def tie_scenario_dict(rng: random.Random) -> dict:
+    """A random scenario whose event entries often fall on the same second.
+
+    Departures are JSON integers drawn from a few minutes, a demand trip
+    repeats with ``count`` > 1, every event starts on a spawn's second and
+    is detected with zero latency, lasts whole minutes and gets its D3
+    details on a whole minute, and boarding waits (and often transfer
+    times) are zero.  Free-flow times are whole minutes, so arrivals land
+    on the seconds of the spawns, injections and detections that setup
+    scheduled.
+    """
+    raw = random_scenario_dict(rng, max_nodes=8, max_events=3, max_travelers=6)
+    for seg in raw["network"]["segments"]:
+        for usage in seg["usage"]:
+            usage["free_flow_time"] = 60 * rng.randint(1, 3)
+    departs = []
+    for device in raw["devices"]:
+        if "trip" in device:
+            device["trip"]["depart"] = rng.choice(TIE_SECONDS)
+            departs.append(device["trip"]["depart"])
+    modes = [m["mode_id"] for m in raw["network"]["modes"]]
+    nodes = raw["network"]["nodes"]
+    for _ in range(rng.randint(1, 2)):
+        origin, dest = rng.sample(nodes, 2)
+        raw["demand"]["trips"].append({
+            "origin": origin, "dest": dest, "count": rng.randint(2, 4),
+            "prefs": {"allowed_modes": modes},
+        })
+    for trip in raw["demand"]["trips"]:
+        trip["depart"] = rng.choice(TIE_SECONDS)
+        departs.append(trip["depart"])
+    for event in raw["disturbances"]:
+        event["start"] = rng.choice(departs)
+        event["estimated_duration"] = 60 * rng.randint(5, 60)
+        event["true_duration"] = rng.choice([event["estimated_duration"],
+                                             60 * rng.randint(5, 60)])
+        if "details_at" in event["specifics"]:
+            event["specifics"]["details_at"] = event["start"] + 60 * rng.randint(1, 5)
+    for source in raw["detection_sources"]:
+        source["latency_min"] = source["latency_max"] = 0
+    if rng.random() < 0.5:
+        for mm in raw["network"]["multimodal_nodes"]:
+            mm["transfer_time"] = {pair: 0 for pair in mm["transfer_time"]}
+    raw["policies"]["defaults"] = {"cav_boarding_wait": 0, "default_headway": 0,
+                                   "patience": rng.choice([60, 600, 3600])}
+    return raw
+
+
 def rail_line_scenario_dict(rng: random.Random, size: int = 4) -> dict:
     """A size x size road grid (car and bus) with a train line along row 0.
 

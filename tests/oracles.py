@@ -11,6 +11,7 @@ from mitsim.dissemination import (
 )
 from mitsim.network import Arc
 from mitsim.routing import Leg, SearchResult, Transfer, plan_to_moves
+from mitsim.simulation import RunResult, _Sim
 
 
 def brute_force_route(origin, dest, prefs, state):
@@ -463,3 +464,40 @@ def oracle_delivery(w, devices, topology, policy, net, actions, now):
                 edges.add((parent[node], node))
                 node = parent[node]
     return hops, len(edges) + len(hops), relevant - set(hops)
+
+
+class SingleHeapSim(_Sim):
+    """The simulator with every entry on one heap, as a reference for the
+    order in which ``_Sim.run`` serves its entries.
+
+    ``run`` puts the entries ``setup`` scheduled back into the heap and pops
+    only the heap, in ``(t, seq)`` order.  ``popped`` lists the ``(t, seq)``
+    of every entry run, and ``setup_count`` how many entries setup made
+    (they hold the seqs below it), so a test can see which ties it met.
+    """
+
+    def run(self):
+        self.setup()
+        heap = self.setup_entries + self.heap
+        heapq.heapify(heap)
+        self.setup_entries, self.heap = [], heap
+        self.setup_count = len(heap)
+        self.popped = []
+        end_time = self.scenario.end_time
+        handlers = {name[len("handle_"):]: getattr(self, name)
+                    for name in dir(self) if name.startswith("handle_")}
+        while heap:
+            t, seq, kind, payload = heapq.heappop(heap)
+            if t > end_time:
+                break
+            self.popped.append((t, seq))
+            self.world.overlay.clock = t
+            handlers[kind](t, *payload)
+        self.world.overlay.clock = end_time
+        self._finalize()
+        return RunResult(
+            config=self.config, metrics=self.metrics, event_log=self.event_log,
+            warning_log=self.warning_log, action_log=self.action_log,
+            trips=self.travelers, records=self.records,
+            notified_mobile=self._notified_mobile(),
+        )

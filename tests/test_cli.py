@@ -117,7 +117,11 @@ def test_compare_writes_report(demo_path, tmp_path):
     lambda raw: raw["network"]["segments"][0].update(length="abc"),
     lambda raw: raw["demand"]["trips"].append({"origin": "a1", "dest": "b1", "depart": "abc"}),
     lambda raw: raw.update(end_time=10 ** 400),
-], ids=["end_time", "segment-length", "trip-depart", "huge-int"])
+    lambda raw: raw["policies"].update(max_hops="x"),
+    lambda raw: raw["disturbances"][0].update(severity={"lanes_affected": "two"}),
+    lambda raw: raw["disturbances"][0].update(kind="D3", specifics={"details_at": "abc"}),
+], ids=["end_time", "segment-length", "trip-depart", "huge-int", "max-hops",
+        "lanes-affected", "details-at"])
 def test_validate_rejects_a_non_number(tmp_path, capsys, edit):
     raw = demo_scenario()
     edit(raw)

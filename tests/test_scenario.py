@@ -390,6 +390,8 @@ NUMBER_FIELDS = {
     "area radius": (lambda raw, v: raw["policies"]["relevance"]["area_radius"].update(major=v),
                     "policies.relevance: area_radius major"),
     "headway": (_headway, "pt route Met1: headway"),
+    "details_at": (lambda raw, v: raw["disturbances"][0].update(
+        kind="D3", specifics={"details_at": v}), "event bridge-crash: details_at"),
 }
 
 
@@ -406,3 +408,52 @@ def test_non_number_rejected_naming_the_entry(field, value, problem):
     edit(raw, value)
     with pytest.raises(ValidationError, match=f"^{entry} {problem}$"):
         load_scenario(raw)
+
+
+def _severity(raw, **fields):
+    raw["disturbances"][0]["severity"] = fields
+
+
+INTEGER_FIELDS = {
+    "trip count": (lambda raw, v: raw["demand"]["trips"].append(
+        {"origin": "a1", "dest": "b1", "depart": 0.0, "count": v}), "demand trip 0: count",
+        lambda scenario: scenario.trips[0].count),
+    "lanes_affected": (lambda raw, v: _severity(raw, lanes_affected=v),
+                       "event bridge-crash: severity lanes_affected",
+                       lambda scenario: scenario.events[0].severity.lanes_affected),
+    "severity_index": (lambda raw, v: _severity(raw, severity_index=v),
+                       "event bridge-crash: severity severity_index",
+                       lambda scenario: scenario.events[0].severity.severity_index),
+    "max_hops": (lambda raw, v: raw["policies"].update(max_hops=v), "policies: max_hops",
+                 lambda scenario: scenario.topology.max_hops),
+}
+
+
+@pytest.mark.parametrize("value", ["two", None, [1], {}, float("inf"), float("nan")],
+                         ids=["string", "null", "list", "object", "inf", "nan"])
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_non_integer_rejected_naming_the_entry(field, value):
+    edit, entry, _read = INTEGER_FIELDS[field]
+    raw = demo_scenario()
+    edit(raw, value)
+    with pytest.raises(ValidationError, match=f"^{entry} must be an integer$"):
+        load_scenario(raw)
+
+
+@pytest.mark.parametrize("value, loaded", [(3, 3), ("3", 3), (3.9, 3), (True, 1)],
+                         ids=["int", "digits", "float", "bool"])
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_accepted_integer_values_load_as_int_reads_them(field, value, loaded):
+    edit, _entry, read = INTEGER_FIELDS[field]
+    raw = demo_scenario()
+    edit(raw, value)
+    assert read(load_scenario(raw)) == loaded
+
+
+def test_details_at_is_read_once_at_load():
+    raw = demo_scenario()
+    raw["disturbances"][0].update(kind="D3", specifics={"details_at": 700})
+    event = load_scenario(raw).events[0]
+    assert event.details_at == 700.0 and isinstance(event.details_at, float)
+    assert event.specifics == {"details_at": 700}  # warnings carry the value as given
+    assert load_scenario(demo_scenario()).events[0].details_at is None

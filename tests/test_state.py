@@ -218,3 +218,55 @@ def test_factors_multiply_in_insertion_order(line3):
     expected = brute_force_residual(list(model.values()), 0.0, "s0", "car")
     assert expected != brute_force_residual(state.contributions(), 0.0, "s0", "car")
     assert state.residual("s0", "car") == expected
+
+
+# Windows around clock 150: active (also from its first second), not yet
+# active, and already ended (also on its last second).
+WINDOWS = ((100.0, 200.0), (150.0, float("inf")), (200.0, 300.0),
+           (0.0, 100.0), (0.0, 150.0))
+
+
+def test_traversal_time_is_free_flow_over_the_scanned_residual(monkeypatch):
+    """Every (segment, mode): the free-flow time over the residual a full
+    scan gives, or None when blocked or not usable.  Each overlay holds a
+    factor, a floor and a usage contribution in every window, so targets
+    that are named only by idle contributions, named by active ones, and
+    named by none all occur.  Only named targets read ``residual``."""
+    residual = NetworkState.residual
+    read = []
+    monkeypatch.setattr(NetworkState, "residual",
+                        lambda self, s, m: read.append((s, m)) or residual(self, s, m))
+    counts = {"untouched": 0, "idle": 0, "active": 0, "opened": 0}
+    for seed in range(40):
+        rng = random.Random(33_000 + seed)
+        net = random_network(rng, max_nodes=10, max_modes=3)
+        state = NetworkState(net, clock=150.0)
+        for i, (kind, (start, end)) in enumerate(
+                (k, w) for k in ("factor", "floor", "usage") for w in WINDOWS):
+            c = random_contribution(rng, net, f"c{i}", kind=kind)
+            state.add_contribution(dataclasses.replace(c, start=start, end=end))
+        contributions = state.contributions()
+        for seg_id in sorted(net.segments):
+            for mode in sorted(net.modes):
+                read.clear()
+                got = state.traversal_time(seg_id, mode)
+                named = [c for c in contributions if (seg_id, mode) in c.targets]
+                free_flow = net.free_flow_times(mode).get(seg_id)
+                if free_flow is None:
+                    free_flow = min(((c.contrib_id, c.free_flow_time) for c in named
+                                     if c.kind == "usage" and c.active(150.0)),
+                                    default=(None, None))[1]
+                r = brute_force_residual(contributions, 150.0, seg_id, mode)
+                assert got == (None if free_flow is None or r <= 0.0 else free_flow / r)
+                assert got == brute_force_traversal_time(net, contributions, 150.0,
+                                                         seg_id, mode)
+                assert read == ([(seg_id, mode)] if named and free_flow is not None else [])
+                if not named:
+                    counts["untouched"] += 1
+                elif not any(c.active(150.0) for c in named):
+                    counts["idle"] += 1
+                elif net.free_flow_times(mode).get(seg_id) is None:
+                    counts["opened"] += free_flow is not None
+                else:
+                    counts["active"] += 1
+    assert min(counts.values()) >= 50, counts
