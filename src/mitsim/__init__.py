@@ -51,7 +51,7 @@ from .network import (
     UsageEntry,
     build_network,
 )
-from .routing import JourneyPlan, RoutingPreferences, is_feasible, reroute, route
+from .routing import JourneyPlan, RoutingPreferences, route
 from .scenario import Scenario, load_scenario, load_scenario_file
 from .simulation import (
     MODE_BROADCAST,

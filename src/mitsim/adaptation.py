@@ -4,14 +4,15 @@ Each disturbance kind has an ordered row of strategy templates (the
 strategy table).  Planning walks the row, instantiates every template that
 is feasible in the current world state and skips the rest with a reason.
 Applying actions only ever touches the capacity overlay, per-device
-advisories, fleet assignments and replan flags, all keyed by action id, so
-expiry restores the pre-action state exactly.
+advisories and fleet assignments, all keyed by action id, so expiry
+restores the pre-action state exactly.  A reroute's targets are flagged for
+replanning by the simulator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional
 
 from .disturbance import DisturbanceEvent, EffectMatrix, displaced_volume, severity_index_from
@@ -67,9 +68,6 @@ class Reroute:
     def actor_device_ids(self) -> set[str]:
         return set(self.targets)
 
-    def params(self) -> dict:
-        return {"targets": list(self.targets)}
-
 
 @dataclass(frozen=True)
 class StopGuidance:
@@ -87,13 +85,6 @@ class StopGuidance:
 
     def actor_device_ids(self) -> set[str]:
         return set(self.display_devices)
-
-    def params(self) -> dict:
-        return {
-            "stops": list(self.stops),
-            "alternatives": [[n, list(m)] for n, m in self.alternatives],
-            "display_devices": list(self.display_devices),
-        }
 
 
 @dataclass(frozen=True)
@@ -114,15 +105,6 @@ class BusDiversion:
 
     def actor_device_ids(self) -> set[str]:
         return set(self.cav_assignment)
-
-    def params(self) -> dict:
-        return {
-            "route_id": self.route_id,
-            "skipped_stops": list(self.skipped_stops),
-            "skipped_segments": list(self.skipped_segments),
-            "detour_segments": list(self.detour_segments),
-            "cav_assignment": list(self.cav_assignment),
-        }
 
 
 @dataclass(frozen=True)
@@ -147,16 +129,6 @@ class ReplacementService:
     def actor_device_ids(self) -> set[str]:
         return set()
 
-    def params(self) -> dict:
-        return {
-            "blocked_segments": list(self.blocked_segments),
-            "served_stations": list(self.served_stations),
-            "road_path": list(self.road_path),
-            "vehicle_count": self.vehicle_count,
-            "replaced_mode": self.replaced_mode,
-            "vehicle_mode": self.vehicle_mode,
-        }
-
 
 @dataclass(frozen=True)
 class SignalPlanChange:
@@ -180,14 +152,6 @@ class SignalPlanChange:
     def actor_device_ids(self) -> set[str]:
         return set(self.controller_devices)
 
-    def params(self) -> dict:
-        return {
-            "intersections": list(self.intersections),
-            "approaches": [list(a) for a in self.approaches],
-            "capacity_multiplier": self.capacity_multiplier,
-            "controller_devices": list(self.controller_devices),
-        }
-
 
 @dataclass(frozen=True)
 class RescueCorridor:
@@ -204,9 +168,6 @@ class RescueCorridor:
 
     def actor_device_ids(self) -> set[str]:
         return set()
-
-    def params(self) -> dict:
-        return {"corridor": list(self.corridor), "clearance_level": self.clearance_level}
 
 
 @dataclass(frozen=True)
@@ -226,13 +187,6 @@ class PoliceNotification:
     def actor_device_ids(self) -> set[str]:
         return set()
 
-    def params(self) -> dict:
-        return {
-            "node": self.node,
-            "response_delay": self.response_delay,
-            "restore_floor": self.restore_floor,
-        }
-
 
 @dataclass(frozen=True)
 class DemandRebalance:
@@ -250,13 +204,6 @@ class DemandRebalance:
 
     def actor_device_ids(self) -> set[str]:
         return set(self.target_cavs)
-
-    def params(self) -> dict:
-        return {
-            "area_nodes": list(self.area_nodes),
-            "roles": list(self.roles),
-            "target_cavs": list(self.target_cavs),
-        }
 
 
 AdaptationAction = (
@@ -801,11 +748,9 @@ def apply(actions: Iterable[AdaptationAction], state: WorldState, now: float) ->
             "event_id": action.event_id,
             "activation": action.activation,
             "expiry": action.expiry,
-            "params": action.params(),
+            "params": _params(action),
         }
-        if isinstance(action, Reroute):
-            state.pending_replan |= set(action.targets)
-        elif isinstance(action, SignalPlanChange):
+        if isinstance(action, SignalPlanChange):
             for node, seg_id in action.approaches:
                 claim = state.signal_claims.get((node, seg_id))
                 if claim is not None and claim[0] != action.action_id:
@@ -897,6 +842,12 @@ def apply(actions: Iterable[AdaptationAction], state: WorldState, now: float) ->
     return records
 
 
+def _params(action: AdaptationAction) -> dict:
+    """An action's own fields, those after its id, event and window, as its
+    ``actions.log`` record prints them."""
+    return {f.name: getattr(action, f.name) for f in fields(action)[4:]}
+
+
 def _diverted_segments(net, pt_route: PtRoute, action: BusDiversion) -> tuple[str, ...]:
     """Splice the detour into the route in place of the skipped run."""
     skipped = set(action.skipped_segments)
@@ -918,9 +869,7 @@ def expire(action: AdaptationAction, state: WorldState) -> None:
     # all contribution ids are "<action_id>:<effect>"; the colon guards
     # against sibling ids that share a textual prefix (a-e-1 vs a-e-11)
     state.overlay.remove_owned(f"{action.action_id}:")
-    if isinstance(action, Reroute):
-        state.pending_replan -= set(action.targets)
-    elif isinstance(action, SignalPlanChange):
+    if isinstance(action, SignalPlanChange):
         for node, seg_id in action.approaches:
             claim = state.signal_claims.get((node, seg_id))
             if claim is not None and claim[0] == action.action_id:

@@ -82,9 +82,10 @@ class DisturbanceEvent:
     ``specifics`` holds case data such as ``partial_blockage``,
     ``reserved_lane_hit``, ``details_at`` (when an unplanned work zone gets
     registry backing), ``registered_duration``, or ``expected_visitors``.
-    ``details_at`` is also read into the number :attr:`details_at` when the
-    event is built, so a value that is no number fails there, naming the
-    event.
+    ``details_at`` and ``registered_duration`` are also read into the
+    numbers :attr:`details_at` and :attr:`registered_duration` when the
+    event is built, so a value that is no number, or a registered duration
+    that is not > 0, fails there, naming the event.
     """
 
     event_id: str
@@ -97,11 +98,19 @@ class DisturbanceEvent:
     nodes: tuple[str, ...] = ()
     specifics: Mapping[str, object] = field(default_factory=dict)
     details_at: Optional[float] = field(default=None, init=False)
+    registered_duration: Optional[float] = field(default=None, init=False)
 
     def __post_init__(self):
+        where = f"event {self.event_id}"
         if "details_at" in self.specifics:
             object.__setattr__(self, "details_at", as_float(
-                self.specifics["details_at"], f"event {self.event_id}", "details_at"))
+                self.specifics["details_at"], where, "details_at"))
+        if "registered_duration" in self.specifics:
+            registered = as_float(self.specifics["registered_duration"], where,
+                                  "registered_duration")
+            if not registered > 0:
+                raise ValidationError(f"{where}: registered_duration must be > 0")
+            object.__setattr__(self, "registered_duration", registered)
         if self.kind not in DISTURBANCE_KINDS:
             raise ValidationError(f"event {self.event_id}: unknown kind {self.kind!r}")
         if not self.segments:
@@ -302,8 +311,8 @@ def escalate(
     All other kinds pass through unchanged.
     """
     if event.kind == "D3" and details_known:
-        registered = float(event.specifics.get("registered_duration", event.true_duration))
-        return replace(event, kind="D2", estimated_duration=registered)
+        registered = event.registered_duration  # None or > 0
+        return replace(event, kind="D2", estimated_duration=registered or event.true_duration)
     if event.kind == "D4" and (now - event.start) > extension_threshold:
         return replace(event, kind="D2")
     return event

@@ -32,6 +32,7 @@ the character offset of the first violation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Union
 
@@ -129,7 +130,7 @@ def make_warning(
     """
     pairs = affected_pairs(event.kind, matrix)
     reserved_hit = bool(event.specifics.get("reserved_lane_hit", False))
-    estimated_end = _ceil_int(event.start + event.estimated_duration)
+    estimated_end = math.ceil(event.start + event.estimated_duration)
     if estimated_end <= issue_time:
         raise ValidationError(
             f"event {event.event_id}: already past its estimated end at issue time"
@@ -197,21 +198,14 @@ def revise(
     return out
 
 
-def _ceil_int(x: float) -> int:
-    import math
-
-    return int(math.ceil(x))
-
-
 def _quantize_severity(severity: SeverityMeasure) -> SeverityMeasure:
-    return SeverityMeasure(
-        capacity_reduction=(None if severity.capacity_reduction is None
-                            else quantize_fraction(severity.capacity_reduction)),
-        lanes_affected=severity.lanes_affected,
-        severity_index=severity.severity_index,
-        displaced_volume=(None if severity.displaced_volume is None
-                          else quantize_fraction(severity.displaced_volume)),
-    )
+    values = {}
+    for name, measure in _MEASURES:
+        value = getattr(severity, name)
+        if measure == "fraction" and value is not None:
+            value = quantize_fraction(value)
+        values[name] = value
+    return SeverityMeasure(**values)
 
 
 def _coerce_case_map(specifics: Mapping[str, object]) -> dict[str, CaseValue]:
@@ -227,10 +221,58 @@ def _coerce_case_map(specifics: Mapping[str, object]) -> dict[str, CaseValue]:
     return out
 
 
+# -- wire schema -------------------------------------------------------------
+#
+# The key orders of the wire format above.  encode and decode both walk
+# these tables, so the two directions cannot disagree on the order.  Value
+# types: "string", "int", "fraction", "modes" (a non-empty sorted list of
+# strings), and "severity", "affected" and "case_specific" for the nested
+# parts of the same names.
+
+# Top-level keys, each the WarningMessage field of that name: (key, value
+# type, the decoder's test of the value given the fields read before it,
+# the error when the test fails).
+_FIELDS = (
+    ("warning_id", "string", None, ""),
+    ("event_id", "string", None, ""),
+    ("kind", "string", lambda v, got: v in DISTURBANCE_KINDS, "unknown kind code {!r}"),
+    ("revision", "int", lambda v, got: v >= 0, "revision must be >= 0"),
+    ("detail", "string", lambda v, got: v in DETAIL_TIERS, "unknown detail tier {!r}"),
+    ("issue_time", "int", None, ""),
+    ("estimated_end", "int", lambda v, got: v > got["issue_time"],
+     "estimated_end must exceed issue_time"),
+    ("severity", "severity", None, ""),
+    ("affected", "affected", None, ""),
+    ("case_specific", "case_specific", None, ""),
+)
+
+# Severity measures, each the SeverityMeasure field of that name: (key,
+# value type).  Absent measures are left out.
+_MEASURES = (
+    ("capacity_reduction", "fraction"),
+    ("lanes_affected", "int"),
+    ("severity_index", "int"),
+    ("displaced_volume", "fraction"),
+)
+
+# Keys of an affected entry: (key, AffectedEntry field, value type, test,
+# error) as in _FIELDS.  The modes list ends the entry; the decoder reads
+# its "[" with the key and its "]" with the entry's "}".
+_ENTRY_KEYS = (
+    ("network_id", "network_id", "string", None, ""),
+    ("segment_id", "segment_id", "string", None, ""),
+    ("class", "seg_class", "string", lambda v, got: v in SEGMENT_CLASSES,
+     "unknown segment class {!r}"),
+    ("modes", "modes", "modes", None, ""),
+)
+
+
 # -- canonical encoder -------------------------------------------------------
 
 _ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f",
             "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+# The character after a backslash, read back to the character it escapes.
+_UNESCAPES = {escaped[1]: ch for ch, escaped in _ESCAPES.items()}
 
 
 def _emit_string(value: str, out: list[str]) -> None:
@@ -267,81 +309,63 @@ def _emit_case_value(value: CaseValue, out: list[str], key: str) -> None:
 def encode(w: WarningMessage) -> bytes:
     """Canonical byte encoding; equal warnings yield identical bytes."""
     w.validate()
-    out: list[str] = ["{"]
-
-    def key(name: str, first: bool = False) -> None:
-        if not first:
-            out.append(",")
-        out.append(f'"{name}":')
-
-    key("warning_id", first=True)
-    _emit_string(w.warning_id, out)
-    key("event_id")
-    _emit_string(w.event_id, out)
-    key("kind")
-    _emit_string(w.kind, out)
-    key("revision")
-    out.append(str(w.revision))
-    key("detail")
-    _emit_string(w.detail, out)
-    key("issue_time")
-    out.append(str(w.issue_time))
-    key("estimated_end")
-    out.append(str(w.estimated_end))
-    key("severity")
-    out.append("{")
-    first = True
-    sev = w.severity
-    if sev.capacity_reduction is not None:
-        out.append('"capacity_reduction":')
-        _emit_fraction(sev.capacity_reduction, out, "capacity_reduction")
-        first = False
-    if sev.lanes_affected is not None:
-        if not first:
-            out.append(",")
-        out.append(f'"lanes_affected":{sev.lanes_affected}')
-        first = False
-    if sev.severity_index is not None:
-        if not first:
-            out.append(",")
-        out.append(f'"severity_index":{sev.severity_index}')
-        first = False
-    if sev.displaced_volume is not None:
-        if not first:
-            out.append(",")
-        out.append('"displaced_volume":')
-        _emit_fraction(sev.displaced_volume, out, "displaced_volume")
-        first = False
+    out: list[str] = []
+    sep = "{"
+    for key, kind, _test, _error in _FIELDS:
+        out.append(f'{sep}"{key}":')
+        sep = ","
+        _emit(kind, getattr(w, key), out, key)
     out.append("}")
-    key("affected")
-    out.append("[")
-    for i, entry in enumerate(w.affected):
-        if i:
-            out.append(",")
-        out.append('{"network_id":')
-        _emit_string(entry.network_id, out)
-        out.append(',"segment_id":')
-        _emit_string(entry.segment_id, out)
-        out.append(',"class":')
-        _emit_string(entry.seg_class, out)
-        out.append(',"modes":[')
-        for j, mode in enumerate(entry.modes):
+    return "".join(out).encode("utf-8")
+
+
+def _emit(kind: str, value, out: list[str], key: str) -> None:
+    """One value of the schema type ``kind`` under ``key``."""
+    if kind == "string":
+        _emit_string(value, out)
+    elif kind == "int":
+        out.append(str(value))
+    elif kind == "fraction":
+        _emit_fraction(value, out, key)
+    elif kind == "modes":
+        out.append("[")
+        for j, mode in enumerate(value):
             if j:
                 out.append(",")
             _emit_string(mode, out)
-        out.append("]}")
-    out.append("]")
-    key("case_specific")
-    out.append("{")
-    for i, ck in enumerate(sorted(w.case_specific)):
-        if i:
-            out.append(",")
-        _emit_string(ck, out)
-        out.append(":")
-        _emit_case_value(w.case_specific[ck], out, ck)
-    out.append("}")
-    out.append("}")
-    return "".join(out).encode("utf-8")
+        out.append("]")
+    elif kind == "severity":
+        out.append("{")
+        sep = ""
+        for name, measure in _MEASURES:
+            v = getattr(value, name)
+            if v is None:
+                continue
+            out.append(f'{sep}"{name}":')
+            sep = ","
+            _emit(measure, v, out, name)
+        out.append("}")
+    elif kind == "affected":
+        out.append("[")
+        for i, entry in enumerate(value):
+            if i:
+                out.append(",")
+            sep = "{"
+            for entry_key, name, entry_kind, _test, _error in _ENTRY_KEYS:
+                out.append(f'{sep}"{entry_key}":')
+                sep = ","
+                _emit(entry_kind, getattr(entry, name), out, entry_key)
+            out.append("}")
+        out.append("]")
+    else:  # case_specific
+        out.append("{")
+        for i, ck in enumerate(sorted(value)):
+            if i:
+                out.append(",")
+            _emit_string(ck, out)
+            out.append(":")
+            _emit_case_value(value[ck], out, ck)
+        out.append("}")
 
 
 # -- canonical decoder -------------------------------------------------------
@@ -385,11 +409,8 @@ class _Scanner:
                 if self.i >= len(self.text):
                     self.fail("unexpected end of input in escape")
                 esc = self.text[self.i]
-                if esc in '"\\':
-                    chars.append(esc)
-                elif esc in "bfnrt":
-                    chars.append({"b": "\b", "f": "\f", "n": "\n",
-                                  "r": "\r", "t": "\t"}[esc])
+                if esc in _UNESCAPES:
+                    chars.append(_UNESCAPES[esc])
                 elif esc == "u":
                     hexpart = self.text[self.i + 1:self.i + 5]
                     if len(hexpart) < 4:
@@ -429,17 +450,15 @@ class _Scanner:
             return float(self.text[start:self.i])
         return int(self.text[start:self.i])
 
-    def parse_int(self, what: str) -> int:
+    def parse_typed(self, kind: str, what: str) -> Union[int, float]:
+        """A number of the schema type ``kind``, "int" or "fraction"."""
         at = self.i
         value = self.parse_number()
-        if not isinstance(value, int):
+        if kind == "int" and not isinstance(value, int):
             self.fail(f"{what} must be an integer", at=at)
+        if kind == "fraction" and isinstance(value, int):
+            self.fail(f"{what} carries exactly 4 decimals", at=at)
         return value
-
-    def parse_key(self, name: str, first: bool = False) -> None:
-        if not first:
-            self.expect(",")
-        self.expect(f'"{name}":')
 
 
 def decode(data: bytes) -> WarningMessage:
@@ -449,79 +468,50 @@ def decode(data: bytes) -> WarningMessage:
     except UnicodeDecodeError as exc:
         raise CodecError("invalid UTF-8", exc.start) from None
     s = _Scanner(text)
-    s.expect("{")
-    s.parse_key("warning_id", first=True)
-    warning_id = s.parse_string()
-    s.parse_key("event_id")
-    event_id = s.parse_string()
-    s.parse_key("kind")
-    kind_at = s.i
-    kind = s.parse_string()
-    if kind not in DISTURBANCE_KINDS:
-        s.fail(f"unknown kind code {kind!r}", at=kind_at)
-    s.parse_key("revision")
-    revision_at = s.i
-    revision = s.parse_int("revision")
-    if revision < 0:
-        s.fail("revision must be >= 0", at=revision_at)
-    s.parse_key("detail")
-    detail_at = s.i
-    detail = s.parse_string()
-    if detail not in DETAIL_TIERS:
-        s.fail(f"unknown detail tier {detail!r}", at=detail_at)
-    s.parse_key("issue_time")
-    issue_time = s.parse_int("issue_time")
-    s.parse_key("estimated_end")
-    end_at = s.i
-    estimated_end = s.parse_int("estimated_end")
-    if estimated_end <= issue_time:
-        s.fail("estimated_end must exceed issue_time", at=end_at)
-    s.parse_key("severity")
-    severity = _parse_severity(s)
-    s.parse_key("affected")
-    affected = _parse_affected(s)
-    s.parse_key("case_specific")
-    case = _parse_case_map(s, detail)
+    got: dict[str, object] = {}
+    sep = "{"
+    for key, kind, test, error in _FIELDS:
+        s.expect(sep)
+        s.expect(f'"{key}":')
+        sep = ","
+        at = s.i
+        value = got[key] = _read(s, kind, key, got)
+        if test is not None and not test(value, got):
+            s.fail(error.format(value), at=at)
     s.expect("}")
     if s.i != len(text):
         s.fail("trailing data after message")
-    return WarningMessage(
-        warning_id=warning_id,
-        event_id=event_id,
-        kind=kind,
-        revision=revision,
-        detail=detail,
-        issue_time=issue_time,
-        estimated_end=estimated_end,
-        severity=severity,
-        affected=affected,
-        case_specific=case,
-    )
+    return WarningMessage(**got)  # type: ignore[arg-type]
+
+
+def _read(s: _Scanner, kind: str, key: str, got: dict):
+    """One value of the schema type ``kind`` under ``key``; ``got`` holds
+    the fields of its object read before it."""
+    if kind == "string":
+        return s.parse_string()
+    if kind in ("int", "fraction"):
+        return s.parse_typed(kind, key)
+    if kind == "modes":
+        return _parse_modes(s)
+    if kind == "severity":
+        return _parse_severity(s)
+    if kind == "affected":
+        return _parse_affected(s)
+    return _parse_case_map(s, got["detail"])
 
 
 def _parse_severity(s: _Scanner) -> SeverityMeasure:
     obj_at = s.i
     s.expect("{")
     fields: dict[str, object] = {}
-    first = True
-    for name, kind in (("capacity_reduction", "fraction"),
-                       ("lanes_affected", "int"),
-                       ("severity_index", "int"),
-                       ("displaced_volume", "fraction")):
-        mark = s.i
+    sep = ""
+    for name, measure in _MEASURES:
         try:
-            s.parse_key(name, first=first)
-        except CodecError:
-            s.i = mark
+            s.expect(f'{sep}"{name}":')
+        except CodecError:  # an absent measure; expect failed before moving
             continue
-        value_at = s.i
-        value = s.parse_number()
-        if kind == "int" and not isinstance(value, int):
-            s.fail(f"{name} must be an integer", at=value_at)
-        if kind == "fraction" and isinstance(value, int):
-            s.fail(f"{name} carries exactly 4 decimals", at=value_at)
-        fields[name] = value
-        first = False
+        fields[name] = s.parse_typed(measure, name)
+        sep = ","
     s.expect("}")
     if not fields:
         s.fail("severity must carry at least one measure", at=obj_at)
@@ -538,36 +528,37 @@ def _parse_affected(s: _Scanner) -> tuple[AffectedEntry, ...]:
     if s.peek() == "]":
         s.fail("affected list must not be empty", at=list_at)
     while True:
-        s.expect('{"network_id":')
-        network_id = s.parse_string()
-        s.expect(',"segment_id":')
-        segment_id = s.parse_string()
-        s.expect(',"class":')
-        class_at = s.i
-        seg_class = s.parse_string()
-        if seg_class not in SEGMENT_CLASSES:
-            s.fail(f"unknown segment class {seg_class!r}", at=class_at)
-        s.expect(',"modes":[')
-        modes_at = s.i
-        modes: list[str] = []
-        if s.peek() == "]":
-            s.fail("modes list must not be empty", at=modes_at)
-        while True:
-            modes.append(s.parse_string())
-            if s.peek() == ",":
-                s.i += 1
-                continue
-            break
-        if modes != sorted(modes):
-            s.fail("modes must be sorted", at=modes_at)
+        got: dict[str, object] = {}
+        sep = "{"
+        for key, name, kind, test, error in _ENTRY_KEYS:
+            s.expect(f'{sep}"{key}":' + ("[" if kind == "modes" else ""))
+            sep = ","
+            at = s.i
+            value = got[name] = _read(s, kind, key, got)
+            if test is not None and not test(value, got):
+                s.fail(error.format(value), at=at)
         s.expect("]}")
-        entries.append(AffectedEntry(network_id, segment_id, seg_class, tuple(modes)))
+        entries.append(AffectedEntry(**got))  # type: ignore[arg-type]
         if s.peek() == ",":
             s.i += 1
             continue
         break
     s.expect("]")
     return tuple(entries)
+
+
+def _parse_modes(s: _Scanner) -> tuple[str, ...]:
+    """A non-empty, sorted list of strings, up to its closing ``]``."""
+    at = s.i
+    if s.peek() == "]":
+        s.fail("modes list must not be empty", at=at)
+    modes = [s.parse_string()]
+    while s.peek() == ",":
+        s.i += 1
+        modes.append(s.parse_string())
+    if modes != sorted(modes):
+        s.fail("modes must be sorted", at=at)
+    return tuple(modes)
 
 
 def _parse_case_map(s: _Scanner, detail: str) -> dict[str, CaseValue]:
@@ -651,9 +642,6 @@ class WarningStore:
         new_full = revise(full, new_estimated_end, new_severity) if full is not None else None
         self._latest[warning_id] = (new_basic, new_full)
         return new_basic, new_full
-
-    def warning_ids(self) -> list[str]:
-        return sorted(self._latest)
 
 
 def request_detail(basic: WarningMessage, store: WarningStore) -> DetailResponse:

@@ -153,8 +153,6 @@ class MultiLayerNetwork:
         self.nodes = frozenset(nodes)
         self.segments = {s.segment_id: s for s in segments}
         self.multimodal_nodes = {mn.node_id: mn for mn in multimodal_nodes}
-        self._validate()
-        self._shared_groups = self._index_shared_groups()
         self._views: dict[str, GraphView] = {}
         self._out_arcs: dict[str, dict[str, tuple[Arc, ...]]] = {}
         self._free_flow_times: dict[str, Mapping[str, float]] = {}
@@ -163,6 +161,9 @@ class MultiLayerNetwork:
         self._landmark_tables: Optional[tuple[Mapping[str, float], ...]] = None
         self._distance_tables: dict[tuple[tuple[str, float], ...], Mapping[str, float]] = {}
         self._searches: dict[Hashable, dict] = {}
+        # The checks build the views of MaaS modes into the caches above.
+        self._validate()
+        self._shared_groups = self._index_shared_groups()
 
     # -- validation ---------------------------------------------------------
 
@@ -263,7 +264,7 @@ class MultiLayerNetwork:
         for mode in self.modes.values():
             if not mode.maas_member:
                 continue
-            view = self._build_view(mode.mode_id)
+            view = self.usable_subgraph(mode.mode_id)
             adj: dict[str, set[str]] = {}
             for arc in view.arcs:
                 adj.setdefault(arc.from_node, set()).add(arc.to_node)
@@ -299,30 +300,29 @@ class MultiLayerNetwork:
 
     # -- queries ------------------------------------------------------------
 
-    def _build_view(self, mode_id: str) -> GraphView:
-        arcs = []
-        for seg_id in sorted(self.segments):
-            seg = self.segments[seg_id]
-            entry = seg.usage_for(mode_id)
-            if entry is None:
-                continue
-            fwd = Arc(seg.from_node, seg.to_node, seg.segment_id,
-                      entry.free_flow_time, entry.base_capacity, seg.length)
-            bwd = Arc(seg.to_node, seg.from_node, seg.segment_id,
-                      entry.free_flow_time, entry.base_capacity, seg.length)
-            if entry.direction in ("forward", "both"):
-                arcs.append(fwd)
-            if entry.direction in ("backward", "both"):
-                arcs.append(bwd)
-        return GraphView(mode_id=mode_id, nodes=self.nodes, arcs=tuple(arcs))
-
     def usable_subgraph(self, mode_id: str) -> GraphView:
-        """Directed arcs usable by ``mode_id``, respecting segment direction."""
+        """Directed arcs usable by ``mode_id``, respecting segment direction;
+        built once per mode."""
         if mode_id not in self.modes:
             raise ValidationError(f"unknown mode {mode_id}")
-        if mode_id not in self._views:
-            self._views[mode_id] = self._build_view(mode_id)
-        return self._views[mode_id]
+        view = self._views.get(mode_id)
+        if view is None:
+            arcs = []
+            for seg_id in sorted(self.segments):
+                seg = self.segments[seg_id]
+                entry = seg.usage_for(mode_id)
+                if entry is None:
+                    continue
+                fwd = Arc(seg.from_node, seg.to_node, seg.segment_id,
+                          entry.free_flow_time, entry.base_capacity, seg.length)
+                bwd = Arc(seg.to_node, seg.from_node, seg.segment_id,
+                          entry.free_flow_time, entry.base_capacity, seg.length)
+                if entry.direction in ("forward", "both"):
+                    arcs.append(fwd)
+                if entry.direction in ("backward", "both"):
+                    arcs.append(bwd)
+            view = self._views[mode_id] = GraphView(mode_id, self.nodes, tuple(arcs))
+        return view
 
     def out_arcs(self, mode_id: str) -> dict[str, tuple[Arc, ...]]:
         """The ``usable_subgraph`` arcs grouped by from-node, built once per mode."""

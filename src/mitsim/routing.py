@@ -352,52 +352,7 @@ def _search(
     return SearchResult(tuple(moves), tuple(atoms))
 
 
-# -- working with partially executed plans -----------------------------------
-
-
-def remaining_moves(plan: JourneyPlan, now: float) -> tuple[str, float, list[Move]]:
-    """Position, availability time and pending moves of an in-progress plan.
-
-    A traveler inside a segment is committed to reaching its exit node, so
-    the returned position is that exit node at the segment's planned exit
-    time.  A transfer already underway keeps only its remaining duration.
-    Pending segment moves are ``("seg", segment_id, mode_id, to_node)``;
-    their durations get re-evaluated against current capacities.
-    """
-    if not plan.legs:
-        return plan.origin, now, []
-    timeline: list[tuple[float, float, Move]] = []
-    if plan.initial_wait > 0:
-        timeline.append((plan.depart, plan.depart + plan.initial_wait,
-                         ("wait", plan.initial_wait)))
-    for li, leg in enumerate(plan.legs):
-        for seg_id, enter, exit_t, to_node in leg.segment_times:
-            timeline.append((enter, exit_t, ("seg", seg_id, leg.mode_id, to_node)))
-        if li < len(plan.transfers):
-            tr = plan.transfers[li]
-            timeline.append((
-                leg.arrive, leg.arrive + tr.duration,
-                ("transfer", tr.node, tr.from_mode, tr.to_mode, tr.duration),
-            ))
-    position = plan.origin
-    avail = now
-    pending: list[Move] = []
-    for start, end, move in timeline:
-        if end <= now:
-            if move[0] == "seg":
-                position = move[3]
-            continue
-        if start < now < end:
-            if move[0] == "seg":
-                position = move[3]
-                avail = end
-            elif move[0] == "transfer":
-                pending.append(("transfer", move[1], move[2], move[3], end - now))
-            else:
-                pending.append(("wait", end - now))
-            continue
-        pending.append(move)
-    return position, avail, pending
+# -- executing plans ----------------------------------------------------------
 
 
 def evaluate_moves(
@@ -432,49 +387,3 @@ def plan_to_moves(plan: JourneyPlan) -> list[Move]:
     """Executable moves of a plan, initial wait included; a fresh list."""
     return list(plan.search.atoms)
 
-
-def reroute(
-    plan: JourneyPlan,
-    now: float,
-    state: NetworkState,
-    prefs: RoutingPreferences,
-) -> Optional[JourneyPlan]:
-    """Replan an in-progress journey if it helps.
-
-    Returns a fresh plan from the current position when the remaining plan
-    is infeasible or the fresh plan arrives strictly earlier; returns the
-    original plan object otherwise.  Returns None (abandonment) when the
-    remaining plan is infeasible and no alternative exists.
-    """
-    if now >= plan.arrival:
-        return plan
-    position, avail, pending = remaining_moves(plan, now)
-    evaluated = evaluate_moves(position, avail, pending, state)
-    candidate = route(position, plan.dest, avail, prefs, state)
-    if evaluated is None:
-        return candidate  # may be None: no way forward
-    remaining_arrival = evaluated[0]
-    if candidate is not None and candidate.arrival < remaining_arrival:
-        return candidate
-    return plan
-
-
-def is_feasible(plan: JourneyPlan, state: NetworkState, now: float) -> bool:
-    """True when every pending segment is passable and transfers remain valid."""
-    net = state.net
-    for leg in plan.legs:
-        for seg_id, _enter, exit_t, _to in leg.segment_times:
-            if exit_t <= now:
-                continue
-            if state.traversal_time(seg_id, leg.mode_id) is None:
-                return False
-    for li, tr in enumerate(plan.transfers):
-        next_leg = plan.legs[li + 1]
-        if next_leg.arrive <= now:
-            continue
-        mn = net.multimodal_nodes.get(tr.node)
-        if mn is None:
-            return False
-        if tr.from_mode not in mn.modes or tr.to_mode not in mn.modes:
-            return False
-    return True

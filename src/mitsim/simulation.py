@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import adaptation, dissemination
-from .adaptation import PoliceNotification, plan as plan_actions
+from .adaptation import PoliceNotification, Reroute, plan as plan_actions
 from .disturbance import DisturbanceEvent, detect, direct_effects, escalate
 from .dissemination import DevicePosition, DisseminationRecord, EdgeDevice
 from .errors import ValidationError
@@ -339,14 +339,13 @@ class _Sim:
                      "arrival_estimate": plan.arrival})
 
     def _maybe_replan(self, tv: Traveler, t: float) -> None:
+        """Adopts a fresh plan when the current one is blocked or the fresh
+        one arrives strictly earlier.  A blocked traveler with no fresh plan
+        keeps moving until the blockage forces a wait (see ``_advance``)."""
         tv.replan_flag = False
         candidate = route(tv.node, tv.dest, t, tv.prefs, self.world.overlay)
         evaluated = evaluate_moves(tv.node, t, tv.moves, self.world.overlay)
-        if evaluated is None:
-            if candidate is not None:
-                self._adopt(tv, candidate, t)
-            return  # otherwise keep moving until the blockage forces a wait
-        if candidate is not None and candidate.arrival < evaluated[0]:
+        if candidate is not None and (evaluated is None or candidate.arrival < evaluated[0]):
             self._adopt(tv, candidate, t)
 
     def _advance(self, tv: Traveler, t: float, device: Optional[EdgeDevice]) -> None:
@@ -534,8 +533,8 @@ class _Sim:
                     arrive_at = action.activation + action.response_delay
                     if arrive_at < action.expiry:
                         self.schedule(arrive_at, "wake", ())
-            self._flag_replans(self.world.pending_replan, t)
-            self.world.pending_replan = set()
+            self._flag_replans({device_id for action in actions if isinstance(action, Reroute)
+                                for device_id in action.targets}, t)
 
     def _disseminate(self, warning, actions, t: float) -> None:
         devices = self.world.devices
@@ -589,29 +588,25 @@ class _Sim:
         self.events[event_id] = escalated
         self.log(t, {"type": "escalation", "event": event_id,
                      "from": event.kind, "to": escalated.kind})
-        warning_id = f"w-{event_id}"
-        try:
-            basic, _full = self.store.latest(warning_id)
-        except ValidationError:
-            return
-        new_end = math.ceil(escalated.start + escalated.estimated_duration)
-        if new_end != basic.estimated_end and new_end > basic.issue_time:
-            self._issue_revision(warning_id, new_end, event_id, t)
+        self._issue_revision(
+            event_id, math.ceil(escalated.start + escalated.estimated_duration), t)
 
     def handle_revise(self, t: float, event_id: str) -> None:
         event = self.events[event_id]
         if event.true_end <= t:
             return
+        self._issue_revision(event_id, math.ceil(event.true_end), t)
+
+    def _issue_revision(self, event_id: str, new_end: int, t: float) -> None:
+        """Revises the event's warning, if one was issued, to end at
+        ``new_end`` when that changes it and still follows its issue time."""
         warning_id = f"w-{event_id}"
         try:
             basic, _full = self.store.latest(warning_id)
         except ValidationError:
             return
-        new_end = math.ceil(event.true_end)
-        if new_end != basic.estimated_end and new_end > basic.issue_time:
-            self._issue_revision(warning_id, new_end, event_id, t)
-
-    def _issue_revision(self, warning_id: str, new_end: int, event_id: str, t: float) -> None:
+        if new_end == basic.estimated_end or new_end <= basic.issue_time:
+            return
         basic, _full = self.store.revise(warning_id, new_end)
         self.warning_log.append(encode(basic).decode("utf-8"))
         self.metrics.revisions_issued += 1

@@ -264,7 +264,6 @@ class WorldState:
     cavs: dict[str, CavUnit] = field(default_factory=dict)
     defaults: SimDefaults = field(default_factory=SimDefaults)
     advisories: dict[str, list] = field(default_factory=dict)  # device_id -> advisories
-    pending_replan: set[str] = field(default_factory=set)
     rebalance_targets: dict[str, tuple[str, ...]] = field(default_factory=dict)
     signal_claims: dict[tuple[str, str], tuple[str, float]] = field(default_factory=dict)
     diversions: dict[str, tuple] = field(default_factory=dict)

@@ -3,11 +3,14 @@ import pytest
 from mitsim.adaptation import (
     DEFAULT_STRATEGY_TABLE,
     BusDiversion,
+    DemandRebalance,
     PoliceNotification,
     RescueCorridor,
     ReplacementService,
     Reroute,
     SignalPlanChange,
+    StopGuidance,
+    _params,
     apply as apply_actions,
     build_replacement,
     bus_diversion_favorable,
@@ -23,6 +26,7 @@ from mitsim.dissemination import DevicePosition, EdgeDevice
 from mitsim.errors import InfeasibleError
 from mitsim.messages import make_warning
 from mitsim.network import build_network
+from mitsim.simulation import _json
 from mitsim.state import CavUnit, Contribution, NetworkState, PtRoute, WorldState
 
 from oracles import brute_force_residual_map
@@ -368,7 +372,6 @@ def test_apply_then_expire_restores_exactly():
         expire(action, world)
     assert snapshot(world) == before
     assert world.advisories == {}
-    assert world.pending_replan == set()
 
 
 def test_signal_multiplier_identity():
@@ -494,3 +497,39 @@ def test_expire_does_not_touch_prefix_sibling_actions():
     assert world.overlay.residual("g2", "car") == 0.5
     expire(sibling, world)
     assert world.overlay.pristine()
+
+
+_WINDOW = dict(action_id="a-e-1", event_id="e", activation=10.0, expiry=70.5)
+
+# One action of each type, with its "params" as actions.log prints them.
+ACTION_PARAMS = [
+    (Reroute(**_WINDOW, targets=("d1", "d2")), '{"targets":["d1","d2"]}'),
+    (StopGuidance(**_WINDOW, stops=("s1",), alternatives=(("n1", ("bus", "tram")),),
+                  display_devices=("rsu1",)),
+     '{"stops":["s1"],"alternatives":[["n1",["bus","tram"]]],"display_devices":["rsu1"]}'),
+    (BusDiversion(**_WINDOW, route_id="B", skipped_stops=("s2",), skipped_segments=("g1",),
+                  detour_segments=("g3", "g4"), cav_assignment=("cav1",)),
+     '{"route_id":"B","skipped_stops":["s2"],"skipped_segments":["g1"],'
+     '"detour_segments":["g3","g4"],"cav_assignment":["cav1"]}'),
+    (ReplacementService(**_WINDOW, blocked_segments=("m0",), served_stations=("st1", "st2"),
+                        road_path=("r0",), vehicle_count=2, replaced_mode="metro",
+                        vehicle_mode="bus"),
+     '{"blocked_segments":["m0"],"served_stations":["st1","st2"],"road_path":["r0"],'
+     '"vehicle_count":2,"replaced_mode":"metro","vehicle_mode":"bus"}'),
+    (SignalPlanChange(**_WINDOW, intersections=("n1",), approaches=(("n1", "g1"),),
+                      capacity_multiplier=1.25, controller_devices=("tlc1",)),
+     '{"intersections":["n1"],"approaches":[["n1","g1"]],"capacity_multiplier":1.25,'
+     '"controller_devices":["tlc1"]}'),
+    (RescueCorridor(**_WINDOW, corridor=("g1", "g2"), clearance_level=0.5),
+     '{"corridor":["g1","g2"],"clearance_level":0.5}'),
+    (PoliceNotification(**_WINDOW, node="n2", response_delay=300.0, restore_floor=0.4),
+     '{"node":"n2","response_delay":300.0,"restore_floor":0.4}'),
+    (DemandRebalance(**_WINDOW, area_nodes=("n1",), roles=("cav",), target_cavs=("cav2",)),
+     '{"area_nodes":["n1"],"roles":["cav"],"target_cavs":["cav2"]}'),
+]
+
+
+@pytest.mark.parametrize("action, printed", ACTION_PARAMS,
+                         ids=[action.action_type for action, _ in ACTION_PARAMS])
+def test_action_params_print_as_in_actions_log(action, printed):
+    assert _json(_params(action)) == printed

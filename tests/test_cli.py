@@ -120,8 +120,10 @@ def test_compare_writes_report(demo_path, tmp_path):
     lambda raw: raw["policies"].update(max_hops="x"),
     lambda raw: raw["disturbances"][0].update(severity={"lanes_affected": "two"}),
     lambda raw: raw["disturbances"][0].update(kind="D3", specifics={"details_at": "abc"}),
+    lambda raw: raw["disturbances"][0].update(
+        kind="D3", specifics={"details_at": 700, "registered_duration": "abc"}),
 ], ids=["end_time", "segment-length", "trip-depart", "huge-int", "max-hops",
-        "lanes-affected", "details-at"])
+        "lanes-affected", "details-at", "registered-duration"])
 def test_validate_rejects_a_non_number(tmp_path, capsys, edit):
     raw = demo_scenario()
     edit(raw)

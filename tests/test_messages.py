@@ -186,6 +186,128 @@ def test_decode_invalid_utf8():
         decode(b'{"warning_id":"\xff"}')
 
 
+# -- pinned decoder failures -----------------------------------------------------------
+
+
+def pin_blob():
+    """A full-tier warning with two entries and two case keys."""
+    return encode(WarningMessage(
+        warning_id="w1", event_id="e1", kind="D4", revision=2, detail="full",
+        issue_time=100, estimated_end=400,
+        severity=SeverityMeasure(capacity_reduction=0.75, lanes_affected=1),
+        affected=(AffectedEntry("n1", "s7", "major", ("bus", "car")),
+                  AffectedEntry("n1", "s8", "minor", ("car",))),
+        case_specific={"lane": 2, "partial_blockage": True},
+    ))
+
+
+# (case, bytes replaced in pin_blob() at their first place, replacement,
+#  error text, character offset)
+DECODE_FAILURES = [
+    ('unknown-kind', b'"kind":"D4"', b'"kind":"ZZ"',
+     "error at byte 42: unknown kind code 'ZZ'", 42),
+    ('negative-revision', b'"revision":2', b'"revision":-1',
+     'error at byte 58: revision must be >= 0', 58),
+    ('fractional-revision', b'"revision":2', b'"revision":2.0000',
+     'error at byte 58: revision must be an integer', 58),
+    ('unknown-tier', b'"detail":"full"', b'"detail":"mid"',
+     "error at byte 69: unknown detail tier 'mid'", 69),
+    ('end-equals-issue', b'"estimated_end":400', b'"estimated_end":100',
+     'error at byte 109: estimated_end must exceed issue_time', 109),
+    ('end-before-issue', b'"estimated_end":400', b'"estimated_end":50',
+     'error at byte 109: estimated_end must exceed issue_time', 109),
+    ('fractional-issue-time', b'"issue_time":100', b'"issue_time":100.0000',
+     'error at byte 89: issue_time must be an integer', 89),
+    ('missing-key', b'"event_id":"e1",', b'',
+     'error at byte 19: expected \'"event_id":\'', 19),
+    ('reordered-keys', b'"event_id":"e1","kind":"D4"', b'"kind":"D4","event_id":"e1"',
+     'error at byte 19: expected \'"event_id":\'', 19),
+    ('missing-severity', b'"severity":{"capacity_reduction":0.7500,"lanes_affected":1},', b'',
+     'error at byte 113: expected \'"severity":\'', 113),
+    ('reordered-severity', b'{"capacity_reduction":0.7500,"lanes_affected":1}', b'{"lanes_affected":1,"capacity_reduction":0.7500}',
+     "error at byte 143: expected '}'", 143),
+    ('unknown-severity-measure', b'"lanes_affected":1', b'"lanes":1',
+     "error at byte 152: expected '}'", 152),
+    ('reordered-entry-keys', b'"network_id":"n1","segment_id":"s7"', b'"segment_id":"s7","network_id":"n1"',
+     'error at byte 185: expected \'{"network_id":\'', 185),
+    ('missing-entry-key', b',"class":"major"', b'',
+     'error at byte 221: expected \',"class":\'', 221),
+    ('short-fraction', b'0.7500', b'0.75',
+     'error at byte 146: fractional values carry exactly 4 decimals', 146),
+    ('long-fraction', b'0.7500', b'0.75000',
+     'error at byte 146: fractional values carry exactly 4 decimals', 146),
+    ('int-for-fraction', b'0.7500', b'1',
+     'error at byte 146: capacity_reduction carries exactly 4 decimals', 146),
+    ('fraction-for-int', b'"lanes_affected":1', b'"lanes_affected":1.0000',
+     'error at byte 170: lanes_affected must be an integer', 170),
+    ('severity-out-of-range', b'0.7500', b'1.5000',
+     'error at byte 124: severity measure: capacity_reduction outside [0, 1]', 124),
+    ('empty-severity', b'{"capacity_reduction":0.7500,"lanes_affected":1}', b'{}',
+     'error at byte 124: severity must carry at least one measure', 124),
+    ('empty-affected', b'[{"network_id":"n1","segment_id":"s7","class":"major","modes":["bus","car"]},{"network_id":"n1","segment_id":"s8","class":"minor","modes":["car"]}]', b'[]',
+     'error at byte 184: affected list must not be empty', 184),
+    ('unknown-class', b'"class":"minor"', b'"class":"huge"',
+     "error at byte 306: unknown segment class 'huge'", 306),
+    ('empty-modes', b'"modes":["car"]', b'"modes":[]',
+     'error at byte 323: modes list must not be empty', 323),
+    ('unsorted-modes', b'["bus","car"]', b'["car","bus"]',
+     'error at byte 247: modes must be sorted', 247),
+    ('basic-with-case-data', b'"detail":"full"', b'"detail":"basic"',
+     'error at byte 349: basic tier must carry an empty case_specific map', 349),
+    ('unsorted-case-keys', b'{"lane":2,"partial_blockage":true}', b'{"partial_blockage":true,"lane":2}',
+     'error at byte 373: case_specific keys must be strictly ascending', 373),
+    ('duplicate-case-keys', b'{"lane":2,"partial_blockage":true}', b'{"lane":2,"lane":3}',
+     'error at byte 358: case_specific keys must be strictly ascending', 358),
+    ('case-fraction-width', b'"lane":2', b'"lane":2.5',
+     'error at byte 356: fractional values carry exactly 4 decimals', 356),
+    ('case-bad-literal', b'true}', b'tru}',
+     "error at byte 377: expected 'true'", 377),
+    ('trailing-data', b'true}}', b'true}} ',
+     'error at byte 383: trailing data after message', 383),
+    ('bad-utf8', b'"w1"', b'"w\xff"',
+     'error at byte 16: invalid UTF-8', 16),
+    ('bad-escape', b'"e1"', b'"e\\q"',
+     "error at byte 33: bad escape character 'q'", 33),
+    ('raw-control-character', b'"e1"', b'"e\x01"',
+     'error at byte 32: raw control character in string', 32),
+    ('bad-unicode-escape', b'"e1"', b'"\\uzzzz"',
+     'error at byte 32: bad unicode escape', 32),
+    ('not-an-object', b'{"warning_id"', b'["warning_id"',
+     "error at byte 0: expected '{'", 0),
+]
+
+
+@pytest.mark.parametrize("old,new,text,offset",
+                         [case[1:] for case in DECODE_FAILURES],
+                         ids=[case[0] for case in DECODE_FAILURES])
+def test_decode_failure_text_and_offset(old, new, text, offset):
+    blob = pin_blob()
+    assert old in blob
+    with pytest.raises(CodecError) as err:
+        decode(blob.replace(old, new, 1))
+    assert (str(err.value), err.value.position) == (text, offset)
+
+
+# (length of the pin_blob() prefix, error text, character offset)
+TRUNCATIONS = [
+    (0, 'error at byte 0: unexpected end of input', 0),
+    (1, 'error at byte 1: unexpected end of input', 1),
+    (14, 'error at byte 14: unexpected end of input', 14),
+    (60, 'error at byte 60: unexpected end of input', 60),
+    (150, 'error at byte 146: fractional values carry exactly 4 decimals', 146),
+    (200, 'error at byte 200: unexpected end of input in string', 200),
+    (382, 'error at byte 382: unexpected end of input', 382),
+]
+
+
+@pytest.mark.parametrize("cut,text,offset", TRUNCATIONS,
+                         ids=[f"cut-{case[0]}" for case in TRUNCATIONS])
+def test_decode_truncation_text_and_offset(cut, text, offset):
+    with pytest.raises(CodecError) as err:
+        decode(pin_blob()[:cut])
+    assert (str(err.value), err.value.position) == (text, offset)
+
+
 # -- construction -----------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -9,12 +10,12 @@ from mitsim.network import build_network
 from mitsim.routing import (
     RoutingPreferences,
     _search,
-    is_feasible,
+    evaluate_moves,
     plan_to_moves,
-    remaining_moves,
-    reroute,
     route,
 )
+from mitsim.scenario import load_scenario
+from mitsim.simulation import MODE_TARGETED, _Sim
 from mitsim.state import Contribution, NetworkState
 
 from conftest import line_network_spec
@@ -114,9 +115,9 @@ def test_deterministic_tie_break():
 # -- multimodal specifics -----------------------------------------------------------
 
 
-def multimodal_toy():
+def multimodal_toy_spec():
     """Two modes: road around (v0-v1-v2-v3) and metro shortcut (v0-v3)."""
-    return build_network({
+    return {
         "modes": [
             {"mode_id": "car", "name": "car", "category": "private-car",
              "agile": False, "maas_member": False},
@@ -151,7 +152,11 @@ def multimodal_toy():
             {"node_id": "v3", "attachments": [["car", "road"], ["metro", "rail"]],
              "transfer_time": {"car,metro": 60, "metro,car": 60}},
         ],
-    })
+    }
+
+
+def multimodal_toy():
+    return build_network(multimodal_toy_spec())
 
 
 def test_boarding_wait_and_transfer_accounting():
@@ -293,10 +298,7 @@ def test_transfers_chained_at_one_node_keep_their_order():
     assert [leg.mode_id for leg in plan.legs] == ["car", "bus", "metro"]
     assert plan.legs[1].segments == ()
     assert [m[0] for m in plan_to_moves(plan)] == ["seg", "transfer", "transfer", "seg"]
-    assert is_feasible(plan, state, 0.0)
-    position, avail, pending = remaining_moves(plan, 105.0)
-    assert (position, avail) == ("v1", 105.0)
-    assert [m[0] for m in pending] == ["transfer", "transfer", "seg"]
+    assert evaluate_moves("v0", 0.0, plan_to_moves(plan), state)[0] == plan.arrival
 
 
 PLAN_FIELDS = ("origin", "dest", "depart", "legs", "transfers", "initial_wait",
@@ -370,7 +372,9 @@ def test_feasibility_soundness_of_returned_plans():
         prefs = RoutingPreferences(allowed_modes=frozenset(net.modes))
         plan = route(origin, dest, 0.0, prefs, state)
         if plan is not None:
-            assert is_feasible(plan, state, 0.0)
+            evaluated = evaluate_moves(origin, 0.0, plan_to_moves(plan), state)
+            assert evaluated is not None
+            assert evaluated[0] == plan.arrival
             # legs temporally contiguous through transfers
             for li, tr in enumerate(plan.transfers):
                 assert plan.legs[li].arrive + tr.duration == plan.legs[li + 1].depart
@@ -601,55 +605,91 @@ def test_free_flow_paths_equal_the_reference():
 # -- replanning ------------------------------------------------------------------------
 
 
-def test_reroute_keeps_unaffected_plan(line3):
-    state = NetworkState(line3)
-    prefs = RoutingPreferences(frozenset({"car"}))
-    plan = route("v0", "v2", 0.0, prefs, state)
-    assert reroute(plan, 50.0, state, prefs) is plan
+def traveler_sim(spec, origin, dest, modes):
+    """A ``_Sim`` on ``spec`` whose one device ``tv`` has just left
+    ``origin`` for ``dest`` at t = 0."""
+    sim = _Sim(load_scenario({
+        "seed": 3,
+        "end_time": 14400.0,
+        "network": spec,
+        "demand": {"trips": [], "arrivals": [], "ev_modifiers": []},
+        "disturbances": [],
+        "detection_sources": [],
+        "devices": [{"device_id": "tv", "role": "traveler-app",
+                     "position": {"node": origin}, "comm_range": 1000.0,
+                     "trip": {"origin": origin, "dest": dest, "depart": 0.0,
+                              "prefs": {"allowed_modes": modes}}}],
+        "policies": {"rsu_links": [], "pt_routes": [], "defaults": {}},
+    }), MODE_TARGETED)
+    sim.setup()
+    tv = sim.travelers["tv"]
+    sim.handle_spawn(0.0, tv)
+    return sim, tv
 
 
-def test_reroute_blocked_next_segment_no_alternative(line3):
-    state = NetworkState(line3)
-    prefs = RoutingPreferences(frozenset({"car"}))
-    plan = route("v0", "v2", 0.0, prefs, state)
-    state.add_contribution(Contribution(
+def logged(sim, kind):
+    return [line for line in sim.event_log if f'"type":"{kind}"' in line]
+
+
+def test_reroute_keeps_unaffected_plan():
+    sim, tv = traveler_sim(line_network_spec(3), "v0", "v2", ["car"])
+    assert tv.current == ("s0", 0.0, 100.0, "v1")
+    assert tv.moves == [("seg", "s1", "car", "v2")]
+    sim._flag_replans({"tv"}, 50.0)
+    assert tv.replan_flag
+    sim.handle_arrive(100.0, tv, "v1")
+    assert not tv.replan_flag and logged(sim, "replan") == []
+    assert tv.current == ("s1", 100.0, 200.0, "v2") and tv.moves == []
+
+
+def test_reroute_blocked_next_segment_no_alternative():
+    sim, tv = traveler_sim(line_network_spec(3), "v0", "v2", ["car"])
+    sim.world.overlay.add_contribution(Contribution(
         "blk", "factor", frozenset({("s1", "car")}), 0.0, 0.0, float("inf")))
-    assert reroute(plan, 50.0, state, prefs) is None  # abandonment marker
+    sim._flag_replans({"tv"}, 50.0)
+    sim.handle_arrive(100.0, tv, "v1")
+    assert logged(sim, "replan") == []
+    assert logged(sim, "blocked") == ['{"t":100.0,"type":"blocked","traveler":"tv","node":"v1"}']
+    assert tv.status == "waiting" and tv.moves == [("seg", "s1", "car", "v2")]
 
 
 def test_reroute_adopts_improving_detour():
-    net = multimodal_toy()
-    state = NetworkState(net, boarding_wait={"metro": 0.0})
-    prefs = RoutingPreferences(frozenset({"car", "metro"}))
-    # force the car path first, then free the metro mid-journey
-    state.add_contribution(Contribution(
-        "blk", "factor", frozenset({("m0", "metro")}), 0.0, 0.0, 100.0))
-    plan = route("v0", "v3", 0.0, prefs, state)
-    assert [leg.mode_id for leg in plan.legs] == ["car"]
-    state.clock = 500.0  # metro block expired; traveler is mid r1
-    new = reroute(plan, 500.0, state, prefs)
-    # remaining car path arrives at 900; nothing better from v2 -> keep
-    assert new is plan
-    # degrade the remaining road so badly that going back pays off
-    state.add_contribution(Contribution(
-        "deg", "factor", frozenset({("r2", "car")}), 0.1, 400.0, float("inf")))
-    new = reroute(plan, 500.0, state, prefs)
-    assert new is not plan
-    position, avail, _pending = remaining_moves(plan, 500.0)
-    oracle = brute_force_route(position, "v3", prefs, state)
-    assert plan_key(new) == oracle_key(oracle)
+    modes = ["car", "metro"]
+    # From v1 the road (r1, r2) beats going back to the metro at v0.
+    keep, keep_tv = traveler_sim(multimodal_toy_spec(), "v1", "v3", modes)
+    assert keep_tv.current == ("r1", 0.0, 300.0, "v2")
+    assert keep_tv.moves == [("seg", "r2", "car", "v3")]
+    keep._flag_replans({"tv"}, 100.0)
+    keep.handle_arrive(300.0, keep_tv, "v2")
+    assert logged(keep, "replan") == [] and keep_tv.current[0] == "r2"
+    # r2 degraded so badly that going back to the metro pays off.
+    sim, tv = traveler_sim(multimodal_toy_spec(), "v1", "v3", modes)
+    overlay = sim.world.overlay
+    overlay.add_contribution(Contribution(
+        "deg", "factor", frozenset({("r2", "car")}), 0.1, 0.0, float("inf")))
+    overlay.clock = 300.0
+    sim._flag_replans({"tv"}, 100.0)
+    sim.handle_arrive(300.0, tv, "v2")
+    (replan,) = [json.loads(line) for line in logged(sim, "replan")]
+    seq = (tv.current[0],) + tuple(m[1] for m in tv.moves if m[0] == "seg")
+    transfers = sum(m[0] == "transfer" for m in tv.moves)
+    oracle = brute_force_route("v2", "v3", RoutingPreferences(frozenset(modes)), overlay)
+    assert (replan["arrival_estimate"] - 300.0, transfers, seq) == oracle_key(oracle)
+    assert seq == ("r1", "r0", "m0")
 
 
 def test_is_feasible_cases(line3):
     state = NetworkState(line3)
     prefs = RoutingPreferences(frozenset({"car"}))
     plan = route("v0", "v2", 0.0, prefs, state)
-    assert is_feasible(plan, state, 0.0)
+    moves = plan_to_moves(plan)
+    assert evaluate_moves("v0", 0.0, moves, state) == (
+        200.0, [("s0", 0.0, 100.0, "v1"), ("s1", 100.0, 200.0, "v2")])
     state.add_contribution(Contribution(
         "blk", "factor", frozenset({("s0", "car")}), 0.0, 0.0, float("inf")))
-    assert not is_feasible(plan, state, 0.0)
-    # already past the blocked first leg: remaining is open
-    assert is_feasible(plan, state, 150.0)
+    assert evaluate_moves("v0", 0.0, moves, state) is None
+    # already past the blocked first segment: the remaining move is open
+    assert evaluate_moves("v1", 150.0, moves[1:], state) == (250.0, [("s1", 150.0, 250.0, "v2")])
 
 
 def test_plan_move_roundtrip(line3):
@@ -658,5 +698,3 @@ def test_plan_move_roundtrip(line3):
     plan = route("v0", "v2", 0.0, prefs, state)
     moves = plan_to_moves(plan)
     assert [m[0] for m in moves] == ["seg", "seg"]
-    position, avail, pending = remaining_moves(plan, 0.0)
-    assert position == "v0" and pending == moves

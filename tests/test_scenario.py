@@ -392,6 +392,9 @@ NUMBER_FIELDS = {
     "headway": (_headway, "pt route Met1: headway"),
     "details_at": (lambda raw, v: raw["disturbances"][0].update(
         kind="D3", specifics={"details_at": v}), "event bridge-crash: details_at"),
+    "registered_duration": (lambda raw, v: raw["disturbances"][0].update(
+        kind="D3", specifics={"registered_duration": v}),
+        "event bridge-crash: registered_duration"),
 }
 
 
@@ -448,6 +451,24 @@ def test_accepted_integer_values_load_as_int_reads_them(field, value, loaded):
     raw = demo_scenario()
     edit(raw, value)
     assert read(load_scenario(raw)) == loaded
+
+
+@pytest.mark.parametrize("value", [float("nan"), 0, -5], ids=["nan", "zero", "negative"])
+def test_registered_duration_must_be_positive(value):
+    raw = demo_scenario()
+    raw["disturbances"][0].update(kind="D3", specifics={"registered_duration": value})
+    with pytest.raises(ValidationError,
+                       match="^event bridge-crash: registered_duration must be > 0$"):
+        load_scenario(raw)
+
+
+def test_registered_duration_is_read_once_at_load():
+    raw = demo_scenario()
+    raw["disturbances"][0].update(kind="D3", specifics={"registered_duration": 900})
+    event = load_scenario(raw).events[0]
+    assert event.registered_duration == 900.0 and isinstance(event.registered_duration, float)
+    assert event.specifics == {"registered_duration": 900}
+    assert load_scenario(demo_scenario()).events[0].registered_duration is None
 
 
 def test_details_at_is_read_once_at_load():
