@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -306,6 +308,57 @@ def test_decode_truncation_text_and_offset(cut, text, offset):
     with pytest.raises(CodecError) as err:
         decode(pin_blob()[:cut])
     assert (str(err.value), err.value.position) == (text, offset)
+
+
+# -- pinned validate failures ----------------------------------------------------------
+
+
+def pin_warning():
+    """The warning pin_blob() encodes."""
+    return decode(pin_blob())
+
+
+def _entries(**second):
+    first, other = pin_warning().affected
+    return (first, replace(other, **second))
+
+
+# (case, fields replaced in pin_warning(), error text)
+VALIDATE_FAILURES = [
+    ("unknown-kind", {"kind": "ZZ"}, "warning w1: unknown kind 'ZZ'"),
+    ("negative-revision", {"revision": -1}, "warning w1: negative revision"),
+    ("unknown-tier", {"detail": "mid"}, "warning w1: bad detail tier 'mid'"),
+    ("end-equals-issue", {"estimated_end": 100},
+     "warning w1: estimated_end must exceed issue_time"),
+    ("end-before-issue", {"estimated_end": 50},
+     "warning w1: estimated_end must exceed issue_time"),
+    ("empty-affected", {"affected": ()}, "warning w1: empty affected list"),
+    ("unknown-class", {"affected": _entries(seg_class="huge")},
+     "warning w1: unknown segment class 'huge'"),
+    ("empty-modes", {"affected": _entries(modes=())},
+     "warning w1: entry s8 has no modes"),
+    ("unsorted-modes", {"affected": _entries(modes=("car", "bus"))},
+     "warning w1: modes of s8 not sorted"),
+    ("basic-with-case-data", {"detail": "basic"},
+     "warning w1: basic tier must not carry case data"),
+    # the first broken rule in wire order is the one reported
+    ("kind-before-revision", {"kind": "ZZ", "revision": -1},
+     "warning w1: unknown kind 'ZZ'"),
+    ("end-before-affected", {"estimated_end": 50, "affected": ()},
+     "warning w1: estimated_end must exceed issue_time"),
+    ("class-before-modes", {"affected": _entries(seg_class="huge", modes=())},
+     "warning w1: unknown segment class 'huge'"),
+]
+
+
+@pytest.mark.parametrize("changes,text",
+                         [case[1:] for case in VALIDATE_FAILURES],
+                         ids=[case[0] for case in VALIDATE_FAILURES])
+def test_validate_failure_text(changes, text):
+    pin_warning().validate()
+    with pytest.raises(ValidationError) as err:
+        replace(pin_warning(), **changes).validate()
+    assert str(err.value) == text
 
 
 # -- construction -----------------------------------------------------------------
