@@ -6,13 +6,16 @@ than the broadcast baseline at identical total delay, and both adapted runs
 beat the run without any detection or adaptation.
 """
 
-from mitsim.demo import demo_scenario
-from mitsim.scenario import load_scenario
+from pathlib import Path
+
+from mitsim.scenario import load_scenario_file
 from mitsim.simulation import compare
+
+DEMO = Path(__file__).resolve().parent.parent / "scenarios" / "demo.json"
 
 
 def main():
-    scenario = load_scenario(demo_scenario())
+    scenario = load_scenario_file(str(DEMO))
     report = compare(scenario)
     d = report.to_dict()
     print(f"{'run':<12} {'delay (s)':>12} {'messages':>10} {'trips':>6}")

@@ -6,10 +6,13 @@ devices outside both the trajectory filter and the area no longer hear
 about the disturbance.
 """
 
-from mitsim.demo import demo_scenario
+import json
+from pathlib import Path
+
 from mitsim.scenario import load_scenario
 from mitsim.simulation import compare
 
+DEMO = Path(__file__).resolve().parent.parent / "scenarios" / "demo.json"
 SCALES = [0.02, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0]
 BASE = {"critical": 5000, "major": 2000, "inferior": 800, "minor": 300}
 
@@ -18,7 +21,7 @@ def main():
     print(f"{'scale':>6} {'messages':>9} {'delay (s)':>10} "
           f"{'precision':>10} {'recall':>7}")
     for scale in SCALES:
-        raw = demo_scenario()
+        raw = json.loads(DEMO.read_text(encoding="utf-8"))
         raw["policies"]["relevance"]["area_radius"] = {
             k: v * scale for k, v in BASE.items()}
         report = compare(load_scenario(raw))

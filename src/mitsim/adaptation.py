@@ -3,10 +3,11 @@
 Each disturbance kind has an ordered row of strategy templates (the
 strategy table).  Planning walks the row, instantiates every template that
 is feasible in the current world state and skips the rest with a reason.
-Applying actions only ever touches the capacity overlay, per-device
-advisories and fleet assignments, all keyed by action id, so expiry
+Applying actions only ever touches the capacity overlay, signal claims,
+bus routes and fleet assignments, all keyed by action id, so expiry
 restores the pre-action state exactly.  A reroute's targets are flagged for
-replanning by the simulator.
+replanning by the simulator.  Stop guidance and demand rebalancing are
+planned and logged but change nothing in the world.
 """
 
 from __future__ import annotations
@@ -48,71 +49,55 @@ DEFAULT_STRATEGY_TABLE: dict[str, tuple[str, ...]] = {
 RESCUE_CLEARANCE = {1: 0.8, 2: 0.8, 3: 0.5, 4: 0.1, 5: 0.1}
 
 
-def _check_window(action_id: str, activation: float, expiry: float) -> None:
-    if expiry <= activation:
-        raise ValidationError(f"action {action_id}: expiry must exceed activation")
-
-
 @dataclass(frozen=True)
-class Reroute:
+class AdaptationAction:
+    """What every action holds.  Each action type adds its own fields after
+    these, and ``actor_field`` names the one listing the devices that carry
+    the action out, if there is one."""
+
     action_id: str
     event_id: str
     activation: float
     expiry: float
-    targets: tuple[str, ...]
-    action_type = "reroute"
+    actor_field = None
 
     def __post_init__(self):
-        _check_window(self.action_id, self.activation, self.expiry)
+        if self.expiry <= self.activation:
+            raise ValidationError(f"action {self.action_id}: expiry must exceed activation")
 
     def actor_device_ids(self) -> set[str]:
-        return set(self.targets)
+        return set(getattr(self, self.actor_field)) if self.actor_field else set()
 
 
 @dataclass(frozen=True)
-class StopGuidance:
-    action_id: str
-    event_id: str
-    activation: float
-    expiry: float
+class Reroute(AdaptationAction):
+    targets: tuple[str, ...]
+    action_type = "reroute"
+    actor_field = "targets"
+
+
+@dataclass(frozen=True)
+class StopGuidance(AdaptationAction):
     stops: tuple[str, ...]
     alternatives: tuple[tuple[str, tuple[str, ...]], ...]  # (node, modes)
     display_devices: tuple[str, ...]
     action_type = "stop_guidance"
-
-    def __post_init__(self):
-        _check_window(self.action_id, self.activation, self.expiry)
-
-    def actor_device_ids(self) -> set[str]:
-        return set(self.display_devices)
+    actor_field = "display_devices"
 
 
 @dataclass(frozen=True)
-class BusDiversion:
-    action_id: str
-    event_id: str
-    activation: float
-    expiry: float
+class BusDiversion(AdaptationAction):
     route_id: str
     skipped_stops: tuple[str, ...]
     skipped_segments: tuple[str, ...]
     detour_segments: tuple[str, ...]
     cav_assignment: tuple[str, ...]
     action_type = "bus_diversion"
-
-    def __post_init__(self):
-        _check_window(self.action_id, self.activation, self.expiry)
-
-    def actor_device_ids(self) -> set[str]:
-        return set(self.cav_assignment)
+    actor_field = "cav_assignment"
 
 
 @dataclass(frozen=True)
-class ReplacementService:
-    action_id: str
-    event_id: str
-    activation: float
-    expiry: float
+class ReplacementService(AdaptationAction):
     blocked_segments: tuple[str, ...]
     served_stations: tuple[str, ...]
     road_path: tuple[str, ...]
@@ -122,94 +107,51 @@ class ReplacementService:
     action_type = "replacement"
 
     def __post_init__(self):
-        _check_window(self.action_id, self.activation, self.expiry)
+        super().__post_init__()
         if self.vehicle_count < 1:
             raise ValidationError(f"action {self.action_id}: vehicle_count must be >= 1")
 
-    def actor_device_ids(self) -> set[str]:
-        return set()
-
 
 @dataclass(frozen=True)
-class SignalPlanChange:
-    action_id: str
-    event_id: str
-    activation: float
-    expiry: float
+class SignalPlanChange(AdaptationAction):
     intersections: tuple[str, ...]
     approaches: tuple[tuple[str, str], ...]  # (node, segment)
     capacity_multiplier: float
     controller_devices: tuple[str, ...]
     action_type = "signal_plan"
+    actor_field = "controller_devices"
 
     def __post_init__(self):
-        _check_window(self.action_id, self.activation, self.expiry)
+        super().__post_init__()
         if not 0.0 < self.capacity_multiplier <= 2.0:
             raise ValidationError(
                 f"action {self.action_id}: multiplier outside (0, 2]"
             )
 
-    def actor_device_ids(self) -> set[str]:
-        return set(self.controller_devices)
-
 
 @dataclass(frozen=True)
-class RescueCorridor:
-    action_id: str
-    event_id: str
-    activation: float
-    expiry: float
+class RescueCorridor(AdaptationAction):
     corridor: tuple[str, ...]
     clearance_level: float
     action_type = "rescue_corridor"
 
-    def __post_init__(self):
-        _check_window(self.action_id, self.activation, self.expiry)
-
-    def actor_device_ids(self) -> set[str]:
-        return set()
-
 
 @dataclass(frozen=True)
-class PoliceNotification:
-    action_id: str
-    event_id: str
-    activation: float
-    expiry: float
+class PoliceNotification(AdaptationAction):
     node: str
     response_delay: float
     restore_floor: float
     action_type = "police"
 
-    def __post_init__(self):
-        _check_window(self.action_id, self.activation, self.expiry)
-
-    def actor_device_ids(self) -> set[str]:
-        return set()
-
 
 @dataclass(frozen=True)
-class DemandRebalance:
-    action_id: str
-    event_id: str
-    activation: float
-    expiry: float
+class DemandRebalance(AdaptationAction):
     area_nodes: tuple[str, ...]
     roles: tuple[str, ...]
     target_cavs: tuple[str, ...]
     action_type = "demand_rebalance"
+    actor_field = "target_cavs"
 
-    def __post_init__(self):
-        _check_window(self.action_id, self.activation, self.expiry)
-
-    def actor_device_ids(self) -> set[str]:
-        return set(self.target_cavs)
-
-
-AdaptationAction = (
-    Reroute | StopGuidance | BusDiversion | ReplacementService
-    | SignalPlanChange | RescueCorridor | PoliceNotification | DemandRebalance
-)
 
 # StrategyTable: mapping kind -> ordered template names.
 StrategyTable = dict
@@ -818,13 +760,6 @@ def apply(actions: Iterable[AdaptationAction], state: WorldState, now: float) ->
                     free_flow_time=fft,
                     capacity=action.vehicle_count * state.defaults.replacement_vehicle_capacity,
                 ))
-        elif isinstance(action, StopGuidance):
-            for device_id in action.display_devices:
-                state.advisories.setdefault(device_id, []).append({
-                    "action_id": action.action_id,
-                    "stops": list(action.stops),
-                    "alternatives": [[n, list(m)] for n, m in action.alternatives],
-                })
         elif isinstance(action, BusDiversion):
             pt_route = state.pt_routes[action.route_id]
             state.diversions[action.action_id] = (
@@ -836,8 +771,6 @@ def apply(actions: Iterable[AdaptationAction], state: WorldState, now: float) ->
             pt_route.stops = kept
             for cav_id in action.cav_assignment:
                 state.cavs[cav_id].available = False
-        elif isinstance(action, DemandRebalance):
-            state.rebalance_targets[action.action_id] = action.area_nodes
         records.append(record)
     return records
 
@@ -874,14 +807,6 @@ def expire(action: AdaptationAction, state: WorldState) -> None:
             claim = state.signal_claims.get((node, seg_id))
             if claim is not None and claim[0] == action.action_id:
                 del state.signal_claims[(node, seg_id)]
-    elif isinstance(action, StopGuidance):
-        for device_id in action.display_devices:
-            entries = state.advisories.get(device_id, [])
-            state.advisories[device_id] = [
-                e for e in entries if e["action_id"] != action.action_id
-            ]
-            if not state.advisories[device_id]:
-                del state.advisories[device_id]
     elif isinstance(action, BusDiversion):
         stored = state.diversions.pop(action.action_id, None)
         if stored is not None:
@@ -890,5 +815,3 @@ def expire(action: AdaptationAction, state: WorldState) -> None:
             state.pt_routes[route_id].stops = stops
             for cav_id in cav_ids:
                 state.cavs[cav_id].available = True
-    elif isinstance(action, DemandRebalance):
-        state.rebalance_targets.pop(action.action_id, None)

@@ -92,7 +92,6 @@ def ev_rate_windows(
 
 @dataclass(frozen=True)
 class Scenario:
-    raw: Mapping
     net: MultiLayerNetwork
     trips: tuple[TripSpec, ...]
     arrivals: tuple[ArrivalSpec, ...]
@@ -124,13 +123,15 @@ class Scenario:
             boarding_wait=boarding_waits(self.net, self.pt_routes, self.defaults),
         )
         devices = self.build_devices()
+        travelling = {spec["device_id"] for spec in self.device_specs
+                      if spec.get("trip") is not None}
         cavs: dict[str, CavUnit] = {}
         for device in devices.values():
             if device.role != "vehicle-obu" or device.mode is None:
                 continue
             if self.net.modes[device.mode].category != "cav-taxi":
                 continue
-            if any(t.device_id == device.device_id for t in self.trips):
+            if device.device_id in travelling:
                 continue
             node = device.position.node
             if node is None:
@@ -152,12 +153,8 @@ class Scenario:
         Events are validated apart from every other section, so dropping
         one leaves the rest of the parse valid as it is.
         """
-        raw = dict(self.raw)
-        raw["disturbances"] = [
-            e for e in raw.get("disturbances", []) if e.get("event_id") != event_id
-        ]
         return dataclasses.replace(
-            self, raw=raw, events=tuple(e for e in self.events if e.event_id != event_id))
+            self, events=tuple(e for e in self.events if e.event_id != event_id))
 
     def with_seed(self, seed: int) -> "Scenario":
         """This scenario under another seed, sharing the parsed network.
@@ -166,9 +163,7 @@ class Scenario:
         """
         if not isinstance(seed, int):
             raise ValidationError("scenario: seed must be an integer")
-        raw = dict(self.raw)
-        raw["seed"] = seed
-        return dataclasses.replace(self, raw=raw, seed=seed)
+        return dataclasses.replace(self, seed=seed)
 
     def stream(self, name: str) -> random.Random:
         return stream_rng(self.seed, name)
@@ -511,8 +506,7 @@ def load_scenario(raw: Mapping) -> Scenario:
             headway=headway, priority=bool(r.get("priority", False)),
         ))
 
-    scenario = Scenario(
-        raw=raw,
+    return Scenario(
         net=net,
         trips=tuple(trips),
         arrivals=tuple(arrivals),
@@ -529,7 +523,6 @@ def load_scenario(raw: Mapping) -> Scenario:
         seed=seed,
         end_time=end_time,
     )
-    return scenario
 
 
 def load_scenario_file(path: str) -> Scenario:

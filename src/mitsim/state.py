@@ -263,8 +263,6 @@ class WorldState:
     pt_routes: dict[str, PtRoute] = field(default_factory=dict)
     cavs: dict[str, CavUnit] = field(default_factory=dict)
     defaults: SimDefaults = field(default_factory=SimDefaults)
-    advisories: dict[str, list] = field(default_factory=dict)  # device_id -> advisories
-    rebalance_targets: dict[str, tuple[str, ...]] = field(default_factory=dict)
     signal_claims: dict[tuple[str, str], tuple[str, float]] = field(default_factory=dict)
     diversions: dict[str, tuple] = field(default_factory=dict)
     flow_entries: list[tuple[float, str, str]] = field(default_factory=list)

@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -5,9 +6,16 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from mitsim.demo import demo_scenario
 from mitsim.network import build_network
 from mitsim.scenario import load_scenario
+
+DEMO_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "demo.json"
+
+
+def demo_scenario() -> dict:
+    """The bundled demo scenario, parsed afresh on every call so that a
+    test may edit it."""
+    return json.loads(DEMO_PATH.read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="session")

@@ -1,16 +1,18 @@
 import json
+import shutil
 
 import pytest
 
 from mitsim import scenario as scenario_module
 from mitsim.cli import main
-from mitsim.demo import demo_scenario, write_demo_scenario
+
+from conftest import DEMO_PATH, demo_scenario
 
 
 @pytest.fixture(scope="module")
 def demo_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("scen") / "demo.json"
-    write_demo_scenario(str(path))
+    shutil.copyfile(DEMO_PATH, path)
     return str(path)
 
 

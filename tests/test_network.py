@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from mitsim.demo import demo_scenario
 from mitsim.errors import ValidationError
 from mitsim.network import MultiLayerNetwork, build_network, node_distances
 from mitsim.routing import RoutingPreferences, route
 from mitsim.scenario import load_scenario
 from mitsim.state import NetworkState
 
-from conftest import line_network_spec
+from conftest import demo_scenario, line_network_spec
 from generators import random_network, random_network_spec
 from oracles import brute_force_free_flow_path, brute_force_node_distances
 

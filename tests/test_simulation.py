@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mitsim import scenario as scenario_module, simulation
-from mitsim.demo import demo_scenario
 from mitsim.errors import ValidationError
 from mitsim.scenario import load_scenario
 from mitsim.simulation import (
@@ -21,6 +20,7 @@ from mitsim.simulation import (
     run,
 )
 
+from conftest import demo_scenario
 from generators import (
     idle_obu_grid_scenario_dict,
     rail_line_scenario_dict,
@@ -337,7 +337,7 @@ def test_compare_demo_relationships(demo):
 
 
 def test_recall_below_one_when_horizon_too_short(demo):
-    raw = json.loads(json.dumps(demo.raw))
+    raw = demo_scenario()
     # a stingy policy: no look-ahead to speak of, no area, no actors
     raw["policies"]["relevance"] = {
         "horizon": 1.0,
