@@ -7,8 +7,8 @@ Generates ``city-commute`` and ``city-compare`` with ``perfbench/grid_city.py``
 and runs each workload's entry point (targeted ``run`` or ``compare``) in
 this process.  One run wraps ``dissemination.distribute`` and
 ``dissemination.is_relevant`` to count ``distribute`` calls, the devices
-they are handed, the ``is_relevant`` calls they make and the devices they
-notify; counts repeat exactly.  Then ``--repeat`` runs, each on a freshly
+they are handed, the ``is_relevant`` calls they make (one per device
+handed) and the devices they notify; counts repeat exactly.  Then ``--repeat`` runs, each on a freshly
 loaded scenario, wrap ``distribute`` alone and time it (``time.perf_counter``,
 no reference scaling); ``distribute_s`` is the median of their totals.
 
@@ -56,9 +56,9 @@ def count(workload: str, seed: int) -> dict:
         counts["notified"] += len(record.notified)
         return record
 
-    def counted_is_relevant(*args):
+    def counted_is_relevant(scope, device):
         counts["is_relevant_calls"] += 1
-        return is_relevant(*args)
+        return is_relevant(scope, device)
 
     dissemination.distribute = counted_distribute
     dissemination.is_relevant = counted_is_relevant

@@ -26,6 +26,7 @@ from .dissemination import (
     RelevanceDecision,
     RelevancePolicy,
     RsuTopology,
+    WarningScope,
     broadcast_baseline,
     distribute,
     is_relevant,

@@ -20,11 +20,13 @@ per device.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .errors import ValidationError
 from .messages import WarningMessage
-from .network import MultiLayerNetwork, node_distances
+# perfbench's tracer tests read the ``node_distances`` binding of this module.
+from .network import MultiLayerNetwork, node_distances  # noqa: F401
 
 DEVICE_ROLES = frozenset({
     "vehicle-obu", "traveler-app", "roadside-unit",
@@ -140,35 +142,6 @@ def _anchor_map(net: MultiLayerNetwork, pos: DevicePosition) -> dict[str, float]
     return {seg.from_node: off, seg.to_node: seg.length - off}
 
 
-def position_node_distances(net: MultiLayerNetwork, pos: DevicePosition) -> dict[str, float]:
-    """Along-network distance from a device position to every node."""
-    return node_distances(net, _anchor_map(net, pos))
-
-
-def distance_to_segment(net: MultiLayerNetwork, pos: DevicePosition, segment_id: str) -> float:
-    """Along-network meters from a position to the nearest end of a segment.
-
-    A position on the segment itself is at distance zero.
-    """
-    if pos.segment == segment_id:
-        return 0.0
-    seg = net.segments[segment_id]
-    dist = position_node_distances(net, pos)
-    return min(
-        dist.get(seg.from_node, float("inf")),
-        dist.get(seg.to_node, float("inf")),
-    )
-
-
-def _segment_distance(net: MultiLayerNetwork, pos: DevicePosition, segment_id: str) -> float:
-    """``distance_to_segment`` read from the network's distance table for
-    the segment's ends: along-network distance is symmetric, so the
-    position's anchors look up their distance to the segment."""
-    if pos.segment == segment_id:
-        return 0.0
-    return _table_distance(_end_table(net, segment_id), _anchor_map(net, pos).items())
-
-
 def _end_table(net: MultiLayerNetwork, segment_id: str) -> Mapping[str, float]:
     """The network's distance table from both ends of a segment."""
     seg = net.segments[segment_id]
@@ -184,21 +157,6 @@ def _table_distance(table: Mapping[str, float], anchors) -> float:
         if d < best:
             best = d
     return best
-
-
-def position_distance(net: MultiLayerNetwork, a: DevicePosition, b: DevicePosition) -> float:
-    """Along-network meters between two positions."""
-    if a.segment is not None and a.segment == b.segment:
-        direct = abs(a.offset - b.offset)
-    else:
-        direct = float("inf")
-    dist = node_distances(net, _anchor_map(net, a))
-    via_nodes = min(
-        (dist.get(anchor, float("inf")) + extra
-         for anchor, extra in _anchor_map(net, b).items()),
-        default=float("inf"),
-    )
-    return min(direct, via_nodes)
 
 
 # -- trajectory prediction ----------------------------------------------------
@@ -245,47 +203,73 @@ def _continuation(device: EdgeDevice, net: MultiLayerNetwork) -> tuple[str, ...]
 
 # -- relevance ----------------------------------------------------------------
 
+TRAJECTORY_HIT = RelevanceDecision(relevant=True, reason="trajectory-hit")
+AREA = RelevanceDecision(relevant=True, reason="area")
+ADAPTATION_ACTOR = RelevanceDecision(relevant=True, reason="adaptation-actor")
 
-def is_relevant(
-    w: WarningMessage,
-    device: EdgeDevice,
-    policy: RelevancePolicy,
-    net: MultiLayerNetwork,
-    actions: Iterable,
-    now: float,
-) -> RelevanceDecision:
-    """Decide whether one device should receive one warning.
+
+class WarningScope:
+    """What the relevance test reads of one warning, built once per warning.
 
     ``actions`` are the adaptation actions planned for the warning's event;
-    each must expose ``event_id`` and ``actor_device_ids()``.  The area test
-    reads each affected segment's distance table, kept on the network.
+    each must expose ``event_id`` and ``actor_device_ids()``.
     """
+
+    def __init__(
+        self,
+        w: WarningMessage,
+        policy: RelevancePolicy,
+        net: MultiLayerNetwork,
+        actions: Iterable,
+        now: float,
+    ):
+        self.net = net
+        self.now = now
+        self.policy = policy
+        self.entries = {e.segment_id: e for e in w.affected}
+        self.horizon_end = now + policy.horizon
+        self.actors: set[str] = set()
+        if policy.include_adaptation_actors:
+            for action in actions:
+                if action.event_id == w.event_id:
+                    self.actors.update(action.actor_device_ids())
+
+    @cached_property
+    def areas(self) -> list[tuple[str, tuple[str, ...], float, Mapping[str, float]]]:
+        """``(segment id, modes, radius, end distance table)`` of each
+        affected segment, in id order.  Built on first read, so a fleet of
+        roadside units alone builds no distance table."""
+        return [(seg_id, entry.modes, self.policy.area_radius[entry.seg_class],
+                 _end_table(self.net, seg_id)) for seg_id, entry in sorted(self.entries.items())]
+
+
+def is_relevant(scope: WarningScope, device: EdgeDevice) -> RelevanceDecision:
+    """Decide whether one device should receive the scope's warning."""
     if device.role == "roadside-unit":
         return NOT_RELEVANT
-    entries = {e.segment_id: e for e in w.affected}
+    mode, entries = device.mode, scope.entries
 
-    if device.mode is not None:
-        for seg_id, eta in predict_trajectory(device, net, now):
+    if mode is not None:
+        for seg_id, eta in predict_trajectory(device, scope.net, scope.now):
             entry = entries.get(seg_id)
-            if entry is None or eta > now + policy.horizon:
-                continue
-            if device.mode in entry.modes:
-                return RelevanceDecision(True, "trajectory-hit")
+            if entry is not None and eta <= scope.horizon_end and mode in entry.modes:
+                return TRAJECTORY_HIT
 
-    for seg_id in sorted(entries):
-        entry = entries[seg_id]
-        if device.mode is not None and device.mode not in entry.modes:
+    pos = device.position
+    for seg_id, modes, radius, table in scope.areas:
+        if mode is not None and mode not in modes:
             continue
-        radius = policy.area_radius[entry.seg_class]
-        if _segment_distance(net, device.position, seg_id) <= radius:
-            return RelevanceDecision(True, "area")
+        if pos.node is not None:  # its one anchor, at offset 0
+            d = table.get(pos.node, float("inf"))
+        elif pos.segment == seg_id:
+            d = 0.0
+        else:
+            d = _table_distance(table, _anchor_map(scope.net, pos).items())
+        if d <= radius:
+            return AREA
 
-    if policy.include_adaptation_actors:
-        for action in actions:
-            if action.event_id != w.event_id:
-                continue
-            if device.device_id in action.actor_device_ids():
-                return RelevanceDecision(True, "adaptation-actor")
+    if device.device_id in scope.actors:
+        return ADAPTATION_ACTOR
     return NOT_RELEVANT
 
 
@@ -334,74 +318,15 @@ def distribute(
     the used tree paths plus one delivery per notified device.  Relevant
     devices no reachable unit covers are reported as missed.
 
-    ``is_relevant`` decides, in device-id order, only for the candidates:
-    the devices the warning can touch, as in geocast addressing.  What
-    that takes is found once per warning: each affected segment's modes,
-    radius and distance table, and the ids of the event's adaptation
-    actors.  A device is a candidate when
-
-    - it is a roadside unit (``is_relevant`` turns those away) or an actor;
-    - for an affected segment whose modes admit its mode (or it has none),
-      it sits on the segment or an anchor of it is within the segment's
-      radius by the table; or
-    - it has a mode, and its planned route or its free-flow continuation
-      names an affected segment whose modes hold that mode.
-
-    Every relevant device is a candidate, so the result is the one of
-    deciding for every device.  A trajectory hit names a segment of the
-    predicted trajectory in the device's mode, and that trajectory is a
-    suffix of the planned route or the continuation itself; the candidate
-    test only drops the horizon.  The area reason is the same distance
-    test on the same table.  An actor is in the actor set.
+    ``is_relevant`` decides for every device, in device-id order.
     """
-    inf = float("inf")
     devices = sorted(devices, key=lambda d: d.device_id)
-    actions = list(actions)
-    entries = {e.segment_id: e for e in w.affected}
-    areas = []
-    # A fleet of roadside units alone holds no relevant device and needs no table.
-    if any(d.role != "roadside-unit" for d in devices):
-        areas = [(seg_id, entries[seg_id].modes, policy.area_radius[entries[seg_id].seg_class],
-                  _end_table(net, seg_id)) for seg_id in sorted(entries)]
-    hits: dict[str, set[str]] = {}  # affected segments by mode
-    for seg_id, entry in entries.items():
-        for mode in entry.modes:
-            hits.setdefault(mode, set()).add(seg_id)
-    actors: set[str] = set()
-    if policy.include_adaptation_actors:
-        for action in actions:
-            if action.event_id == w.event_id:
-                actors.update(action.actor_device_ids())
-
-    def candidate(device: EdgeDevice) -> bool:
-        if device.role == "roadside-unit" or device.device_id in actors:
-            return True
-        pos, mode = device.position, device.mode
-        for seg_id, modes, radius, table in areas:
-            if mode is not None and mode not in modes:
-                continue
-            if pos.node is not None:  # its one anchor, at offset 0
-                if table.get(pos.node, inf) <= radius:
-                    return True
-            elif (pos.segment == seg_id
-                  or _table_distance(table, _anchor_map(net, pos).items()) <= radius):
-                return True
-        if mode is None:
-            return False
-        if device.planned_route is not None:
-            route: Iterable[str] = (seg_id for seg_id, _eta in device.planned_route)
-        elif device.destination is not None:
-            route = _continuation(device, net)
-        else:
-            return False
-        return not hits.get(mode, set()).isdisjoint(route)
-
+    scope = WarningScope(w, policy, net, actions, now)
     decisions: dict[str, tuple[EdgeDevice, RelevanceDecision]] = {}
     for device in devices:
-        if candidate(device):
-            decision = is_relevant(w, device, policy, net, actions, now)
-            if decision.relevant:
-                decisions[device.device_id] = (device, decision)
+        decision = is_relevant(scope, device)
+        if decision.relevant:
+            decisions[device.device_id] = (device, decision)
     rsus = [d for d in devices if d.role == "roadside-unit"]
     baseline = broadcast_baseline(w, devices)
 
@@ -419,7 +344,7 @@ def distribute(
     def event_distance(rsu: EdgeDevice) -> float:
         anchors = _anchor_map(net, rsu.position).items()
         return min((0.0 if rsu.position.segment == seg_id else _table_distance(table, anchors)
-                    for seg_id, _modes, _radius, table in areas), default=inf)
+                    for seg_id, _modes, _radius, table in scope.areas), default=float("inf"))
 
     origin = min(rsus, key=lambda r: (event_distance(r), r.device_id))
     depth, parent = _rsu_reach(rsus, origin.device_id, topology)

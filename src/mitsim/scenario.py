@@ -257,6 +257,11 @@ def load_scenario(raw: Mapping) -> Scenario:
     for key in sorted(values):
         if not math.isfinite(values[key]):
             raise ValidationError(f"policies.defaults: {key} must be finite")
+    # Both are divisors: hourly flows scale by 3600 / flow_window, and a
+    # replacement service runs displaced / replacement_vehicle_capacity vehicles.
+    for key in ("flow_window", "replacement_vehicle_capacity"):
+        if not getattr(defaults, key) > 0:
+            raise ValidationError(f"policies.defaults: {key} must be > 0")
 
     # demand
     demand_raw = raw.get("demand") or {}

@@ -3,13 +3,8 @@
 import heapq
 import itertools
 
-from mitsim.dissemination import (
-    distance_to_segment,
-    position_distance,
-    position_node_distances,
-    predict_trajectory,
-)
-from mitsim.network import Arc
+from mitsim.dissemination import predict_trajectory
+from mitsim.network import Arc, node_distances
 from mitsim.routing import Leg, SearchResult, Transfer, plan_to_moves
 from mitsim.simulation import RunResult, _Sim
 
@@ -371,6 +366,50 @@ def brute_force_free_flow_path(net, mode_id, origin, dest):
 
     rec(origin, 0.0, (), {origin})
     return None if best[0] is None else best[0][1]
+
+
+def anchor_map(net, pos):
+    """A position's nearest nodes with the meters to each."""
+    if pos.node is not None:
+        return {pos.node: 0.0}
+    seg = net.segments[pos.segment]
+    off = min(max(pos.offset, 0.0), seg.length)
+    return {seg.from_node: off, seg.to_node: seg.length - off}
+
+
+def position_node_distances(net, pos):
+    """Along-network distance from a device position to every node."""
+    return node_distances(net, anchor_map(net, pos))
+
+
+def distance_to_segment(net, pos, segment_id):
+    """Along-network meters from a position to the nearest end of a segment.
+
+    A position on the segment itself is at distance zero.
+    """
+    if pos.segment == segment_id:
+        return 0.0
+    seg = net.segments[segment_id]
+    dist = position_node_distances(net, pos)
+    return min(
+        dist.get(seg.from_node, float("inf")),
+        dist.get(seg.to_node, float("inf")),
+    )
+
+
+def position_distance(net, a, b):
+    """Along-network meters between two positions."""
+    if a.segment is not None and a.segment == b.segment:
+        direct = abs(a.offset - b.offset)
+    else:
+        direct = float("inf")
+    dist = position_node_distances(net, a)
+    via_nodes = min(
+        (dist.get(anchor, float("inf")) + extra
+         for anchor, extra in anchor_map(net, b).items()),
+        default=float("inf"),
+    )
+    return min(direct, via_nodes)
 
 
 def brute_force_relevant(w, device, policy, net, actions, now):

@@ -11,11 +11,10 @@ from mitsim.dissemination import (
     EdgeDevice,
     RelevancePolicy,
     RsuTopology,
+    WarningScope,
     broadcast_baseline,
-    distance_to_segment,
     distribute,
     is_relevant,
-    position_distance,
     predict_trajectory,
 )
 from mitsim.messages import AffectedEntry, WarningMessage
@@ -30,8 +29,24 @@ from generators import (
     random_topology,
     random_warning,
 )
+from oracles import (
+    brute_force_free_flow_path,
+    brute_force_mode_arcs,
+    brute_force_node_distances,
+    brute_force_relevant,
+    brute_force_route,
+    distance_to_segment,
+    oracle_delivery,
+    oracle_notified,
+    position_distance,
+)
 
 POLICY = RelevancePolicy()
+
+
+def relevance(w, device, policy, net, actions, now):
+    """``is_relevant`` on one device, with the warning's scope built for it."""
+    return is_relevant(WarningScope(w, policy, net, actions, now), device)
 
 
 def warn_on(net, seg_ids, modes, issue=0, end=3600):
@@ -112,7 +127,7 @@ def test_tram_not_informed_about_road_warning():
     w = warn_on(net, ["s0"], ["car"])
     tram = EdgeDevice("tr", "vehicle-obu", DevicePosition(node="v0"),
                       planned_route=(("t0", 100.0),), mode="tram")
-    decision = is_relevant(w, tram, POLICY, net, [], now=0.0)
+    decision = relevance(w, tram, POLICY, net, [], now=0.0)
     assert not decision.relevant and decision.reason == "none"
 
 
@@ -121,7 +136,7 @@ def test_trajectory_hit_within_horizon(line3):
     device = EdgeDevice("d", "vehicle-obu", DevicePosition(node="v0"),
                         planned_route=(("s1", POLICY.horizon / 2),), mode="car",
                         comm_range=100.0)
-    decision = is_relevant(w, device, POLICY, line3, [], now=0.0)
+    decision = relevance(w, device, POLICY, line3, [], now=0.0)
     assert decision.relevant and decision.reason == "trajectory-hit"
 
 
@@ -129,12 +144,12 @@ def test_trajectory_beyond_horizon_falls_to_area(line3):
     w = warn_on(line3, ["s1"], ["car"])
     device = EdgeDevice("d", "vehicle-obu", DevicePosition(node="v0"),
                         planned_route=(("s1", POLICY.horizon * 10),), mode="car")
-    decision = is_relevant(w, device, POLICY, line3, [], now=0.0)
+    decision = relevance(w, device, POLICY, line3, [], now=0.0)
     # still within the area radius of a minor-class segment? v0 is 1000 m away
     assert decision.reason in ("area", "none")
     tight = RelevancePolicy(area_radius={"critical": 10, "major": 5,
                                          "inferior": 2, "minor": 1})
-    decision = is_relevant(w, device, tight, line3, [], now=0.0)
+    decision = relevance(w, device, tight, line3, [], now=0.0)
     assert not decision.relevant
 
 
@@ -148,29 +163,29 @@ def test_adaptation_actor_relevance(line3):
     )
     tight = RelevancePolicy(area_radius={"critical": 10, "major": 5,
                                          "inferior": 2, "minor": 1})
-    decision = is_relevant(w, cav, tight, line3, [action], now=0.0)
+    decision = relevance(w, cav, tight, line3, [action], now=0.0)
     assert decision.reason == "adaptation-actor"
     # actor relevance can be switched off
     off = RelevancePolicy(area_radius=tight.area_radius,
                           include_adaptation_actors=False)
-    assert not is_relevant(w, cav, off, line3, [action], now=0.0).relevant
+    assert not relevance(w, cav, off, line3, [action], now=0.0).relevant
 
 
 def test_rsu_is_never_a_recipient(line3):
     w = warn_on(line3, ["s0"], ["car"])
     rsu = EdgeDevice("r1", "roadside-unit", DevicePosition(node="v0"),
                      comm_range=5000.0)
-    assert not is_relevant(w, rsu, POLICY, line3, [], now=0.0).relevant
+    assert not relevance(w, rsu, POLICY, line3, [], now=0.0).relevant
 
 
 def test_reason_priority_trajectory_over_area(line3):
     w = warn_on(line3, ["s0"], ["car"])
     device = EdgeDevice("d", "vehicle-obu", DevicePosition(node="v0"),
                         planned_route=(("s0", 100.0),), mode="car")
-    assert is_relevant(w, device, POLICY, line3, [], 0.0).reason == "trajectory-hit"
+    assert relevance(w, device, POLICY, line3, [], 0.0).reason == "trajectory-hit"
 
 
-# -- geometry -----------------------------------------------------------------------
+# -- geometry oracles ---------------------------------------------------------------
 
 
 def test_distance_to_segment_on_segment(line3):
@@ -187,16 +202,6 @@ def test_position_distance_same_segment(line3):
 
 # -- distribution oracle --------------------------------------------------------------
 
-
-from oracles import (
-    brute_force_free_flow_path,
-    brute_force_mode_arcs,
-    brute_force_node_distances,
-    brute_force_relevant,
-    brute_force_route,
-    oracle_delivery,
-    oracle_notified,
-)
 
 TIGHT = RelevancePolicy(area_radius={"critical": 1500, "major": 800,
                                      "inferior": 400, "minor": 200})
@@ -228,7 +233,7 @@ def test_distribute_matches_oracle_on_16_node_networks(policy):
         reasons = {d.device_id: brute_force_relevant(w, d, policy, net, actions, now)
                    for d in devices}
         for d in devices:
-            assert is_relevant(w, d, policy, net, actions, now).reason == reasons[d.device_id]
+            assert relevance(w, d, policy, net, actions, now).reason == reasons[d.device_id]
         record = distribute(w, devices, topology, policy, net, actions, now)
         hops, messages, missed = oracle_delivery(w, devices, topology, policy, net, actions, now)
         expected = set(hops)
@@ -251,9 +256,9 @@ def asked(monkeypatch):
     """Ids of the devices ``distribute`` runs ``is_relevant`` on, in call order."""
     calls = []
 
-    def counting(w, device, *args):
+    def counting(scope, device):
         calls.append(device.device_id)
-        return is_relevant(w, device, *args)
+        return is_relevant(scope, device)
 
     monkeypatch.setattr(dissemination, "is_relevant", counting)
     return calls
@@ -262,8 +267,8 @@ def asked(monkeypatch):
 @pytest.mark.parametrize("policy", [POLICY, TIGHT], ids=["default", "tight"])
 def test_distribute_matches_oracle_on_200_device_networks(policy, asked):
     """Up to 200 devices of every role on networks of up to 60 nodes:
-    ``distribute`` asks ``is_relevant`` about a superset of the relevant
-    devices, in id order, and its record equals the brute-force oracle's."""
+    ``distribute`` asks ``is_relevant`` about every device once, in id
+    order, and its record equals the brute-force oracle's."""
     seen = Counter()
     for seed in range(24):
         rng = random.Random(76_000 + seed)
@@ -277,11 +282,10 @@ def test_distribute_matches_oracle_on_200_device_networks(policy, asked):
         reasons = {d.device_id: brute_force_relevant(w, d, policy, net, actions, now)
                    for d in devices}
         for d in devices:
-            assert is_relevant(w, d, policy, net, actions, now).reason == reasons[d.device_id]
+            assert relevance(w, d, policy, net, actions, now).reason == reasons[d.device_id]
         asked.clear()
         record = distribute(w, devices, topology, policy, net, actions, now)
-        assert asked == sorted(asked)
-        assert {did for did, reason in reasons.items() if reason != "none"} <= set(asked)
+        assert asked == sorted(d.device_id for d in devices)
         hops, messages, missed = oracle_delivery(w, devices, topology, policy, net, actions, now)
         expected = set(hops)
         assert set(record.notified) == expected
@@ -295,15 +299,12 @@ def test_distribute_matches_oracle_on_200_device_networks(policy, asked):
                                  and d.destination is not None for d in devices)
         seen["notified"] += len(expected)
         seen["missed"] += len(missed)
-        seen["asked"] += len(asked)
-        seen["devices"] += len(devices)
     assert min(seen[k] for k in ("trajectory-hit", "area", "adaptation-actor", "notified",
                                  "missed", "stop-display", "signal-controller",
                                  "routeless")) >= 20
-    assert seen["asked"] < 0.8 * seen["devices"]
 
 
-def test_distribute_asks_only_devices_the_warning_can_touch(line3, asked):
+def test_distribute_asks_every_device_once_in_id_order(line3, asked):
     w = warn_on(line3, ["s0"], ["car"])
     devices = [
         EdgeDevice("r1", "roadside-unit", DevicePosition(node="v1"), comm_range=5000.0),
@@ -313,8 +314,8 @@ def test_distribute_asks_only_devices_the_warning_can_touch(line3, asked):
         EdgeDevice("heading", "vehicle-obu", DevicePosition(segment="s1", offset=900.0),
                    mode="car", destination="v0"),
     ]
-    # Beyond the minor class's 300 m radius, on a route or a way home
-    # that avoids s0, or in another mode.
+    # Not relevant: beyond the minor class's 300 m radius, on a route or a
+    # way home that avoids s0, or in another mode.
     devices += [EdgeDevice(f"far{i}", "vehicle-obu", DevicePosition(node="v2"), mode="car",
                            planned_route=(("s1", 100.0),)) for i in range(3)]
     devices += [EdgeDevice(f"home{i}", "traveler-app", DevicePosition(node="v2"), mode="car",
@@ -325,7 +326,22 @@ def test_distribute_asks_only_devices_the_warning_can_touch(line3, asked):
     assert set(record.notified) == expected == {"near", "bound", "heading"}
     assert not missed
     assert record.reasons == {"area": 1, "trajectory-hit": 2}
-    assert asked == ["bound", "heading", "near", "r1"]
+    assert asked == sorted(d.device_id for d in devices)
+
+
+def test_distribute_to_roadside_units_alone_builds_no_distance_table(line3, monkeypatch):
+    def forbidden(*_args):
+        raise AssertionError("built a distance table")
+
+    monkeypatch.setattr(MultiLayerNetwork, "distance_table", forbidden)
+    w = warn_on(line3, ["s0", "s1"], ["car"])
+    rsus = [EdgeDevice(f"r{i}", "roadside-unit", DevicePosition(node=f"v{i}"),
+                       comm_range=5000.0) for i in range(3)]
+    topology = RsuTopology(adjacency={"r0": frozenset({"r1"}), "r1": frozenset({"r0", "r2"}),
+                                      "r2": frozenset({"r1"})})
+    record = distribute(w, rsus, topology, POLICY, line3, [Actors("e1", ["r1"])], 0.0)
+    assert record.notified == frozenset() and record.missed == frozenset()
+    assert record.messages_sent == 0 and record.baseline == 3
 
 
 def test_oracles_do_not_read_the_network_memo(monkeypatch):
@@ -352,7 +368,7 @@ def test_oracles_do_not_read_the_network_memo(monkeypatch):
         # the fast paths do read it
         idle = EdgeDevice("idle", "traveler-app", DevicePosition(node=nodes[0]))
         with pytest.raises(AssertionError, match="network memo"):
-            is_relevant(w, idle, POLICY, net, [], w.issue_time)
+            relevance(w, idle, POLICY, net, [], w.issue_time)
         with pytest.raises(AssertionError, match="network memo"):
             route(nodes[0], nodes[-1], 0.0, RoutingPreferences(frozenset(net.modes)), state)
 
@@ -443,7 +459,7 @@ def test_mode_soundness():
         by_id = {d.device_id: d for d in devices}
         for did in record.notified:
             device = by_id[did]
-            decision = is_relevant(w, device, POLICY, net, [], w.issue_time)
+            decision = relevance(w, device, POLICY, net, [], w.issue_time)
             if decision.reason in ("trajectory-hit", "area") and device.mode is not None:
                 assert device.mode in affected_modes
 

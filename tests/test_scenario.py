@@ -60,6 +60,12 @@ def test_unknown_default_key_rejected():
     ("police_response_delay", float("inf"), "police_response_delay must be finite"),
     ("flow_window", float("-inf"), "flow_window must be finite"),
     ("flow_window", 10 ** 400, "flow_window must be finite"),
+    ("flow_window", 0, "policies.defaults: flow_window must be > 0"),
+    ("flow_window", -60, "policies.defaults: flow_window must be > 0"),
+    ("replacement_vehicle_capacity", 0,
+     "policies.defaults: replacement_vehicle_capacity must be > 0"),
+    ("replacement_vehicle_capacity", -1.5,
+     "policies.defaults: replacement_vehicle_capacity must be > 0"),
     ("signal_multiplier", float("nan"), r"signal_multiplier must be in \(0, 2\]"),
     ("signal_multiplier", -1, r"signal_multiplier must be in \(0, 2\]"),
     ("signal_multiplier", 0, r"signal_multiplier must be in \(0, 2\]"),
