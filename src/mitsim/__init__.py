@@ -27,7 +27,6 @@ from .dissemination import (
     RelevancePolicy,
     RsuTopology,
     WarningScope,
-    broadcast_baseline,
     distribute,
     is_relevant,
     predict_trajectory,
@@ -47,7 +46,6 @@ from .network import (
     MultiLayerNetwork,
     MultimodalNode,
     ModeSpec,
-    NetworkSpec,
     Segment,
     UsageEntry,
     build_network,

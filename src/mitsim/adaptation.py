@@ -485,10 +485,10 @@ def bus_diversion_favorable(
     blocked_segments: tuple[str, ...],
     cavs: list[CavUnit],
     state: WorldState,
-    action_id: str = "a-diversion",
-    event_id: str = "",
-    activation: Optional[float] = None,
-    expiry: Optional[float] = None,
+    action_id: str,
+    event_id: str,
+    activation: float,
+    expiry: float,
 ) -> Optional[BusDiversion]:
     """Divert a bus route around blocked segments, when favorable.
 
@@ -499,8 +499,6 @@ def bus_diversion_favorable(
     out.  Priority routes accept any feasible diversion.
     """
     net = state.net
-    now = state.clock if activation is None else activation
-    end = now + 3600.0 if expiry is None else expiry
     chain = _route_node_chain(net, pt_route)
     blocked_set = set(blocked_segments)
     indices = [i for i, s in enumerate(pt_route.segments) if s in blocked_set]
@@ -523,7 +521,7 @@ def bus_diversion_favorable(
     state.overlay.add_contribution(guard)
     try:
         prefs = RoutingPreferences(allowed_modes=frozenset({pt_route.mode_id}))
-        detour = route(detach, reattach, now, prefs, state.overlay)
+        detour = route(detach, reattach, activation, prefs, state.overlay)
     finally:
         state.overlay.remove_contribution("__diversion_probe__")
     if detour is None or not detour.legs:
@@ -542,7 +540,7 @@ def bus_diversion_favorable(
             if cav_mode is None:
                 return None
             cav_prefs = RoutingPreferences(allowed_modes=frozenset({cav_mode}))
-            ride = route(cav.node, stop, now, cav_prefs, state.overlay)
+            ride = route(cav.node, stop, activation, cav_prefs, state.overlay)
             if ride is None:
                 continue
             key = (ride.total_cost, cav.cav_id)
@@ -560,7 +558,7 @@ def bus_diversion_favorable(
         direct_time += net.segments[s].usage_for(pt_route.mode_id).free_flow_time
     detour_extra = detour.total_cost - direct_time
     delay_with = max([detour_extra] + pickup_times)
-    wait_out = _blockage_wait(state, blocked_set, pt_route.mode_id, now)
+    wait_out = _blockage_wait(state, blocked_set, pt_route.mode_id, activation)
     if not pt_route.priority and not delay_with < wait_out:
         return None
 
@@ -568,8 +566,8 @@ def bus_diversion_favorable(
     return BusDiversion(
         action_id=action_id,
         event_id=event_id,
-        activation=now,
-        expiry=end,
+        activation=activation,
+        expiry=expiry,
         route_id=pt_route.route_id,
         skipped_stops=bypassed,
         skipped_segments=tuple(pt_route.segments[min(indices):max(indices) + 1]),
@@ -758,7 +756,6 @@ def apply(actions: Iterable[AdaptationAction], state: WorldState, now: float) ->
                     start=action.activation,
                     end=action.expiry,
                     free_flow_time=fft,
-                    capacity=action.vehicle_count * state.defaults.replacement_vehicle_capacity,
                 ))
         elif isinstance(action, BusDiversion):
             pt_route = state.pt_routes[action.route_id]

@@ -33,9 +33,6 @@ DEVICE_ROLES = frozenset({
     "stop-display", "signal-controller", "nest-controller",
 })
 
-RELEVANCE_REASONS = ("trajectory-hit", "area", "adaptation-actor", "none")
-
-
 @dataclass(frozen=True)
 class DevicePosition:
     """Either a node or an offset along a segment."""
@@ -62,7 +59,7 @@ class EdgeDevice:
     def __post_init__(self):
         if self.role not in DEVICE_ROLES:
             raise ValidationError(f"device {self.device_id}: unknown role {self.role!r}")
-        if self.comm_range < 0:
+        if not self.comm_range >= 0:
             raise ValidationError(f"device {self.device_id}: negative comm range")
         if self.planned_route:
             etas = [eta for _seg, eta in self.planned_route]
@@ -83,9 +80,9 @@ class RelevancePolicy:
     def __post_init__(self):
         r = self.area_radius
         order = [r["critical"], r["major"], r["inferior"], r["minor"]]
-        if any(b > a for a, b in zip(order, order[1:])):
+        if not all(b <= a for a, b in zip(order, order[1:])):
             raise ValidationError("area radii must not increase toward lower classes")
-        if self.horizon <= 0:
+        if not self.horizon > 0:
             raise ValidationError("relevance horizon must be > 0")
 
 
@@ -328,7 +325,6 @@ def distribute(
         if decision.relevant:
             decisions[device.device_id] = (device, decision)
     rsus = [d for d in devices if d.role == "roadside-unit"]
-    baseline = broadcast_baseline(w, devices)
 
     if not rsus or not decisions:
         return DisseminationRecord(
@@ -338,7 +334,7 @@ def distribute(
             hops={},
             missed=frozenset(decisions),
             reasons={},
-            baseline=baseline,
+            baseline=len(devices),
         )
 
     def event_distance(rsu: EdgeDevice) -> float:
@@ -396,10 +392,5 @@ def distribute(
         hops=dict(sorted(notified.items())),
         missed=frozenset(missed),
         reasons=reasons,
-        baseline=baseline,
+        baseline=len(devices),
     )
-
-
-def broadcast_baseline(w: WarningMessage, devices: Iterable) -> int:
-    """Message count of the naive flood: one per device."""
-    return sum(1 for _ in devices)

@@ -43,8 +43,6 @@ DETECTION_SOURCE_KINDS = frozenset({
 # Monotone step mapping from capacity reduction to a 1..5 severity index.
 SEVERITY_INDEX_THRESHOLDS = (0.05, 0.25, 0.6)
 
-D4_EXTENSION_THRESHOLD_S = 6 * 3600.0
-
 
 @dataclass(frozen=True)
 class SeverityMeasure:
@@ -65,7 +63,7 @@ class SeverityMeasure:
             raise ValidationError("severity measure: lanes_affected must be >= 0")
         if self.severity_index is not None and not 1 <= self.severity_index <= 5:
             raise ValidationError("severity measure: severity_index must be in 1..5")
-        if self.displaced_volume is not None and self.displaced_volume < 0:
+        if self.displaced_volume is not None and not self.displaced_volume >= 0:
             raise ValidationError("severity measure: displaced_volume must be >= 0")
 
     @property
@@ -115,9 +113,9 @@ class DisturbanceEvent:
             raise ValidationError(f"event {self.event_id}: unknown kind {self.kind!r}")
         if not self.segments:
             raise ValidationError(f"event {self.event_id}: empty location")
-        if self.start < 0:
+        if not self.start >= 0:
             raise ValidationError(f"event {self.event_id}: start must be >= 0")
-        if self.estimated_duration <= 0 or self.true_duration <= 0:
+        if not (self.estimated_duration > 0 and self.true_duration > 0):
             raise ValidationError(f"event {self.event_id}: durations must be > 0")
 
     @property
@@ -301,7 +299,7 @@ def escalate(
     event: DisturbanceEvent,
     now: float,
     details_known: bool,
-    extension_threshold: float = D4_EXTENSION_THRESHOLD_S,
+    extension_threshold: float,
 ) -> DisturbanceEvent:
     """Promote long-lived work-zone-like events to planned work zones.
 

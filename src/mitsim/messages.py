@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Mapping, Optional, Union
 
 from .disturbance import DISTURBANCE_KINDS, DisturbanceEvent, EffectMatrix, SeverityMeasure, affected_pairs
@@ -75,8 +76,13 @@ class WarningMessage:
     affected: tuple[AffectedEntry, ...]
     case_specific: Mapping[str, CaseValue] = field(default_factory=dict)
 
-    def validate(self) -> None:
-        """Raise the first wire rule (see ``_FIELDS``) this warning breaks."""
+    def __post_init__(self) -> None:
+        """Raise the first wire rule (see ``_FIELDS``) this warning breaks.
+
+        Each warning is checked once, when it is built.  ``case_specific``
+        is stored as a read-only copy, so no later change can make
+        ``encode`` emit bytes that ``decode`` rejects."""
+        object.__setattr__(self, "case_specific", MappingProxyType(dict(self.case_specific)))
         got = vars(self)
         for key, test, _wire_error, error in _FIELD_RULES:
             if not test(got[key], got):
@@ -158,29 +164,16 @@ def make_warning(
         affected=tuple(entries),
         case_specific={},
     )
-    basic.validate()
     case = _coerce_case_map(event.specifics)
     if not case:
         return basic, None
-    full = replace(basic, detail="full", case_specific=case)
-    full.validate()
-    return basic, full
+    return basic, replace(basic, detail="full", case_specific=case)
 
 
-def revise(
-    w: WarningMessage,
-    new_estimated_end: int,
-    new_severity: Optional[SeverityMeasure] = None,
-) -> WarningMessage:
-    """Next revision of a warning; unspecified fields carry over."""
-    out = replace(
-        w,
-        revision=w.revision + 1,
-        estimated_end=int(new_estimated_end),
-        severity=_quantize_severity(new_severity) if new_severity is not None else w.severity,
-    )
-    out.validate()
-    return out
+def revise(w: WarningMessage, new_estimated_end: int) -> WarningMessage:
+    """Next revision of a warning, ending at ``new_estimated_end``; every
+    other field carries over."""
+    return replace(w, revision=w.revision + 1, estimated_end=int(new_estimated_end))
 
 
 def _quantize_severity(severity: SeverityMeasure) -> SeverityMeasure:
@@ -215,10 +208,10 @@ def _coerce_case_map(specifics: Mapping[str, object]) -> dict[str, CaseValue]:
 # parts of the same names.
 
 # A rule is (test of a value given the fields of its object read before
-# it, the decoder's error, validate's error); the errors are format
+# it, the decoder's error, the constructor's error); the errors are format
 # strings of the value and those fields.  The decoder applies a key's rules
-# once its value is read and validate applies them in the same order, so
-# both report the first broken rule in wire order.
+# once its value is read and the constructor applies them in the same
+# order, so both report the first broken rule in wire order.
 
 # Top-level keys, each the WarningMessage field of that name: (key, value
 # type, rules).
@@ -271,9 +264,9 @@ _ENTRY_KEYS = (
 )
 
 
-# Each rule with the field it tests, in wire order.  validate runs on every
-# warning built, revised, stored or encoded, and one flat loop per object
-# is a quarter faster than walking the key tables.
+# Each rule with the field it tests, in wire order.  The constructor runs
+# them on every warning built, and one flat loop per object is a quarter
+# faster than walking the key tables.
 _FIELD_RULES = tuple((key, *rule) for key, _kind, rules in _FIELDS for rule in rules)
 _ENTRY_RULES = tuple((name, *rule) for _key, name, _kind, rules in _ENTRY_KEYS
                      for rule in rules)
@@ -320,7 +313,6 @@ def _emit_case_value(value: CaseValue, out: list[str], key: str) -> None:
 
 def encode(w: WarningMessage) -> bytes:
     """Canonical byte encoding; equal warnings yield identical bytes."""
-    w.validate()
     out: list[str] = []
     sep = "{"
     for key, kind, _rules in _FIELDS:
@@ -626,9 +618,6 @@ class WarningStore:
         self._latest: dict[str, tuple[WarningMessage, Optional[WarningMessage]]] = {}
 
     def add(self, basic: WarningMessage, full: Optional[WarningMessage]) -> None:
-        basic.validate()
-        if full is not None:
-            full.validate()
         current = self._latest.get(basic.warning_id)
         if current is not None and basic.revision <= current[0].revision:
             raise ValidationError(
@@ -645,11 +634,10 @@ class WarningStore:
         self,
         warning_id: str,
         new_estimated_end: int,
-        new_severity: Optional[SeverityMeasure] = None,
     ) -> tuple[WarningMessage, Optional[WarningMessage]]:
         basic, full = self.latest(warning_id)
-        new_basic = revise(basic, new_estimated_end, new_severity)
-        new_full = revise(full, new_estimated_end, new_severity) if full is not None else None
+        new_basic = revise(basic, new_estimated_end)
+        new_full = revise(full, new_estimated_end) if full is not None else None
         self._latest[warning_id] = (new_basic, new_full)
         return new_basic, new_full
 

@@ -43,16 +43,9 @@ class ModeSpec:
     """One transport mode (a category may stand for several similar modes)."""
 
     mode_id: str
-    name: str
     category: str
     agile: bool
     maas_member: bool
-
-
-@dataclass(frozen=True)
-class NetworkSpec:
-    network_id: str
-    name: str
 
 
 @dataclass(frozen=True)
@@ -61,7 +54,6 @@ class UsageEntry:
 
     ``reserved`` marks a dedicated lane or track (e.g. a bus lane) that is
     spared by blockages unless the disturbance explicitly hits it.
-    ``accessible`` flags usability for travelers with reduced mobility.
     """
 
     mode_id: str
@@ -69,7 +61,6 @@ class UsageEntry:
     base_capacity: float = 1000.0
     free_flow_time: float = 60.0
     reserved: bool = False
-    accessible: bool = True
 
 
 @dataclass(frozen=True)
@@ -122,17 +113,7 @@ class Arc:
     to_node: str
     segment_id: str
     free_flow_time: float
-    capacity: float
     length: float
-
-
-@dataclass(frozen=True)
-class GraphView:
-    """Per-mode view of the network: nodes plus directed arcs."""
-
-    mode_id: str
-    nodes: frozenset[str]
-    arcs: tuple[Arc, ...]
 
 
 class MultiLayerNetwork:
@@ -141,19 +122,19 @@ class MultiLayerNetwork:
     def __init__(
         self,
         modes: Iterable[ModeSpec],
-        networks: Iterable[NetworkSpec],
+        networks: Iterable[str],
         usage_matrix: Iterable[tuple[str, str]],
         nodes: Iterable[str],
         segments: Iterable[Segment],
         multimodal_nodes: Iterable[MultimodalNode],
     ):
         self.modes = {m.mode_id: m for m in modes}
-        self.networks = {n.network_id: n for n in networks}
+        self.networks = frozenset(networks)
         self.usage_matrix = frozenset(tuple(p) for p in usage_matrix)
         self.nodes = frozenset(nodes)
         self.segments = {s.segment_id: s for s in segments}
         self.multimodal_nodes = {mn.node_id: mn for mn in multimodal_nodes}
-        self._views: dict[str, GraphView] = {}
+        self._arcs: dict[str, tuple[Arc, ...]] = {}
         self._out_arcs: dict[str, dict[str, tuple[Arc, ...]]] = {}
         self._free_flow_times: dict[str, Mapping[str, float]] = {}
         self._undirected: Optional[dict[str, tuple[tuple[str, float], ...]]] = None
@@ -194,7 +175,7 @@ class MultiLayerNetwork:
                     raise ValidationError(
                         f"segment {seg.segment_id}: dangling node reference {endpoint}"
                     )
-            if seg.length <= 0:
+            if not seg.length > 0:
                 raise ValidationError(f"segment {seg.segment_id}: length must be > 0")
             if not seg.usage:
                 raise ValidationError(f"segment {seg.segment_id}: empty usage list")
@@ -217,7 +198,7 @@ class MultiLayerNetwork:
                     raise ValidationError(
                         f"segment {seg.segment_id}: bad direction {entry.direction!r}"
                     )
-                if entry.base_capacity <= 0 or entry.free_flow_time <= 0:
+                if not (entry.base_capacity > 0 and entry.free_flow_time > 0):
                     raise ValidationError(
                         f"segment {seg.segment_id}: capacity and free-flow time must "
                         f"be > 0 for mode {entry.mode_id}"
@@ -264,9 +245,8 @@ class MultiLayerNetwork:
         for mode in self.modes.values():
             if not mode.maas_member:
                 continue
-            view = self.usable_subgraph(mode.mode_id)
             adj: dict[str, set[str]] = {}
-            for arc in view.arcs:
+            for arc in self.usable_subgraph(mode.mode_id):
                 adj.setdefault(arc.from_node, set()).add(arc.to_node)
                 adj.setdefault(arc.to_node, set()).add(arc.from_node)
             seen: set[str] = set()
@@ -300,34 +280,32 @@ class MultiLayerNetwork:
 
     # -- queries ------------------------------------------------------------
 
-    def usable_subgraph(self, mode_id: str) -> GraphView:
+    def usable_subgraph(self, mode_id: str) -> tuple[Arc, ...]:
         """Directed arcs usable by ``mode_id``, respecting segment direction;
         built once per mode."""
         if mode_id not in self.modes:
             raise ValidationError(f"unknown mode {mode_id}")
-        view = self._views.get(mode_id)
-        if view is None:
-            arcs = []
+        arcs = self._arcs.get(mode_id)
+        if arcs is None:
+            built = []
             for seg_id in sorted(self.segments):
                 seg = self.segments[seg_id]
                 entry = seg.usage_for(mode_id)
                 if entry is None:
                     continue
-                fwd = Arc(seg.from_node, seg.to_node, seg.segment_id,
-                          entry.free_flow_time, entry.base_capacity, seg.length)
-                bwd = Arc(seg.to_node, seg.from_node, seg.segment_id,
-                          entry.free_flow_time, entry.base_capacity, seg.length)
                 if entry.direction in ("forward", "both"):
-                    arcs.append(fwd)
+                    built.append(Arc(seg.from_node, seg.to_node, seg.segment_id,
+                                     entry.free_flow_time, seg.length))
                 if entry.direction in ("backward", "both"):
-                    arcs.append(bwd)
-            view = self._views[mode_id] = GraphView(mode_id, self.nodes, tuple(arcs))
-        return view
+                    built.append(Arc(seg.to_node, seg.from_node, seg.segment_id,
+                                     entry.free_flow_time, seg.length))
+            arcs = self._arcs[mode_id] = tuple(built)
+        return arcs
 
     def out_arcs(self, mode_id: str) -> dict[str, tuple[Arc, ...]]:
         """The ``usable_subgraph`` arcs grouped by from-node, built once per mode."""
         if mode_id not in self._out_arcs:
-            self._out_arcs[mode_id] = group_by_from_node(self.usable_subgraph(mode_id).arcs)
+            self._out_arcs[mode_id] = group_by_from_node(self.usable_subgraph(mode_id))
         return self._out_arcs[mode_id]
 
     def free_flow_times(self, mode_id: str) -> Mapping[str, float]:
@@ -476,19 +454,16 @@ def build_network(spec: Mapping) -> MultiLayerNetwork:
         seen_modes.add(mode_id)
         modes.append(ModeSpec(
             mode_id=mode_id,
-            name=raw.get("name", mode_id),
             category=_require(raw, "category", f"mode {mode_id}"),
             agile=bool(raw.get("agile", raw.get("category") in AGILE_CATEGORIES)),
             maas_member=bool(raw.get("maas_member", False)),
         ))
-    networks = []
-    seen_nets: set[str] = set()
+    networks: set[str] = set()
     for raw in _require(spec, "networks", "network"):
         network_id = _require(raw, "network_id", "network entry")
-        if network_id in seen_nets:
+        if network_id in networks:
             raise ValidationError(f"duplicate network identifier {network_id}")
-        seen_nets.add(network_id)
-        networks.append(NetworkSpec(network_id=network_id, name=raw.get("name", network_id)))
+        networks.add(network_id)
     usage_matrix = [tuple(pair) for pair in _require(spec, "usage_matrix", "network")]
     nodes = list(_require(spec, "nodes", "network"))
     if len(nodes) != len(set(nodes)):
@@ -511,7 +486,6 @@ def build_network(spec: Mapping) -> MultiLayerNetwork:
                 free_flow_time=as_float(u.get("free_flow_time", 60.0), where,
                                         "usage free_flow_time"),
                 reserved=bool(u.get("reserved", False)),
-                accessible=bool(u.get("accessible", True)),
             )
             for u in _require(raw, "usage", where)
         )

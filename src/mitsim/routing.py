@@ -356,7 +356,6 @@ def _search(
 
 
 def evaluate_moves(
-    start_node: str,
     avail: float,
     moves: Sequence[Move],
     state: NetworkState,

@@ -100,6 +100,7 @@ class Scenario:
     matrix: Mapping[str, frozenset]
     sources: tuple[DetectionSource, ...]
     device_specs: tuple[Mapping, ...]
+    device_trips: tuple[TripSpec, ...]  # declared on mobile devices, in device order
     policy: RelevancePolicy
     strategy_table: StrategyTable
     topology: RsuTopology
@@ -123,8 +124,7 @@ class Scenario:
             boarding_wait=boarding_waits(self.net, self.pt_routes, self.defaults),
         )
         devices = self.build_devices()
-        travelling = {spec["device_id"] for spec in self.device_specs
-                      if spec.get("trip") is not None}
+        travelling = {trip.device_id for trip in self.device_trips}
         cavs: dict[str, CavUnit] = {}
         for device in devices.values():
             if device.role != "vehicle-obu" or device.mode is None:
@@ -161,7 +161,7 @@ class Scenario:
 
         The seed is only stored at parse time, so nothing else changes.
         """
-        if not isinstance(seed, int):
+        if isinstance(seed, bool) or not isinstance(seed, int):
             raise ValidationError("scenario: seed must be an integer")
         return dataclasses.replace(self, seed=seed)
 
@@ -229,7 +229,7 @@ def load_scenario(raw: Mapping) -> Scenario:
             raise ValidationError(f"scenario: missing section {section!r}")
     net = build_network(raw["network"])
     seed = raw["seed"]
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ValidationError("scenario: seed must be an integer")
     end_time = as_float(raw["end_time"], "scenario", "end_time")
     if not end_time > 0:
@@ -273,7 +273,7 @@ def load_scenario(raw: Mapping) -> Scenario:
             if node not in net.nodes:
                 raise ValidationError(f"{where}: unknown node {node}")
         depart = as_float(t["depart"], where, "depart")
-        if depart < 0 or depart >= end_time:
+        if not 0 <= depart < end_time:
             raise ValidationError(f"demand trip {i}: depart outside [0, end_time)")
         trips.append(TripSpec(
             origin=t["origin"], dest=t["dest"], depart=depart,
@@ -401,6 +401,7 @@ def load_scenario(raw: Mapping) -> Scenario:
 
     # devices (validated by building them once)
     device_specs = tuple(raw.get("devices", []))
+    device_trips: list[TripSpec] = []
     seen_devices: set[str] = set()
     for spec in device_specs:
         if "device_id" not in spec:
@@ -440,10 +441,13 @@ def load_scenario(raw: Mapping) -> Scenario:
                         f"device {device.device_id}: unknown trip node {node}"
                     )
             depart = as_float(trip_raw["depart"], f"device {device.device_id}", "trip depart")
-            if depart < 0 or depart >= end_time:
+            if not 0 <= depart < end_time:
                 raise ValidationError(
                     f"device {device.device_id}: trip depart outside [0, end_time)"
                 )
+            device_trips.append(TripSpec(origin=trip_raw["origin"], dest=trip_raw["dest"],
+                                         depart=depart, count=1, prefs=prefs,
+                                         device_id=device.device_id))
 
     # policies
     pol = raw.get("policies") or {}
@@ -520,6 +524,7 @@ def load_scenario(raw: Mapping) -> Scenario:
         matrix=matrix,
         sources=sources,
         device_specs=device_specs,
+        device_trips=tuple(device_trips),
         policy=policy,
         strategy_table=table,
         topology=topology,
@@ -538,20 +543,3 @@ def load_scenario_file(path: str) -> Scenario:
             raise ValidationError(f"scenario file {path}: {exc}") from None
     return load_scenario(raw)
 
-
-def device_trips(scenario: Scenario, net: MultiLayerNetwork) -> list[TripSpec]:
-    """Trips declared on mobile devices, in device order."""
-    out = []
-    for spec in scenario.device_specs:
-        trip_raw = spec.get("trip")
-        if trip_raw is None:
-            continue
-        out.append(TripSpec(
-            origin=trip_raw["origin"],
-            dest=trip_raw["dest"],
-            depart=float(trip_raw["depart"]),
-            count=1,
-            prefs=_prefs_from(trip_raw.get("prefs"), net, spec["device_id"]),
-            device_id=spec["device_id"],
-        ))
-    return out

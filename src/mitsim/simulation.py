@@ -32,8 +32,8 @@ from .dissemination import DevicePosition, DisseminationRecord, EdgeDevice
 from .errors import ValidationError
 from .messages import WarningStore, encode, make_warning
 from .routing import evaluate_moves, plan_to_moves, route
-from .scenario import Scenario, TripSpec, device_trips, ev_rate_windows, stream_rng
-from .state import Contribution, NetworkState, WorldState
+from .scenario import Scenario, TripSpec, ev_rate_windows, stream_rng
+from .state import Contribution, WorldState
 
 MOBILE_ROLES = ("vehicle-obu", "traveler-app")
 
@@ -69,7 +69,6 @@ class Traveler:
     baseline_cost: Optional[float] = None
     status: str = "pending"  # pending|moving|waiting|completed|abandoned
     node: Optional[str] = None
-    mode: Optional[str] = None
     moves: list = field(default_factory=list)
     current: Optional[tuple] = None  # (seg, enter, exit, to_node)
     traversals: list = field(default_factory=list)
@@ -217,9 +216,6 @@ class _Sim:
         self.world: WorldState = scenario.build_world()
         self.net = scenario.net
         self.store = WarningStore()
-        self.pristine = NetworkState(
-            self.net, boarding_wait=self.world.overlay.boarding_wait
-        )
         self.heap: list[tuple] = []  # entries scheduled during the run
         self.setup_entries: list[tuple] = []  # setup's, sorted, next one last
         self._seq = itertools.count()
@@ -247,7 +243,7 @@ class _Sim:
 
     def setup(self) -> None:
         scenario = self.scenario
-        for trip in device_trips(scenario, self.net):
+        for trip in scenario.device_trips:
             self._add_traveler(trip, trip.device_id, trip.device_id)
         for i, trip in enumerate(scenario.trips):
             for k in range(trip.count):
@@ -302,7 +298,8 @@ class _Sim:
         return out
 
     def _add_traveler(self, trip: TripSpec, tid: str, device_id: Optional[str]) -> None:
-        plan = route(trip.origin, trip.dest, trip.depart, trip.prefs, self.pristine)
+        # Setup adds no contribution, so the overlay is still pristine here.
+        plan = route(trip.origin, trip.dest, trip.depart, trip.prefs, self.world.overlay)
         tv = Traveler(
             tid=tid, origin=trip.origin, dest=trip.dest, depart=trip.depart,
             prefs=trip.prefs, device_id=device_id,
@@ -344,7 +341,7 @@ class _Sim:
         keeps moving until the blockage forces a wait (see ``_advance``)."""
         tv.replan_flag = False
         candidate = route(tv.node, tv.dest, t, tv.prefs, self.world.overlay)
-        evaluated = evaluate_moves(tv.node, t, tv.moves, self.world.overlay)
+        evaluated = evaluate_moves(t, tv.moves, self.world.overlay)
         if candidate is not None and (evaluated is None or candidate.arrival < evaluated[0]):
             self._adopt(tv, candidate, t)
 
@@ -367,7 +364,6 @@ class _Sim:
             if move[0] == "transfer":
                 tv.moves.pop(0)
                 _, node, _from_mode, to_mode, duration = move
-                tv.mode = to_mode
                 if device is not None:
                     device.mode = to_mode
                 self.schedule(t + duration, "arrive", (tv, node))
@@ -382,7 +378,6 @@ class _Sim:
                 self._adopt(tv, candidate, t)
                 continue
             tv.moves.pop(0)
-            tv.mode = mode
             if device is not None:
                 device.mode = mode
             self.world.flow_entries.append((t, seg_id, mode))
@@ -448,7 +443,7 @@ class _Sim:
         device = self.world.devices.get(tv.device_id) if tv.device_id else None
         if device is not None:
             device.position = DevicePosition(node=node)
-            evaluated = evaluate_moves(node, t, tv.moves, self.world.overlay)
+            evaluated = evaluate_moves(t, tv.moves, self.world.overlay)
             if evaluated is not None:
                 etas = [(seg, enter) for seg, enter, _exit, _to in evaluated[1]]
                 device.planned_route = tuple(etas) or None
@@ -706,7 +701,6 @@ def run(scenario: Scenario, config: RunConfig = MODE_TARGETED) -> RunResult:
 def ground_truth_affected(
     event: DisturbanceEvent,
     scenario: Scenario,
-    seed: Optional[int] = None,
     base_result: Optional[RunResult] = None,
 ) -> set[str]:
     """Devices actually affected by one event, by paired-run differencing.
@@ -716,8 +710,6 @@ def ground_truth_affected(
     the event removed, or when it traverses a located segment while the
     event is active.
     """
-    if seed is not None and seed != scenario.seed:
-        scenario = scenario.with_seed(seed)
     with_event = base_result if base_result is not None else run(scenario, MODE_TARGETED)
     without = run(scenario.without_event(event.event_id), MODE_TARGETED)
     located = set(event.segments)

@@ -47,7 +47,6 @@ class Contribution:
     start: float
     end: float
     free_flow_time: float = 0.0  # usage only
-    capacity: float = 0.0  # usage only
 
     def active(self, clock: float) -> bool:
         return self.start <= clock < self.end
@@ -137,9 +136,6 @@ class NetworkState:
     def active_contributions(self) -> list[Contribution]:
         return [c for c in self.contributions() if c.active(self.clock)]
 
-    def pristine(self) -> bool:
-        return not self.active_contributions()
-
     def searches(self) -> dict:
         """Route search results valid for the overlay as it is now.
 
@@ -220,12 +216,12 @@ class NetworkState:
                     continue
                 seg = self.net.segments[seg_id]
                 opened.append(Arc(seg.from_node, seg.to_node, seg_id,
-                                  c.free_flow_time, c.capacity, seg.length))
+                                  c.free_flow_time, seg.length))
                 opened.append(Arc(seg.to_node, seg.from_node, seg_id,
-                                  c.free_flow_time, c.capacity, seg.length))
+                                  c.free_flow_time, seg.length))
         if not opened:
             return self.net.out_arcs(mode_id)
-        return group_by_from_node(self.net.usable_subgraph(mode_id).arcs + tuple(opened))
+        return group_by_from_node(self.net.usable_subgraph(mode_id) + tuple(opened))
 
     def wait_to_board(self, mode_id: str) -> float:
         return self.boarding_wait.get(mode_id, 0.0)

@@ -154,7 +154,7 @@ def random_grid_network(rng: random.Random, n: int = 30) -> MultiLayerNetwork:
 
 def rebuilt(net: MultiLayerNetwork) -> MultiLayerNetwork:
     """An equal network built anew, sharing none of ``net``'s caches."""
-    return MultiLayerNetwork(net.modes.values(), net.networks.values(), net.usage_matrix,
+    return MultiLayerNetwork(net.modes.values(), net.networks, net.usage_matrix,
                              net.nodes, net.segments.values(), net.multimodal_nodes.values())
 
 
@@ -201,11 +201,12 @@ def random_contribution(rng: random.Random, net: MultiLayerNetwork, contrib_id: 
         value = rng.choice([0.2, 0.7, 1.0])
     else:
         value = 1.0
+    free_flow_time = float(rng.randint(1, 30) * 10) if kind == "usage" else 0.0
+    if kind == "usage":
+        rng.randint(1, 10)  # a capacity was drawn here; the draw keeps every case the same
     return Contribution(
         contrib_id=contrib_id, kind=kind, targets=targets, value=value,
-        start=start, end=end,
-        free_flow_time=float(rng.randint(1, 30) * 10) if kind == "usage" else 0.0,
-        capacity=float(rng.randint(1, 10) * 60) if kind == "usage" else 0.0,
+        start=start, end=end, free_flow_time=free_flow_time,
     )
 
 

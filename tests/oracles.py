@@ -222,7 +222,7 @@ def brute_force_traversal_time(net, contributions, clock, segment_id, mode_id):
 def brute_force_mode_arcs(net, contributions, clock, mode_id):
     """The mode's base arcs, then both directions of every segment an active
     usage contribution opens to it, in contribution id order."""
-    arcs = list(net.usable_subgraph(mode_id).arcs)
+    arcs = list(net.usable_subgraph(mode_id))
     for c in sorted(contributions, key=lambda c: c.contrib_id):
         if c.kind != "usage" or not c.active(clock):
             continue
@@ -230,9 +230,9 @@ def brute_force_mode_arcs(net, contributions, clock, mode_id):
             if m == mode_id:
                 seg = net.segments[seg_id]
                 arcs.append(Arc(seg.from_node, seg.to_node, seg_id,
-                                c.free_flow_time, c.capacity, seg.length))
+                                c.free_flow_time, seg.length))
                 arcs.append(Arc(seg.to_node, seg.from_node, seg_id,
-                                c.free_flow_time, c.capacity, seg.length))
+                                c.free_flow_time, seg.length))
     return arcs
 
 

@@ -495,7 +495,7 @@ def test_expire_does_not_touch_prefix_sibling_actions():
     assert world.overlay.residual("g0", "car") == 1.0
     assert world.overlay.residual("g2", "car") == 0.5
     expire(sibling, world)
-    assert world.overlay.pristine()
+    assert world.overlay.active_contributions() == []
 
 
 _WINDOW = dict(action_id="a-e-1", event_id="e", activation=10.0, expiry=70.5)

@@ -7,6 +7,7 @@ from mitsim import scenario as scenario_module
 from mitsim.cli import main
 
 from conftest import DEMO_PATH, demo_scenario
+from test_scenario import NAN_CASES
 
 
 @pytest.fixture(scope="module")
@@ -134,3 +135,14 @@ def test_validate_rejects_a_non_number(tmp_path, capsys, edit):
     assert main(["validate", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", sorted(NAN_CASES))
+def test_validate_rejects_nan_and_a_bool_seed(tmp_path, capsys, case):
+    edit, text = NAN_CASES[case]
+    raw = demo_scenario()
+    edit(raw)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))  # NaN is written as the token NaN, which json reads back
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("validation error: " + text)

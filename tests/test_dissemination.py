@@ -12,7 +12,6 @@ from mitsim.dissemination import (
     RelevancePolicy,
     RsuTopology,
     WarningScope,
-    broadcast_baseline,
     distribute,
     is_relevant,
     predict_trajectory,
@@ -416,7 +415,7 @@ def test_distribute_all_in_direct_range(line3):
     record = distribute(w, devices, RsuTopology(), POLICY, line3, [], 0.0)
     assert record.notified == frozenset({"d0", "d1", "d2", "d3"})
     assert record.messages_sent == 4
-    assert broadcast_baseline(w, devices) == 5
+    assert record.baseline == 5
 
 
 def test_unreachable_relevant_devices_are_missed(line3):

@@ -207,7 +207,8 @@ def test_displaced_volume_sums_segments(road_net):
 
 def test_escalate_d3_with_details():
     event = make_event(kind="D3", specifics={"registered_duration": 7200.0})
-    out = escalate(event, now=100.0, details_known=True)
+    out = escalate(event, now=100.0, details_known=True,
+                   extension_threshold=6 * 3600.0)
     assert out.kind == "D2"
     assert out.estimated_duration == 7200.0
     assert out.event_id == event.event_id
@@ -215,16 +216,20 @@ def test_escalate_d3_with_details():
 
 def test_escalate_d4_past_threshold():
     event = make_event(kind="D4", est=10 * 3600.0, true=10 * 3600.0)
-    out = escalate(event, now=event.start + 6 * 3600.0 + 1.0, details_known=False)
+    out = escalate(event, now=event.start + 6 * 3600.0 + 1.0, details_known=False,
+                   extension_threshold=6 * 3600.0)
     assert out.kind == "D2"
-    at_threshold = escalate(event, now=event.start + 6 * 3600.0, details_known=False)
+    at_threshold = escalate(event, now=event.start + 6 * 3600.0, details_known=False,
+                            extension_threshold=6 * 3600.0)
     assert at_threshold.kind == "D4"
 
 
 def test_escalate_other_kinds_unchanged():
     for kind in ("D1", "D2", "D5", "D6", "D7", "D8", "D9", "EV"):
         event = make_event(kind=kind)
-        out = escalate(event, now=1e9, details_known=True)
+        out = escalate(event, now=1e9, details_known=True,
+                       extension_threshold=6 * 3600.0)
         assert out == event
         # idempotent
-        assert escalate(out, now=1e9, details_known=True) == out
+        assert escalate(out, now=1e9, details_known=True,
+                        extension_threshold=6 * 3600.0) == out

@@ -140,6 +140,16 @@ def valid_blob():
     return encode(w)
 
 
+def test_case_specific_cannot_change_after_the_check():
+    w = decode(valid_blob())
+    with pytest.raises(TypeError):
+        w.case_specific["partial_blockage"] = [1]
+    case = {"partial_blockage": True}
+    built = replace(w, case_specific=case)
+    case["partial_blockage"] = [1]  # the caller's dict, not the warning's copy
+    assert encode(w) == encode(built) == valid_blob()
+
+
 def test_decode_truncation_positioned():
     blob = valid_blob()
     with pytest.raises(CodecError) as err:
@@ -355,9 +365,8 @@ VALIDATE_FAILURES = [
                          [case[1:] for case in VALIDATE_FAILURES],
                          ids=[case[0] for case in VALIDATE_FAILURES])
 def test_validate_failure_text(changes, text):
-    pin_warning().validate()
     with pytest.raises(ValidationError) as err:
-        replace(pin_warning(), **changes).validate()
+        replace(pin_warning(), **changes)
     assert str(err.value) == text
 
 
@@ -430,9 +439,8 @@ def test_revise_increments_and_carries():
     r1 = revise(w, 500)
     assert (r1.revision, r1.estimated_end) == (w.revision + 1, 500)
     assert r1.affected == w.affected and r1.severity == w.severity
-    r2 = revise(r1, 600, new_severity=SeverityMeasure(capacity_reduction=0.8))
-    assert r2.revision == w.revision + 2
-    assert r2.severity.capacity_reduction == 0.8
+    r2 = revise(r1, 600)
+    assert (r2.revision, r2.estimated_end) == (w.revision + 2, 600)
     assert r2.affected == w.affected
 
 

@@ -16,8 +16,14 @@ from oracles import brute_force_free_flow_path, brute_force_node_distances
 def test_minimal_valid_network():
     spec = line_network_spec(n=2)
     net = build_network(spec)
-    view = net.usable_subgraph("car")
-    assert {a.segment_id for a in view.arcs} == {"s0"}
+    assert {a.segment_id for a in net.usable_subgraph("car")} == {"s0"}
+
+
+def test_unread_usage_keys_are_ignored():
+    spec = line_network_spec(n=2)
+    spec["segments"][0]["usage"][0].update(accessible=False, lanes=3)
+    plain = build_network(line_network_spec(n=2))
+    assert build_network(spec).segments == plain.segments
 
 
 def test_usage_outside_matrix_rejected():
@@ -70,7 +76,7 @@ def test_default_bundled_network(demo_net):
 def test_one_way_segment_single_arc():
     spec = line_network_spec(2, direction="forward")
     net = build_network(spec)
-    assert len(net.usable_subgraph("car").arcs) == 1
+    assert len(net.usable_subgraph("car")) == 1
 
 
 def test_two_way_cycling_on_one_way_street():
@@ -83,8 +89,8 @@ def test_two_way_cycling_on_one_way_street():
         {"mode_id": "bike", "direction": "both", "base_capacity": 300,
          "free_flow_time": 240})
     net = build_network(spec)
-    assert len(net.usable_subgraph("car").arcs) == 1
-    assert len(net.usable_subgraph("bike").arcs) == 2
+    assert len(net.usable_subgraph("car")) == 1
+    assert len(net.usable_subgraph("bike")) == 2
 
 
 def test_mode_with_no_segments_empty_graph():
@@ -94,7 +100,7 @@ def test_mode_with_no_segments_empty_graph():
     spec["networks"].append({"network_id": "rail", "name": "rail"})
     spec["usage_matrix"].append(["tram", "rail"])
     net = build_network(spec)
-    assert net.usable_subgraph("tram").arcs == ()
+    assert net.usable_subgraph("tram") == ()
 
 
 def test_unknown_mode_subgraph_rejected(line3):
@@ -137,7 +143,7 @@ def test_arc_roundtrip_property():
         rng = random.Random(seed)
         net = random_network(rng)
         for mode_id in net.modes:
-            for arc in net.usable_subgraph(mode_id).arcs:
+            for arc in net.usable_subgraph(mode_id):
                 seg = net.segments[arc.segment_id]
                 assert seg.usage_for(mode_id) is not None
 

@@ -298,7 +298,7 @@ def test_transfers_chained_at_one_node_keep_their_order():
     assert [leg.mode_id for leg in plan.legs] == ["car", "bus", "metro"]
     assert plan.legs[1].segments == ()
     assert [m[0] for m in plan_to_moves(plan)] == ["seg", "transfer", "transfer", "seg"]
-    assert evaluate_moves("v0", 0.0, plan_to_moves(plan), state)[0] == plan.arrival
+    assert evaluate_moves(0.0, plan_to_moves(plan), state)[0] == plan.arrival
 
 
 PLAN_FIELDS = ("origin", "dest", "depart", "legs", "transfers", "initial_wait",
@@ -372,7 +372,7 @@ def test_feasibility_soundness_of_returned_plans():
         prefs = RoutingPreferences(allowed_modes=frozenset(net.modes))
         plan = route(origin, dest, 0.0, prefs, state)
         if plan is not None:
-            evaluated = evaluate_moves(origin, 0.0, plan_to_moves(plan), state)
+            evaluated = evaluate_moves(0.0, plan_to_moves(plan), state)
             assert evaluated is not None
             assert evaluated[0] == plan.arrival
             # legs temporally contiguous through transfers
@@ -559,7 +559,7 @@ def test_a_segment_opened_by_usage_is_found_although_the_bounds_miss_it():
     prefs = RoutingPreferences(frozenset({"car"}))
     assert segments_of(route("O", "D", 0.0, prefs, state)) == ["OX", "XD"]
     state.add_contribution(Contribution("shuttle", "usage", frozenset({("AD", "car")}), 1.0,
-                                        0.0, float("inf"), free_flow_time=1.0, capacity=60.0))
+                                        0.0, float("inf"), free_flow_time=1.0))
     assert not bounded(prefs, state)
     plan = same_as_reference("O", "D", prefs, state)
     assert segments_of(plan) == ["OA", "AD"] and plan.total_cost == 101.0
@@ -683,13 +683,13 @@ def test_is_feasible_cases(line3):
     prefs = RoutingPreferences(frozenset({"car"}))
     plan = route("v0", "v2", 0.0, prefs, state)
     moves = plan_to_moves(plan)
-    assert evaluate_moves("v0", 0.0, moves, state) == (
+    assert evaluate_moves(0.0, moves, state) == (
         200.0, [("s0", 0.0, 100.0, "v1"), ("s1", 100.0, 200.0, "v2")])
     state.add_contribution(Contribution(
         "blk", "factor", frozenset({("s0", "car")}), 0.0, 0.0, float("inf")))
-    assert evaluate_moves("v0", 0.0, moves, state) is None
+    assert evaluate_moves(0.0, moves, state) is None
     # already past the blocked first segment: the remaining move is open
-    assert evaluate_moves("v1", 150.0, moves[1:], state) == (250.0, [("s1", 150.0, 250.0, "v2")])
+    assert evaluate_moves(150.0, moves[1:], state) == (250.0, [("s1", 150.0, 250.0, "v2")])
 
 
 def test_plan_move_roundtrip(line3):

@@ -417,6 +417,50 @@ def _severity(raw, **fields):
     raw["disturbances"][0]["severity"] = fields
 
 
+def _number(field):
+    """The NUMBER_FIELDS edit of ``field``, setting NaN."""
+    return lambda raw: NUMBER_FIELDS[field][0](raw, NAN)
+
+
+# Every comparison with NaN is false, so a check written `x <= 0` lets NaN
+# through; each check these inputs reach is written to reject it.  Each
+# case maps to (edit, the start of the error text).
+NAN_CASES = {
+    "segment length": (_number("segment length"), "segment R1: length must be > 0"),
+    "usage free_flow_time": (_number("usage free_flow_time"),
+                             "segment R1: capacity and free-flow time must be > 0 for mode"),
+    "usage base_capacity": (lambda raw: _segment(raw)["usage"][0].update(base_capacity=NAN),
+                            "segment R1: capacity and free-flow time must be > 0 for mode"),
+    "trip depart": (_number("trip depart"), "demand trip 0: depart outside [0, end_time)"),
+    "device trip depart": (_number("device trip depart"),
+                           "device veh1: trip depart outside [0, end_time)"),
+    "event start": (_number("event start"), "event bridge-crash: start must be >= 0"),
+    "estimated_duration": (lambda raw: raw["disturbances"][0].update(estimated_duration=NAN),
+                           "event bridge-crash: durations must be > 0"),
+    "true_duration": (lambda raw: raw["disturbances"][0].update(true_duration=NAN),
+                      "event bridge-crash: durations must be > 0"),
+    "displaced_volume": (lambda raw: _severity(raw, displaced_volume=NAN),
+                         "severity measure: displaced_volume must be >= 0"),
+    "comm_range": (_number("comm_range"), "device rsu_a: negative comm range"),
+    "horizon": (lambda raw: raw["policies"]["relevance"].update(horizon=NAN),
+                "relevance horizon must be > 0"),
+    "area radius critical": (
+        lambda raw: raw["policies"]["relevance"]["area_radius"].update(critical=NAN),
+        "area radii must not increase toward lower classes"),
+    "seed true": (lambda raw: raw.update(seed=True), "scenario: seed must be an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_CASES))
+def test_nan_and_a_bool_seed_rejected_naming_the_entry(case):
+    edit, text = NAN_CASES[case]
+    raw = demo_scenario()
+    edit(raw)
+    with pytest.raises(ValidationError) as err:
+        load_scenario(raw)
+    assert str(err.value).startswith(text)
+
+
 INTEGER_FIELDS = {
     "trip count": (lambda raw, v: raw["demand"]["trips"].append(
         {"origin": "a1", "dest": "b1", "depart": 0.0, "count": v}), "demand trip 0: count",

@@ -172,7 +172,7 @@ def test_overlay_restored_after_expiries():
     sim = _Sim(scenario, MODE_TARGETED)
     out = sim.run()
     assert out.metrics.trips_total == 1
-    assert sim.world.overlay.pristine()
+    assert sim.world.overlay.active_contributions() == []
     residuals = brute_force_residual_map(sim.world.overlay)
     assert residuals == {k: 1.0 for k in residuals}
 
@@ -291,7 +291,7 @@ def test_ground_truth_seed_override_reuses_the_parse(monkeypatch):
     monkeypatch.setattr(scenario_module, "load_scenario",
                         lambda doc: pytest.fail("scenario parsed again"))
     for event in scenario.events:
-        assert (ground_truth_affected(event, scenario, seed=raw["seed"])
+        assert (ground_truth_affected(event, scenario.with_seed(raw["seed"]))
                 == ground_truth_affected(event, reloaded))
 
 
@@ -380,7 +380,7 @@ def test_randomized_scenarios_conserve_and_restore():
         m = result.metrics
         assert (m.trips_completed + m.trips_abandoned + m.trips_in_progress
                 == m.trips_total)
-        assert sim.world.overlay.pristine()
+        assert sim.world.overlay.active_contributions() == []
         # causality: warnings never precede detection, actions never precede warnings
         kinds = logs_by_type(result)
         detects = {r["event"]: r["detect_time"] for r in kinds.get("detect", [])}
