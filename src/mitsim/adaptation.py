@@ -524,7 +524,7 @@ def bus_diversion_favorable(
         detour = route(detach, reattach, activation, prefs, state.overlay)
     finally:
         state.overlay.remove_contribution("__diversion_probe__")
-    if detour is None or not detour.legs:
+    if detour is None or not detour.moves:
         return None
 
     # (b) a CAV within the pickup threshold per bypassed stop
@@ -562,7 +562,6 @@ def bus_diversion_favorable(
     if not pt_route.priority and not delay_with < wait_out:
         return None
 
-    detour_segments = tuple(s for leg in detour.legs for s in leg.segments)
     return BusDiversion(
         action_id=action_id,
         event_id=event_id,
@@ -571,7 +570,7 @@ def bus_diversion_favorable(
         route_id=pt_route.route_id,
         skipped_stops=bypassed,
         skipped_segments=tuple(pt_route.segments[min(indices):max(indices) + 1]),
-        detour_segments=detour_segments,
+        detour_segments=detour.segments(),
         cav_assignment=tuple(assigned),
     )
 
@@ -649,10 +648,9 @@ def build_replacement(
             raise InfeasibleError(
                 f"replacement infeasible: no road path {a} to {b}"
             )
-        for plan_leg in leg.legs:
-            for s in plan_leg.segments:
-                if not path or path[-1] != s:
-                    path.append(s)
+        for s in leg.segments():
+            if not path or path[-1] != s:
+                path.append(s)
     capacity = state.defaults.replacement_vehicle_capacity
     vehicle_count = max(1, math.ceil(displaced / capacity)) if displaced > 0 else 1
     return ReplacementService(

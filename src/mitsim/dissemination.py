@@ -62,8 +62,9 @@ class EdgeDevice:
         if not self.comm_range >= 0:
             raise ValidationError(f"device {self.device_id}: negative comm range")
         if self.planned_route:
-            etas = [eta for _seg, eta in self.planned_route]
-            if any(b <= a for a, b in zip(etas, etas[1:])):
+            # Led by -inf, so a NaN anywhere fails the check.
+            etas = [float("-inf")] + [eta for _seg, eta in self.planned_route]
+            if any(not b > a for a, b in zip(etas, etas[1:])):
                 raise ValidationError(
                     f"device {self.device_id}: planned route ETAs must increase"
                 )

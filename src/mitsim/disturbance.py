@@ -101,8 +101,10 @@ class DisturbanceEvent:
     def __post_init__(self):
         where = f"event {self.event_id}"
         if "details_at" in self.specifics:
-            object.__setattr__(self, "details_at", as_float(
-                self.specifics["details_at"], where, "details_at"))
+            details_at = as_float(self.specifics["details_at"], where, "details_at")
+            if not details_at >= 0:
+                raise ValidationError(f"{where}: details_at must be >= 0")
+            object.__setattr__(self, "details_at", details_at)
         if "registered_duration" in self.specifics:
             registered = as_float(self.specifics["registered_duration"], where,
                                   "registered_duration")

@@ -351,7 +351,7 @@ class MultiLayerNetwork:
             if origin != dest:
                 found = _search(origin, dest, RoutingPreferences(frozenset({mode_id})),
                                 NetworkState(self))
-                path = None if found is None else tuple(m[1] for m in found.moves[1:])
+                path = None if found is None else tuple(m[1] for m in found[1:])
             self._free_flow_paths[key] = path
         return self._free_flow_paths[key]
 

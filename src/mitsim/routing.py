@@ -16,32 +16,29 @@ identical plan.
 
 A search is A* with landmark bounds (see :func:`_search`): it walks each
 mode's static per-node adjacency (plus any arcs that usage contributions
-open) and reads the overlay only for the arcs it relaxes.  Its result (:class:`SearchResult`) holds the plan's moves with
-their durations and their executable form; both depend on the overlay's
-content alone, never on the departure time, so the network keeps it under
+open) and reads the overlay only for the arcs it relaxes.  A plan is one
+tuple of moves, each with its duration: ``("start", mode, wait)``, then
+``("seg", segment_id, mode, to_node, duration)`` and ``("transfer", node,
+from_mode, to_mode, duration)`` in order; the plan that stays at its
+origin has no moves.  The moves depend on the overlay's content alone,
+never on the departure time, so the network keeps them under
 ``(origin, dest, prefs)`` for every overlay with that content (see
 :meth:`NetworkState.searches`).  Every call then sums the durations from
 its own ``depart``, with the same float operations as a fresh search, so a
-reused search yields the plan a new one would.  Plans share their search's
-result and derive legs and transfers only when asked for them.
+reused search yields the plan a new one would.  Travelers execute the same
+moves, and segment times are derived from them when asked for.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import ValidationError
 from .state import NetworkState
 
-# Traversal record: (segment_id, enter, exit, to_node).
-SegTime = tuple[str, float, float, str]
-
-# Move atoms: ("seg", segment_id, mode_id, to_node)
-#             ("transfer", node, from_mode, to_mode, duration)
-#             ("wait", duration)
+# One step of a plan (see the module docstring).
 Move = tuple
 
 
@@ -61,105 +58,42 @@ class RoutingPreferences:
             raise ValidationError("routing preferences: max_walk must be >= 0")
 
 
-@dataclass(frozen=True)
-class Leg:
-    mode_id: str
-    segments: tuple[str, ...]
-    depart: float
-    arrive: float
-    segment_times: tuple[SegTime, ...]
-
-
-@dataclass(frozen=True)
-class Transfer:
-    node: str
-    from_mode: str
-    to_mode: str
-    duration: float  # physical transfer time plus boarding wait
-
-
-@dataclass(frozen=True, slots=True)
-class SearchResult:
-    """One search's best plan, independent of the departure time.
-
-    ``moves`` open with ``("start", mode, wait)`` and carry each segment's
-    duration; ``atoms`` are the same plan as executable moves (see
-    :func:`plan_to_moves`), built once when the search runs.
-    """
-
-    moves: tuple[Move, ...]
-    atoms: tuple[Move, ...]
-
-
-# The plan that stays at its origin.
-_STAY = SearchResult((), ())
 # A query the search store does not hold yet.
 _UNSEEN = object()
 
 
 @dataclass(frozen=True)
 class JourneyPlan:
-    """A search's plan timed from ``depart``.
-
-    Every plan of one search shares its :class:`SearchResult`; legs,
-    transfers and segment times are derived from it on first access.
-    """
+    """A search's moves timed from ``depart``; every plan of one search
+    shares its move tuple."""
 
     origin: str
     dest: str
     depart: float
-    search: SearchResult
+    moves: tuple[Move, ...]
     total_cost: float
 
     @property
     def arrival(self) -> float:
         return self.depart + self.total_cost
 
-    @property
-    def initial_wait(self) -> float:
-        moves = self.search.moves
-        return moves[0][2] if moves else 0.0
-
-    @property
-    def legs(self) -> tuple[Leg, ...]:
-        return self._timed[0]
-
-    @property
-    def transfers(self) -> tuple[Transfer, ...]:
-        return self._timed[1]
+    def segments(self) -> tuple[str, ...]:
+        """Segment ids, in traversal order."""
+        return tuple(move[1] for move in self.moves if move[0] == "seg")
 
     def segment_etas(self) -> tuple[tuple[str, float], ...]:
         """Planned (segment, entry time) pairs, in traversal order."""
-        return tuple((seg_id, enter) for leg in self.legs
-                     for seg_id, enter, _exit, _to in leg.segment_times)
-
-    @cached_property
-    def _timed(self) -> tuple[tuple[Leg, ...], tuple[Transfer, ...]]:
-        moves = self.search.moves
+        moves = self.moves
         if not moves:
-            return (), ()
+            return ()
+        # The same sequential adds from depart as route()'s total.
         t = self.depart + moves[0][2]
-        legs: list[Leg] = []
-        transfers: list[Transfer] = []
-        mode = moves[0][1]
-        leg_depart = t
-        times: list[SegTime] = []
+        etas = []
         for move in moves[1:]:
             if move[0] == "seg":
-                _, seg_id, _mode, to_node, tt = move
-                enter = t
-                t = t + tt
-                times.append((seg_id, enter, t, to_node))
-                continue
-            # A mode passed through between two transfers at one node keeps
-            # its empty leg, so transfer i always sits between legs i and i + 1.
-            _, node, from_mode, to_mode, duration = move
-            legs.append(Leg(mode, tuple(s[0] for s in times), leg_depart, t, tuple(times)))
-            transfers.append(Transfer(node, from_mode, to_mode, duration))
-            t = t + duration
-            mode, leg_depart, times = to_mode, t, []
-        legs.append(Leg(mode, tuple(s[0] for s in times), leg_depart, t, tuple(times)))
-        return tuple(legs), tuple(transfers)
+                etas.append((move[1], t))
+            t = t + move[4]
+        return tuple(etas)
 
 
 def route(
@@ -172,8 +106,8 @@ def route(
     """Minimum-generalized-cost plan, or None when no feasible plan exists."""
     searches = state.searches()
     query = (origin, dest, prefs)
-    search = searches.get(query, _UNSEEN)
-    if search is _UNSEEN:
+    moves = searches.get(query, _UNSEEN)
+    if moves is _UNSEEN:
         # Only this branch writes the store, so a stored query has passed
         # these checks against the same network.
         net = state.net
@@ -184,16 +118,14 @@ def route(
             if mode not in net.modes:
                 raise ValidationError(f"unknown mode {mode}")
         if origin == dest:
-            return JourneyPlan(origin, dest, depart, _STAY, 0.0)
-        search = searches[query] = _search(origin, dest, prefs, state)
-    if search is None:
+            return JourneyPlan(origin, dest, depart, (), 0.0)
+        moves = searches[query] = _search(origin, dest, prefs, state)
+    if moves is None:
         return None
-    # The same sequential adds from depart as the legs' times.
-    moves = search.moves
     t = depart + moves[0][2]
     for i in range(1, len(moves)):
         t = t + moves[i][4]
-    return JourneyPlan(origin, dest, depart, search, t - depart)
+    return JourneyPlan(origin, dest, depart, moves, t - depart)
 
 
 # The landmark bound is scaled by this factor: the relative margin that keeps
@@ -206,8 +138,8 @@ def _search(
     dest: str,
     prefs: RoutingPreferences,
     state: NetworkState,
-) -> Optional[SearchResult]:
-    """The best plan's search result, or None.
+) -> Optional[tuple[Move, ...]]:
+    """The best plan's moves, or None.
 
     A* over (node, mode, walk run) states with ALT bounds (Goldberg and
     Harrelson, SODA 2005): ``h(v)`` is the largest ``|d_L(dest) - d_L(v)|``
@@ -346,10 +278,7 @@ def _search(
         moves.append(label[5])
         label = label[3]
     moves.reverse()
-    atoms: list[Move] = [("wait", moves[0][2])] if moves[0][2] > 0 else []
-    for move in moves[1:]:
-        atoms.append(move[:4] if move[0] == "seg" else move)
-    return SearchResult(tuple(moves), tuple(atoms))
+    return tuple(moves)
 
 
 # -- executing plans ----------------------------------------------------------
@@ -359,30 +288,22 @@ def evaluate_moves(
     avail: float,
     moves: Sequence[Move],
     state: NetworkState,
-) -> Optional[tuple[float, list[SegTime]]]:
-    """Re-time pending moves under current capacities.
+) -> Optional[tuple[float, tuple[tuple[str, float], ...]]]:
+    """Re-times pending moves from ``avail`` under current capacities.
 
-    Returns (arrival, traversal records) or None when some pending segment
-    is impassable for its mode.
+    Returns (arrival, (segment, entry time) pairs), or None when some
+    pending segment is impassable for its mode.  A ``start`` move counts
+    its boarding wait; a segment's planned duration is not read.
     """
     t = avail
-    times: list[SegTime] = []
+    etas = []
     for move in moves:
         if move[0] == "seg":
-            _, seg_id, mode, to_node = move[0], move[1], move[2], move[3]
-            tt = state.traversal_time(seg_id, mode)
+            tt = state.traversal_time(move[1], move[2])
             if tt is None:
                 return None
-            times.append((seg_id, t, t + tt, to_node))
+            etas.append((move[1], t))
             t = t + tt
-        elif move[0] == "transfer":
-            t = t + move[4]
-        else:
-            t = t + move[1]
-    return t, times
-
-
-def plan_to_moves(plan: JourneyPlan) -> list[Move]:
-    """Executable moves of a plan, initial wait included; a fresh list."""
-    return list(plan.search.atoms)
-
+        else:  # a start's wait or a transfer's duration
+            t = t + move[-1]
+    return t, tuple(etas)

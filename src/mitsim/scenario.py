@@ -204,10 +204,10 @@ def _device_from_spec(spec: Mapping, net: MultiLayerNetwork) -> EdgeDevice:
     if "node" in pos_raw:
         position = DevicePosition(node=pos_raw["node"])
     else:
-        position = DevicePosition(
-            segment=pos_raw.get("segment"),
-            offset=as_float(pos_raw.get("offset", 0.0), where, "position offset"),
-        )
+        offset = as_float(pos_raw.get("offset", 0.0), where, "position offset")
+        if not offset >= 0:
+            raise ValidationError(f"{where}: position offset must be >= 0")
+        position = DevicePosition(segment=pos_raw.get("segment"), offset=offset)
     planned = spec.get("planned_route")
     planned_route = (tuple((s, as_float(t, where, "planned_route time")) for s, t in planned)
                      if planned else None)

@@ -31,7 +31,7 @@ from .disturbance import DisturbanceEvent, detect, direct_effects, escalate
 from .dissemination import DevicePosition, DisseminationRecord, EdgeDevice
 from .errors import ValidationError
 from .messages import WarningStore, encode, make_warning
-from .routing import evaluate_moves, plan_to_moves, route
+from .routing import evaluate_moves, route
 from .scenario import Scenario, TripSpec, ev_rate_windows, stream_rng
 from .state import Contribution, WorldState
 
@@ -43,7 +43,6 @@ class RunConfig:
     """Which parts of the response pipeline are active."""
 
     detection: bool = True
-    adaptation: bool = True
     broadcast: bool = False
 
     @property
@@ -55,7 +54,7 @@ class RunConfig:
 
 MODE_TARGETED = RunConfig()
 MODE_BROADCAST = RunConfig(broadcast=True)
-MODE_NO_ADAPT = RunConfig(detection=False, adaptation=False)
+MODE_NO_ADAPT = RunConfig(detection=False)
 
 
 @dataclass
@@ -308,13 +307,13 @@ class _Sim:
             tv.no_route = True
         else:
             tv.baseline_cost = plan.total_cost
-            tv.moves = plan_to_moves(plan)
+            tv.moves = list(plan.moves)
             if device_id is not None:
                 device = self.world.devices[device_id]
                 device.planned_route = plan.segment_etas() or None
                 device.destination = trip.dest
-                if plan.legs and device.mode is None:
-                    device.mode = plan.legs[0].mode_id
+                if plan.moves and device.mode is None:
+                    device.mode = plan.moves[0][1]
         self.travelers[tid] = tv
         if device_id is not None:
             self.by_device[device_id] = tv
@@ -326,12 +325,12 @@ class _Sim:
         return self.world.devices.get(tv.device_id) if tv.device_id else None
 
     def _adopt(self, tv: Traveler, plan, t: float) -> None:
-        tv.moves = plan_to_moves(plan)
+        tv.moves = list(plan.moves)
         device = self._device(tv)
         if device is not None:
             device.planned_route = plan.segment_etas() or None
-            if plan.legs:
-                device.mode = plan.legs[0].mode_id
+            if plan.moves:
+                device.mode = plan.moves[0][1]
         self.log(t, {"type": "replan", "traveler": tv.tid,
                      "arrival_estimate": plan.arrival})
 
@@ -357,10 +356,12 @@ class _Sim:
                 self._complete(tv, t)
                 return
             move = tv.moves[0]
-            if move[0] == "wait":
+            if move[0] == "start":
                 tv.moves.pop(0)
-                self.schedule(t + move[1], "arrive", (tv, tv.node))
-                return
+                if move[2] > 0:  # the boarding wait
+                    self.schedule(t + move[2], "arrive", (tv, tv.node))
+                    return
+                continue
             if move[0] == "transfer":
                 tv.moves.pop(0)
                 _, node, _from_mode, to_mode, duration = move
@@ -368,7 +369,8 @@ class _Sim:
                     device.mode = to_mode
                 self.schedule(t + duration, "arrive", (tv, node))
                 return
-            _, seg_id, mode, to_node = move
+            # The planned duration is not read: the overlay times the segment now.
+            _, seg_id, mode, to_node, _planned = move
             tt = self.world.overlay.traversal_time(seg_id, mode)
             if tt is None:
                 candidate = route(tv.node, tv.dest, t, tv.prefs, self.world.overlay)
@@ -445,8 +447,7 @@ class _Sim:
             device.position = DevicePosition(node=node)
             evaluated = evaluate_moves(t, tv.moves, self.world.overlay)
             if evaluated is not None:
-                etas = [(seg, enter) for seg, enter, _exit, _to in evaluated[1]]
-                device.planned_route = tuple(etas) or None
+                device.planned_route = evaluated[1] or None
         self._advance(tv, t, device)
 
     def handle_retry(self, t: float, tv: Traveler) -> None:
@@ -502,14 +503,12 @@ class _Sim:
         self.metrics.warnings_issued += 1
         self.log(t, {"type": "warn", "warning_id": basic.warning_id,
                      "event": event_id, "revision": 0})
-        actions: list = []
-        if self.config.adaptation:
-            skips: list = []
-            actions = plan_actions(event, basic, self.world, self.scenario.strategy_table,
-                                   matrix=self.scenario.matrix, skip_log=skips)
-            for template, reason in skips:
-                self.log(t, {"type": "plan_skip", "event": event_id,
-                             "template": template, "reason": reason})
+        skips: list = []
+        actions = plan_actions(event, basic, self.world, self.scenario.strategy_table,
+                               matrix=self.scenario.matrix, skip_log=skips)
+        for template, reason in skips:
+            self.log(t, {"type": "plan_skip", "event": event_id,
+                         "template": template, "reason": reason})
         self._disseminate(basic, actions, t)
         if actions:
             records = adaptation.apply(actions, self.world, t)

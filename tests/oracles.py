@@ -5,7 +5,6 @@ import itertools
 
 from mitsim.dissemination import predict_trajectory
 from mitsim.network import Arc, node_distances
-from mitsim.routing import Leg, SearchResult, Transfer, plan_to_moves
 from mitsim.simulation import RunResult, _Sim
 
 
@@ -72,7 +71,7 @@ def reference_search(origin, dest, prefs, state):
     """Plain Dijkstra over (node, mode, walk run) states, one label per
     state, keyed by (cost, transfers, segment sequence) with ties to the
     first push: the search ``routing._search`` must equal bit for bit.
-    Returns a ``SearchResult`` or None."""
+    Returns the plan's move tuple or None."""
     net = state.net
     # Without a walk limit nothing reads walk_run, so it stays 0.0 and walk
     # states collapse to one label per (node, mode).
@@ -152,10 +151,7 @@ def reference_search(origin, dest, prefs, state):
         moves.append(move)
         st = parent
     moves.reverse()
-    atoms = [("wait", moves[0][2])] if moves[0][2] > 0 else []
-    for move in moves[1:]:
-        atoms.append(move[:4] if move[0] == "seg" else move)
-    return SearchResult(tuple(moves), tuple(atoms))
+    return tuple(moves)
 
 
 def reference_free_flow_path(net, mode_id, origin, dest):
@@ -236,55 +232,19 @@ def brute_force_mode_arcs(net, contributions, clock, mode_id):
     return arcs
 
 
-def brute_force_assemble(origin, dest, depart, moves):
-    """Eagerly build a plan's parts from a search's moves, as routing once did.
-
-    Returns the fields a plan exposes: origin, dest, depart, legs,
-    transfers, initial wait, segment ETAs, executable moves and total cost,
-    every time summed from ``depart`` in move order.  ``moves`` is empty for
-    an origin == dest plan.
-    """
+def brute_force_assemble(depart, moves):
+    """A plan's segment ETAs and total cost, summed from ``depart`` in move
+    order.  ``moves`` is empty for an origin == dest plan."""
     if not moves:
-        return {"origin": origin, "dest": dest, "depart": depart,
-                "legs": (), "transfers": (), "initial_wait": 0.0,
-                "segment_etas": (), "moves": [], "total_cost": 0.0}
+        return {"segment_etas": (), "total_cost": 0.0}
     assert moves[0][0] == "start"
-    initial_wait = moves[0][2]
-    t = depart + initial_wait
-    legs, transfers = [], []
-    cur_mode, cur_segs, cur_times, leg_depart = moves[0][1], [], [], t
+    t = depart + moves[0][2]
+    etas = []
     for move in moves[1:]:
         if move[0] == "seg":
-            _, seg_id, _mode, to_node, tt = move
-            enter = t
-            t = t + tt
-            cur_segs.append(seg_id)
-            cur_times.append((seg_id, enter, t, to_node))
-        else:
-            _, node, from_mode, to_mode, duration = move
-            legs.append(Leg(cur_mode, tuple(cur_segs), leg_depart, t, tuple(cur_times)))
-            transfers.append(Transfer(node, from_mode, to_mode, duration))
-            t = t + duration
-            cur_mode, cur_segs, cur_times, leg_depart = to_mode, [], [], t
-    legs.append(Leg(cur_mode, tuple(cur_segs), leg_depart, t, tuple(cur_times)))
-    flat = [("wait", initial_wait)] if initial_wait > 0 else []
-    for li, leg in enumerate(legs):
-        flat.extend(("seg", s, leg.mode_id, to) for s, _enter, _exit, to in leg.segment_times)
-        if li < len(transfers):
-            tr = transfers[li]
-            flat.append(("transfer", tr.node, tr.from_mode, tr.to_mode, tr.duration))
-    return {
-        "origin": origin,
-        "dest": dest,
-        "depart": depart,
-        "legs": tuple(legs),
-        "transfers": tuple(transfers),
-        "initial_wait": initial_wait,
-        "segment_etas": tuple((s, enter) for leg in legs
-                              for s, enter, _exit, _to in leg.segment_times),
-        "moves": flat,
-        "total_cost": t - depart,
-    }
+            etas.append((move[1], t))
+        t = t + move[4]
+    return {"segment_etas": tuple(etas), "total_cost": t - depart}
 
 
 def brute_force_canon(obj):
@@ -299,16 +259,14 @@ def brute_force_canon(obj):
 
 def plan_view(plan):
     """The ``brute_force_assemble`` fields, read through a plan's own API."""
-    return {"origin": plan.origin, "dest": plan.dest, "depart": plan.depart,
-            "legs": plan.legs, "transfers": plan.transfers,
-            "initial_wait": plan.initial_wait, "segment_etas": plan.segment_etas(),
-            "moves": plan_to_moves(plan), "total_cost": plan.total_cost}
+    return {"segment_etas": plan.segment_etas(), "total_cost": plan.total_cost}
 
 
 def plan_key(plan):
     """(door-to-door time, transfers, segment sequence) of a plan."""
-    seq = tuple(s for leg in plan.legs for s in leg.segments)
-    return (plan.total_cost, len(plan.transfers), seq)
+    moves = plan.moves
+    return (plan.total_cost, sum(m[0] == "transfer" for m in moves),
+            tuple(m[1] for m in moves if m[0] == "seg"))
 
 
 def oracle_key(oracle):

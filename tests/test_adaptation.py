@@ -456,7 +456,7 @@ def test_replacement_apply_injects_usable_service():
     plan_over = route("q0", "q2", 100.0,
                       RoutingPreferences(frozenset({"metro"})), world.overlay)
     assert plan_over is not None
-    assert [s for leg in plan_over.legs for s in leg.segments] == ["g0", "g1"]
+    assert plan_over.segments() == ("g0", "g1")
     expire(service, world)
     assert route("q0", "q2", 100.0,
                  RoutingPreferences(frozenset({"metro"})), world.overlay) is None

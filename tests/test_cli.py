@@ -1,5 +1,6 @@
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -87,7 +88,7 @@ def test_run_seed_override_changes_logs(demo_path, tmp_path):
 
 def test_run_seed_override_parses_once_and_equals_a_reseeded_file(demo_path, tmp_path,
                                                                   monkeypatch):
-    raw = json.loads(open(demo_path, encoding="utf-8").read())
+    raw = json.loads(Path(demo_path).read_text(encoding="utf-8"))
     assert raw["seed"] != 7
     raw["seed"] = 7
     seeded = tmp_path / "seed7.json"

@@ -11,7 +11,6 @@ from mitsim.routing import (
     RoutingPreferences,
     _search,
     evaluate_moves,
-    plan_to_moves,
     route,
 )
 from mitsim.scenario import load_scenario
@@ -42,13 +41,13 @@ from oracles import (
 def test_origin_equals_dest(line3):
     state = NetworkState(line3)
     plan = route("v0", "v0", 0.0, RoutingPreferences(frozenset({"car"})), state)
-    assert plan.total_cost == 0.0 and plan.legs == ()
+    assert plan.total_cost == 0.0 and plan.moves == ()
 
 
 def test_line_graph_unique_path(line3):
     state = NetworkState(line3)
     plan = route("v0", "v2", 0.0, RoutingPreferences(frozenset({"car"})), state)
-    assert [s for leg in plan.legs for s in leg.segments] == ["s0", "s1"]
+    assert plan.segments() == ("s0", "s1")
     assert plan.total_cost == 200.0
 
 
@@ -73,9 +72,9 @@ def test_warm_store_still_checks_nodes_and_modes(line3):
     with pytest.raises(ValidationError, match="unknown mode tram"):
         route("v0", "v2", 0.0, RoutingPreferences(frozenset({"car", "tram"})), state)
     stay = route("v2", "v2", 50.0, prefs, state)
-    assert stay.total_cost == 0.0 and stay.arrival == 50.0 and stay.legs == ()
+    assert stay.total_cost == 0.0 and stay.arrival == 50.0 and stay.moves == ()
     assert state.searches() == stored
-    assert route("v0", "v2", 50.0, prefs, state).search is stored[("v0", "v2", prefs)]
+    assert route("v0", "v2", 50.0, prefs, state).moves is stored[("v0", "v2", prefs)]
 
 
 def test_blocked_segment_impassable(line3):
@@ -107,7 +106,7 @@ def test_deterministic_tie_break():
     net = build_network(spec)
     state = NetworkState(net)
     plan = route("v0", "v1", 0.0, RoutingPreferences(frozenset({"car"})), state)
-    assert plan.legs[0].segments == ("sa",)
+    assert plan.segments() == ("sa",)
     again = route("v0", "v1", 0.0, RoutingPreferences(frozenset({"car"})), state)
     assert again == plan
 
@@ -166,8 +165,7 @@ def test_boarding_wait_and_transfer_accounting():
     plan = route("v0", "v3", 0.0, prefs, state)
     # metro: 150 wait + 400 ride = 550 beats road 900
     assert plan.total_cost == 550.0
-    assert plan.initial_wait == 150.0
-    assert plan.transfers == ()
+    assert plan.moves == (("start", "metro", 150.0), ("seg", "m0", "metro", "v3", 400.0))
 
 
 def test_transfer_only_at_multimodal_nodes():
@@ -178,7 +176,8 @@ def test_transfer_only_at_multimodal_nodes():
     state.add_contribution(Contribution(
         "blk", "factor", frozenset({("m0", "metro")}), 0.0, 0.0, float("inf")))
     plan = route("v0", "v3", 0.0, prefs, state)
-    assert [leg.mode_id for leg in plan.legs] == ["car"]
+    assert plan.moves[0][1] == "car"
+    assert [m[0] for m in plan.moves] == ["start", "seg", "seg", "seg"]
 
 
 def test_transfer_penalty_discourages_switching():
@@ -295,19 +294,15 @@ def test_transfers_chained_at_one_node_keep_their_order():
     })
     state = NetworkState(net)
     plan = route("v0", "v2", 0.0, RoutingPreferences(frozenset(net.modes)), state)
-    assert [leg.mode_id for leg in plan.legs] == ["car", "bus", "metro"]
-    assert plan.legs[1].segments == ()
-    assert [m[0] for m in plan_to_moves(plan)] == ["seg", "transfer", "transfer", "seg"]
-    assert evaluate_moves(0.0, plan_to_moves(plan), state)[0] == plan.arrival
-
-
-PLAN_FIELDS = ("origin", "dest", "depart", "legs", "transfers", "initial_wait",
-               "segment_etas", "moves", "total_cost")
+    assert [m[:4] for m in plan.moves] == [
+        ("start", "car", 0.0), ("seg", "r0", "car", "v1"), ("transfer", "v1", "car", "bus"),
+        ("transfer", "v1", "bus", "metro"), ("seg", "m0", "metro", "v2")]
+    assert evaluate_moves(0.0, plan.moves, state)[0] == plan.arrival
 
 
 def test_plans_equal_the_eager_oracle():
-    """Every part of a routed plan, derived from the shared search on
-    demand, equals eager assembly from a fresh search's moves bit for bit."""
+    """A routed plan's segment ETAs and total cost, timed from the shared
+    search's moves, equal a sum over a fresh search's moves bit for bit."""
     seen = {"plans": 0, "transfers": 0, "chained": 0, "waits": 0, "stay": 0}
     for seed in range(150):
         rng = random.Random(51_000 + seed)
@@ -324,16 +319,16 @@ def test_plans_equal_the_eager_oracle():
                 if plan is None:
                     assert search is None
                     continue
-                oracle = brute_force_assemble(origin, dest, depart, () if search is None else search.moves)
-                view = plan_view(plan)
-                for name in PLAN_FIELDS:
-                    assert repr(view[name]) == repr(oracle[name]), name
+                assert repr(plan.moves) == repr(search or ())
+                oracle = brute_force_assemble(depart, plan.moves)
+                assert repr(plan_view(plan)) == repr(oracle)
                 assert plan.arrival == depart + oracle["total_cost"]
+                kinds = "".join(m[0][0] for m in plan.moves)
                 seen["plans"] += 1
                 seen["stay"] += origin == dest
-                seen["transfers"] += bool(plan.transfers)
-                seen["waits"] += plan.initial_wait > 0
-                seen["chained"] += any(not leg.segments for leg in plan.legs[1:-1])
+                seen["transfers"] += "t" in kinds
+                seen["waits"] += bool(plan.moves) and plan.moves[0][2] > 0
+                seen["chained"] += "tt" in kinds
     assert seen["plans"] >= 1500
     assert min(seen.values()) >= 10, seen
 
@@ -346,17 +341,14 @@ def test_plans_share_their_search_without_aliasing(line3):
     first = route("v0", "v2", 0.0, prefs, state)
     second = route("v0", "v2", 250.0, prefs, state)
     stored = state.searches()[("v0", "v2", prefs)]
-    assert first.search is second.search is stored
-    atoms = stored.atoms
-    expected = plan_to_moves(second)
-    assert expected == [("wait", 30.0), ("seg", "s0", "car", "v1"), ("seg", "s1", "car", "v2")]
-    moves = plan_to_moves(first)
+    assert first.moves is second.moves is stored
+    expected = (("start", "car", 30.0), ("seg", "s0", "car", "v1", 100.0),
+                ("seg", "s1", "car", "v2", 100.0))
+    moves = list(first.moves)
     moves.pop(0)
-    moves[0] = ("seg", "s1", "car", "v2")
-    moves.append(("wait", 5.0))
-    assert stored.atoms is atoms and list(atoms) == expected
-    assert plan_to_moves(second) == expected
-    assert plan_to_moves(first) == expected
+    moves[0] = ("seg", "s1", "car", "v2", 100.0)
+    moves.append(("start", "car", 5.0))
+    assert stored == expected and first.moves == second.moves == expected
     assert route("v0", "v2", 0.0, prefs, state) == first
     assert first.segment_etas() == (("s0", 30.0), ("s1", 130.0))
     assert second.segment_etas() == (("s0", 280.0), ("s1", 380.0))
@@ -372,12 +364,7 @@ def test_feasibility_soundness_of_returned_plans():
         prefs = RoutingPreferences(allowed_modes=frozenset(net.modes))
         plan = route(origin, dest, 0.0, prefs, state)
         if plan is not None:
-            evaluated = evaluate_moves(0.0, plan_to_moves(plan), state)
-            assert evaluated is not None
-            assert evaluated[0] == plan.arrival
-            # legs temporally contiguous through transfers
-            for li, tr in enumerate(plan.transfers):
-                assert plan.legs[li].arrive + tr.duration == plan.legs[li + 1].depart
+            assert evaluate_moves(0.0, plan.moves, state) == (plan.arrival, plan.segment_etas())
 
 
 def test_monotone_degradation():
@@ -409,7 +396,7 @@ def same_as_reference(origin, dest, prefs, state):
     reference = reference_search(origin, dest, prefs, state)
     assert (plan is None) == (reference is None), (origin, dest, prefs)
     if plan is not None:
-        assert repr(plan.search) == repr(reference), (origin, dest, prefs)
+        assert repr(plan.moves) == repr(reference), (origin, dest, prefs)
     return plan
 
 
@@ -444,7 +431,7 @@ def test_route_equals_the_reference_on_30x30_grids():
             seen["plans" if plan else "none"] += 1
             seen["bounded" if bounded(prefs, state) else "unbounded"] += 1
             seen["walk_limited"] += prefs.max_walk < float("inf") and "walk" in prefs.allowed_modes
-            seen["transfers"] += bool(plan and plan.transfers)
+            seen["transfers"] += bool(plan) and any(m[0] == "transfer" for m in plan.moves)
     assert min(seen.values()) >= 5, seen
 
 
@@ -462,8 +449,7 @@ def test_route_equals_the_reference_on_16_node_networks_with_walk_limits():
                                    max_walk=rng.choice([500.0, 2000.0, 5000.0]))
         plan = same_as_reference(origin, dest, prefs, state)
         seen["plans" if plan else "none"] += 1
-        seen["walked"] += bool(plan and any(leg.mode_id == "m0" and leg.segments
-                                            for leg in plan.legs))
+        seen["walked"] += bool(plan) and any(m[0] == "seg" and m[2] == "m0" for m in plan.moves)
     assert min(seen.values()) >= 30, seen
 
 
@@ -480,7 +466,7 @@ def segment_network(nodes, segments, mode="car"):
 
 
 def segments_of(plan):
-    return [s for leg in plan.legs for s in leg.segments]
+    return list(plan.segments())
 
 
 def test_paths_one_ulp_apart_keep_the_cheaper():
@@ -520,7 +506,7 @@ def test_plans_equal_in_every_key_keep_dijkstras_push_order():
     prefs = RoutingPreferences(frozenset({"foot", "tram"}), max_walk=5000.0)
     plan = same_as_reference("A", "D", prefs, NetworkState(net))
     assert plan.total_cost == 550.0
-    assert [tr.node for tr in plan.transfers] == ["B", "B"]
+    assert [m[1] for m in plan.moves if m[0] == "transfer"] == ["B", "B"]
 
 
 def test_equal_costs_tie_on_the_sequence_where_a_bound_rounds_up():
@@ -605,10 +591,10 @@ def test_free_flow_paths_equal_the_reference():
 # -- replanning ------------------------------------------------------------------------
 
 
-def traveler_sim(spec, origin, dest, modes):
-    """A ``_Sim`` on ``spec`` whose one device ``tv`` has just left
-    ``origin`` for ``dest`` at t = 0."""
-    sim = _Sim(load_scenario({
+def traveler_scenario(spec, origin, dest, modes, depart=0.0):
+    """A scenario on ``spec`` whose one device ``tv`` travels from
+    ``origin`` to ``dest``, leaving at ``depart``."""
+    return load_scenario({
         "seed": 3,
         "end_time": 14400.0,
         "network": spec,
@@ -617,14 +603,31 @@ def traveler_sim(spec, origin, dest, modes):
         "detection_sources": [],
         "devices": [{"device_id": "tv", "role": "traveler-app",
                      "position": {"node": origin}, "comm_range": 1000.0,
-                     "trip": {"origin": origin, "dest": dest, "depart": 0.0,
+                     "trip": {"origin": origin, "dest": dest, "depart": depart,
                               "prefs": {"allowed_modes": modes}}}],
         "policies": {"rsu_links": [], "pt_routes": [], "defaults": {}},
-    }), MODE_TARGETED)
+    })
+
+
+def traveler_sim(spec, origin, dest, modes):
+    """A ``_Sim`` on ``spec`` whose one device ``tv`` has just left
+    ``origin`` for ``dest`` at t = 0."""
+    sim = _Sim(traveler_scenario(spec, origin, dest, modes), MODE_TARGETED)
     sim.setup()
     tv = sim.travelers["tv"]
     sim.handle_spawn(0.0, tv)
     return sim, tv
+
+
+@pytest.mark.parametrize("category, wait", [("bus", 300.0), ("private-car", 0.0)])
+def test_first_segment_is_entered_after_the_boarding_wait(category, wait):
+    """A bus boards after half the default 600 s headway, a car at once."""
+    spec = line_network_spec(3, mode="m", category=category)
+    sim = _Sim(traveler_scenario(spec, "v0", "v2", ["m"], depart=500.0), MODE_TARGETED)
+    tv = sim.run().trips["tv"]
+    t = 500.0 + wait
+    assert tv.traversals == [("s0", t, t + 100.0), ("s1", t + 100.0, t + 200.0)]
+    assert tv.arrival == t + 200.0
 
 
 def logged(sim, kind):
@@ -634,7 +637,7 @@ def logged(sim, kind):
 def test_reroute_keeps_unaffected_plan():
     sim, tv = traveler_sim(line_network_spec(3), "v0", "v2", ["car"])
     assert tv.current == ("s0", 0.0, 100.0, "v1")
-    assert tv.moves == [("seg", "s1", "car", "v2")]
+    assert tv.moves == [("seg", "s1", "car", "v2", 100.0)]
     sim._flag_replans({"tv"}, 50.0)
     assert tv.replan_flag
     sim.handle_arrive(100.0, tv, "v1")
@@ -650,7 +653,7 @@ def test_reroute_blocked_next_segment_no_alternative():
     sim.handle_arrive(100.0, tv, "v1")
     assert logged(sim, "replan") == []
     assert logged(sim, "blocked") == ['{"t":100.0,"type":"blocked","traveler":"tv","node":"v1"}']
-    assert tv.status == "waiting" and tv.moves == [("seg", "s1", "car", "v2")]
+    assert tv.status == "waiting" and tv.moves == [("seg", "s1", "car", "v2", 100.0)]
 
 
 def test_reroute_adopts_improving_detour():
@@ -658,7 +661,7 @@ def test_reroute_adopts_improving_detour():
     # From v1 the road (r1, r2) beats going back to the metro at v0.
     keep, keep_tv = traveler_sim(multimodal_toy_spec(), "v1", "v3", modes)
     assert keep_tv.current == ("r1", 0.0, 300.0, "v2")
-    assert keep_tv.moves == [("seg", "r2", "car", "v3")]
+    assert keep_tv.moves == [("seg", "r2", "car", "v3", 300.0)]
     keep._flag_replans({"tv"}, 100.0)
     keep.handle_arrive(300.0, keep_tv, "v2")
     assert logged(keep, "replan") == [] and keep_tv.current[0] == "r2"
@@ -682,19 +685,17 @@ def test_is_feasible_cases(line3):
     state = NetworkState(line3)
     prefs = RoutingPreferences(frozenset({"car"}))
     plan = route("v0", "v2", 0.0, prefs, state)
-    moves = plan_to_moves(plan)
-    assert evaluate_moves(0.0, moves, state) == (
-        200.0, [("s0", 0.0, 100.0, "v1"), ("s1", 100.0, 200.0, "v2")])
+    moves = plan.moves
+    assert evaluate_moves(0.0, moves, state) == (200.0, (("s0", 0.0), ("s1", 100.0)))
     state.add_contribution(Contribution(
         "blk", "factor", frozenset({("s0", "car")}), 0.0, 0.0, float("inf")))
     assert evaluate_moves(0.0, moves, state) is None
     # already past the blocked first segment: the remaining move is open
-    assert evaluate_moves(150.0, moves[1:], state) == (250.0, [("s1", 150.0, 250.0, "v2")])
+    assert evaluate_moves(150.0, moves[2:], state) == (250.0, (("s1", 150.0),))
 
 
 def test_plan_move_roundtrip(line3):
     state = NetworkState(line3)
     prefs = RoutingPreferences(frozenset({"car"}))
     plan = route("v0", "v2", 0.0, prefs, state)
-    moves = plan_to_moves(plan)
-    assert [m[0] for m in moves] == ["seg", "seg"]
+    assert [m[0] for m in plan.moves] == ["start", "seg", "seg"]

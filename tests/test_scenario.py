@@ -448,6 +448,13 @@ NAN_CASES = {
         lambda raw: raw["policies"]["relevance"]["area_radius"].update(critical=NAN),
         "area radii must not increase toward lower classes"),
     "seed true": (lambda raw: raw.update(seed=True), "scenario: seed must be an integer"),
+    "details_at": (_number("details_at"), "event bridge-crash: details_at must be >= 0"),
+    "position offset": (
+        lambda raw: _device(raw, "rsu_a").update(position={"segment": "R1", "offset": NAN}),
+        "device rsu_a: position offset must be >= 0"),
+    # A lone ETA has no neighbour to compare with.
+    "planned_route time": (lambda raw: _device(raw, "veh1").update(planned_route=[["R1", NAN]]),
+                           "device veh1: planned route ETAs must increase"),
 }
 
 
