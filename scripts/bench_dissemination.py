@@ -5,10 +5,11 @@
 
 Generates ``city-commute`` and ``city-compare`` with ``perfbench/grid_city.py``
 and runs each workload's entry point (targeted ``run`` or ``compare``) in
-this process.  One run wraps ``dissemination.distribute`` and
-``dissemination.is_relevant`` to count ``distribute`` calls, the devices
-they are handed, the ``is_relevant`` calls they make (one per device
-handed) and the devices they notify; counts repeat exactly.  Then ``--repeat`` runs, each on a freshly
+this process.  One run wraps ``dissemination.distribute``,
+``dissemination.is_relevant`` and ``dissemination.predict_trajectory`` to
+count ``distribute`` calls, the devices they are handed, the
+``is_relevant`` calls they make (one per device handed), the trajectories
+those build and the devices they notify; counts repeat exactly.  Then ``--repeat`` runs, each on a freshly
 loaded scenario, wrap ``distribute`` alone and time it (``time.perf_counter``,
 no reference scaling); ``distribute_s`` is the median of their totals.
 
@@ -44,9 +45,12 @@ def run_workload(workload: str, seed: int) -> None:
 
 
 def count(workload: str, seed: int) -> dict:
-    """One run of ``workload`` with ``distribute`` and ``is_relevant`` counted."""
-    counts = {"distribute_calls": 0, "devices_seen": 0, "is_relevant_calls": 0, "notified": 0}
+    """One run of ``workload`` with ``distribute``, ``is_relevant`` and
+    ``predict_trajectory`` counted."""
+    counts = {"distribute_calls": 0, "devices_seen": 0, "is_relevant_calls": 0,
+              "predict_trajectory_calls": 0, "notified": 0}
     distribute, is_relevant = dissemination.distribute, dissemination.is_relevant
+    predict_trajectory = dissemination.predict_trajectory
 
     def counted_distribute(w, devices, *args):
         devices = list(devices)
@@ -60,12 +64,18 @@ def count(workload: str, seed: int) -> dict:
         counts["is_relevant_calls"] += 1
         return is_relevant(scope, device)
 
+    def counted_predict_trajectory(device, net, now):
+        counts["predict_trajectory_calls"] += 1
+        return predict_trajectory(device, net, now)
+
     dissemination.distribute = counted_distribute
     dissemination.is_relevant = counted_is_relevant
+    dissemination.predict_trajectory = counted_predict_trajectory
     try:
         run_workload(workload, seed)
     finally:
         dissemination.distribute, dissemination.is_relevant = distribute, is_relevant
+        dissemination.predict_trajectory = predict_trajectory
     return counts
 
 

@@ -247,7 +247,13 @@ def is_relevant(scope: WarningScope, device: EdgeDevice) -> RelevanceDecision:
         return NOT_RELEVANT
     mode, entries = device.mode, scope.entries
 
-    if mode is not None:
+    # A routeless device's trajectory is its free-flow continuation (none
+    # without a destination), so one whose continuation names no affected
+    # segment cannot hit, and its trajectory is not built.
+    if mode is not None and (
+            device.planned_route is not None
+            or (device.destination is not None
+                and not entries.keys().isdisjoint(_continuation(device, scope.net)))):
         for seg_id, eta in predict_trajectory(device, scope.net, scope.now):
             entry = entries.get(seg_id)
             if entry is not None and eta <= scope.horizon_end and mode in entry.modes:

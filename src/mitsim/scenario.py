@@ -5,7 +5,8 @@ A scenario is one JSON document with sections ``network``, ``demand``,
 ``policies``, ``seed`` and ``end_time``.  Loading validates every cross
 reference and raises :class:`ValidationError` naming the offending
 identifier; a validated scenario is immutable and each simulation run
-builds its own fresh world state from it.
+builds its own fresh world state from it.  The edge devices are parsed
+and validated once, at load; each run gets its own copies of them.
 """
 
 from __future__ import annotations
@@ -100,6 +101,7 @@ class Scenario:
     matrix: Mapping[str, frozenset]
     sources: tuple[DetectionSource, ...]
     device_specs: tuple[Mapping, ...]
+    devices: tuple[EdgeDevice, ...]  # validated templates, in spec order; never run on
     device_trips: tuple[TripSpec, ...]  # declared on mobile devices, in device order
     policy: RelevancePolicy
     strategy_table: StrategyTable
@@ -111,19 +113,16 @@ class Scenario:
 
     # -- per-run builders ----------------------------------------------------
 
-    def build_devices(self) -> dict[str, EdgeDevice]:
-        devices: dict[str, EdgeDevice] = {}
-        for spec in self.device_specs:
-            device = _device_from_spec(spec, self.net)
-            devices[device.device_id] = device
-        return devices
-
     def build_world(self) -> WorldState:
         overlay = NetworkState(
             self.net,
             boarding_wait=boarding_waits(self.net, self.pt_routes, self.defaults),
         )
-        devices = self.build_devices()
+        # A run moves, re-routes and re-modes its devices, so it gets its own
+        # copies.  Positions and planned-route tuples are immutable and shared.
+        devices = {d.device_id: EdgeDevice(d.device_id, d.role, d.position, d.comm_range,
+                                           d.planned_route, d.mode, d.destination)
+                   for d in self.devices}
         travelling = {trip.device_id for trip in self.device_trips}
         cavs: dict[str, CavUnit] = {}
         for device in devices.values():
@@ -399,8 +398,9 @@ def load_scenario(raw: Mapping) -> Scenario:
         for i, s in enumerate(raw.get("detection_sources", []))
     )
 
-    # devices (validated by building them once)
+    # devices, validated by building them once; runs copy these
     device_specs = tuple(raw.get("devices", []))
+    devices: list[EdgeDevice] = []
     device_trips: list[TripSpec] = []
     seen_devices: set[str] = set()
     for spec in device_specs:
@@ -417,6 +417,11 @@ def load_scenario(raw: Mapping) -> Scenario:
             raise ValidationError(
                 f"device {device.device_id}: unknown segment {pos.segment}"
             )
+        if pos.segment is not None and pos.offset > net.segments[pos.segment].length:
+            raise ValidationError(
+                f"device {device.device_id}: position offset {pos.offset} is beyond "
+                f"segment {pos.segment} ({net.segments[pos.segment].length} m)"
+            )
         if device.mode is not None and device.mode not in net.modes:
             raise ValidationError(f"device {device.device_id}: unknown mode {device.mode}")
         if device.destination is not None and device.destination not in net.nodes:
@@ -428,6 +433,7 @@ def load_scenario(raw: Mapping) -> Scenario:
                 raise ValidationError(
                     f"device {device.device_id}: planned route names unknown segment {seg}"
                 )
+        devices.append(device)
         trip_raw = spec.get("trip")
         if trip_raw is not None:
             if device.role not in ("vehicle-obu", "traveler-app"):
@@ -472,7 +478,7 @@ def load_scenario(raw: Mapping) -> Scenario:
 
     adjacency: dict[str, frozenset[str]] = {}
     links = pol.get("rsu_links", [])
-    rsu_ids = {d["device_id"] for d in device_specs if d.get("role") == "roadside-unit"}
+    rsu_ids = {d.device_id for d in devices if d.role == "roadside-unit"}
     tmp: dict[str, set[str]] = {}
     for a, b in links:
         for rsu in (a, b):
@@ -524,6 +530,7 @@ def load_scenario(raw: Mapping) -> Scenario:
         matrix=matrix,
         sources=sources,
         device_specs=device_specs,
+        devices=tuple(devices),
         device_trips=tuple(device_trips),
         policy=policy,
         strategy_table=table,

@@ -225,6 +225,7 @@ class _Sim:
         self.travelers: dict[str, Traveler] = {}
         self.by_device: dict[str, Traveler] = {}
         self.waiting: set[str] = set()
+        self.node_positions: dict[str, DevicePosition] = {}  # immutable, shared by devices
         self.events: dict[str, DisturbanceEvent] = {e.event_id: e for e in scenario.events}
         self.actions: dict[str, object] = {}
         self.actions_by_event: dict[str, list] = {}
@@ -444,7 +445,10 @@ class _Sim:
         tv.current = None
         device = self.world.devices.get(tv.device_id) if tv.device_id else None
         if device is not None:
-            device.position = DevicePosition(node=node)
+            position = self.node_positions.get(node)
+            if position is None:
+                position = self.node_positions[node] = DevicePosition(node=node)
+            device.position = position
             evaluated = evaluate_moves(t, tv.moves, self.world.overlay)
             if evaluated is not None:
                 device.planned_route = evaluated[1] or None

@@ -30,7 +30,9 @@ durations only; the caller turns them into times.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .network import Arc, MultiLayerNetwork, group_by_from_node
@@ -261,6 +263,8 @@ class WorldState:
     defaults: SimDefaults = field(default_factory=SimDefaults)
     signal_claims: dict[tuple[str, str], tuple[str, float]] = field(default_factory=dict)
     diversions: dict[str, tuple] = field(default_factory=dict)
+    # (entry time, segment, mode) of each traversal, appended at its entry
+    # time, so the times never decrease.
     flow_entries: list[tuple[float, str, str]] = field(default_factory=list)
 
     @property
@@ -274,10 +278,11 @@ class WorldState:
     def flows(self, now: float) -> dict[tuple[str, str], float]:
         """Observed hourly flow per (segment, mode) over the trailing window."""
         window = self.defaults.flow_window
-        cutoff = now - window
+        entries, entry_time = self.flow_entries, itemgetter(0)
+        lo = bisect_right(entries, now - window, key=entry_time)
+        hi = bisect_right(entries, now, lo=lo, key=entry_time)
         counts: dict[tuple[str, str], float] = {}
-        for t, seg, mode in self.flow_entries:
-            if cutoff < t <= now:
-                counts[(seg, mode)] = counts.get((seg, mode), 0.0) + 1.0
+        for _t, seg, mode in entries[lo:hi]:
+            counts[(seg, mode)] = counts.get((seg, mode), 0.0) + 1.0
         scale = 3600.0 / window
         return {k: v * scale for k, v in counts.items()}

@@ -281,6 +281,16 @@ def oracle_key(oracle):
     return (time, transfers, seq)
 
 
+def brute_force_flows(flow_entries, now, window):
+    """Hourly flow per (segment, mode) over ``(now - window, now]``, by a
+    scan of every entry."""
+    counts = {}
+    for t, seg, mode in flow_entries:
+        if now - window < t <= now:
+            counts[(seg, mode)] = counts.get((seg, mode), 0.0) + 1.0
+    return {k: v * (3600.0 / window) for k, v in counts.items()}
+
+
 def brute_force_node_distances(net, sources):
     """Bellman-Ford over the segment list, both directions of every segment.
 

@@ -8,7 +8,7 @@ from mitsim import scenario as scenario_module
 from mitsim.cli import main
 
 from conftest import DEMO_PATH, demo_scenario
-from test_scenario import NAN_CASES
+from test_scenario import NAN_CASES, place_rsu_a
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +30,16 @@ def test_validate_bad_scenario(tmp_path, capsys):
     bad.write_text(json.dumps(raw))
     assert main(["validate", str(bad)]) == 1
     assert "missing-segment" in capsys.readouterr().err
+
+
+def test_validate_rejects_an_offset_beyond_the_segment(tmp_path, capsys):
+    raw = demo_scenario()
+    place_rsu_a(raw, 50000)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "validation error: device rsu_a: position offset 50000.0 is beyond segment R1")
 
 
 @pytest.mark.parametrize("value", ["abc", float("nan"), -1])

@@ -184,6 +184,51 @@ def test_reason_priority_trajectory_over_area(line3):
     assert relevance(w, device, POLICY, line3, [], 0.0).reason == "trajectory-hit"
 
 
+def one_way_line():
+    return build_network(line_network_spec(3, direction="forward"))
+
+
+def long_line():
+    return build_network(line_network_spec(6, fft=1000.0))  # s4 is entered at 4000 s
+
+
+# A routeless car with a destination, one affected segment, the reason, and
+# whether its continuation names an affected segment, so that the trajectory
+# is built.
+CONTINUATION_EDGES = {
+    "head-only-unreachable": (one_way_line, DevicePosition(segment="s0", offset=500.0),
+                              "v0", "s0", "car", "trajectory-hit", True),
+    "at-destination": (one_way_line, DevicePosition(node="v1"), "v1", "s0", "car",
+                       "area", False),
+    "beyond-horizon": (long_line, DevicePosition(node="v0"), "v5", "s4", "car",
+                       "none", True),
+    "other-mode-on-path": (two_mode_net, DevicePosition(node="v0"), "v2", "s0", "tram",
+                           "none", True),
+    "other-mode-off-path": (two_mode_net, DevicePosition(node="v0"), "v2", "t0", "tram",
+                            "none", False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTINUATION_EDGES))
+def test_continuation_shortcut_is_exact_at_its_edges(case, monkeypatch):
+    make_net, position, dest, seg_id, mode, reason, built = CONTINUATION_EDGES[case]
+    net = make_net()
+    if case == "head-only-unreachable":
+        assert net.free_flow_path("car", "v1", "v0") is None
+    device = EdgeDevice("d", "vehicle-obu", position, mode="car", destination=dest)
+    w = warn_on(net, [seg_id], [mode])
+    expected = brute_force_relevant(w, device, POLICY, net, [], 0.0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return predict_trajectory(*args)
+
+    monkeypatch.setattr(dissemination, "predict_trajectory", counted)
+    assert relevance(w, device, POLICY, net, [], 0.0).reason == expected == reason
+    assert len(calls) == built
+
+
 # -- geometry oracles ---------------------------------------------------------------
 
 

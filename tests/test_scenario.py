@@ -3,9 +3,10 @@ import dataclasses
 import pytest
 
 from mitsim.disturbance import affected_pairs
+from mitsim.dissemination import DevicePosition
 from mitsim.errors import ValidationError
 from mitsim.scenario import MAX_STREAM_ARRIVALS, Scenario, load_scenario, stream_rng
-from mitsim.simulation import MODE_BROADCAST, MODE_NO_ADAPT, MODE_TARGETED, run
+from mitsim.simulation import MODE_BROADCAST, MODE_NO_ADAPT, MODE_TARGETED, _Sim, run
 
 from conftest import demo_scenario
 from generators import run_outputs
@@ -100,6 +101,22 @@ def test_duplicate_device_rejected():
     raw["devices"].append(dict(raw["devices"][0]))
     with pytest.raises(ValidationError, match="duplicate device"):
         load_scenario(raw)
+
+
+def place_rsu_a(raw, offset):
+    rsu_a = next(d for d in raw["devices"] if d["device_id"] == "rsu_a")
+    rsu_a["position"] = {"segment": "R1", "offset": offset}  # R1 is 2000 m long
+
+
+def test_position_offset_beyond_its_segment_rejected():
+    raw = demo_scenario()
+    place_rsu_a(raw, 2000.5)
+    with pytest.raises(ValidationError, match=r"^device rsu_a: position offset 2000.5 "
+                                              r"is beyond segment R1 \(2000.0 m\)$"):
+        load_scenario(raw)
+    place_rsu_a(raw, 2000)
+    (rsu_a,) = [d for d in load_scenario(raw).devices if d.device_id == "rsu_a"]
+    assert rsu_a.position == DevicePosition(segment="R1", offset=2000.0)
 
 
 def test_rsu_link_must_name_roadside_units():
@@ -538,3 +555,24 @@ def test_a_cav_with_its_own_trip_is_not_in_the_idle_fleet():
     world = load_scenario(raw).build_world()
     assert sorted(world.cavs) == ["cav2", "cav3"]
     assert world.cavs["cav2"].node == "h2" and world.cavs["cav2"].available
+
+
+def test_each_world_gets_its_own_copy_of_the_fleet(demo):
+    a, b = demo.build_world().devices, demo.build_world().devices
+    assert list(a) == list(b) == [d.device_id for d in demo.devices]
+    for template in demo.devices:
+        copy_a, copy_b = a[template.device_id], b[template.device_id]
+        assert copy_a is not template and copy_b is not template and copy_a is not copy_b
+        assert copy_a == template == copy_b
+
+
+def test_a_run_leaves_the_scenario_fleet_as_loaded():
+    scenario = load_scenario(demo_scenario())
+    before = [dict(vars(d)) for d in scenario.devices]
+    sim = _Sim(scenario, MODE_TARGETED)
+    sim.run()
+    assert [dict(vars(d)) for d in scenario.devices] == before
+    # The run did move its own copies, give them destinations and modes.
+    assert {"position", "mode", "destination"} <= {
+        field for d in scenario.devices for field, value in vars(d).items()
+        if vars(sim.world.devices[d.device_id])[field] != value}

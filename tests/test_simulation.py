@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from types import SimpleNamespace
@@ -312,6 +313,29 @@ def test_runs_after_compare_equal_runs_on_a_fresh_load(make):
     for config in (MODE_NO_ADAPT, MODE_BROADCAST, MODE_TARGETED):
         fresh = load_scenario(json.loads(text))
         assert run_outputs(run(served, config)) == run_outputs(run(fresh, config))
+
+
+@pytest.mark.parametrize("make", [
+    demo_scenario,
+    lambda: idle_obu_grid_scenario_dict(random.Random(1)),
+], ids=["demo", "idle-1"])
+def test_compare_equals_compare_with_a_fresh_fleet_per_run(make, monkeypatch):
+    """Every run of compare copies the one fleet the load built; the answer
+    is the one runs on freshly loaded devices give."""
+    text = json.dumps(make())
+    shared = compare(load_scenario(json.loads(text)))
+
+    class FreshFleet(simulation._Sim):
+        def __init__(self, scenario, config):
+            fleet = load_scenario(json.loads(text)).devices
+            super().__init__(dataclasses.replace(scenario, devices=fleet), config)
+
+    monkeypatch.setattr(simulation, "_Sim", FreshFleet)
+    fresh = compare(load_scenario(json.loads(text)))
+    assert json.dumps(shared.to_dict()) == json.dumps(fresh.to_dict())
+    for label in ("no_adapt", "broadcast", "targeted"):
+        assert (run_outputs(getattr(shared, label))
+                == run_outputs(getattr(fresh, label))), label
 
 
 def test_compare_no_disturbances_identical():

@@ -3,14 +3,16 @@ and fresh searches."""
 
 import dataclasses
 import random
+from collections import Counter
 
 from mitsim import routing
 from mitsim.routing import RoutingPreferences, _search, route
-from mitsim.state import Contribution, NetworkState
+from mitsim.state import Contribution, NetworkState, SimDefaults, WorldState
 
 from generators import CLOCKS, random_contribution, random_network, rebuilt
 from oracles import (
     brute_force_assemble,
+    brute_force_flows,
     brute_force_mode_arcs,
     brute_force_residual,
     brute_force_traversal_time,
@@ -269,3 +271,27 @@ def test_traversal_time_is_free_flow_over_the_scanned_residual(monkeypatch):
                 else:
                     counts["active"] += 1
     assert min(counts.values()) >= 50, counts
+
+
+def test_flows_equal_a_scan_of_every_entry(line3):
+    """``flows`` reads only its window of the time-ordered entries; it equals
+    a scan of all of them, insertion order included, also for entries at
+    the cutoff and at ``now``."""
+    seen = Counter()
+    for seed in range(200):
+        rng = random.Random(52_000 + seed)
+        window = rng.choice([60.0, 100.0, 3600.0])
+        world = WorldState(overlay=NetworkState(line3),
+                           defaults=SimDefaults(flow_window=window))
+        times = sorted(rng.choice([0.0, 40.0, 60.0, 100.0, 160.0, 200.0, 3600.0, 3700.0])
+                       for _ in range(rng.randint(0, 30)))
+        world.flow_entries = [(t, rng.choice(["s0", "s1"]), rng.choice(["car", "bus"]))
+                              for t in times]
+        for now in (0.0, 60.0, 100.0, 160.0, 200.0, 250.0, 3700.0, 1e9):
+            got = world.flows(now)
+            expected = brute_force_flows(world.flow_entries, now, window)
+            assert list(got.items()) == list(expected.items())
+            seen["at cutoff"] += (now - window) in times
+            seen["at now"] += now in times
+            seen["empty"] += not got
+    assert min(seen.values()) >= 20, seen
