@@ -222,7 +222,12 @@ def _chain_nodes(net: MultiLayerNetwork, segments: tuple[str, ...]) -> list[str]
     return chain
 
 
-def _route_node_chain(net: MultiLayerNetwork, pt_route: PtRoute) -> list[str]:
+def route_node_chain(net: MultiLayerNetwork, pt_route: PtRoute) -> list[str]:
+    """The nodes a route passes, from its first stop along its segments.
+
+    Raises :class:`ValidationError` naming the route when a segment does not
+    start where the one before it ends; ``load_scenario`` checks every route.
+    """
     chain = [pt_route.stops[0]]
     for seg_id in pt_route.segments:
         seg = net.segments[seg_id]
@@ -499,7 +504,7 @@ def bus_diversion_favorable(
     out.  Priority routes accept any feasible diversion.
     """
     net = state.net
-    chain = _route_node_chain(net, pt_route)
+    chain = route_node_chain(net, pt_route)
     blocked_set = set(blocked_segments)
     indices = [i for i, s in enumerate(pt_route.segments) if s in blocked_set]
     if not indices:

@@ -1,5 +1,5 @@
-"""Exception types shared across the simulator, and the number checks that
-raise one for scenario input."""
+"""Exception types shared across the simulator, and the field and number
+checks that raise one for scenario input."""
 
 
 class ValidationError(ValueError):
@@ -22,6 +22,17 @@ class CodecError(ValueError):
 
 class InfeasibleError(RuntimeError):
     """A requested adaptation cannot be realized on the current network."""
+
+
+def require(entry, where: str, key: str):
+    """The required ``key`` field of the scenario entry ``where``.
+
+    A missing field raises a :class:`ValidationError` naming the entry and
+    the field instead of a ``KeyError``.
+    """
+    if key not in entry:
+        raise ValidationError(f"{where}: missing field {key!r}")
+    return entry[key]
 
 
 def as_float(value, where: str, key: str) -> float:

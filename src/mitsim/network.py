@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Optional, Union
 
-from .errors import ValidationError, as_float
+from .errors import ValidationError, as_float, require
 
 MODE_CATEGORIES = frozenset(
     {"walk", "cycle", "private-car", "cav-taxi", "bus", "tram", "metro", "train"}
@@ -432,12 +432,6 @@ def group_by_from_node(arcs: Iterable[Arc]) -> dict[str, tuple[Arc, ...]]:
 # -- construction from plain data -------------------------------------------
 
 
-def _require(mapping: Mapping, key: str, context: str):
-    if key not in mapping:
-        raise ValidationError(f"{context}: missing field {key!r}")
-    return mapping[key]
-
-
 def build_network(spec: Mapping) -> MultiLayerNetwork:
     """Build and validate a network from a scenario ``network`` section.
 
@@ -447,39 +441,39 @@ def build_network(spec: Mapping) -> MultiLayerNetwork:
     """
     modes = []
     seen_modes: set[str] = set()
-    for raw in _require(spec, "modes", "network"):
-        mode_id = _require(raw, "mode_id", "mode")
+    for raw in require(spec, "network", "modes"):
+        mode_id = require(raw, "mode", "mode_id")
         if mode_id in seen_modes:
             raise ValidationError(f"duplicate mode identifier {mode_id}")
         seen_modes.add(mode_id)
         modes.append(ModeSpec(
             mode_id=mode_id,
-            category=_require(raw, "category", f"mode {mode_id}"),
+            category=require(raw, f"mode {mode_id}", "category"),
             agile=bool(raw.get("agile", raw.get("category") in AGILE_CATEGORIES)),
             maas_member=bool(raw.get("maas_member", False)),
         ))
     networks: set[str] = set()
-    for raw in _require(spec, "networks", "network"):
-        network_id = _require(raw, "network_id", "network entry")
+    for raw in require(spec, "network", "networks"):
+        network_id = require(raw, "network entry", "network_id")
         if network_id in networks:
             raise ValidationError(f"duplicate network identifier {network_id}")
         networks.add(network_id)
-    usage_matrix = [tuple(pair) for pair in _require(spec, "usage_matrix", "network")]
-    nodes = list(_require(spec, "nodes", "network"))
+    usage_matrix = [tuple(pair) for pair in require(spec, "network", "usage_matrix")]
+    nodes = list(require(spec, "network", "nodes"))
     if len(nodes) != len(set(nodes)):
         dupes = sorted({n for n in nodes if nodes.count(n) > 1})
         raise ValidationError(f"duplicate node identifier {dupes[0]}")
     segments = []
     seen_segs: set[str] = set()
-    for raw in _require(spec, "segments", "network"):
-        seg_id = _require(raw, "segment_id", "segment")
+    for raw in require(spec, "network", "segments"):
+        seg_id = require(raw, "segment", "segment_id")
         if seg_id in seen_segs:
             raise ValidationError(f"duplicate segment identifier {seg_id}")
         seen_segs.add(seg_id)
         where = f"segment {seg_id}"
         usage = tuple(
             UsageEntry(
-                mode_id=_require(u, "mode_id", f"{where} usage"),
+                mode_id=require(u, f"{where} usage", "mode_id"),
                 direction=u.get("direction", "both"),
                 base_capacity=as_float(u.get("base_capacity", 1000.0), where,
                                        "usage base_capacity"),
@@ -487,14 +481,14 @@ def build_network(spec: Mapping) -> MultiLayerNetwork:
                                         "usage free_flow_time"),
                 reserved=bool(u.get("reserved", False)),
             )
-            for u in _require(raw, "usage", where)
+            for u in require(raw, where, "usage")
         )
         segments.append(Segment(
             segment_id=seg_id,
-            network_id=_require(raw, "network_id", where),
-            from_node=_require(raw, "from_node", where),
-            to_node=_require(raw, "to_node", where),
-            length=as_float(_require(raw, "length", where), where, "length"),
+            network_id=require(raw, where, "network_id"),
+            from_node=require(raw, where, "from_node"),
+            to_node=require(raw, where, "to_node"),
+            length=as_float(require(raw, where, "length"), where, "length"),
             usage=usage,
             seg_class=raw.get("class", "minor"),
             shared_group=raw.get("shared_group"),
@@ -505,9 +499,9 @@ def build_network(spec: Mapping) -> MultiLayerNetwork:
     if not default_transfer >= 0:
         raise ValidationError("network: transfer_time_default must be >= 0")
     for raw in spec.get("multimodal_nodes", []):
-        node_id = _require(raw, "node_id", "multimodal node")
+        node_id = require(raw, "multimodal node", "node_id")
         where = f"node {node_id}"
-        attachments = frozenset(tuple(a) for a in _require(raw, "attachments", where))
+        attachments = frozenset(tuple(a) for a in require(raw, where, "attachments"))
         attached_modes = sorted({m for m, _ in attachments})
         transfer: dict[tuple[str, str], float] = {}
         raw_transfer = raw.get("transfer_time", {})

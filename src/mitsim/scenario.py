@@ -19,7 +19,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .adaptation import DEFAULT_STRATEGY_TABLE, StrategyTable, validate_strategy_table
+from .adaptation import (DEFAULT_STRATEGY_TABLE, StrategyTable, route_node_chain,
+                         validate_strategy_table)
 from .disturbance import (
     DetectionSource,
     DisturbanceEvent,
@@ -28,7 +29,7 @@ from .disturbance import (
     validate_effect_matrix,
 )
 from .dissemination import DevicePosition, EdgeDevice, RelevancePolicy, RsuTopology
-from .errors import ValidationError, as_float, as_int
+from .errors import ValidationError, as_float, as_int, require
 from .network import MultiLayerNetwork, build_network
 from .routing import RoutingPreferences
 from .state import CavUnit, NetworkState, PtRoute, SimDefaults, WorldState, boarding_waits
@@ -212,7 +213,7 @@ def _device_from_spec(spec: Mapping, net: MultiLayerNetwork) -> EdgeDevice:
                      if planned else None)
     return EdgeDevice(
         device_id=device_id,
-        role=spec["role"],
+        role=require(spec, where, "role"),
         position=position,
         comm_range=as_float(spec.get("comm_range", 0.0), where, "comm_range"),
         planned_route=planned_route,
@@ -268,24 +269,26 @@ def load_scenario(raw: Mapping) -> Scenario:
     for i, t in enumerate(demand_raw.get("trips", [])):
         where = f"demand trip {i}"
         prefs = _prefs_from(t.get("prefs"), net, where)
-        for node in (t["origin"], t["dest"]):
+        origin, dest = require(t, where, "origin"), require(t, where, "dest")
+        for node in (origin, dest):
             if node not in net.nodes:
                 raise ValidationError(f"{where}: unknown node {node}")
-        depart = as_float(t["depart"], where, "depart")
+        depart = as_float(require(t, where, "depart"), where, "depart")
         if not 0 <= depart < end_time:
             raise ValidationError(f"demand trip {i}: depart outside [0, end_time)")
         trips.append(TripSpec(
-            origin=t["origin"], dest=t["dest"], depart=depart,
+            origin=origin, dest=dest, depart=depart,
             count=as_int(t.get("count", 1), where, "count"), prefs=prefs,
         ))
     arrivals: list[ArrivalSpec] = []
     for i, a in enumerate(demand_raw.get("arrivals", [])):
         where = f"demand arrivals {i}"
         prefs = _prefs_from(a.get("prefs"), net, where)
-        for node in (a["origin"], a["dest"]):
+        origin, dest = require(a, where, "origin"), require(a, where, "dest")
+        for node in (origin, dest):
             if node not in net.nodes:
                 raise ValidationError(f"{where}: unknown node {node}")
-        rate = as_float(a["rate_per_hour"], where, "rate_per_hour")
+        rate = as_float(require(a, where, "rate_per_hour"), where, "rate_per_hour")
         if not math.isfinite(rate):
             raise ValidationError(f"demand arrivals {i}: rate must be finite")
         if rate < 0:
@@ -300,14 +303,16 @@ def load_scenario(raw: Mapping) -> Scenario:
         if math.isnan(end):
             raise ValidationError(f"demand arrivals {i}: end must be a number")
         arrivals.append(ArrivalSpec(
-            index=i, origin=a["origin"], dest=a["dest"], rate_per_hour=rate,
+            index=i, origin=origin, dest=dest, rate_per_hour=rate,
             start=start, end=end, prefs=prefs,
         ))
     # A modifier's event_id is not checked: modifiers of an event dropped by
     # without_event stay in the scenario and simply never apply.
     ev_modifiers: list[EvModifier] = []
     for i, m in enumerate(demand_raw.get("ev_modifiers", [])):
-        multiplier = as_float(m["multiplier"], f"demand ev_modifiers {i}", "multiplier")
+        where = f"demand ev_modifiers {i}"
+        event_id = require(m, where, "event_id")
+        multiplier = as_float(require(m, where, "multiplier"), where, "multiplier")
         if not (math.isfinite(multiplier) and multiplier >= 0):
             raise ValidationError(
                 f"demand ev_modifiers {i}: multiplier must be finite and >= 0")
@@ -315,14 +320,14 @@ def load_scenario(raw: Mapping) -> Scenario:
         for node in sorted(nodes):
             if node not in net.nodes:
                 raise ValidationError(f"demand ev_modifiers {i}: unknown node {node}")
-        ev_modifiers.append(EvModifier(event_id=m["event_id"], multiplier=multiplier,
+        ev_modifiers.append(EvModifier(event_id=event_id, multiplier=multiplier,
                                        nodes=nodes))
 
     # disturbances, closed over shared physical infrastructure
     events: list[DisturbanceEvent] = []
     seen_events: set[str] = set()
-    for e in raw.get("disturbances", []):
-        event_id = e["event_id"]
+    for i, e in enumerate(raw.get("disturbances", [])):
+        event_id = require(e, f"disturbance {i}", "event_id")
         if event_id in seen_events:
             raise ValidationError(f"duplicate event identifier {event_id}")
         seen_events.add(event_id)
@@ -350,13 +355,14 @@ def load_scenario(raw: Mapping) -> Scenario:
                               else as_float(sev_raw["displaced_volume"], where,
                                             "severity displaced_volume")),
         )
-        estimated = as_float(e["estimated_duration"], where, "estimated_duration")
+        estimated = as_float(require(e, where, "estimated_duration"), where,
+                             "estimated_duration")
         event = DisturbanceEvent(
             event_id=event_id,
-            kind=e["kind"],
+            kind=require(e, where, "kind"),
             segments=expanded,
             nodes=tuple(sorted(e.get("nodes", []))),
-            start=as_float(e["start"], where, "start"),
+            start=as_float(require(e, where, "start"), where, "start"),
             estimated_duration=estimated,
             true_duration=as_float(e.get("true_duration", estimated), where, "true_duration"),
             severity=severity,
@@ -384,19 +390,17 @@ def load_scenario(raw: Mapping) -> Scenario:
         matrix[kind] = frozenset(tuple(p) for p in pairs)
     validate_effect_matrix(matrix, net)
 
-    sources = tuple(
-        DetectionSource(
-            source_kind=s["source_kind"],
-            applicable_kinds=frozenset(s["applicable_kinds"]),
-            detect_probability=as_float(s["detect_probability"], f"detection source {i}",
+    sources: list[DetectionSource] = []
+    for i, s in enumerate(raw.get("detection_sources", [])):
+        where = f"detection source {i}"
+        sources.append(DetectionSource(
+            source_kind=require(s, where, "source_kind"),
+            applicable_kinds=frozenset(require(s, where, "applicable_kinds")),
+            detect_probability=as_float(require(s, where, "detect_probability"), where,
                                         "detect_probability"),
-            latency_min=as_float(s.get("latency_min", 0.0), f"detection source {i}",
-                                 "latency_min"),
-            latency_max=as_float(s.get("latency_max", 0.0), f"detection source {i}",
-                                 "latency_max"),
-        )
-        for i, s in enumerate(raw.get("detection_sources", []))
-    )
+            latency_min=as_float(s.get("latency_min", 0.0), where, "latency_min"),
+            latency_max=as_float(s.get("latency_max", 0.0), where, "latency_max"),
+        ))
 
     # devices, validated by building them once; runs copy these
     device_specs = tuple(raw.get("devices", []))
@@ -440,18 +444,21 @@ def load_scenario(raw: Mapping) -> Scenario:
                 raise ValidationError(
                     f"device {device.device_id}: only mobile devices carry trips"
                 )
-            prefs = _prefs_from(trip_raw.get("prefs"), net, f"device {device.device_id} trip")
-            for node in (trip_raw["origin"], trip_raw["dest"]):
+            where = f"device {device.device_id} trip"
+            prefs = _prefs_from(trip_raw.get("prefs"), net, where)
+            origin, dest = require(trip_raw, where, "origin"), require(trip_raw, where, "dest")
+            for node in (origin, dest):
                 if node not in net.nodes:
                     raise ValidationError(
                         f"device {device.device_id}: unknown trip node {node}"
                     )
-            depart = as_float(trip_raw["depart"], f"device {device.device_id}", "trip depart")
+            depart = as_float(require(trip_raw, where, "depart"), f"device {device.device_id}",
+                              "trip depart")
             if not 0 <= depart < end_time:
                 raise ValidationError(
                     f"device {device.device_id}: trip depart outside [0, end_time)"
                 )
-            device_trips.append(TripSpec(origin=trip_raw["origin"], dest=trip_raw["dest"],
+            device_trips.append(TripSpec(origin=origin, dest=dest,
                                          depart=depart, count=1, prefs=prefs,
                                          device_id=device.device_id))
 
@@ -492,15 +499,16 @@ def load_scenario(raw: Mapping) -> Scenario:
 
     pt_routes = []
     seen_routes: set[str] = set()
-    for r in pol.get("pt_routes", []):
-        route_id = r["route_id"]
+    for i, r in enumerate(pol.get("pt_routes", [])):
+        route_id = require(r, f"pt route {i}", "route_id")
+        where = f"pt route {route_id}"
         if route_id in seen_routes:
             raise ValidationError(f"duplicate pt route identifier {route_id}")
         seen_routes.add(route_id)
-        mode_id = r["mode_id"]
+        mode_id = require(r, where, "mode_id")
         if mode_id not in net.modes:
             raise ValidationError(f"pt route {route_id}: unknown mode {mode_id}")
-        segments = tuple(r["segments"])
+        segments = tuple(require(r, where, "segments"))
         for seg in segments:
             if seg not in net.segments:
                 raise ValidationError(f"pt route {route_id}: unknown segment {seg}")
@@ -508,7 +516,9 @@ def load_scenario(raw: Mapping) -> Scenario:
                 raise ValidationError(
                     f"pt route {route_id}: segment {seg} unusable by {mode_id}"
                 )
-        stops = tuple(r["stops"])
+        stops = tuple(require(r, where, "stops"))
+        if not stops:
+            raise ValidationError(f"{where}: no stops")
         for stop in stops:
             if stop not in net.nodes:
                 raise ValidationError(f"pt route {route_id}: unknown stop {stop}")
@@ -516,10 +526,12 @@ def load_scenario(raw: Mapping) -> Scenario:
                            f"pt route {route_id}", "headway")
         if not headway > 0:
             raise ValidationError(f"pt route {route_id}: headway must be > 0")
-        pt_routes.append(PtRoute(
+        pt_route = PtRoute(
             route_id=route_id, mode_id=mode_id, stops=stops, segments=segments,
             headway=headway, priority=bool(r.get("priority", False)),
-        ))
+        )
+        route_node_chain(net, pt_route)  # a bus diversion walks this chain mid-run
+        pt_routes.append(pt_route)
 
     return Scenario(
         net=net,
@@ -528,7 +540,7 @@ def load_scenario(raw: Mapping) -> Scenario:
         ev_modifiers=tuple(ev_modifiers),
         events=tuple(events),
         matrix=matrix,
-        sources=sources,
+        sources=tuple(sources),
         device_specs=device_specs,
         devices=tuple(devices),
         device_trips=tuple(device_trips),

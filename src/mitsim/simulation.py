@@ -22,7 +22,7 @@ import heapq
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from . import adaptation, dissemination
@@ -96,23 +96,7 @@ class Metrics:
     relevance_recall: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {
-            "trips_total": self.trips_total,
-            "trips_completed": self.trips_completed,
-            "trips_abandoned": self.trips_abandoned,
-            "trips_in_progress": self.trips_in_progress,
-            "total_delay_s": _round6(self.total_delay_s),
-            "mean_delay_s": _round6(self.mean_delay_s),
-            "messages_sent_total": self.messages_sent_total,
-            "broadcast_baseline_total": self.broadcast_baseline_total,
-            "warnings_issued": self.warnings_issued,
-            "revisions_issued": self.revisions_issued,
-            "actions_applied": self.actions_applied,
-            "infrastructure_notified_total": self.infrastructure_notified_total,
-            "detection": {k: _canon(v) for k, v in sorted(self.detection.items())},
-            "relevance_precision": _round6(self.relevance_precision),
-            "relevance_recall": _round6(self.relevance_recall),
-        }
+        return _canon(asdict(self))
 
 
 @dataclass

@@ -42,6 +42,27 @@ def test_validate_rejects_an_offset_beyond_the_segment(tmp_path, capsys):
         "validation error: device rsu_a: position offset 50000.0 is beyond segment R1")
 
 
+def test_validate_reports_a_missing_key(tmp_path, capsys):
+    raw = demo_scenario()
+    del raw["disturbances"][0]["start"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["validate", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err == "validation error: event bridge-crash: missing field 'start'\n"
+
+
+def test_run_rejects_a_route_that_does_not_chain_before_running(tmp_path, capsys):
+    raw = demo_scenario()
+    bus1 = next(r for r in raw["policies"]["pt_routes"] if r["route_id"] == "Bus1")
+    bus1["stops"].reverse()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "validation error: pt route Bus1: segments not contiguous\n")
+
+
 @pytest.mark.parametrize("value", ["abc", float("nan"), -1])
 def test_validate_rejects_bad_signal_multiplier(tmp_path, capsys, value):
     raw = demo_scenario()

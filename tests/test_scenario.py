@@ -156,6 +156,72 @@ def test_pt_route_segment_usability_checked():
         load_scenario(raw)
 
 
+def _bus1(raw):
+    return next(r for r in raw["policies"]["pt_routes"] if r["route_id"] == "Bus1")
+
+
+# A bus diversion walks a route's segments from its first stop, so a route
+# whose segments do not chain from there is rejected at load, not mid-run.
+@pytest.mark.parametrize("edit, message", [
+    (lambda route: route.update(segments=["R2", "R1", "R3"]),
+     "pt route Bus1: segments not contiguous"),
+    (lambda route: route["stops"].reverse(), "pt route Bus1: segments not contiguous"),
+    (lambda route: route.update(stops=[]), "pt route Bus1: no stops"),
+], ids=["segments-reordered", "stops-reversed", "no-stops"])
+def test_pt_route_must_chain_from_its_first_stop(edit, message):
+    raw = demo_scenario()
+    edit(_bus1(raw))
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        load_scenario(raw)
+
+
+def _with_entry(section, entry):
+    """An edit that appends ``entry`` to the demand list ``section``."""
+    return lambda raw: raw["demand"][section].append(dict(entry))
+
+
+# Every required key of every entry outside the network section: entry ->
+# (an edit that adds the entry, or None; the entry in the edited document;
+# the entry's name in the error; its required keys).  The demo has no trip
+# and no modifier, so those edits add one.
+REQUIRED_KEYS = {
+    "trip": (_with_entry("trips", {"origin": "a1", "dest": "b1", "depart": 0.0}),
+             lambda raw: raw["demand"]["trips"][0], "demand trip 0",
+             ("origin", "dest", "depart")),
+    "arrivals": (None, lambda raw: raw["demand"]["arrivals"][0], "demand arrivals 0",
+                 ("origin", "dest", "rate_per_hour")),
+    "ev-modifier": (_with_entry("ev_modifiers", {"event_id": "bridge-crash", "multiplier": 2.0}),
+                    lambda raw: raw["demand"]["ev_modifiers"][0], "demand ev_modifiers 0",
+                    ("event_id", "multiplier")),
+    "disturbance-id": (None, lambda raw: raw["disturbances"][0], "disturbance 0",
+                       ("event_id",)),
+    "disturbance": (None, lambda raw: raw["disturbances"][0], "event bridge-crash",
+                    ("kind", "start", "estimated_duration")),
+    "detection-source": (None, lambda raw: raw["detection_sources"][0], "detection source 0",
+                         ("source_kind", "applicable_kinds", "detect_probability")),
+    "device": (None, lambda raw: _device(raw, "veh1"), "device veh1", ("role",)),
+    "device-trip": (None, lambda raw: _device(raw, "veh1")["trip"], "device veh1 trip",
+                    ("origin", "dest", "depart")),
+    "pt-route-id": (None, lambda raw: raw["policies"]["pt_routes"][0], "pt route 0",
+                    ("route_id",)),
+    "pt-route": (None, _bus1, "pt route Bus1", ("mode_id", "segments", "stops")),
+}
+MISSING_KEY_CASES = [(entry, key) for entry, (*_, keys) in REQUIRED_KEYS.items()
+                     for key in keys]
+
+
+@pytest.mark.parametrize("entry, key", MISSING_KEY_CASES,
+                         ids=[f"{entry}-{key}" for entry, key in MISSING_KEY_CASES])
+def test_missing_required_key_rejected_naming_the_entry(entry, key):
+    add, find, name, _keys = REQUIRED_KEYS[entry]
+    raw = demo_scenario()
+    if add is not None:
+        add(raw)
+    del find(raw)[key]
+    with pytest.raises(ValidationError, match=f"^{name}: missing field '{key}'$"):
+        load_scenario(raw)
+
+
 def test_stream_rng_independent_streams():
     a = stream_rng(42, "detect:e1")
     b = stream_rng(42, "detect:e2")

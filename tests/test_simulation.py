@@ -114,6 +114,15 @@ def test_undetectable_event_delays_silently():
     assert m.warnings_issued == 0
     assert m.total_delay_s > 0.0  # waited the blockage out at v1
     assert m.trips_completed == 1
+    # Ended while still blocked: a missed event prints null and a run
+    # without completed trips an integer 0 total.
+    cut = run(load_scenario(mini_scenario(sources=False, end_time=300.0)))
+    assert cut.metrics_json() == (
+        '{"actions_applied":0,"broadcast_baseline_total":0,"detection":{"e0":null},'
+        '"infrastructure_notified_total":0,"mean_delay_s":0.0,"messages_sent_total":0,'
+        '"relevance_precision":null,"relevance_recall":null,"revisions_issued":0,'
+        '"total_delay_s":0,"trips_abandoned":0,"trips_completed":0,"trips_in_progress":1,'
+        '"trips_total":1,"warnings_issued":0}')
 
 
 def test_blocked_traveler_waits_then_resumes():
