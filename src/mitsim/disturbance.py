@@ -71,6 +71,17 @@ class SeverityMeasure:
         return self.capacity_reduction is not None and self.capacity_reduction >= 1.0
 
 
+# The SeverityMeasure fields, in wire order, each with its value type:
+# "fraction" (a float) or "int".  The warning codec and the scenario loader
+# both read measures through this table.
+SEVERITY_MEASURES = (
+    ("capacity_reduction", "fraction"),
+    ("lanes_affected", "int"),
+    ("severity_index", "int"),
+    ("displaced_volume", "fraction"),
+)
+
+
 @dataclass(frozen=True)
 class DisturbanceEvent:
     """One disturbance, located on segments (and optionally nodes).
@@ -144,6 +155,9 @@ class DetectionSource:
             raise ValidationError(f"unknown detection source kind {self.source_kind!r}")
         if not self.applicable_kinds:
             raise ValidationError(f"source {self.source_kind}: applicable_kinds empty")
+        for kind in sorted(self.applicable_kinds):
+            if kind not in DISTURBANCE_KINDS:
+                raise ValidationError(f"source {self.source_kind}: unknown kind {kind}")
         if not 0.0 <= self.detect_probability <= 1.0:
             raise ValidationError(f"source {self.source_kind}: probability outside [0, 1]")
         if not 0.0 <= self.latency_min <= self.latency_max:
@@ -158,7 +172,7 @@ def validate_effect_matrix(matrix: EffectMatrix, net: MultiLayerNetwork) -> None
     for kind, pairs in matrix.items():
         if kind not in DISTURBANCE_KINDS:
             raise ValidationError(f"effect matrix: unknown kind {kind!r}")
-        for pair in pairs:
+        for pair in sorted(pairs):
             if tuple(pair) not in net.usage_matrix:
                 raise ValidationError(
                     f"effect matrix {kind}: pair {tuple(pair)} not in the usage matrix"

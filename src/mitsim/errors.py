@@ -1,5 +1,5 @@
-"""Exception types shared across the simulator, and the field and number
-checks that raise one for scenario input."""
+"""Exception types shared across the simulator, and the entry, field, id
+and number checks that raise one for scenario input."""
 
 
 class ValidationError(ValueError):
@@ -22,6 +22,72 @@ class CodecError(ValueError):
 
 class InfeasibleError(RuntimeError):
     """A requested adaptation cannot be realized on the current network."""
+
+
+def entries(items, section: str, noun: str, id_key: str | None = None):
+    """The entries of the scenario list ``section``, in document order.
+
+    Yields ``(i, entry)`` for each entry, a JSON object.  With an
+    ``id_key`` every entry must carry that field, a string unique in the
+    list, and ``(id, entry)`` is yielded instead; ``id_key=""`` reads a
+    list of bare ids.  The first bad entry raises a :class:`ValidationError`
+    naming it, e.g. ``<noun> <i>: missing field '<key>'`` or ``duplicate
+    <noun> identifier <id>``.
+    """
+    if not isinstance(items, list):
+        raise ValidationError(f"{section} must be a list")
+    seen: set[str] = set()
+    for i, entry in enumerate(items):
+        if id_key == "":
+            entry_id = entry
+        elif not isinstance(entry, dict):
+            raise ValidationError(f"{noun} {i} must be an object")
+        elif id_key is None:
+            yield i, entry
+            continue
+        elif id_key in entry:
+            entry_id = entry[id_key]
+        else:
+            raise ValidationError(f"{noun} {i}: missing field {id_key!r}")
+        if not isinstance(entry_id, str):
+            raise ValidationError(f"{noun} {i}: {id_key or 'id'} must be a string")
+        if entry_id in seen:
+            raise ValidationError(f"duplicate {noun} identifier {entry_id}")
+        seen.add(entry_id)
+        yield entry_id, entry
+
+
+def known(value, registry, where: str, what: str) -> str:
+    """``value``, a reference from the scenario entry ``where`` to a
+    ``what`` id, which must be a string that ``registry`` holds."""
+    if not isinstance(value, str) or value not in registry:
+        raise ValidationError(f"{where}: unknown {what} {value}")
+    return value
+
+
+def id_pair(value, where: str, key: str) -> tuple[str, str]:
+    """``value``, the ``key`` field of ``where``, as a pair of string ids."""
+    if (not isinstance(value, list) or len(value) != 2
+            or not all(isinstance(v, str) for v in value)):
+        raise ValidationError(f"{where}: {key} must be a pair of ids")
+    return value[0], value[1]
+
+
+def as_list(value, where: str, key: str) -> list:
+    """``value``, the ``key`` field of ``where``, which must be a list."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{where}: {key} must be a list")
+    return value
+
+
+def as_object(value, where: str, key: str) -> dict:
+    """``value``, the optional ``key`` object of ``where``; null reads as
+    an empty object."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where}: {key} must be an object")
+    return value
 
 
 def require(entry, where: str, key: str):

@@ -37,7 +37,8 @@ from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping, Optional, Union
 
-from .disturbance import DISTURBANCE_KINDS, DisturbanceEvent, EffectMatrix, SeverityMeasure, affected_pairs
+from .disturbance import (DISTURBANCE_KINDS, SEVERITY_MEASURES, DisturbanceEvent, EffectMatrix,
+                          SeverityMeasure, affected_pairs)
 from .errors import CodecError, ValidationError
 from .network import SEGMENT_CLASSES, MultiLayerNetwork
 
@@ -178,7 +179,7 @@ def revise(w: WarningMessage, new_estimated_end: int) -> WarningMessage:
 
 def _quantize_severity(severity: SeverityMeasure) -> SeverityMeasure:
     values = {}
-    for name, measure in _MEASURES:
+    for name, measure in SEVERITY_MEASURES:
         value = getattr(severity, name)
         if measure == "fraction" and value is not None:
             value = quantize_fraction(value)
@@ -204,8 +205,9 @@ def _coerce_case_map(specifics: Mapping[str, object]) -> dict[str, CaseValue]:
 # The key orders of the wire format above.  encode and decode both walk
 # these tables, so the two directions cannot disagree on the order.  Value
 # types: "string", "int", "fraction", "modes" (a non-empty sorted list of
-# strings), and "severity", "affected" and "case_specific" for the nested
-# parts of the same names.
+# strings), and "severity" (the measures of SEVERITY_MEASURES, absent ones
+# left out), "affected" and "case_specific" for the nested parts of the
+# same names.
 
 # A rule is (test of a value given the fields of its object read before
 # it, the decoder's error, the constructor's error); the errors are format
@@ -235,15 +237,6 @@ _FIELDS = (
     ("case_specific", "case_specific", ((lambda v, got: not v or got["detail"] != "basic",
                                          "basic tier must carry an empty case_specific map",
                                          "basic tier must not carry case data"),)),
-)
-
-# Severity measures, each the SeverityMeasure field of that name: (key,
-# value type).  Absent measures are left out.
-_MEASURES = (
-    ("capacity_reduction", "fraction"),
-    ("lanes_affected", "int"),
-    ("severity_index", "int"),
-    ("displaced_volume", "fraction"),
 )
 
 # Keys of an affected entry: (key, AffectedEntry field, value type, rules)
@@ -341,7 +334,7 @@ def _emit(kind: str, value, out: list[str], key: str) -> None:
     elif kind == "severity":
         out.append("{")
         sep = ""
-        for name, measure in _MEASURES:
+        for name, measure in SEVERITY_MEASURES:
             v = getattr(value, name)
             if v is None:
                 continue
@@ -514,7 +507,7 @@ def _parse_severity(s: _Scanner) -> SeverityMeasure:
     s.expect("{")
     fields: dict[str, object] = {}
     sep = ""
-    for name, measure in _MEASURES:
+    for name, measure in SEVERITY_MEASURES:
         try:
             s.expect(f'{sep}"{name}":')
         except CodecError:  # an absent measure; expect failed before moving

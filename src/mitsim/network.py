@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Optional, Union
 
-from .errors import ValidationError, as_float, require
+from .errors import (ValidationError, as_float, as_list, as_object, entries, id_pair,
+                     known, require)
 
 MODE_CATEGORIES = frozenset(
     {"walk", "cycle", "private-car", "cav-taxi", "bus", "tram", "metro", "train"}
@@ -117,7 +118,11 @@ class Arc:
 
 
 class MultiLayerNetwork:
-    """Validated, immutable container for modes, networks, nodes and segments."""
+    """Immutable container for modes, networks, nodes and segments.
+
+    :func:`build_network` checks a description as it reads it; the
+    container itself only checks that every MaaS mode can be served.
+    """
 
     def __init__(
         self,
@@ -142,102 +147,11 @@ class MultiLayerNetwork:
         self._landmark_tables: Optional[tuple[Mapping[str, float], ...]] = None
         self._distance_tables: dict[tuple[tuple[str, float], ...], Mapping[str, float]] = {}
         self._searches: dict[Hashable, dict] = {}
-        # The checks build the views of MaaS modes into the caches above.
-        self._validate()
+        # The check builds the views of MaaS modes into the caches above.
+        self._check_maas_connectivity()
         self._shared_groups = self._index_shared_groups()
 
     # -- validation ---------------------------------------------------------
-
-    def _validate(self) -> None:
-        for mode in self.modes.values():
-            if mode.category not in MODE_CATEGORIES:
-                raise ValidationError(
-                    f"mode {mode.mode_id}: unknown category {mode.category!r}"
-                )
-            if mode.category in AGILE_CATEGORIES and not mode.agile:
-                raise ValidationError(
-                    f"mode {mode.mode_id}: category {mode.category} must be agile"
-                )
-        for mode_id, network_id in self.usage_matrix:
-            if mode_id not in self.modes:
-                raise ValidationError(f"usage matrix names unknown mode {mode_id}")
-            if network_id not in self.networks:
-                raise ValidationError(
-                    f"usage matrix names unknown network {network_id}"
-                )
-        for seg in self.segments.values():
-            if seg.network_id not in self.networks:
-                raise ValidationError(
-                    f"segment {seg.segment_id}: unknown network {seg.network_id}"
-                )
-            for endpoint in (seg.from_node, seg.to_node):
-                if endpoint not in self.nodes:
-                    raise ValidationError(
-                        f"segment {seg.segment_id}: dangling node reference {endpoint}"
-                    )
-            if not seg.length > 0:
-                raise ValidationError(f"segment {seg.segment_id}: length must be > 0")
-            if not seg.usage:
-                raise ValidationError(f"segment {seg.segment_id}: empty usage list")
-            if seg.seg_class not in SEGMENT_CLASSES:
-                raise ValidationError(
-                    f"segment {seg.segment_id}: unknown class {seg.seg_class!r}"
-                )
-            seen_modes = set()
-            for entry in seg.usage:
-                if entry.mode_id in seen_modes:
-                    raise ValidationError(
-                        f"segment {seg.segment_id}: duplicate usage for mode {entry.mode_id}"
-                    )
-                seen_modes.add(entry.mode_id)
-                if entry.mode_id not in self.modes:
-                    raise ValidationError(
-                        f"segment {seg.segment_id}: unknown mode {entry.mode_id}"
-                    )
-                if entry.direction not in DIRECTIONS:
-                    raise ValidationError(
-                        f"segment {seg.segment_id}: bad direction {entry.direction!r}"
-                    )
-                if not (entry.base_capacity > 0 and entry.free_flow_time > 0):
-                    raise ValidationError(
-                        f"segment {seg.segment_id}: capacity and free-flow time must "
-                        f"be > 0 for mode {entry.mode_id}"
-                    )
-                if (entry.mode_id, seg.network_id) not in self.usage_matrix:
-                    raise ValidationError(
-                        f"segment {seg.segment_id}: pair ({entry.mode_id}, "
-                        f"{seg.network_id}) not in the usage matrix"
-                    )
-        for mn in self.multimodal_nodes.values():
-            if mn.node_id not in self.nodes:
-                raise ValidationError(
-                    f"multimodal node {mn.node_id}: not in the node registry"
-                )
-            for mode_id, network_id in mn.attachments:
-                if (mode_id, network_id) not in self.usage_matrix:
-                    raise ValidationError(
-                        f"multimodal node {mn.node_id}: attachment ({mode_id}, "
-                        f"{network_id}) not in the usage matrix"
-                    )
-            for a in mn.modes:
-                for b in mn.modes:
-                    if a != b and (a, b) not in mn.transfer_time:
-                        raise ValidationError(
-                            f"multimodal node {mn.node_id}: missing transfer time "
-                            f"({a} -> {b})"
-                        )
-            for (a, b), duration in sorted(mn.transfer_time.items()):
-                if not duration >= 0:
-                    raise ValidationError(
-                        f"multimodal node {mn.node_id}: transfer time ({a} -> {b}) "
-                        f"must be >= 0"
-                    )
-            for service in mn.services:
-                if service not in NODE_SERVICES:
-                    raise ValidationError(
-                        f"multimodal node {mn.node_id}: unknown service {service!r}"
-                    )
-        self._check_maas_connectivity()
 
     def _check_maas_connectivity(self) -> None:
         # Every MaaS mode must be reachable as a service: some connected
@@ -435,93 +349,112 @@ def group_by_from_node(arcs: Iterable[Arc]) -> dict[str, tuple[Arc, ...]]:
 def build_network(spec: Mapping) -> MultiLayerNetwork:
     """Build and validate a network from a scenario ``network`` section.
 
-    Raises :class:`ValidationError` naming the offending identifier when the
-    description is inconsistent (dangling nodes, duplicate ids, usage outside
-    the matrix, empty usage lists, ...).
+    Every entry is checked as it is read, in document order, and the first
+    fault raises a :class:`ValidationError` naming the offending identifier
+    (dangling nodes, duplicate ids, usage outside the matrix, empty usage
+    lists, ...).
     """
-    modes = []
-    seen_modes: set[str] = set()
-    for raw in require(spec, "network", "modes"):
-        mode_id = require(raw, "mode", "mode_id")
-        if mode_id in seen_modes:
-            raise ValidationError(f"duplicate mode identifier {mode_id}")
-        seen_modes.add(mode_id)
-        modes.append(ModeSpec(
-            mode_id=mode_id,
-            category=require(raw, f"mode {mode_id}", "category"),
-            agile=bool(raw.get("agile", raw.get("category") in AGILE_CATEGORIES)),
-            maas_member=bool(raw.get("maas_member", False)),
-        ))
-    networks: set[str] = set()
-    for raw in require(spec, "network", "networks"):
-        network_id = require(raw, "network entry", "network_id")
-        if network_id in networks:
-            raise ValidationError(f"duplicate network identifier {network_id}")
-        networks.add(network_id)
-    usage_matrix = [tuple(pair) for pair in require(spec, "network", "usage_matrix")]
-    nodes = list(require(spec, "network", "nodes"))
-    if len(nodes) != len(set(nodes)):
-        dupes = sorted({n for n in nodes if nodes.count(n) > 1})
-        raise ValidationError(f"duplicate node identifier {dupes[0]}")
+    if not isinstance(spec, dict):
+        raise ValidationError("scenario: network must be an object")
+    modes: dict[str, ModeSpec] = {}
+    for mode_id, raw in entries(require(spec, "network", "modes"), "network.modes", "mode",
+                                "mode_id"):
+        where = f"mode {mode_id}"
+        category = known(require(raw, where, "category"), MODE_CATEGORIES, where, "category")
+        agile = bool(raw.get("agile", category in AGILE_CATEGORIES))
+        if category in AGILE_CATEGORIES and not agile:
+            raise ValidationError(f"{where}: category {category} must be agile")
+        modes[mode_id] = ModeSpec(mode_id, category, agile, bool(raw.get("maas_member", False)))
+    networks = {network_id for network_id, _ in entries(
+        require(spec, "network", "networks"), "network.networks", "network", "network_id")}
+    # The container gets the pair and node lists in document order: the
+    # iteration order of the sets it builds from them follows that order.
+    usage_pairs = []
+    for i, pair in enumerate(as_list(require(spec, "network", "usage_matrix"), "network",
+                                     "usage_matrix")):
+        mode_id, network_id = id_pair(pair, "usage matrix", f"entry {i}")
+        known(mode_id, modes, "usage matrix", "mode")
+        known(network_id, networks, "usage matrix", "network")
+        usage_pairs.append((mode_id, network_id))
+    usage_matrix = frozenset(usage_pairs)
+    node_list = [node for node, _ in entries(require(spec, "network", "nodes"), "network.nodes",
+                                             "node", "")]
+    nodes = frozenset(node_list)
     segments = []
-    seen_segs: set[str] = set()
-    for raw in require(spec, "network", "segments"):
-        seg_id = require(raw, "segment", "segment_id")
-        if seg_id in seen_segs:
-            raise ValidationError(f"duplicate segment identifier {seg_id}")
-        seen_segs.add(seg_id)
+    for seg_id, raw in entries(require(spec, "network", "segments"), "network.segments",
+                               "segment", "segment_id"):
         where = f"segment {seg_id}"
-        usage = tuple(
-            UsageEntry(
-                mode_id=require(u, f"{where} usage", "mode_id"),
-                direction=u.get("direction", "both"),
-                base_capacity=as_float(u.get("base_capacity", 1000.0), where,
-                                       "usage base_capacity"),
-                free_flow_time=as_float(u.get("free_flow_time", 60.0), where,
-                                        "usage free_flow_time"),
-                reserved=bool(u.get("reserved", False)),
-            )
-            for u in require(raw, where, "usage")
-        )
-        segments.append(Segment(
-            segment_id=seg_id,
-            network_id=require(raw, where, "network_id"),
-            from_node=require(raw, where, "from_node"),
-            to_node=require(raw, where, "to_node"),
-            length=as_float(require(raw, where, "length"), where, "length"),
-            usage=usage,
-            seg_class=raw.get("class", "minor"),
-            shared_group=raw.get("shared_group"),
-        ))
+        network_id = known(require(raw, where, "network_id"), networks, where, "network")
+        from_node = known(require(raw, where, "from_node"), nodes, where, "node")
+        to_node = known(require(raw, where, "to_node"), nodes, where, "node")
+        length = as_float(require(raw, where, "length"), where, "length")
+        if not length > 0:
+            raise ValidationError(f"{where}: length must be > 0")
+        usage = []
+        noun = f"{where} usage"
+        for mode_id, u in entries(require(raw, where, "usage"), noun, noun, "mode_id"):
+            known(mode_id, modes, where, "mode")
+            direction = known(u.get("direction", "both"), DIRECTIONS, where, "direction")
+            base_capacity = as_float(u.get("base_capacity", 1000.0), where, "usage base_capacity")
+            free_flow_time = as_float(u.get("free_flow_time", 60.0), where, "usage free_flow_time")
+            if not (base_capacity > 0 and free_flow_time > 0):
+                raise ValidationError(f"{where}: capacity and free-flow time must be > 0 "
+                                      f"for mode {mode_id}")
+            if (mode_id, network_id) not in usage_matrix:
+                raise ValidationError(f"{where}: pair ({mode_id}, {network_id}) not in the "
+                                      f"usage matrix")
+            # Positional arguments: these frozen records are built once per
+            # entry, and keywords make that measurably slower.
+            usage.append(UsageEntry(mode_id, direction, base_capacity, free_flow_time,
+                                    bool(u.get("reserved", False))))
+        if not usage:
+            raise ValidationError(f"{where}: empty usage list")
+        seg_class = known(raw.get("class", "minor"), SEGMENT_CLASSES, where, "class")
+        shared_group = raw.get("shared_group")
+        if not (shared_group is None or isinstance(shared_group, str)):
+            raise ValidationError(f"{where}: shared_group must be a string")
+        segments.append(Segment(seg_id, network_id, from_node, to_node, length, tuple(usage),
+                                seg_class, shared_group))
     multimodal_nodes = []
     default_transfer = as_float(spec.get("transfer_time_default", 120.0), "network",
                                 "transfer_time_default")
     if not default_transfer >= 0:
         raise ValidationError("network: transfer_time_default must be >= 0")
-    for raw in spec.get("multimodal_nodes", []):
-        node_id = require(raw, "multimodal node", "node_id")
-        where = f"node {node_id}"
-        attachments = frozenset(tuple(a) for a in require(raw, where, "attachments"))
+    for node_id, raw in entries(spec.get("multimodal_nodes", []), "network.multimodal_nodes",
+                                "multimodal node", "node_id"):
+        where = f"multimodal node {node_id}"
+        known(node_id, nodes, where, "node")
+        attachments = []
+        for pair in as_list(require(raw, where, "attachments"), where, "attachments"):
+            attachment = id_pair(pair, where, "attachment")
+            if attachment not in usage_matrix:
+                raise ValidationError(f"{where}: attachment ({attachment[0]}, "
+                                      f"{attachment[1]}) not in the usage matrix")
+            attachments.append(attachment)
         attached_modes = sorted({m for m, _ in attachments})
+        raw_transfer = as_object(raw.get("transfer_time"), where, "transfer_time")
         transfer: dict[tuple[str, str], float] = {}
-        raw_transfer = raw.get("transfer_time", {})
         for a in attached_modes:
             for b in attached_modes:
                 if a == b:
                     continue
-                transfer[(a, b)] = as_float(raw_transfer.get(f"{a},{b}", default_transfer),
-                                            where, "transfer_time")
+                duration = as_float(raw_transfer.get(f"{a},{b}", default_transfer),
+                                    f"node {node_id}", "transfer_time")
+                if not duration >= 0:
+                    raise ValidationError(f"{where}: transfer time ({a} -> {b}) must be >= 0")
+                transfer[(a, b)] = duration
         multimodal_nodes.append(MultimodalNode(
             node_id=node_id,
-            attachments=attachments,
+            attachments=frozenset(attachments),
             transfer_time=transfer,
-            services=frozenset(raw.get("services", [])),
+            services=frozenset(known(service, NODE_SERVICES, where, "service") for service
+                               in as_list(raw.get("services", []), where, "services")),
         ))
     return MultiLayerNetwork(
-        modes=modes,
+        modes=modes.values(),
         networks=networks,
-        usage_matrix=usage_matrix,
-        nodes=nodes,
+        usage_matrix=usage_pairs,
+        nodes=node_list,
         segments=segments,
         multimodal_nodes=multimodal_nodes,
     )

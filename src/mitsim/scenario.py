@@ -21,15 +21,13 @@ from typing import Iterable, Mapping, Optional
 
 from .adaptation import (DEFAULT_STRATEGY_TABLE, StrategyTable, route_node_chain,
                          validate_strategy_table)
-from .disturbance import (
-    DetectionSource,
-    DisturbanceEvent,
-    SeverityMeasure,
-    default_effect_matrix,
-    validate_effect_matrix,
-)
-from .dissemination import DevicePosition, EdgeDevice, RelevancePolicy, RsuTopology
-from .errors import ValidationError, as_float, as_int, require
+from .disturbance import (DETECTION_SOURCE_KINDS, DISTURBANCE_KINDS, SEVERITY_MEASURES,
+                          DetectionSource, DisturbanceEvent, SeverityMeasure,
+                          default_effect_matrix, validate_effect_matrix)
+from .dissemination import (DEVICE_ROLES, DevicePosition, EdgeDevice, RelevancePolicy,
+                            RsuTopology)
+from .errors import (ValidationError, as_float, as_int, as_list, as_object, entries, id_pair,
+                     known, require)
 from .network import MultiLayerNetwork, build_network
 from .routing import RoutingPreferences
 from .state import CavUnit, NetworkState, PtRoute, SimDefaults, WorldState, boarding_waits
@@ -178,52 +176,64 @@ def stream_rng(seed: int, name: str) -> random.Random:
 # -- parsing -------------------------------------------------------------------
 
 
-def _prefs_from(raw: Optional[Mapping], net: MultiLayerNetwork, context: str) -> RoutingPreferences:
-    if raw is None:
-        return RoutingPreferences(allowed_modes=frozenset(net.modes))
-    modes = frozenset(raw.get("allowed_modes", sorted(net.modes)))
-    for mode in modes:
-        if mode not in net.modes:
-            raise ValidationError(f"{context}: unknown mode {mode}")
-    penalty = as_float(raw.get("transfer_penalty", 0.0), context, "transfer_penalty")
-    max_walk = as_float(raw.get("max_walk", float("inf")), context, "max_walk")
+def _endpoints(entry: Mapping, net: MultiLayerNetwork,
+               where: str) -> tuple[RoutingPreferences, str, str]:
+    """The routing preferences, origin and destination of a trip or an
+    arrival stream."""
+    raw = as_object(entry.get("prefs"), where, "prefs")
+    modes = frozenset(known(mode, net.modes, where, "mode") for mode in
+                      as_list(raw.get("allowed_modes", sorted(net.modes)), where,
+                              "allowed_modes"))
+    penalty = as_float(raw.get("transfer_penalty", 0.0), where, "transfer_penalty")
+    max_walk = as_float(raw.get("max_walk", float("inf")), where, "max_walk")
     try:
-        return RoutingPreferences(
-            allowed_modes=modes, transfer_penalty=penalty, max_walk=max_walk,
-        )
+        prefs = RoutingPreferences(allowed_modes=modes, transfer_penalty=penalty,
+                                   max_walk=max_walk)
     except ValidationError as exc:
-        raise ValidationError(f"{context}: {exc}") from None
+        raise ValidationError(f"{where}: {exc}") from None
+    return (prefs, known(require(entry, where, "origin"), net.nodes, where, "node"),
+            known(require(entry, where, "dest"), net.nodes, where, "node"))
 
 
-def _device_from_spec(spec: Mapping, net: MultiLayerNetwork) -> EdgeDevice:
-    device_id = spec["device_id"]
+def _device_from_spec(device_id: str, spec: Mapping, net: MultiLayerNetwork) -> EdgeDevice:
     where = f"device {device_id}"
     pos_raw = spec.get("position")
-    if not isinstance(pos_raw, Mapping):
+    if not isinstance(pos_raw, dict):
         raise ValidationError(f"{where}: missing position")
     if "node" in pos_raw:
-        position = DevicePosition(node=pos_raw["node"])
+        position = DevicePosition(node=known(pos_raw["node"], net.nodes, where, "node"))
     else:
         offset = as_float(pos_raw.get("offset", 0.0), where, "position offset")
         if not offset >= 0:
             raise ValidationError(f"{where}: position offset must be >= 0")
-        position = DevicePosition(segment=pos_raw.get("segment"), offset=offset)
-    planned = spec.get("planned_route")
-    planned_route = (tuple((s, as_float(t, where, "planned_route time")) for s, t in planned)
-                     if planned else None)
+        segment = net.segments[known(pos_raw.get("segment"), net.segments, where, "segment")]
+        position = DevicePosition(segment=segment.segment_id, offset=offset)
+        if offset > segment.length:
+            raise ValidationError(f"{where}: position offset {offset} is beyond segment "
+                                  f"{segment.segment_id} ({segment.length} m)")
+    planned_route = []
+    for step in as_list(spec.get("planned_route") or [], where, "planned_route"):
+        if not (isinstance(step, list) and len(step) == 2):
+            raise ValidationError(f"{where}: planned_route steps must be [segment, eta] pairs")
+        planned_route.append((known(step[0], net.segments, f"{where} planned route", "segment"),
+                              as_float(step[1], where, "planned_route time")))
+    mode, destination = spec.get("mode"), spec.get("destination")
     return EdgeDevice(
         device_id=device_id,
-        role=require(spec, where, "role"),
+        role=known(require(spec, where, "role"), DEVICE_ROLES, where, "role"),
         position=position,
         comm_range=as_float(spec.get("comm_range", 0.0), where, "comm_range"),
-        planned_route=planned_route,
-        mode=spec.get("mode"),
-        destination=spec.get("destination"),
+        planned_route=tuple(planned_route) or None,
+        mode=None if mode is None else known(mode, net.modes, where, "mode"),
+        destination=(None if destination is None
+                     else known(destination, net.nodes, where, "destination")),
     )
 
 
 def load_scenario(raw: Mapping) -> Scenario:
     """Parse and validate a scenario document."""
+    if not isinstance(raw, dict):
+        raise ValidationError("scenario must be an object")
     for section in ("network", "seed", "end_time"):
         if section not in raw:
             raise ValidationError(f"scenario: missing section {section!r}")
@@ -235,11 +245,11 @@ def load_scenario(raw: Mapping) -> Scenario:
     if not end_time > 0:
         raise ValidationError("scenario: end_time must be > 0")
 
-    defaults_raw = (raw.get("policies") or {}).get("defaults", {})
-    known = set(SimDefaults.__dataclass_fields__)
+    pol = as_object(raw.get("policies"), "scenario", "policies")
+    known_defaults = set(SimDefaults.__dataclass_fields__)
     values: dict[str, float] = {}
-    for key, value in defaults_raw.items():
-        if key not in known:
+    for key, value in as_object(pol.get("defaults"), "policies", "defaults").items():
+        if key not in known_defaults:
             raise ValidationError(f"policies.defaults: unknown key {key!r}")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValidationError(f"policies.defaults: {key} must be a number")
@@ -263,113 +273,86 @@ def load_scenario(raw: Mapping) -> Scenario:
         if not getattr(defaults, key) > 0:
             raise ValidationError(f"policies.defaults: {key} must be > 0")
 
-    # demand
-    demand_raw = raw.get("demand") or {}
+    demand = as_object(raw.get("demand"), "scenario", "demand")
     trips: list[TripSpec] = []
-    for i, t in enumerate(demand_raw.get("trips", [])):
+    for i, t in entries(demand.get("trips", []), "demand.trips", "demand trip"):
         where = f"demand trip {i}"
-        prefs = _prefs_from(t.get("prefs"), net, where)
-        origin, dest = require(t, where, "origin"), require(t, where, "dest")
-        for node in (origin, dest):
-            if node not in net.nodes:
-                raise ValidationError(f"{where}: unknown node {node}")
+        prefs, origin, dest = _endpoints(t, net, where)
         depart = as_float(require(t, where, "depart"), where, "depart")
         if not 0 <= depart < end_time:
-            raise ValidationError(f"demand trip {i}: depart outside [0, end_time)")
+            raise ValidationError(f"{where}: depart outside [0, end_time)")
         trips.append(TripSpec(
             origin=origin, dest=dest, depart=depart,
             count=as_int(t.get("count", 1), where, "count"), prefs=prefs,
         ))
     arrivals: list[ArrivalSpec] = []
-    for i, a in enumerate(demand_raw.get("arrivals", [])):
+    for i, a in entries(demand.get("arrivals", []), "demand.arrivals", "demand arrivals"):
         where = f"demand arrivals {i}"
-        prefs = _prefs_from(a.get("prefs"), net, where)
-        origin, dest = require(a, where, "origin"), require(a, where, "dest")
-        for node in (origin, dest):
-            if node not in net.nodes:
-                raise ValidationError(f"{where}: unknown node {node}")
+        prefs, origin, dest = _endpoints(a, net, where)
         rate = as_float(require(a, where, "rate_per_hour"), where, "rate_per_hour")
         if not math.isfinite(rate):
-            raise ValidationError(f"demand arrivals {i}: rate must be finite")
+            raise ValidationError(f"{where}: rate must be finite")
         if rate < 0:
-            raise ValidationError(f"demand arrivals {i}: negative rate")
+            raise ValidationError(f"{where}: negative rate")
         if rate > 0 and rate / 3600.0 == 0.0:
-            raise ValidationError(f"demand arrivals {i}: rate is 0 per second")
+            raise ValidationError(f"{where}: rate is 0 per second")
         # end = +inf is fine: the stream stops at end_time.
         start = as_float(a.get("start", 0.0), where, "start")
         end = as_float(a.get("end", end_time), where, "end")
         if not (math.isfinite(start) and start >= 0):
-            raise ValidationError(f"demand arrivals {i}: start must be finite and >= 0")
+            raise ValidationError(f"{where}: start must be finite and >= 0")
         if math.isnan(end):
-            raise ValidationError(f"demand arrivals {i}: end must be a number")
+            raise ValidationError(f"{where}: end must be a number")
         arrivals.append(ArrivalSpec(
             index=i, origin=origin, dest=dest, rate_per_hour=rate,
             start=start, end=end, prefs=prefs,
         ))
-    # A modifier's event_id is not checked: modifiers of an event dropped by
-    # without_event stay in the scenario and simply never apply.
+    # A modifier's event_id is not checked against the events: modifiers of
+    # an event dropped by without_event stay in the scenario and never apply.
     ev_modifiers: list[EvModifier] = []
-    for i, m in enumerate(demand_raw.get("ev_modifiers", [])):
+    for i, m in entries(demand.get("ev_modifiers", []), "demand.ev_modifiers",
+                        "demand ev_modifiers"):
         where = f"demand ev_modifiers {i}"
         event_id = require(m, where, "event_id")
+        if not isinstance(event_id, str):
+            raise ValidationError(f"{where}: event_id must be a string")
         multiplier = as_float(require(m, where, "multiplier"), where, "multiplier")
         if not (math.isfinite(multiplier) and multiplier >= 0):
-            raise ValidationError(
-                f"demand ev_modifiers {i}: multiplier must be finite and >= 0")
-        nodes = frozenset(m.get("nodes", []))
-        for node in sorted(nodes):
-            if node not in net.nodes:
-                raise ValidationError(f"demand ev_modifiers {i}: unknown node {node}")
+            raise ValidationError(f"{where}: multiplier must be finite and >= 0")
+        nodes = frozenset(known(node, net.nodes, where, "node")
+                          for node in as_list(m.get("nodes", []), where, "nodes"))
         ev_modifiers.append(EvModifier(event_id=event_id, multiplier=multiplier,
                                        nodes=nodes))
 
     # disturbances, closed over shared physical infrastructure
     events: list[DisturbanceEvent] = []
-    seen_events: set[str] = set()
-    for i, e in enumerate(raw.get("disturbances", [])):
-        event_id = require(e, f"disturbance {i}", "event_id")
-        if event_id in seen_events:
-            raise ValidationError(f"duplicate event identifier {event_id}")
-        seen_events.add(event_id)
-        segments = list(e.get("segments", []))
-        for seg in segments:
-            if seg not in net.segments:
-                raise ValidationError(f"event {event_id}: unknown segment {seg}")
-        expanded = tuple(sorted(net.expand_shared(segments)))
-        for node in e.get("nodes", []):
-            if node not in net.nodes:
-                raise ValidationError(f"event {event_id}: unknown node {node}")
+    for event_id, e in entries(raw.get("disturbances", []), "disturbances", "disturbance",
+                               "event_id"):
         where = f"event {event_id}"
-        sev_raw = e.get("severity") or {}
-        severity = SeverityMeasure(
-            capacity_reduction=(None if "capacity_reduction" not in sev_raw
-                                else as_float(sev_raw["capacity_reduction"], where,
-                                              "severity capacity_reduction")),
-            lanes_affected=(None if "lanes_affected" not in sev_raw
-                            else as_int(sev_raw["lanes_affected"], where,
-                                        "severity lanes_affected")),
-            severity_index=(None if "severity_index" not in sev_raw
-                            else as_int(sev_raw["severity_index"], where,
-                                        "severity severity_index")),
-            displaced_volume=(None if "displaced_volume" not in sev_raw
-                              else as_float(sev_raw["displaced_volume"], where,
-                                            "severity displaced_volume")),
-        )
+        segments = [known(seg, net.segments, where, "segment")
+                    for seg in as_list(e.get("segments", []), where, "segments")]
+        nodes = [known(node, net.nodes, where, "node")
+                 for node in as_list(e.get("nodes", []), where, "nodes")]
+        sev_raw = as_object(e.get("severity"), where, "severity")
+        severity = SeverityMeasure(**{
+            name: (as_int if measure == "int" else as_float)(sev_raw[name], where,
+                                                              f"severity {name}")
+            for name, measure in SEVERITY_MEASURES if name in sev_raw})
         estimated = as_float(require(e, where, "estimated_duration"), where,
                              "estimated_duration")
         event = DisturbanceEvent(
             event_id=event_id,
             kind=require(e, where, "kind"),
-            segments=expanded,
-            nodes=tuple(sorted(e.get("nodes", []))),
+            segments=tuple(sorted(net.expand_shared(segments))),
+            nodes=tuple(sorted(nodes)),
             start=as_float(require(e, where, "start"), where, "start"),
             estimated_duration=estimated,
             true_duration=as_float(e.get("true_duration", estimated), where, "true_duration"),
             severity=severity,
-            specifics=dict(e.get("specifics", {})),
+            specifics=dict(as_object(e.get("specifics"), where, "specifics")),
         )
         if event.start >= end_time:
-            raise ValidationError(f"event {event_id}: starts after end_time")
+            raise ValidationError(f"{where}: starts after end_time")
         events.append(event)
     events_by_id = {e.event_id: e for e in events}
     for entry in arrivals:
@@ -386,16 +369,21 @@ def load_scenario(raw: Mapping) -> Scenario:
     matrix = dict(default_effect_matrix(
         net, tram_crossing_signals=bool(raw.get("effect_matrix_tram_crossing", False))
     ))
-    for kind, pairs in (raw.get("effect_matrix") or {}).items():
-        matrix[kind] = frozenset(tuple(p) for p in pairs)
+    for kind, pairs in as_object(raw.get("effect_matrix"), "scenario", "effect_matrix").items():
+        matrix[kind] = frozenset(id_pair(pair, f"effect matrix {kind}", "pair")
+                                 for pair in as_list(pairs, "effect matrix", kind))
     validate_effect_matrix(matrix, net)
 
     sources: list[DetectionSource] = []
-    for i, s in enumerate(raw.get("detection_sources", [])):
+    for i, s in entries(raw.get("detection_sources", []), "detection_sources",
+                        "detection source"):
         where = f"detection source {i}"
         sources.append(DetectionSource(
-            source_kind=require(s, where, "source_kind"),
-            applicable_kinds=frozenset(require(s, where, "applicable_kinds")),
+            source_kind=known(require(s, where, "source_kind"), DETECTION_SOURCE_KINDS, where,
+                              "source kind"),
+            applicable_kinds=frozenset(
+                known(kind, DISTURBANCE_KINDS, where, "kind") for kind
+                in as_list(require(s, where, "applicable_kinds"), where, "applicable_kinds")),
             detect_probability=as_float(require(s, where, "detect_probability"), where,
                                         "detect_probability"),
             latency_min=as_float(s.get("latency_min", 0.0), where, "latency_min"),
@@ -403,129 +391,73 @@ def load_scenario(raw: Mapping) -> Scenario:
         ))
 
     # devices, validated by building them once; runs copy these
-    device_specs = tuple(raw.get("devices", []))
     devices: list[EdgeDevice] = []
     device_trips: list[TripSpec] = []
-    seen_devices: set[str] = set()
-    for spec in device_specs:
-        if "device_id" not in spec:
-            raise ValidationError("device entry missing device_id")
-        if spec["device_id"] in seen_devices:
-            raise ValidationError(f"duplicate device identifier {spec['device_id']}")
-        seen_devices.add(spec["device_id"])
-        device = _device_from_spec(spec, net)
-        pos = device.position
-        if pos.node is not None and pos.node not in net.nodes:
-            raise ValidationError(f"device {device.device_id}: unknown node {pos.node}")
-        if pos.segment is not None and pos.segment not in net.segments:
-            raise ValidationError(
-                f"device {device.device_id}: unknown segment {pos.segment}"
-            )
-        if pos.segment is not None and pos.offset > net.segments[pos.segment].length:
-            raise ValidationError(
-                f"device {device.device_id}: position offset {pos.offset} is beyond "
-                f"segment {pos.segment} ({net.segments[pos.segment].length} m)"
-            )
-        if device.mode is not None and device.mode not in net.modes:
-            raise ValidationError(f"device {device.device_id}: unknown mode {device.mode}")
-        if device.destination is not None and device.destination not in net.nodes:
-            raise ValidationError(
-                f"device {device.device_id}: unknown destination {device.destination}"
-            )
-        for seg, _eta in device.planned_route or ():
-            if seg not in net.segments:
-                raise ValidationError(
-                    f"device {device.device_id}: planned route names unknown segment {seg}"
-                )
+    for device_id, spec in entries(raw.get("devices", []), "devices", "device", "device_id"):
+        device = _device_from_spec(device_id, spec, net)
         devices.append(device)
-        trip_raw = spec.get("trip")
-        if trip_raw is not None:
-            if device.role not in ("vehicle-obu", "traveler-app"):
-                raise ValidationError(
-                    f"device {device.device_id}: only mobile devices carry trips"
-                )
-            where = f"device {device.device_id} trip"
-            prefs = _prefs_from(trip_raw.get("prefs"), net, where)
-            origin, dest = require(trip_raw, where, "origin"), require(trip_raw, where, "dest")
-            for node in (origin, dest):
-                if node not in net.nodes:
-                    raise ValidationError(
-                        f"device {device.device_id}: unknown trip node {node}"
-                    )
-            depart = as_float(require(trip_raw, where, "depart"), f"device {device.device_id}",
-                              "trip depart")
-            if not 0 <= depart < end_time:
-                raise ValidationError(
-                    f"device {device.device_id}: trip depart outside [0, end_time)"
-                )
-            device_trips.append(TripSpec(origin=origin, dest=dest,
-                                         depart=depart, count=1, prefs=prefs,
-                                         device_id=device.device_id))
+        if spec.get("trip") is None:
+            continue
+        if device.role not in ("vehicle-obu", "traveler-app"):
+            raise ValidationError(f"device {device_id}: only mobile devices carry trips")
+        where = f"device {device_id} trip"
+        trip = as_object(spec["trip"], f"device {device_id}", "trip")
+        prefs, origin, dest = _endpoints(trip, net, where)
+        depart = as_float(require(trip, where, "depart"), f"device {device_id}", "trip depart")
+        if not 0 <= depart < end_time:
+            raise ValidationError(f"device {device_id}: trip depart outside [0, end_time)")
+        device_trips.append(TripSpec(origin=origin, dest=dest, depart=depart, count=1,
+                                     prefs=prefs, device_id=device_id))
 
-    # policies
-    pol = raw.get("policies") or {}
-    rel_raw = pol.get("relevance", {})
-    radius_raw = rel_raw.get("area_radius", {})
+    rel_raw = as_object(pol.get("relevance"), "policies", "relevance")
+    radius_raw = as_object(rel_raw.get("area_radius"), "policies.relevance", "area_radius")
+    default = RelevancePolicy()
     policy = RelevancePolicy(
-        horizon=as_float(rel_raw.get("horizon", 1800.0), "policies.relevance", "horizon"),
+        horizon=as_float(rel_raw.get("horizon", default.horizon), "policies.relevance",
+                         "horizon"),
         area_radius={
-            level: as_float(radius_raw.get(level, default), "policies.relevance",
+            level: as_float(radius_raw.get(level, radius), "policies.relevance",
                             f"area_radius {level}")
-            for level, default in (("critical", 5000.0), ("major", 2000.0),
-                                   ("inferior", 800.0), ("minor", 300.0))
+            for level, radius in default.area_radius.items()
         },
-        include_adaptation_actors=bool(rel_raw.get("include_adaptation_actors", True)),
+        include_adaptation_actors=bool(rel_raw.get("include_adaptation_actors",
+                                                   default.include_adaptation_actors)),
     )
     table: StrategyTable = {
         kind: tuple(row) for kind, row in DEFAULT_STRATEGY_TABLE.items()
     }
-    for kind, row in (pol.get("strategy_table") or {}).items():
-        table[kind] = tuple(row)
+    for kind, row in as_object(pol.get("strategy_table"), "policies", "strategy_table").items():
+        table[kind] = tuple(as_list(row, "policies.strategy_table", kind))
     validate_strategy_table(table)
 
-    adjacency: dict[str, frozenset[str]] = {}
-    links = pol.get("rsu_links", [])
     rsu_ids = {d.device_id for d in devices if d.role == "roadside-unit"}
-    tmp: dict[str, set[str]] = {}
-    for a, b in links:
-        for rsu in (a, b):
-            if rsu not in rsu_ids:
-                raise ValidationError(f"rsu link names unknown roadside unit {rsu}")
-        tmp.setdefault(a, set()).add(b)
-        tmp.setdefault(b, set()).add(a)
-    adjacency = {k: frozenset(v) for k, v in tmp.items()}
-    topology = RsuTopology(adjacency=adjacency,
-                           max_hops=as_int(pol.get("max_hops", 8), "policies", "max_hops"))
+    adjacency: dict[str, set[str]] = {}
+    for i, link in enumerate(as_list(pol.get("rsu_links", []), "policies", "rsu_links")):
+        where = f"policies.rsu_links {i}"
+        a, b = id_pair(link, where, "link")
+        for rsu, other in ((a, b), (b, a)):
+            adjacency.setdefault(known(rsu, rsu_ids, where, "roadside unit"), set()).add(other)
+    topology = RsuTopology(adjacency={k: frozenset(v) for k, v in adjacency.items()},
+                           max_hops=as_int(pol.get("max_hops", RsuTopology.max_hops),
+                                           "policies", "max_hops"))
 
     pt_routes = []
-    seen_routes: set[str] = set()
-    for i, r in enumerate(pol.get("pt_routes", [])):
-        route_id = require(r, f"pt route {i}", "route_id")
+    for route_id, r in entries(pol.get("pt_routes", []), "policies.pt_routes", "pt route",
+                               "route_id"):
         where = f"pt route {route_id}"
-        if route_id in seen_routes:
-            raise ValidationError(f"duplicate pt route identifier {route_id}")
-        seen_routes.add(route_id)
-        mode_id = require(r, where, "mode_id")
-        if mode_id not in net.modes:
-            raise ValidationError(f"pt route {route_id}: unknown mode {mode_id}")
-        segments = tuple(require(r, where, "segments"))
+        mode_id = known(require(r, where, "mode_id"), net.modes, where, "mode")
+        segments = tuple(known(seg, net.segments, where, "segment")
+                         for seg in as_list(require(r, where, "segments"), where, "segments"))
         for seg in segments:
-            if seg not in net.segments:
-                raise ValidationError(f"pt route {route_id}: unknown segment {seg}")
             if net.segments[seg].usage_for(mode_id) is None:
-                raise ValidationError(
-                    f"pt route {route_id}: segment {seg} unusable by {mode_id}"
-                )
-        stops = tuple(require(r, where, "stops"))
+                raise ValidationError(f"{where}: segment {seg} unusable by {mode_id}")
+        stops = tuple(known(stop, net.nodes, where, "stop")
+                      for stop in as_list(require(r, where, "stops"), where, "stops"))
         if not stops:
             raise ValidationError(f"{where}: no stops")
-        for stop in stops:
-            if stop not in net.nodes:
-                raise ValidationError(f"pt route {route_id}: unknown stop {stop}")
-        headway = as_float(r.get("headway", defaults.default_headway),
-                           f"pt route {route_id}", "headway")
+        headway = as_float(r.get("headway", defaults.default_headway), where, "headway")
         if not headway > 0:
-            raise ValidationError(f"pt route {route_id}: headway must be > 0")
+            raise ValidationError(f"{where}: headway must be > 0")
         pt_route = PtRoute(
             route_id=route_id, mode_id=mode_id, stops=stops, segments=segments,
             headway=headway, priority=bool(r.get("priority", False)),
@@ -541,7 +473,7 @@ def load_scenario(raw: Mapping) -> Scenario:
         events=tuple(events),
         matrix=matrix,
         sources=tuple(sources),
-        device_specs=device_specs,
+        device_specs=tuple(raw.get("devices", [])),
         devices=tuple(devices),
         device_trips=tuple(device_trips),
         policy=policy,

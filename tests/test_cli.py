@@ -63,6 +63,17 @@ def test_run_rejects_a_route_that_does_not_chain_before_running(tmp_path, capsys
         "validation error: pt route Bus1: segments not contiguous\n")
 
 
+def test_validate_rejects_a_non_string_event_id(tmp_path, capsys):
+    raw = demo_scenario()
+    raw["disturbances"][0]["event_id"] = 7
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["validate", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and "Traceback" not in err
+    assert err == "validation error: disturbance 0: event_id must be a string\n"
+
+
 @pytest.mark.parametrize("value", ["abc", float("nan"), -1])
 def test_validate_rejects_bad_signal_multiplier(tmp_path, capsys, value):
     raw = demo_scenario()

@@ -140,6 +140,11 @@ def src(kind="cits-v2i", kinds=("D1",), p=1.0, lo=0.0, hi=0.0):
                            detect_probability=p, latency_min=lo, latency_max=hi)
 
 
+def test_source_rejects_an_unknown_applicable_kind():
+    with pytest.raises(ValidationError, match="^source cits-v2i: unknown kind D98$"):
+        src(kinds=("D1", "D99", "D98"))
+
+
 def test_detect_certain_zero_latency():
     event = make_event(start=100.0)
     out = detect(event, [src()], random.Random(1))

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from mitsim.disturbance import affected_pairs
-from mitsim.dissemination import DevicePosition
+from mitsim.dissemination import DevicePosition, RelevancePolicy, RsuTopology
 from mitsim.errors import ValidationError
 from mitsim.scenario import MAX_STREAM_ARRIVALS, Scenario, load_scenario, stream_rng
 from mitsim.simulation import MODE_BROADCAST, MODE_NO_ADAPT, MODE_TARGETED, _Sim, run
@@ -642,3 +642,289 @@ def test_a_run_leaves_the_scenario_fleet_as_loaded():
     assert {"position", "mode", "destination"} <= {
         field for d in scenario.devices for field, value in vars(d).items()
         if vars(sim.world.devices[d.device_id])[field] != value}
+
+
+# -- malformed documents -------------------------------------------------------
+#
+# Every list of the document is read through one checked entry reader, and
+# every id and id reference must be a string naming a known id.  Each case
+# below replaces one list entry or one id by a value of the wrong JSON type
+# (or an unknown id) and expects a ValidationError naming the entry; the
+# error text is the same under every string-hash seed.
+
+BAD_VALUES = {"int": 5, "text": "x", "list": [], "null": None}
+
+
+def _with_trip(raw):
+    raw["demand"]["trips"].append({"origin": "a1", "dest": "b1", "depart": 0.0})
+    return raw["demand"]["trips"]
+
+
+def _with_modifier(raw):
+    raw["demand"]["ev_modifiers"].append(
+        {"event_id": "bridge-crash", "multiplier": 2.0, "nodes": ["a1"]})
+    return raw["demand"]["ev_modifiers"]
+
+
+# list -> (the list in the document, possibly after adding one entry; the
+# section's name; the entry's name in errors)
+ENTRY_LISTS = {
+    "modes": (lambda raw: raw["network"]["modes"], "network.modes", "mode"),
+    "networks": (lambda raw: raw["network"]["networks"], "network.networks", "network"),
+    "segments": (lambda raw: raw["network"]["segments"], "network.segments", "segment"),
+    "usage": (lambda raw: _segment(raw)["usage"], "segment R1 usage", "segment R1 usage"),
+    "multimodal-nodes": (lambda raw: raw["network"]["multimodal_nodes"],
+                         "network.multimodal_nodes", "multimodal node"),
+    "trips": (_with_trip, "demand.trips", "demand trip"),
+    "arrivals": (lambda raw: raw["demand"]["arrivals"], "demand.arrivals", "demand arrivals"),
+    "ev-modifiers": (_with_modifier, "demand.ev_modifiers", "demand ev_modifiers"),
+    "disturbances": (lambda raw: raw["disturbances"], "disturbances", "disturbance"),
+    "detection-sources": (lambda raw: raw["detection_sources"], "detection_sources",
+                          "detection source"),
+    "devices": (lambda raw: raw["devices"], "devices", "device"),
+    "pt-routes": (lambda raw: raw["policies"]["pt_routes"], "policies.pt_routes", "pt route"),
+}
+
+
+@pytest.mark.parametrize("value", BAD_VALUES.values(), ids=BAD_VALUES)
+@pytest.mark.parametrize("name", sorted(ENTRY_LISTS))
+def test_an_entry_that_is_no_object_is_rejected(name, value):
+    find, _section, noun = ENTRY_LISTS[name]
+    raw = demo_scenario()
+    find(raw)[0] = value
+    with pytest.raises(ValidationError, match=f"^{noun} 0 must be an object$"):
+        load_scenario(raw)
+
+
+def _replace(raw, path, value):
+    """Set the value at ``path`` of ``raw`` (keys from the top) to ``value``."""
+    *parents, last = path
+    for key in parents:
+        raw = raw[key]
+    raw[last] = value
+
+
+@pytest.mark.parametrize("value", [5, "x", {}], ids=["int", "text", "object"])
+@pytest.mark.parametrize("path, section", [
+    (("network", "modes"), "network.modes"),
+    (("network", "nodes"), "network.nodes"),
+    (("network", "multimodal_nodes"), "network.multimodal_nodes"),
+    (("demand", "arrivals"), "demand.arrivals"),
+    (("disturbances",), "disturbances"),
+    (("devices",), "devices"),
+    (("policies", "pt_routes"), "policies.pt_routes"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_a_list_section_that_is_no_list_is_rejected(path, section, value):
+    raw = demo_scenario()
+    _replace(raw, path, value)
+    with pytest.raises(ValidationError, match=f"^{section} must be a list$"):
+        load_scenario(raw)
+
+
+# id -> (the entry that defines it, its id key ("" for a bare id), the
+# entry's name in errors, the id the entry defines)
+ID_FIELDS = {
+    "mode": (lambda raw: raw["network"]["modes"], "mode_id", "mode", "M1"),
+    "network": (lambda raw: raw["network"]["networks"], "network_id", "network", "N1"),
+    "node": (lambda raw: raw["network"]["nodes"], "", "node", "a1"),
+    "segment": (lambda raw: raw["network"]["segments"], "segment_id", "segment", "R1"),
+    "usage": (lambda raw: _segment(raw)["usage"], "mode_id", "segment R1 usage", "M3"),
+    "multimodal-node": (lambda raw: raw["network"]["multimodal_nodes"], "node_id",
+                        "multimodal node", "a1"),
+    "event": (lambda raw: raw["disturbances"], "event_id", "disturbance", "bridge-crash"),
+    "device": (lambda raw: raw["devices"], "device_id", "device", "rsu_a"),
+    "pt-route": (lambda raw: raw["policies"]["pt_routes"], "route_id", "pt route", "Met1"),
+}
+NON_STRINGS = {"int": 5, "list": [], "null": None}
+
+
+@pytest.mark.parametrize("value", NON_STRINGS.values(), ids=NON_STRINGS)
+@pytest.mark.parametrize("name", sorted(ID_FIELDS))
+def test_an_id_that_is_no_string_is_rejected(name, value):
+    find, key, noun, _id = ID_FIELDS[name]
+    raw = demo_scenario()
+    entries = find(raw)
+    if key:
+        entries[0][key] = value
+    else:
+        entries[0] = value
+    with pytest.raises(ValidationError, match=f"^{noun} 0: {key or 'id'} must be a string$"):
+        load_scenario(raw)
+
+
+@pytest.mark.parametrize("name", sorted(ID_FIELDS))
+def test_a_duplicate_id_is_rejected(name):
+    find, _key, noun, entry_id = ID_FIELDS[name]
+    raw = demo_scenario()
+    entries = find(raw)
+    entries.append(entries[0])
+    with pytest.raises(ValidationError, match=f"^duplicate {noun} identifier {entry_id}$"):
+        load_scenario(raw)
+
+
+def _first_device_trip(raw):
+    return _device(raw, "veh1")["trip"]
+
+
+def _planned(raw, value):
+    _device(raw, "veh1")["planned_route"] = [[value, 100.0]]
+
+
+def _pt(raw, key, value):
+    raw["policies"]["pt_routes"][0][key][0] = value
+
+
+# reference -> (an edit that puts the value where an id is referenced, the
+# start of the error text, and the bad values, all of BAD_VALUES unless
+# given: null is absent for the optional references)
+ID_REFERENCES = {
+    "usage-matrix-mode": (lambda raw, v: raw["network"]["usage_matrix"][0].__setitem__(0, v),
+                          "usage matrix: "),
+    "usage-matrix-network": (
+        lambda raw, v: raw["network"]["usage_matrix"][0].__setitem__(1, v), "usage matrix: "),
+    "segment-network": (lambda raw, v: _segment(raw).update(network_id=v), "segment R1: "),
+    "segment-from-node": (lambda raw, v: _segment(raw).update(from_node=v), "segment R1: "),
+    "segment-to-node": (lambda raw, v: _segment(raw).update(to_node=v), "segment R1: "),
+    "usage-mode": (lambda raw, v: _segment(raw)["usage"][0].update(mode_id=v), "segment R1"),
+    "attachment": (lambda raw, v: raw["network"]["multimodal_nodes"][0]["attachments"][0]
+                   .__setitem__(0, v), "multimodal node a1: "),
+    "service": (lambda raw, v: raw["network"]["multimodal_nodes"][0]["services"]
+                .__setitem__(0, v), "multimodal node a1: "),
+    "trip-origin": (lambda raw, v: _with_trip(raw)[0].update(origin=v), "demand trip 0: "),
+    "trip-dest": (lambda raw, v: _with_trip(raw)[0].update(dest=v), "demand trip 0: "),
+    "arrival-origin": (lambda raw, v: raw["demand"]["arrivals"][0].update(origin=v),
+                       "demand arrivals 0: "),
+    "allowed-mode": (lambda raw, v: raw["demand"]["arrivals"][0]["prefs"]["allowed_modes"]
+                     .__setitem__(0, v), "demand arrivals 0: "),
+    "modifier-event": (lambda raw, v: _with_modifier(raw)[0].update(event_id=v),
+                       "demand ev_modifiers 0: event_id must be a string", NON_STRINGS),
+    "modifier-node": (lambda raw, v: _with_modifier(raw)[0]["nodes"].__setitem__(0, v),
+                      "demand ev_modifiers 0: "),
+    "event-segment": (lambda raw, v: raw["disturbances"][0]["segments"].__setitem__(0, v),
+                      "event bridge-crash: "),
+    "event-node": (lambda raw, v: raw["disturbances"][0].update(nodes=[v]),
+                   "event bridge-crash: "),
+    "source-kind": (lambda raw, v: raw["detection_sources"][0].update(source_kind=v),
+                    "detection source 0: "),
+    "applicable-kind": (lambda raw, v: raw["detection_sources"][0]["applicable_kinds"]
+                        .__setitem__(0, v), "detection source 0: "),
+    "position-node": (lambda raw, v: _device(raw, "rsu_a").update(position={"node": v}),
+                      "device rsu_a: "),
+    "position-segment": (lambda raw, v: place_rsu_a(raw, 0.0) or _device(raw, "rsu_a")[
+        "position"].update(segment=v), "device rsu_a: "),
+    "device-role": (lambda raw, v: _device(raw, "veh1").update(role=v), "device veh1: "),
+    "device-mode": (lambda raw, v: _device(raw, "veh1").update(mode=v), "device veh1: ",
+                    {"int": 5, "text": "x", "list": []}),
+    "device-destination": (lambda raw, v: _device(raw, "veh1").update(destination=v),
+                           "device veh1: ", {"int": 5, "text": "x", "list": []}),
+    "device-trip-origin": (lambda raw, v: _first_device_trip(raw).update(origin=v),
+                           "device veh1 trip: "),
+    "planned-route-segment": (_planned, "device veh1 planned route: "),
+    "rsu-link": (lambda raw, v: raw["policies"]["rsu_links"][0].__setitem__(0, v),
+                 "policies.rsu_links 0: "),
+    "pt-route-mode": (lambda raw, v: raw["policies"]["pt_routes"][0].update(mode_id=v),
+                      "pt route Met1: "),
+    "pt-route-segment": (lambda raw, v: _pt(raw, "segments", v), "pt route Met1: "),
+    "pt-route-stop": (lambda raw, v: _pt(raw, "stops", v), "pt route Met1: "),
+    "effect-matrix-pair": (lambda raw, v: raw.update(effect_matrix={"D1": [[v, "N3"]]}),
+                           "effect matrix D1: "),
+}
+REFERENCE_CASES = [(name, value_id) for name, (_edit, _text, *values) in ID_REFERENCES.items()
+                   for value_id in (values[0] if values else BAD_VALUES)]
+
+
+@pytest.mark.parametrize("name, value_id", REFERENCE_CASES,
+                         ids=[f"{name}-{value_id}" for name, value_id in REFERENCE_CASES])
+def test_a_bad_id_reference_is_rejected_naming_the_entry(name, value_id):
+    edit, text, *_values = ID_REFERENCES[name]
+    raw = demo_scenario()
+    edit(raw, BAD_VALUES[value_id])
+    with pytest.raises(ValidationError) as err:
+        load_scenario(raw)
+    assert str(err.value).startswith(text)
+
+
+# Several bad ids in one list: the first in document order is reported,
+# whatever the string-hash seed (these lists once went through a set).
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw["demand"]["arrivals"][0]["prefs"].update(
+        allowed_modes=["M7", "zz3", "zz1", "zz4", "zz2"]), "demand arrivals 0: unknown mode zz3"),
+    (lambda raw: raw["network"]["usage_matrix"].extend([["q2", "N1"], ["q3", "N1"],
+                                                        ["q1", "N1"]]),
+     "usage matrix: unknown mode q2"),
+    (lambda raw: raw["detection_sources"][0].update(applicable_kinds=["D1", "D99", "D98"]),
+     "detection source 0: unknown kind D99"),
+    (lambda raw: raw["disturbances"][0].update(nodes=["a1", "zz2", "zz1"]),
+     "event bridge-crash: unknown node zz2"),
+    (lambda raw: raw["network"]["multimodal_nodes"][0].update(services=["pt-stop", "s2", "s1"]),
+     "multimodal node a1: unknown service s2"),
+], ids=["allowed-modes", "usage-matrix", "applicable-kinds", "event-nodes", "services"])
+def test_the_first_bad_id_in_document_order_is_reported(edit, message):
+    raw = demo_scenario()
+    edit(raw)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        load_scenario(raw)
+
+
+@pytest.mark.parametrize("links, message", [
+    ([["rsu_a"]], "policies.rsu_links 0: link must be a pair of ids"),
+    ([["rsu_a", "rsu_n1"], "rsu_b"], "policies.rsu_links 1: link must be a pair of ids"),
+    ([["rsu_a", "rsu_n1", "rsu_b"]], "policies.rsu_links 0: link must be a pair of ids"),
+    ([["rsu_a", "rsu_n1"], ["rsu_b", "nowhere"]],
+     "policies.rsu_links 1: unknown roadside unit nowhere"),
+    ({"rsu_a": "rsu_n1"}, "policies: rsu_links must be a list"),
+], ids=["one-id", "no-list", "three-ids", "unknown-unit", "object"])
+def test_rsu_link_must_be_a_pair_of_known_roadside_units(links, message):
+    raw = demo_scenario()
+    raw["policies"]["rsu_links"] = links
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        load_scenario(raw)
+
+
+@pytest.mark.parametrize("section", ["policies", "demand", "effect_matrix"])
+@pytest.mark.parametrize("value", [[], 5, "x"], ids=["list", "int", "text"])
+def test_a_section_that_is_no_object_is_rejected(section, value):
+    raw = demo_scenario()
+    raw[section] = value
+    with pytest.raises(ValidationError, match=f"^scenario: {section} must be an object$"):
+        load_scenario(raw)
+
+
+@pytest.mark.parametrize("value", [[], 5, "x", None], ids=["list", "int", "text", "null"])
+def test_a_document_or_network_that_is_no_object_is_rejected(value):
+    with pytest.raises(ValidationError, match="^scenario must be an object$"):
+        load_scenario(value)
+    with pytest.raises(ValidationError, match="^scenario: network must be an object$"):
+        load_scenario(edited(network=value))
+
+
+def test_absent_policies_take_the_policy_and_topology_defaults():
+    raw = demo_scenario()
+    raw["policies"] = {"pt_routes": raw["policies"]["pt_routes"]}
+    scenario = load_scenario(raw)
+    assert scenario.policy == RelevancePolicy()
+    assert scenario.topology == RsuTopology()
+
+
+def _document_paths(node, path=()):
+    """The key path of every value in a JSON document, the root excluded."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _document_paths(value, path + (key,))
+
+
+def test_any_value_of_the_wrong_type_is_a_validation_error():
+    """Every value of the demo, replaced in turn by each of BAD_VALUES,
+    either still loads or raises a ValidationError, never another error."""
+    rejected = 0
+    for path in _document_paths(demo_scenario()):
+        for value in BAD_VALUES.values():
+            raw = demo_scenario()
+            _replace(raw, path, value)
+            try:
+                load_scenario(raw)
+            except ValidationError:
+                rejected += 1
+    assert rejected > 2500  # of 2,956 edits; the others still load
