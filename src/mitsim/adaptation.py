@@ -1,36 +1,33 @@
 """Adaptation strategies: turning a detected disturbance into actions.
 
 Each disturbance kind has an ordered row of strategy templates (the
-strategy table).  Planning walks the row, instantiates every template that
-is feasible in the current world state and skips the rest with a reason.
-Applying actions only ever touches the capacity overlay, signal claims,
-bus routes and fleet assignments, all keyed by action id, so expiry
-restores the pre-action state exactly.  A reroute's targets are flagged for
-replanning by the simulator.  Stop guidance and demand rebalancing are
-planned and logged but change nothing in the world.
+strategy table), and each template has one builder.  Planning walks the
+row, keeps what every feasible builder returns and skips the rest with a
+reason, then numbers the actions ``a-<event>-1..n`` in the order they were
+built.  Each action type applies and undoes its own effect, which only ever
+touches the capacity overlay, signal claims, bus routes and fleet
+assignments, all keyed by action id, so expiry restores the pre-action
+state exactly.  A reroute's targets are flagged for replanning by the
+simulator.  Stop guidance and demand rebalancing are planned and logged but
+change nothing in the world.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional
 
-from .disturbance import DisturbanceEvent, EffectMatrix, displaced_volume, severity_index_from
+from .disturbance import (DISTURBANCE_KINDS, DisturbanceEvent, EffectMatrix, displaced_volume,
+                          severity_index_from)
+from .dissemination import MOBILE_ROLES
 from .errors import InfeasibleError, ValidationError
 from .messages import WarningMessage
+from .network import RAIL_CATEGORIES, ROAD_CATEGORIES, MultiLayerNetwork
 # node_distances stays bound here: perfbench's tracer test wraps it by this name.
-from .network import MultiLayerNetwork, node_distances  # noqa: F401
+from .network import node_distances  # noqa: F401
 from .routing import RoutingPreferences, route
 from .state import CavUnit, Contribution, PtRoute, WorldState
-
-ROAD_CATEGORIES = frozenset({"private-car", "cav-taxi", "bus"})
-RAIL_CATEGORIES = frozenset({"tram", "metro", "train"})
-
-ACTION_TEMPLATES = (
-    "reroute", "stop_guidance", "bus_diversion", "replacement",
-    "signal_plan", "rescue_corridor", "police", "demand_rebalance",
-)
 
 DEFAULT_STRATEGY_TABLE: dict[str, tuple[str, ...]] = {
     "D1": ("reroute", "stop_guidance", "bus_diversion", "signal_plan"),
@@ -53,7 +50,8 @@ RESCUE_CLEARANCE = {1: 0.8, 2: 0.8, 3: 0.5, 4: 0.1, 5: 0.1}
 class AdaptationAction:
     """What every action holds.  Each action type adds its own fields after
     these, and ``actor_field`` names the one listing the devices that carry
-    the action out, if there is one."""
+    the action out, if there is one.  An action with a simulated effect
+    overrides ``take_effect`` and ``undo``."""
 
     action_id: str
     event_id: str
@@ -67,6 +65,24 @@ class AdaptationAction:
 
     def actor_device_ids(self) -> set[str]:
         return set(getattr(self, self.actor_field)) if self.actor_field else set()
+
+    def take_effect(self, state: WorldState) -> list[dict]:
+        """Change the world; returns the conflict records this caused."""
+        return []
+
+    def undo(self, state: WorldState) -> None:
+        """Restore what ``take_effect`` changed beyond this action's own
+        contributions, which :func:`expire` removes."""
+
+    def _add(self, state: WorldState, effect: str, kind: str, targets: Iterable,
+             value: float, start: Optional[float] = None, free_flow_time: float = 0.0) -> None:
+        """Add the contribution ``<action_id>:<effect>``, active from
+        ``start`` (default: activation) until expiry.  The colon keeps
+        sibling ids that share a textual prefix (a-e-1, a-e-11) apart."""
+        state.overlay.add_contribution(Contribution(
+            f"{self.action_id}:{effect}", kind, frozenset(targets), value,
+            self.activation if start is None else start, self.expiry, free_flow_time,
+        ))
 
 
 @dataclass(frozen=True)
@@ -95,6 +111,29 @@ class BusDiversion(AdaptationAction):
     action_type = "bus_diversion"
     actor_field = "cav_assignment"
 
+    def take_effect(self, state: WorldState) -> list[dict]:
+        """Splice the detour into the route in place of the skipped run,
+        drop the skipped stops and take the assigned CAVs out of the fleet."""
+        pt_route = state.pt_routes[self.route_id]
+        state.diversions[self.action_id] = (pt_route.segments, pt_route.stops)
+        segments = pt_route.segments
+        skipped = [i for i, s in enumerate(segments) if s in self.skipped_segments]
+        if skipped:
+            pt_route.segments = (segments[:skipped[0]] + self.detour_segments
+                                 + segments[skipped[-1] + 1:])
+        pt_route.stops = tuple(s for s in pt_route.stops if s not in self.skipped_stops)
+        for cav_id in self.cav_assignment:
+            state.cavs[cav_id].available = False
+        return []
+
+    def undo(self, state: WorldState) -> None:
+        stored = state.diversions.pop(self.action_id, None)
+        if stored is not None:
+            pt_route = state.pt_routes[self.route_id]
+            pt_route.segments, pt_route.stops = stored
+            for cav_id in self.cav_assignment:
+                state.cavs[cav_id].available = True
+
 
 @dataclass(frozen=True)
 class ReplacementService(AdaptationAction):
@@ -110,6 +149,17 @@ class ReplacementService(AdaptationAction):
         super().__post_init__()
         if self.vehicle_count < 1:
             raise ValidationError(f"action {self.action_id}: vehicle_count must be >= 1")
+
+    def take_effect(self, state: WorldState) -> list[dict]:
+        """Let the replaced mode run over the road path at the vehicles'
+        free-flow time."""
+        for seg_id in self.road_path:
+            seg = state.net.segments[seg_id]
+            base = seg.usage_for(self.vehicle_mode)
+            fft = base.free_flow_time if base is not None else seg.length / 8.0
+            self._add(state, f"use:{seg_id}", "usage", {(seg_id, self.replaced_mode)}, 1.0,
+                      free_flow_time=fft)
+        return []
 
 
 @dataclass(frozen=True)
@@ -128,12 +178,48 @@ class SignalPlanChange(AdaptationAction):
                 f"action {self.action_id}: multiplier outside (0, 2]"
             )
 
+    def take_effect(self, state: WorldState) -> list[dict]:
+        """Scale every approach's capacity.  An approach another action
+        claims goes to the later-activated one; a takeover is a conflict."""
+        conflicts = []
+        for node, seg_id in self.approaches:
+            claim = state.signal_claims.get((node, seg_id))
+            if claim is not None and claim[0] != self.action_id:
+                prev_id, prev_activation = claim
+                if self.activation < prev_activation:
+                    continue
+                state.overlay.remove_contribution(f"{prev_id}:sig:{node}:{seg_id}")
+                conflicts.append({
+                    "type": "signal_conflict",
+                    "approach": [node, seg_id],
+                    "overridden": prev_id,
+                    "winner": self.action_id,
+                })
+            seg = state.net.segments[seg_id]
+            self._add(state, f"sig:{node}:{seg_id}", "factor",
+                      ((seg_id, e.mode_id) for e in seg.usage), self.capacity_multiplier)
+            state.signal_claims[(node, seg_id)] = (self.action_id, self.activation)
+        return conflicts
+
+    def undo(self, state: WorldState) -> None:
+        for approach in self.approaches:
+            claim = state.signal_claims.get(approach)
+            if claim is not None and claim[0] == self.action_id:
+                del state.signal_claims[approach]
+
 
 @dataclass(frozen=True)
 class RescueCorridor(AdaptationAction):
     corridor: tuple[str, ...]
     clearance_level: float
     action_type = "rescue_corridor"
+
+    def take_effect(self, state: WorldState) -> list[dict]:
+        """Scale the corridor's road capacity to its clearance level."""
+        self._add(state, "corridor", "factor",
+                  ((s, m) for s in self.corridor for m in _road_modes(state.net, s)),
+                  self.clearance_level)
+        return []
 
 
 @dataclass(frozen=True)
@@ -142,6 +228,17 @@ class PoliceNotification(AdaptationAction):
     response_delay: float
     restore_floor: float
     action_type = "police"
+
+    def take_effect(self, state: WorldState) -> list[dict]:
+        """Once the police arrive, floor the road capacity of every segment
+        at the node."""
+        net = state.net
+        self._add(state, "police", "floor",
+                  ((seg_id, m) for seg_id, seg in net.segments.items()
+                   if self.node in (seg.from_node, seg.to_node)
+                   for m in _road_modes(net, seg_id)),
+                  self.restore_floor, start=self.activation + self.response_delay)
+        return []
 
 
 @dataclass(frozen=True)
@@ -158,8 +255,6 @@ StrategyTable = dict
 
 
 def validate_strategy_table(table: StrategyTable) -> None:
-    from .disturbance import DISTURBANCE_KINDS
-
     for kind in DISTURBANCE_KINDS:
         if kind not in table:
             raise ValidationError(f"strategy table: missing row for {kind}")
@@ -188,6 +283,12 @@ def _road_modes(net: MultiLayerNetwork, seg_id: str) -> list[str]:
 
 def _vehicle_mode(net: MultiLayerNetwork) -> Optional[str]:
     return _mode_of_category(net, "bus") or _mode_of_category(net, "cav-taxi")
+
+
+def _end_nodes(net: MultiLayerNetwork, segments: Iterable[str]) -> set[str]:
+    """Both end nodes of every segment."""
+    return ({net.segments[s].from_node for s in segments}
+            | {net.segments[s].to_node for s in segments})
 
 
 def _chain_nodes(net: MultiLayerNetwork, segments: tuple[str, ...]) -> list[str]:
@@ -244,6 +345,26 @@ def route_node_chain(net: MultiLayerNetwork, pt_route: PtRoute) -> list[str]:
 # -- the per-kind planner ------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Context:
+    """What a template builder reads: the event, the world, the warning's
+    entries by segment and their segments in id order (``located``), the
+    action window and the effect matrix."""
+
+    event: DisturbanceEvent
+    state: WorldState
+    entries: dict
+    located: tuple[str, ...]
+    now: float
+    expiry: float
+    matrix: Optional[EffectMatrix]
+
+    @property
+    def window(self) -> tuple:
+        """Every action's leading fields; the id is left blank for plan()."""
+        return ("", self.event.event_id, self.now, self.expiry)
+
+
 def plan(
     event: DisturbanceEvent,
     warning: WarningMessage,
@@ -252,188 +373,96 @@ def plan(
     matrix: Optional[EffectMatrix] = None,
     skip_log: Optional[list] = None,
 ) -> list[AdaptationAction]:
-    """Instantiate the strategy row for the event's kind, in template order.
+    """Instantiate the strategy row for the event's kind, in template order,
+    and number the actions ``a-<event>-1..n`` in the order they were built.
 
-    Infeasible templates are skipped with a reason appended to ``skip_log``.
+    A template whose builder raises :class:`InfeasibleError` is skipped
+    with the error's text as the reason, appended to ``skip_log``.
     """
     if event.kind not in table:
         raise ValidationError(f"strategy table: missing row for kind {event.kind}")
-    net = state.net
-    now = float(warning.issue_time)
-    expiry = float(warning.estimated_end)
-    actions: list[AdaptationAction] = []
+    entries = {e.segment_id: e for e in warning.affected}
+    context = _Context(event, state, entries, tuple(sorted(entries)),
+                       float(warning.issue_time), float(warning.estimated_end), matrix)
     skips = skip_log if skip_log is not None else []
-    counter = 0
-
-    def next_id() -> str:
-        nonlocal counter
-        counter += 1
-        return f"a-{event.event_id}-{counter}"
-
-    affected_entries = {e.segment_id: e for e in warning.affected}
-    located = tuple(sorted(affected_entries))
-
+    built: list[AdaptationAction] = []
     for template in table[event.kind]:
-        if template == "reroute":
-            targets = _reroute_targets(state, affected_entries, now)
-            if not targets:
-                skips.append((template, "no devices routed via the disturbance"))
-                continue
-            actions.append(Reroute(next_id(), event.event_id, now, expiry, targets))
-        elif template == "stop_guidance":
-            built = _build_stop_guidance(next_id(), event, state, located, now, expiry)
-            if built is None:
-                counter -= 1
-                skips.append((template, "no public-transport stops affected"))
-                continue
-            actions.append(built)
-        elif template == "bus_diversion":
-            built_list = _build_bus_diversions(state, located, now, expiry, event, next_id)
-            if not built_list:
-                counter -= 1
-                skips.append((template, "no favorable bus diversion"))
-                continue
-            actions.extend(built_list)
-        elif template == "replacement":
-            rail_segs = tuple(
-                s for s in located
-                if any(net.modes[e.mode_id].category in RAIL_CATEGORIES
-                       for e in net.segments[s].usage)
-            )
-            if not rail_segs:
-                skips.append((template, "no rail segments located"))
-                continue
-            displaced = event.severity.displaced_volume
-            if displaced is None and matrix is not None:
-                displaced = displaced_volume(event, state.flows(now), net, matrix)
-            try:
-                actions.append(build_replacement(
-                    rail_segs, net, state, displaced or 0.0,
-                    action_id=next_id(), event_id=event.event_id,
-                    activation=now, expiry=expiry,
-                ))
-            except InfeasibleError as exc:
-                counter -= 1
-                skips.append((template, str(exc)))
-        elif template == "signal_plan":
-            built = _build_signal_plan(next_id(), event, state, located, now, expiry)
-            if built is None:
-                counter -= 1
-                skips.append((template, "no signal controllers near the disturbance"))
-                continue
-            actions.append(built)
-        elif template == "rescue_corridor":
-            corridor = tuple(event.specifics.get("corridor_segments", located))
-            idx = event.severity.severity_index
-            if idx is None:
-                idx = severity_index_from(event.severity.capacity_reduction or 0.0)
-            actions.append(RescueCorridor(
-                next_id(), event.event_id, now, expiry,
-                corridor=corridor, clearance_level=RESCUE_CLEARANCE[idx],
-            ))
-        elif template == "police":
-            node = sorted(event.nodes)[0] if event.nodes else net.segments[located[0]].from_node
-            actions.append(PoliceNotification(
-                next_id(), event.event_id, now, expiry,
-                node=node,
-                response_delay=state.defaults.police_response_delay,
-                restore_floor=state.defaults.police_restore_floor,
-            ))
-        elif template == "demand_rebalance":
-            cav_ids = tuple(sorted(c for c, unit in state.cavs.items() if unit.available))
-            if not cav_ids:
-                skips.append((template, "no fleet vehicles available"))
-                continue
-            area = tuple(sorted(event.nodes)) if event.nodes else tuple(sorted(
-                {net.segments[s].from_node for s in located}
-                | {net.segments[s].to_node for s in located}
-            ))
-            actions.append(DemandRebalance(
-                next_id(), event.event_id, now, expiry,
-                area_nodes=area, roles=("cav-taxi",), target_cavs=cav_ids,
-            ))
-        else:
+        builder = _TEMPLATES.get(template)
+        if builder is None:
             raise ValidationError(f"unknown strategy template {template!r}")
-    return actions
+        try:
+            built += builder(context)
+        except InfeasibleError as exc:
+            skips.append((template, str(exc)))
+    return [replace(action, action_id=f"a-{event.event_id}-{n}")
+            for n, action in enumerate(built, 1)]
 
 
-def _reroute_targets(state: WorldState, entries: dict, now: float) -> tuple[str, ...]:
+def _reroute(c: _Context) -> list[AdaptationAction]:
     targets = []
-    for device_id in sorted(state.devices):
-        device = state.devices[device_id]
-        if device.role not in ("vehicle-obu", "traveler-app"):
+    for device_id in sorted(c.state.devices):
+        device = c.state.devices[device_id]
+        if device.role not in MOBILE_ROLES:
             continue
         if device.mode is None or device.planned_route is None:
             continue
         for seg_id, eta in device.planned_route:
-            if eta < now:
+            if eta < c.now:
                 continue
-            entry = entries.get(seg_id)
+            entry = c.entries.get(seg_id)
             if entry is not None and device.mode in entry.modes:
                 targets.append(device_id)
                 break
-    return tuple(targets)
+    if not targets:
+        raise InfeasibleError("no devices routed via the disturbance")
+    return [Reroute(*c.window, tuple(targets))]
 
 
-def _build_stop_guidance(action_id, event, state: WorldState, located, now, expiry):
-    net = state.net
-    located_nodes = sorted(
-        {net.segments[s].from_node for s in located}
-        | {net.segments[s].to_node for s in located}
-    )
+def _stop_guidance(c: _Context) -> list[AdaptationAction]:
+    state, net = c.state, c.state.net
     stops = tuple(
-        n for n in located_nodes
+        n for n in sorted(_end_nodes(net, c.located))
         if n in net.multimodal_nodes and "pt-stop" in net.multimodal_nodes[n].services
     )
     if not stops:
-        return None
+        raise InfeasibleError("no public-transport stops affected")
+    # The stop nearest to any affected one (the first in id order on a tie)
+    # is every affected stop's alternative.
     dist = net.distance_table(dict.fromkeys(stops, 0.0))
-    alternatives = []
-    candidates = [
-        n for n in sorted(net.multimodal_nodes)
-        if "pt-stop" in net.multimodal_nodes[n].services and n not in stops
-    ]
-    for stop in stops:
-        best = None
-        for cand in candidates:
-            d = dist.get(cand, float("inf"))
-            if best is None or d < best[0]:
-                best = (d, cand)
-        if best is not None and best[0] < float("inf"):
-            node = best[1]
-            modes = net.multimodal_nodes[node].modes
-            alternatives.append((node, modes))
+    distance, node = min(
+        ((dist.get(n, math.inf), n) for n in sorted(net.multimodal_nodes)
+         if "pt-stop" in net.multimodal_nodes[n].services and n not in stops),
+        default=(math.inf, None))
+    alternatives = (((node, net.multimodal_nodes[node].modes),) * len(stops)
+                    if distance < math.inf else ())
     displays = tuple(
         d for d in sorted(state.devices)
         if state.devices[d].role == "stop-display"
         and state.devices[d].position.node in stops
     )
-    return StopGuidance(
-        action_id, event.event_id, now, expiry,
-        stops=stops, alternatives=tuple(alternatives), display_devices=displays,
-    )
+    return [StopGuidance(*c.window, stops=stops, alternatives=alternatives,
+                         display_devices=displays)]
 
 
-def _build_bus_diversions(state: WorldState, located, now, expiry, event, next_id):
-    net = state.net
+def _bus_diversion(c: _Context) -> list[AdaptationAction]:
+    state = c.state
     out = []
     for route_id in sorted(state.pt_routes):
         pt_route = state.pt_routes[route_id]
-        if net.modes[pt_route.mode_id].category != "bus":
+        if state.net.modes[pt_route.mode_id].category != "bus":
             continue
         blocked = tuple(
             s for s in pt_route.segments
-            if s in located and state.overlay.residual(s, pt_route.mode_id) <= 0.0
+            if s in c.entries and state.overlay.residual(s, pt_route.mode_id) <= 0.0
         )
         if not blocked:
             continue
         diversion = bus_diversion_favorable(
-            pt_route, blocked, _available_cavs(state), state,
-            action_id=next_id(), event_id=event.event_id,
-            activation=now, expiry=expiry,
-        )
+            pt_route, blocked, _available_cavs(state), state, *c.window)
         if diversion is not None:
             out.append(diversion)
+    if not out:
+        raise InfeasibleError("no favorable bus diversion")
     return out
 
 
@@ -441,45 +470,96 @@ def _available_cavs(state: WorldState) -> list[CavUnit]:
     return [state.cavs[c] for c in sorted(state.cavs) if state.cavs[c].available]
 
 
-def _build_signal_plan(action_id, event, state: WorldState, located, now, expiry):
-    net = state.net
+def _replacement(c: _Context) -> list[AdaptationAction]:
+    net = c.state.net
+    rail_segs = tuple(
+        s for s in c.located
+        if any(net.modes[e.mode_id].category in RAIL_CATEGORIES
+               for e in net.segments[s].usage)
+    )
+    if not rail_segs:
+        raise InfeasibleError("no rail segments located")
+    displaced = c.event.severity.displaced_volume
+    if displaced is None and c.matrix is not None:
+        displaced = displaced_volume(c.event, c.state.flows(c.now), net, c.matrix)
+    return [build_replacement(rail_segs, net, c.state, displaced or 0.0, *c.window)]
+
+
+def _signal_plan(c: _Context) -> list[AdaptationAction]:
+    state, net, event = c.state, c.state.net, c.event
     if event.kind == "D8" and event.nodes:
-        anchor_nodes = set(event.nodes)
-        candidates: set[str] = set()
-        for seg in net.segments.values():
-            if seg.from_node in anchor_nodes:
-                candidates.add(seg.to_node)
-            if seg.to_node in anchor_nodes:
-                candidates.add(seg.from_node)
-        candidates -= anchor_nodes
+        # the neighbours of the dead intersections, not the intersections
+        anchors = set(event.nodes)
+        candidates = _end_nodes(net, [
+            s for s, seg in net.segments.items() if {seg.from_node, seg.to_node} & anchors
+        ]) - anchors
     else:
-        candidates = (
-            {net.segments[s].from_node for s in located}
-            | {net.segments[s].to_node for s in located}
-        )
+        candidates = _end_nodes(net, c.located)
     controllers: dict[str, list[str]] = {}
     for device_id in sorted(state.devices):
         device = state.devices[device_id]
         if device.role == "signal-controller" and device.position.node in candidates:
             controllers.setdefault(device.position.node, []).append(device_id)
     if not controllers:
-        return None
+        raise InfeasibleError("no signal controllers near the disturbance")
     intersections = tuple(sorted(controllers))
-    approaches = []
-    for node in intersections:
-        for seg_id in sorted(net.segments):
-            seg = net.segments[seg_id]
-            if node in (seg.from_node, seg.to_node):
-                approaches.append((node, seg_id))
-    return SignalPlanChange(
-        action_id, event.event_id, now, expiry,
-        intersections=intersections,
-        approaches=tuple(approaches),
-        capacity_multiplier=state.defaults.signal_multiplier,
-        controller_devices=tuple(
-            d for node in intersections for d in controllers[node]
-        ),
+    approaches = tuple(
+        (node, seg_id) for node in intersections for seg_id in sorted(net.segments)
+        if node in (net.segments[seg_id].from_node, net.segments[seg_id].to_node)
     )
+    return [SignalPlanChange(
+        *c.window,
+        intersections=intersections,
+        approaches=approaches,
+        capacity_multiplier=state.defaults.signal_multiplier,
+        controller_devices=tuple(d for node in intersections for d in controllers[node]),
+    )]
+
+
+def _rescue_corridor(c: _Context) -> list[AdaptationAction]:
+    severity = c.event.severity
+    idx = severity.severity_index
+    if idx is None:
+        idx = severity_index_from(severity.capacity_reduction or 0.0)
+    return [RescueCorridor(
+        *c.window,
+        corridor=tuple(c.event.specifics.get("corridor_segments", c.located)),
+        clearance_level=RESCUE_CLEARANCE[idx],
+    )]
+
+
+def _police(c: _Context) -> list[AdaptationAction]:
+    event, defaults = c.event, c.state.defaults
+    node = min(event.nodes) if event.nodes else c.state.net.segments[c.located[0]].from_node
+    return [PoliceNotification(
+        *c.window, node=node,
+        response_delay=defaults.police_response_delay,
+        restore_floor=defaults.police_restore_floor,
+    )]
+
+
+def _demand_rebalance(c: _Context) -> list[AdaptationAction]:
+    state = c.state
+    cav_ids = tuple(sorted(cav_id for cav_id, unit in state.cavs.items() if unit.available))
+    if not cav_ids:
+        raise InfeasibleError("no fleet vehicles available")
+    area = tuple(sorted(c.event.nodes or _end_nodes(state.net, c.located)))
+    return [DemandRebalance(*c.window, area_nodes=area, roles=("cav-taxi",),
+                            target_cavs=cav_ids)]
+
+
+# One builder per strategy template, in the order templates are listed.
+_TEMPLATES = {
+    "reroute": _reroute,
+    "stop_guidance": _stop_guidance,
+    "bus_diversion": _bus_diversion,
+    "replacement": _replacement,
+    "signal_plan": _signal_plan,
+    "rescue_corridor": _rescue_corridor,
+    "police": _police,
+    "demand_rebalance": _demand_rebalance,
+}
+ACTION_TEMPLATES = tuple(_TEMPLATES)
 
 
 # -- bus diversion favorability -------------------------------------------------
@@ -676,7 +756,8 @@ def build_replacement(
 
 
 def apply(actions: Iterable[AdaptationAction], state: WorldState, now: float) -> list[dict]:
-    """Apply actions to the world state; returns one log record per effect.
+    """Apply actions to the world state; returns one log record per action,
+    each after the conflict records its effect caused.
 
     All capacity effects are contributions windowed on [activation, expiry),
     so expiring an action is an exact inverse.  Conflicting signal-plan
@@ -685,93 +766,15 @@ def apply(actions: Iterable[AdaptationAction], state: WorldState, now: float) ->
     """
     records: list[dict] = []
     for action in actions:
-        record = {
+        records += action.take_effect(state)
+        records.append({
             "type": action.action_type,
             "action_id": action.action_id,
             "event_id": action.event_id,
             "activation": action.activation,
             "expiry": action.expiry,
             "params": _params(action),
-        }
-        if isinstance(action, SignalPlanChange):
-            for node, seg_id in action.approaches:
-                claim = state.signal_claims.get((node, seg_id))
-                if claim is not None and claim[0] != action.action_id:
-                    prev_id, prev_activation = claim
-                    if action.activation >= prev_activation:
-                        state.overlay.remove_contribution(f"{prev_id}:sig:{node}:{seg_id}")
-                        records.append({
-                            "type": "signal_conflict",
-                            "approach": [node, seg_id],
-                            "overridden": prev_id,
-                            "winner": action.action_id,
-                        })
-                    else:
-                        continue
-                seg = state.net.segments[seg_id]
-                targets = frozenset((seg_id, e.mode_id) for e in seg.usage)
-                state.overlay.add_contribution(Contribution(
-                    contrib_id=f"{action.action_id}:sig:{node}:{seg_id}",
-                    kind="factor",
-                    targets=targets,
-                    value=action.capacity_multiplier,
-                    start=action.activation,
-                    end=action.expiry,
-                ))
-                state.signal_claims[(node, seg_id)] = (action.action_id, action.activation)
-        elif isinstance(action, RescueCorridor):
-            targets = frozenset(
-                (s, m) for s in action.corridor for m in _road_modes(state.net, s)
-            )
-            state.overlay.add_contribution(Contribution(
-                contrib_id=f"{action.action_id}:corridor",
-                kind="factor",
-                targets=targets,
-                value=action.clearance_level,
-                start=action.activation,
-                end=action.expiry,
-            ))
-        elif isinstance(action, PoliceNotification):
-            targets = set()
-            for seg_id in sorted(state.net.segments):
-                seg = state.net.segments[seg_id]
-                if action.node in (seg.from_node, seg.to_node):
-                    for m in _road_modes(state.net, seg_id):
-                        targets.add((seg_id, m))
-            state.overlay.add_contribution(Contribution(
-                contrib_id=f"{action.action_id}:police",
-                kind="floor",
-                targets=frozenset(targets),
-                value=action.restore_floor,
-                start=action.activation + action.response_delay,
-                end=action.expiry,
-            ))
-        elif isinstance(action, ReplacementService):
-            for seg_id in action.road_path:
-                seg = state.net.segments[seg_id]
-                base = seg.usage_for(action.vehicle_mode)
-                fft = base.free_flow_time if base is not None else seg.length / 8.0
-                state.overlay.add_contribution(Contribution(
-                    contrib_id=f"{action.action_id}:use:{seg_id}",
-                    kind="usage",
-                    targets=frozenset({(seg_id, action.replaced_mode)}),
-                    value=1.0,
-                    start=action.activation,
-                    end=action.expiry,
-                    free_flow_time=fft,
-                ))
-        elif isinstance(action, BusDiversion):
-            pt_route = state.pt_routes[action.route_id]
-            state.diversions[action.action_id] = (
-                action.route_id, pt_route.segments, pt_route.stops,
-                action.cav_assignment,
-            )
-            kept = tuple(s for s in pt_route.stops if s not in action.skipped_stops)
-            pt_route.segments = _diverted_segments(state.net, pt_route, action)
-            pt_route.stops = kept
-            for cav_id in action.cav_assignment:
-                state.cavs[cav_id].available = False
-        records.append(record)
+        })
     return records
 
 
@@ -781,37 +784,7 @@ def _params(action: AdaptationAction) -> dict:
     return {f.name: getattr(action, f.name) for f in fields(action)[4:]}
 
 
-def _diverted_segments(net, pt_route: PtRoute, action: BusDiversion) -> tuple[str, ...]:
-    """Splice the detour into the route in place of the skipped run."""
-    skipped = set(action.skipped_segments)
-    first = None
-    last = None
-    for i, s in enumerate(pt_route.segments):
-        if s in skipped:
-            if first is None:
-                first = i
-            last = i
-    if first is None:
-        return pt_route.segments
-    return (pt_route.segments[:first] + action.detour_segments
-            + pt_route.segments[last + 1:])
-
-
 def expire(action: AdaptationAction, state: WorldState) -> None:
     """Exact inverse of :func:`apply` for one action."""
-    # all contribution ids are "<action_id>:<effect>"; the colon guards
-    # against sibling ids that share a textual prefix (a-e-1 vs a-e-11)
     state.overlay.remove_owned(f"{action.action_id}:")
-    if isinstance(action, SignalPlanChange):
-        for node, seg_id in action.approaches:
-            claim = state.signal_claims.get((node, seg_id))
-            if claim is not None and claim[0] == action.action_id:
-                del state.signal_claims[(node, seg_id)]
-    elif isinstance(action, BusDiversion):
-        stored = state.diversions.pop(action.action_id, None)
-        if stored is not None:
-            route_id, segments, stops, cav_ids = stored
-            state.pt_routes[route_id].segments = segments
-            state.pt_routes[route_id].stops = stops
-            for cav_id in cav_ids:
-                state.cavs[cav_id].available = True
+    action.undo(state)

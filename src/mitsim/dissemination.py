@@ -32,6 +32,8 @@ DEVICE_ROLES = frozenset({
     "vehicle-obu", "traveler-app", "roadside-unit",
     "stop-display", "signal-controller", "nest-controller",
 })
+# the roles that travel, and so can carry a trip and a planned route
+MOBILE_ROLES = frozenset({"vehicle-obu", "traveler-app"})
 
 @dataclass(frozen=True)
 class DevicePosition:

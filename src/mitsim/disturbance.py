@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional
+from typing import Container, Mapping, Optional
 
 from .errors import ValidationError, as_float
-from .network import MultiLayerNetwork
+from .network import ROAD_CATEGORIES, MultiLayerNetwork
 
 DISTURBANCE_KINDS = (
     "D1",  # road accident
@@ -189,23 +189,22 @@ def default_effect_matrix(net: MultiLayerNetwork, tram_crossing_signals: bool = 
     ``tram_crossing_signals=True`` for cities where tram lines run through
     signalized intersections so D8 also warns trams.
     """
-    def pairs_for(categories: set[str]) -> frozenset:
+    def pairs_for(categories: Container[str]) -> frozenset:
         return frozenset(
             (m, n) for (m, n) in net.usage_matrix
             if net.modes[m].category in categories
         )
 
-    road_users = {"private-car", "cav-taxi", "bus"}
     matrix = {
-        "D1": pairs_for(road_users),
+        "D1": pairs_for(ROAD_CATEGORIES),
         "D2": frozenset(net.usage_matrix),
         "D3": frozenset(net.usage_matrix),
-        "D4": pairs_for(road_users),
-        "D5": pairs_for(road_users),
-        "D6": pairs_for({"tram", "metro"}) | pairs_for(road_users),
+        "D4": pairs_for(ROAD_CATEGORIES),
+        "D5": pairs_for(ROAD_CATEGORIES),
+        "D6": pairs_for({"tram", "metro"}) | pairs_for(ROAD_CATEGORIES),
         "D7": pairs_for({"train"}),
-        "D8": pairs_for(road_users) | (pairs_for({"tram"}) if tram_crossing_signals else frozenset()),
-        "D9": pairs_for(road_users),
+        "D8": pairs_for(ROAD_CATEGORIES) | (pairs_for({"tram"}) if tram_crossing_signals else frozenset()),
+        "D9": pairs_for(ROAD_CATEGORIES),
         "EV": frozenset(),
     }
     return matrix

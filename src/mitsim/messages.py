@@ -98,9 +98,6 @@ class WarningMessage:
     def _fail(self, error: str, value, got: Mapping):
         raise ValidationError(f"warning {self.warning_id}: " + error.format(value, **got))
 
-    def active(self, now: float) -> bool:
-        return now < self.estimated_end
-
 
 # -- construction ------------------------------------------------------------
 

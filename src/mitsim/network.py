@@ -32,6 +32,9 @@ MODE_CATEGORIES = frozenset(
     {"walk", "cycle", "private-car", "cav-taxi", "bus", "tram", "metro", "train"}
 )
 AGILE_CATEGORIES = frozenset({"walk", "cycle"})
+ROAD_CATEGORIES = frozenset({"private-car", "cav-taxi", "bus"})
+RAIL_CATEGORIES = frozenset({"tram", "metro", "train"})
+PT_CATEGORIES = frozenset({"bus", "tram", "metro", "train"})
 SEGMENT_CLASSES = ("critical", "major", "inferior", "minor")
 DIRECTIONS = frozenset({"forward", "backward", "both"})
 NODE_SERVICES = frozenset({"pt-stop", "bike-nest", "cav-pickup", "rail-station"})

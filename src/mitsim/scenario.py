@@ -24,8 +24,8 @@ from .adaptation import (DEFAULT_STRATEGY_TABLE, StrategyTable, route_node_chain
 from .disturbance import (DETECTION_SOURCE_KINDS, DISTURBANCE_KINDS, SEVERITY_MEASURES,
                           DetectionSource, DisturbanceEvent, SeverityMeasure,
                           default_effect_matrix, validate_effect_matrix)
-from .dissemination import (DEVICE_ROLES, DevicePosition, EdgeDevice, RelevancePolicy,
-                            RsuTopology)
+from .dissemination import (DEVICE_ROLES, MOBILE_ROLES, DevicePosition, EdgeDevice,
+                            RelevancePolicy, RsuTopology)
 from .errors import (ValidationError, as_float, as_int, as_list, as_object, entries, id_pair,
                      known, require)
 from .network import MultiLayerNetwork, build_network
@@ -398,7 +398,7 @@ def load_scenario(raw: Mapping) -> Scenario:
         devices.append(device)
         if spec.get("trip") is None:
             continue
-        if device.role not in ("vehicle-obu", "traveler-app"):
+        if device.role not in MOBILE_ROLES:
             raise ValidationError(f"device {device_id}: only mobile devices carry trips")
         where = f"device {device_id} trip"
         trip = as_object(spec["trip"], f"device {device_id}", "trip")

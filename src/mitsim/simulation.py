@@ -28,14 +28,12 @@ from typing import Optional
 from . import adaptation, dissemination
 from .adaptation import PoliceNotification, Reroute, plan as plan_actions
 from .disturbance import DisturbanceEvent, detect, direct_effects, escalate
-from .dissemination import DevicePosition, DisseminationRecord, EdgeDevice
+from .dissemination import MOBILE_ROLES, DevicePosition, DisseminationRecord, EdgeDevice
 from .errors import ValidationError
 from .messages import WarningStore, encode, make_warning
 from .routing import evaluate_moves, route
 from .scenario import Scenario, TripSpec, ev_rate_windows, stream_rng
 from .state import Contribution, WorldState
-
-MOBILE_ROLES = ("vehicle-obu", "traveler-app")
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .network import Arc, MultiLayerNetwork, group_by_from_node
-
-PT_CATEGORIES = frozenset({"bus", "tram", "metro", "train"})
+from .network import PT_CATEGORIES, Arc, MultiLayerNetwork, group_by_from_node
 
 
 @dataclass(frozen=True)
@@ -262,6 +260,7 @@ class WorldState:
     cavs: dict[str, CavUnit] = field(default_factory=dict)
     defaults: SimDefaults = field(default_factory=SimDefaults)
     signal_claims: dict[tuple[str, str], tuple[str, float]] = field(default_factory=dict)
+    # action id -> the diverted route's (segments, stops) before the diversion
     diversions: dict[str, tuple] = field(default_factory=dict)
     # (entry time, segment, mode) of each traversal, appended at its entry
     # time, so the times never decrease.
@@ -270,10 +269,6 @@ class WorldState:
     @property
     def net(self) -> MultiLayerNetwork:
         return self.overlay.net
-
-    @property
-    def clock(self) -> float:
-        return self.overlay.clock
 
     def flows(self, now: float) -> dict[tuple[str, str], float]:
         """Observed hourly flow per (segment, mode) over the trailing window."""

@@ -356,6 +356,11 @@ def test_criterion_9_conservation_and_causality_fuzz():
                 elif record["type"] == "warn":
                     warns.setdefault(record["event"], record["t"])
                     assert record["t"] >= detects[record["event"]], seed
+            ids: dict[str, list[str]] = {}
             for line in result.action_log:
                 action = json.loads(line)
                 assert action["activation"] >= warns[action["event_id"]], seed
+                ids.setdefault(action["event_id"], []).append(action["action_id"])
+            for event_id, numbered in ids.items():
+                assert numbered == [f"a-{event_id}-{n}"
+                                    for n in range(1, len(numbered) + 1)], seed

@@ -256,6 +256,41 @@ def test_infeasible_templates_are_skipped_with_reason():
     assert all(reason for _t, reason in skips)
 
 
+def test_skipped_diversion_takes_no_action_id():
+    """The bus diversion template builds nothing here, and the signal plan
+    after it still gets the next id, not the one before it again."""
+    net = city_net()
+    world = make_world(net)
+    event = make_event(net, "D1", ["g1"], reduction=0.5)
+    inject(world, event, net)
+    world.overlay.clock = 100.0
+    actions, skips = plan_for(net, world, event)
+    assert skips == [("bus_diversion", "no favorable bus diversion")]
+    assert [(a.action_id, a.action_type) for a in actions] == [
+        ("a-ev-D1-1", "reroute"), ("a-ev-D1-2", "stop_guidance"),
+        ("a-ev-D1-3", "signal_plan")]
+
+
+def test_unfavorable_route_takes_no_action_id():
+    """Route A (first by id) needs a CAV for its bypassed stop q2 and there
+    is none; route B's diversion is favorable and takes the next id."""
+    net = city_net()
+    world = make_world(net, with_cav=False)
+    world.pt_routes["A"] = PtRoute(route_id="A", mode_id="bus", stops=("q1", "q2", "q3"),
+                                   segments=("g1", "g2"), headway=600)
+    world.pt_routes["B"] = PtRoute(route_id="B", mode_id="bus", stops=("q0", "q1", "q2"),
+                                   segments=("g0", "g1"), headway=600)
+    event = make_event(net, "D1", ["g1", "g2"])
+    inject(world, event, net)
+    world.overlay.clock = 100.0
+    actions, skips = plan_for(net, world, event)
+    assert skips == []
+    assert [a.action_type for a in actions] == [
+        "reroute", "stop_guidance", "bus_diversion", "signal_plan"]
+    assert actions[2].route_id == "B"
+    assert [a.action_id for a in actions] == [f"a-ev-D1-{n}" for n in range(1, 5)]
+
+
 # -- bus diversion -----------------------------------------------------------------
 
 
@@ -437,6 +472,41 @@ def test_conflicting_signal_changes_later_wins():
     conflicts = [r for r in records if r.get("type") == "signal_conflict"]
     assert conflicts and conflicts[0]["winner"] == "s2"
     assert world.overlay.residual("g0", "car") == 0.8
+
+
+def _signal(action_id, activation, multiplier):
+    return SignalPlanChange(
+        action_id=action_id, event_id="e", activation=activation, expiry=3600.0,
+        intersections=("q1",), approaches=(("q1", "g0"),),
+        capacity_multiplier=multiplier, controller_devices=("sc_q1",))
+
+
+def test_expiring_an_overridden_signal_change_keeps_the_winner():
+    net = city_net()
+    world = make_world(net)
+    world.overlay.clock = 200.0
+    first, second = _signal("s1", 100.0, 0.5), _signal("s2", 200.0, 0.8)
+    apply_actions([first], world, 100.0)
+    apply_actions([second], world, 200.0)
+    expire(first, world)
+    assert world.overlay.residual("g0", "car") == 0.8
+    assert world.signal_claims == {("q1", "g0"): ("s2", 200.0)}
+    expire(second, world)
+    assert world.overlay.residual("g0", "car") == 1.0
+    assert world.signal_claims == {}
+
+
+def test_earlier_signal_change_applied_second_yields_without_conflict():
+    net = city_net()
+    world = make_world(net)
+    world.overlay.clock = 200.0
+    later, earlier = _signal("s2", 200.0, 0.8), _signal("s1", 100.0, 0.5)
+    apply_actions([later], world, 200.0)
+    records = apply_actions([earlier], world, 200.0)
+    assert [r["type"] for r in records] == ["signal_plan"]
+    assert world.signal_claims == {("q1", "g0"): ("s2", 200.0)}
+    assert world.overlay.residual("g0", "car") == 0.8
+    assert [c.contrib_id for c in world.overlay.contributions()] == ["s2:sig:q1:g0"]
 
 
 def test_replacement_apply_injects_usable_service():
