@@ -35,11 +35,9 @@ from .errors import CodecError, InfeasibleError, ValidationError
 from .messages import (
     AffectedEntry,
     WarningMessage,
-    WarningStore,
     decode,
     encode,
     make_warning,
-    request_detail,
     revise,
 )
 from .network import (

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Container, Mapping, Optional
 
 from .errors import ValidationError, as_float
-from .network import ROAD_CATEGORIES, MultiLayerNetwork
+from .network import ROAD_CATEGORIES, MultiLayerNetwork, Segment, UsageEntry
 
 DISTURBANCE_KINDS = (
     "D1",  # road accident
@@ -217,36 +217,43 @@ def affected_pairs(kind: str, matrix: EffectMatrix) -> frozenset:
     return frozenset(tuple(p) for p in matrix[kind])
 
 
+def hit_entries(
+    event: DisturbanceEvent,
+    net: MultiLayerNetwork,
+    matrix: EffectMatrix,
+) -> list[tuple[Segment, list[UsageEntry]]]:
+    """Each located segment, in id order, with the usage entries the event
+    hits there: those whose (mode, network) pair is in the matrix row.
+    Reserved lanes and tracks are spared unless
+    ``specifics.reserved_lane_hit`` is true."""
+    pairs = affected_pairs(event.kind, matrix)
+    reserved_hit = bool(event.specifics.get("reserved_lane_hit", False))
+    out = []
+    for seg_id in sorted(set(event.segments)):
+        seg = net.segments.get(seg_id)
+        if seg is None:
+            raise ValidationError(f"event {event.event_id}: unknown segment {seg_id}")
+        out.append((seg, [entry for entry in seg.usage
+                          if (entry.mode_id, seg.network_id) in pairs
+                          and (reserved_hit or not entry.reserved)]))
+    return out
+
+
 def direct_effects(
     event: DisturbanceEvent,
     net: MultiLayerNetwork,
     matrix: EffectMatrix,
 ) -> list[tuple[str, str, float]]:
-    """Per (segment, mode) residual capacity fractions caused by an event.
-
-    Only located segments are touched, and only for modes whose
-    (mode, network) pair is in the matrix row.  Reserved lanes and tracks
-    are spared unless ``specifics.reserved_lane_hit`` is true.  Events
-    without a capacity_reduction measure (e.g. EV) leave capacity intact.
+    """Per (segment, mode) residual capacity fractions caused by an event,
+    for the entries ``hit_entries`` names.  Events without a
+    capacity_reduction measure (e.g. EV) leave capacity intact.
     """
-    pairs = affected_pairs(event.kind, matrix)
+    hits = hit_entries(event, net, matrix)
     reduction = event.severity.capacity_reduction
     if reduction is None:
         return []
     residual = 0.0 if event.severity.fully_blocked else 1.0 - reduction
-    reserved_hit = bool(event.specifics.get("reserved_lane_hit", False))
-    out: list[tuple[str, str, float]] = []
-    for seg_id in sorted(set(event.segments)):
-        seg = net.segments.get(seg_id)
-        if seg is None:
-            raise ValidationError(f"event {event.event_id}: unknown segment {seg_id}")
-        for entry in seg.usage:
-            if (entry.mode_id, seg.network_id) not in pairs:
-                continue
-            if entry.reserved and not reserved_hit:
-                continue
-            out.append((seg_id, entry.mode_id, residual))
-    return out
+    return [(seg.segment_id, entry.mode_id, residual) for seg, hit in hits for entry in hit]
 
 
 def detect(
@@ -294,19 +301,14 @@ def displaced_volume(
 ) -> float:
     """Hourly flow displaced by the event: sum of flow * reduction.
 
-    Missing flow observations count as zero.
+    Only the entries ``hit_entries`` names count; missing flow observations
+    count as zero.
     """
-    pairs = affected_pairs(event.kind, matrix)
     reduction = event.severity.capacity_reduction or 0.0
     total = 0.0
-    for seg_id in sorted(set(event.segments)):
-        seg = net.segments.get(seg_id)
-        if seg is None:
-            continue
-        for entry in seg.usage:
-            if (entry.mode_id, seg.network_id) not in pairs:
-                continue
-            total += flows.get((seg_id, entry.mode_id), 0.0) * reduction
+    for seg, hit in hit_entries(event, net, matrix):
+        for entry in hit:
+            total += flows.get((seg.segment_id, entry.mode_id), 0.0) * reduction
     return total
 
 

@@ -4,8 +4,8 @@ A warning is the data package pushed to edge devices when a disturbance is
 detected: disturbance kind, located affected entries (network, segment,
 segment class, modes), severity measures, estimated end time, a revision
 counter, and a detail tier.  The ``basic`` tier is small enough to spread
-broadly; the ``full`` tier adds case-specific details and is handed out on
-request only.
+broadly and is the one the simulator sends; the ``full`` tier adds
+case-specific details.
 
 Wire format
 -----------
@@ -38,7 +38,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Union
 
 from .disturbance import (DISTURBANCE_KINDS, SEVERITY_MEASURES, DisturbanceEvent, EffectMatrix,
-                          SeverityMeasure, affected_pairs)
+                          SeverityMeasure, affected_pairs, hit_entries)
 from .errors import CodecError, ValidationError
 from .network import SEGMENT_CLASSES, MultiLayerNetwork
 
@@ -110,38 +110,26 @@ def make_warning(
 ) -> tuple[WarningMessage, Optional[WarningMessage]]:
     """Build revision 0 of an event's warning: (basic tier, full tier).
 
-    Affected entries cover each located segment with the modes the effect
-    matrix marks as hit there (reserved lanes stay out unless the event
-    flags them).  For kinds with an empty matrix row (major events) every
-    mode present on the located segments is listed, since the impact is a
-    demand shift for everyone nearby.  The full tier is None when the event
-    carries no case-specific data.
+    Affected entries cover each located segment with the modes of its
+    ``hit_entries``.  For kinds with an empty matrix row (major events)
+    every mode present on the located segments is listed, since the impact
+    is a demand shift for everyone nearby.  The full tier is None when the
+    event carries no case-specific data.
     """
-    pairs = affected_pairs(event.kind, matrix)
-    reserved_hit = bool(event.specifics.get("reserved_lane_hit", False))
+    every_mode = not affected_pairs(event.kind, matrix)
     estimated_end = math.ceil(event.start + event.estimated_duration)
     if estimated_end <= issue_time:
         raise ValidationError(
             f"event {event.event_id}: already past its estimated end at issue time"
         )
     entries = []
-    for seg_id in sorted(set(event.segments)):
-        seg = net.segments.get(seg_id)
-        if seg is None:
-            raise ValidationError(f"event {event.event_id}: unknown segment {seg_id}")
-        if pairs:
-            modes = sorted(
-                entry.mode_id for entry in seg.usage
-                if (entry.mode_id, seg.network_id) in pairs
-                and (reserved_hit or not entry.reserved)
-            )
-        else:
-            modes = sorted(entry.mode_id for entry in seg.usage)
+    for seg, hit in hit_entries(event, net, matrix):
+        modes = sorted(entry.mode_id for entry in (seg.usage if every_mode else hit))
         if not modes:
             continue
         entries.append(AffectedEntry(
             network_id=seg.network_id,
-            segment_id=seg_id,
+            segment_id=seg.segment_id,
             seg_class=seg.seg_class,
             modes=tuple(modes),
         ))
@@ -587,61 +575,3 @@ def _parse_case_map(s: _Scanner) -> dict[str, CaseValue]:
         break
     s.expect("}")
     return out
-
-
-# -- warning store and the two-tier detail flow ------------------------------
-
-
-@dataclass(frozen=True)
-class DetailResponse:
-    """Envelope for a detail request; ``available`` is False when only the
-    basic tier exists and the basic form is echoed back."""
-
-    warning: WarningMessage
-    available: bool
-
-
-class WarningStore:
-    """Single-writer registry of the latest revision per warning id."""
-
-    def __init__(self):
-        self._latest: dict[str, tuple[WarningMessage, Optional[WarningMessage]]] = {}
-
-    def add(self, basic: WarningMessage, full: Optional[WarningMessage]) -> None:
-        current = self._latest.get(basic.warning_id)
-        if current is not None and basic.revision <= current[0].revision:
-            raise ValidationError(
-                f"warning {basic.warning_id}: stale revision {basic.revision}"
-            )
-        self._latest[basic.warning_id] = (basic, full)
-
-    def latest(self, warning_id: str) -> tuple[WarningMessage, Optional[WarningMessage]]:
-        if warning_id not in self._latest:
-            raise ValidationError(f"unknown warning {warning_id}")
-        return self._latest[warning_id]
-
-    def revise(
-        self,
-        warning_id: str,
-        new_estimated_end: int,
-    ) -> tuple[WarningMessage, Optional[WarningMessage]]:
-        basic, full = self.latest(warning_id)
-        new_basic = revise(basic, new_estimated_end)
-        new_full = revise(full, new_estimated_end) if full is not None else None
-        self._latest[warning_id] = (new_basic, new_full)
-        return new_basic, new_full
-
-
-def request_detail(basic: WarningMessage, store: WarningStore) -> DetailResponse:
-    """Resolve a basic-tier warning to its full form, if one exists.
-
-    Returns the full tier at the same or newer revision; when no full form
-    was ever produced, the latest basic form is echoed with
-    ``available=False``.
-    """
-    if basic.detail != "basic":
-        raise ValidationError(f"warning {basic.warning_id}: detail request needs a basic tier")
-    latest_basic, latest_full = store.latest(basic.warning_id)
-    if latest_full is None:
-        return DetailResponse(warning=latest_basic, available=False)
-    return DetailResponse(warning=latest_full, available=True)

@@ -30,7 +30,7 @@ from .adaptation import PoliceNotification, Reroute, plan as plan_actions
 from .disturbance import DisturbanceEvent, detect, direct_effects, escalate
 from .dissemination import MOBILE_ROLES, DevicePosition, DisseminationRecord, EdgeDevice
 from .errors import ValidationError
-from .messages import WarningStore, encode, make_warning
+from .messages import encode, make_warning, revise
 from .routing import evaluate_moves, route
 from .scenario import Scenario, TripSpec, ev_rate_windows, stream_rng
 from .state import Contribution, WorldState
@@ -72,7 +72,6 @@ class Traveler:
     replan_flag: bool = False
     wait_version: int = 0
     arrival: Optional[float] = None
-    no_route: bool = False
 
 
 @dataclass
@@ -196,7 +195,6 @@ class _Sim:
         self.config = config
         self.world: WorldState = scenario.build_world()
         self.net = scenario.net
-        self.store = WarningStore()
         self.heap: list[tuple] = []  # entries scheduled during the run
         self.setup_entries: list[tuple] = []  # setup's, sorted, next one last
         self._seq = itertools.count()
@@ -206,11 +204,10 @@ class _Sim:
         self.records: list[DisseminationRecord] = []
         self.travelers: dict[str, Traveler] = {}
         self.by_device: dict[str, Traveler] = {}
-        self.waiting: set[str] = set()
         self.node_positions: dict[str, DevicePosition] = {}  # immutable, shared by devices
         self.events: dict[str, DisturbanceEvent] = {e.event_id: e for e in scenario.events}
-        self.actions: dict[str, object] = {}
-        self.actions_by_event: dict[str, list] = {}
+        # event id -> (the latest revision of its warning, the actions planned for it)
+        self.issued: dict[str, tuple] = {}
         self.metrics = Metrics()
 
     # -- infrastructure -------------------------------------------------------
@@ -286,9 +283,7 @@ class _Sim:
             tid=tid, origin=trip.origin, dest=trip.dest, depart=trip.depart,
             prefs=trip.prefs, device_id=device_id,
         )
-        if plan is None:
-            tv.no_route = True
-        else:
+        if plan is not None:
             tv.baseline_cost = plan.total_cost
             tv.moves = list(plan.moves)
             if device_id is not None:
@@ -375,7 +370,6 @@ class _Sim:
     def _start_waiting(self, tv: Traveler, t: float) -> None:
         tv.status = "waiting"
         tv.wait_version += 1
-        self.waiting.add(tv.tid)
         self.log(t, {"type": "blocked", "traveler": tv.tid, "node": tv.node})
         self.schedule(t + self.world.defaults.patience, "patience",
                       (tv, tv.wait_version))
@@ -383,18 +377,16 @@ class _Sim:
     def _complete(self, tv: Traveler, t: float) -> None:
         tv.status = "completed"
         tv.arrival = t
-        self.waiting.discard(tv.tid)
         delay = (t - tv.depart) - (tv.baseline_cost or 0.0)
         self.log(t, {"type": "trip_complete", "traveler": tv.tid,
                      "depart": tv.depart, "delay": delay})
 
     def _abandon(self, tv: Traveler, t: float, why: str) -> None:
         tv.status = "abandoned"
-        self.waiting.discard(tv.tid)
         self.log(t, {"type": "trip_abandoned", "traveler": tv.tid, "reason": why})
 
     def _wake_waiting(self, t: float) -> None:
-        for tid in sorted(self.waiting):
+        for tid in sorted(tid for tid, tv in self.travelers.items() if tv.status == "waiting"):
             self.schedule(t, "retry", (self.travelers[tid],))
 
     def _refresh_positions(self, now: float) -> None:
@@ -411,7 +403,7 @@ class _Sim:
     # -- handlers ----------------------------------------------------------------
 
     def handle_spawn(self, t: float, tv: Traveler) -> None:
-        if tv.no_route:
+        if tv.baseline_cost is None:  # no plan at setup
             self.log(t, {"type": "spawn", "traveler": tv.tid, "routable": False})
             self._abandon(tv, t, "no feasible plan")
             return
@@ -439,7 +431,6 @@ class _Sim:
     def handle_retry(self, t: float, tv: Traveler) -> None:
         if tv.status != "waiting":
             return
-        self.waiting.discard(tv.tid)
         self._advance(tv, t, self._device(tv))
 
     def handle_patience(self, t: float, tv: Traveler, version: int) -> None:
@@ -478,13 +469,12 @@ class _Sim:
             self.log(t, {"type": "late_detection", "event": event_id})
             return
         try:
-            basic, full = make_warning(event, self.net, self.scenario.matrix, issue_time)
+            basic, _full = make_warning(event, self.net, self.scenario.matrix, issue_time)
         except ValidationError as exc:
             # e.g. no affected mode present on the located segments
             self.log(t, {"type": "warning_suppressed", "event": event_id,
                          "reason": str(exc)})
             return
-        self.store.add(basic, full)
         self.warning_log.append(encode(basic).decode("utf-8"))
         self.metrics.warnings_issued += 1
         self.log(t, {"type": "warn", "warning_id": basic.warning_id,
@@ -495,6 +485,7 @@ class _Sim:
         for template, reason in skips:
             self.log(t, {"type": "plan_skip", "event": event_id,
                          "template": template, "reason": reason})
+        self.issued[event_id] = (basic, actions)
         self._disseminate(basic, actions, t)
         if actions:
             records = adaptation.apply(actions, self.world, t)
@@ -506,9 +497,7 @@ class _Sim:
                     self.action_log.append(_json_line(record))
                     self.metrics.actions_applied += 1
             for action in actions:
-                self.actions[action.action_id] = action
-                self.actions_by_event.setdefault(event_id, []).append(action)
-                self.schedule(action.expiry, "action_end", (action.action_id,))
+                self.schedule(action.expiry, "action_end", (action,))
                 if isinstance(action, PoliceNotification):
                     arrive_at = action.activation + action.response_delay
                     if arrive_at < action.expiry:
@@ -547,7 +536,6 @@ class _Sim:
                 continue
             tv.replan_flag = True
             if tv.status == "waiting":
-                self.waiting.discard(tv.tid)
                 tv.status = "moving"
                 self.schedule(t, "retry_flagged", (tv,))
 
@@ -580,27 +568,23 @@ class _Sim:
     def _issue_revision(self, event_id: str, new_end: int, t: float) -> None:
         """Revises the event's warning, if one was issued, to end at
         ``new_end`` when that changes it and still follows its issue time."""
-        warning_id = f"w-{event_id}"
-        try:
-            basic, _full = self.store.latest(warning_id)
-        except ValidationError:
+        issued = self.issued.get(event_id)
+        if issued is None:
             return
+        basic, actions = issued
         if new_end == basic.estimated_end or new_end <= basic.issue_time:
             return
-        basic, _full = self.store.revise(warning_id, new_end)
+        basic = revise(basic, new_end)
+        self.issued[event_id] = (basic, actions)
         self.warning_log.append(encode(basic).decode("utf-8"))
         self.metrics.revisions_issued += 1
-        self.log(t, {"type": "warn", "warning_id": warning_id, "event": event_id,
+        self.log(t, {"type": "warn", "warning_id": basic.warning_id, "event": event_id,
                      "revision": basic.revision})
-        actions = self.actions_by_event.get(event_id, [])
         self._disseminate(basic, actions, t)
 
-    def handle_action_end(self, t: float, action_id: str) -> None:
-        action = self.actions.get(action_id)
-        if action is None:
-            return
+    def handle_action_end(self, t: float, action) -> None:
         adaptation.expire(action, self.world)
-        self.log(t, {"type": "action_end", "action_id": action_id})
+        self.log(t, {"type": "action_end", "action_id": action.action_id})
 
     def handle_wake(self, t: float) -> None:
         self._wake_waiting(t)
@@ -639,13 +623,11 @@ class _Sim:
         )
 
     def _notified_mobile(self) -> set[str]:
-        mobile = {
-            d for d, tv in self.by_device.items()
-            if self.world.devices[d].role in MOBILE_ROLES
-        }
+        """The devices with trips (all mobile, as the load checks) that any
+        warning notified."""
         out: set[str] = set()
         for record in self.records:
-            out |= set(record.notified) & mobile
+            out |= record.notified & self.by_device.keys()
         return out
 
     def _finalize(self) -> None:

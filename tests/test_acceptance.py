@@ -349,6 +349,7 @@ def test_criterion_9_conservation_and_causality_fuzz():
                     == m.trips_total), seed
             detects = {}
             warns = {}
+            ends: dict[str, list[float]] = {}
             for line in result.event_log:
                 record = json.loads(line)
                 if record["type"] == "detect":
@@ -356,11 +357,18 @@ def test_criterion_9_conservation_and_causality_fuzz():
                 elif record["type"] == "warn":
                     warns.setdefault(record["event"], record["t"])
                     assert record["t"] >= detects[record["event"]], seed
+                elif record["type"] == "action_end":
+                    ends.setdefault(record["action_id"], []).append(record["t"])
             ids: dict[str, list[str]] = {}
+            expiries: dict[str, list[float]] = {}
             for line in result.action_log:
                 action = json.loads(line)
                 assert action["activation"] >= warns[action["event_id"]], seed
                 ids.setdefault(action["event_id"], []).append(action["action_id"])
+                if action["expiry"] <= scenario.end_time:
+                    expiries[action["action_id"]] = [action["expiry"]]
+            # each action ends once, at its expiry, if the run reaches it
+            assert ends == expiries, seed
             for event_id, numbered in ids.items():
                 assert numbered == [f"a-{event_id}-{n}"
                                     for n in range(1, len(numbered) + 1)], seed

@@ -207,6 +207,17 @@ def test_displaced_volume_sums_segments(road_net):
     assert displaced_volume(event, flows, road_net, matrix) == expected == 500.0
 
 
+def test_displaced_volume_spares_the_lanes_direct_effects_spares(road_net):
+    matrix = default_effect_matrix(road_net)
+    flows = {("s0", "car"): 800.0, ("s0", "bus"): 100.0}
+    spared = make_event(severity=SeverityMeasure(capacity_reduction=0.5))
+    hit = make_event(severity=SeverityMeasure(capacity_reduction=0.5),
+                     specifics={"reserved_lane_hit": True})
+    for event, modes, volume in ((spared, ["car"], 400.0), (hit, ["car", "bus"], 450.0)):
+        assert [m for _s, m, _r in direct_effects(event, road_net, matrix)] == modes
+        assert displaced_volume(event, flows, road_net, matrix) == volume
+
+
 # -- escalation ---------------------------------------------------------------------
 
 

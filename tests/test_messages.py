@@ -7,14 +7,11 @@ from mitsim.disturbance import SeverityMeasure
 from mitsim.errors import CodecError, ValidationError
 from mitsim.messages import (
     AffectedEntry,
-    DetailResponse,
     WarningMessage,
-    WarningStore,
     decode,
     encode,
     make_warning,
     quantize_fraction,
-    request_detail,
     revise,
 )
 from mitsim.disturbance import DisturbanceEvent, default_effect_matrix
@@ -430,7 +427,10 @@ def test_make_warning_ev_demand_only(small):
     assert basic.severity.capacity_reduction is None
     assert basic.severity.displaced_volume == 450.0
     assert basic.affected[0].modes == ("bus", "car")  # every mode present
-    assert full.case_specific["expected_visitors"] == 30000
+    assert full == replace(basic, detail="full", case_specific={"expected_visitors": 30000})
+    revised = revise(full, 9000)
+    assert (revised.revision, revised.detail, revised.estimated_end) == (1, "full", 9000)
+    assert revised.case_specific == full.case_specific
 
 
 def test_revise_increments_and_carries():
@@ -442,58 +442,3 @@ def test_revise_increments_and_carries():
     r2 = revise(r1, 600)
     assert (r2.revision, r2.estimated_end) == (w.revision + 2, 600)
     assert r2.affected == w.affected
-
-
-def test_store_revision_monotonicity():
-    w = decode(valid_blob())
-    base = WarningMessage(**{**w.__dict__, "revision": 0})
-    store = WarningStore()
-    store.add(base, None)
-    store.revise(base.warning_id, 500)
-    latest, _ = store.latest(base.warning_id)
-    assert latest.revision == 1
-    with pytest.raises(ValidationError, match="stale"):
-        store.add(base, None)
-
-
-def test_request_detail_flow(small):
-    net, matrix = small
-    event = DisturbanceEvent(
-        event_id="acc2", kind="D1", segments=("s0",), start=0,
-        estimated_duration=900, true_duration=900,
-        severity=SeverityMeasure(capacity_reduction=0.5),
-        specifics={"partial_blockage": True},
-    )
-    basic, full = make_warning(event, net, matrix, issue_time=10)
-    store = WarningStore()
-    store.add(basic, full)
-    out = request_detail(basic, store)
-    assert out == DetailResponse(warning=full, available=True)
-    # requester lags behind: full form comes back at the newer revision
-    store.revise(basic.warning_id, 2000)
-    out = request_detail(basic, store)
-    assert out.warning.revision == 1 and out.warning.detail == "full"
-
-
-def test_request_detail_unavailable(small):
-    net, matrix = small
-    event = DisturbanceEvent(
-        event_id="acc3", kind="D1", segments=("s0",), start=0,
-        estimated_duration=900, true_duration=900,
-        severity=SeverityMeasure(capacity_reduction=0.5),
-    )
-    basic, full = make_warning(event, net, matrix, issue_time=10)
-    assert full is None
-    store = WarningStore()
-    store.add(basic, None)
-    out = request_detail(basic, store)
-    assert out.available is False
-    assert out.warning == basic
-
-
-def test_request_detail_unknown_warning():
-    store = WarningStore()
-    w = decode(valid_blob())
-    basic = WarningMessage(**{**w.__dict__, "detail": "basic", "case_specific": {}})
-    with pytest.raises(ValidationError, match="unknown warning"):
-        request_detail(basic, store)

@@ -216,6 +216,41 @@ def test_duration_revision_when_event_outlasts_estimate():
     assert second.warning_id == first.warning_id
 
 
+def test_revision_reaches_the_actors_of_the_actions_planned_at_issue():
+    """tv0 departs long after the event, so the tight horizon and radii
+    leave it relevant only as the reroute's target, for both revisions."""
+    raw = mini_scenario(est=600.0, true=1200.0, depart=5000.0)
+    raw["policies"]["relevance"] = {
+        "horizon": 60.0,
+        "area_radius": dict.fromkeys(("critical", "major", "inferior", "minor"), 100.0),
+    }
+    result = run(load_scenario(raw))
+    (action,) = [json.loads(line) for line in result.action_log]
+    assert action["type"] == "reroute" and action["params"]["targets"] == ["tv0"]
+    first, revision = result.records
+    for record in (first, revision):
+        assert record.notified == {"tv0"}
+        assert record.reasons == {"adaptation-actor": 1}
+
+
+def reserved_car_lane(raw):
+    raw["network"]["segments"][1]["usage"][0]["reserved"] = True
+    return raw
+
+
+@pytest.mark.parametrize("make, outcome", [
+    (lambda: mini_scenario(sources=False, est=600.0, true=1200.0), None),
+    # the event spares the only (reserved) lane, so no mode is hit
+    (lambda: reserved_car_lane(mini_scenario(est=600.0, true=1200.0)), "warning_suppressed"),
+], ids=["undetected", "suppressed"])
+def test_event_without_a_warning_writes_no_revision(make, outcome):
+    result = run(load_scenario(make()))
+    assert result.warning_log == [] and result.metrics.revisions_issued == 0
+    kinds = logs_by_type(result)
+    assert "warn" not in kinds and "dissemination" not in kinds
+    assert (outcome in kinds) if outcome else ("detect" not in kinds)
+
+
 def test_d3_escalates_to_d2_in_run():
     raw = mini_scenario(kind="D3", est=3600.0, true=3600.0)
     raw["disturbances"][0]["specifics"] = {
