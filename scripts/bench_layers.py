@@ -48,7 +48,7 @@ EXTRA = (
     ("simulation._Sim.handle_arrive", "mitsim.simulation", "_Sim.handle_arrive"),
 )
 WHERE = {name: (module, attr) for name, module, attr in SPANS + EXTRA}
-TIMED = ("routing.route", "routing._search", "network.free_flow_path",
+TIMED = ("routing.route", "routing._search", "network.free_flow_path", "state.traversal_time",
          "dissemination.distribute", "simulation._Sim.log", "simulation._Sim.handle_arrive")
 
 

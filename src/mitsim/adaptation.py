@@ -582,6 +582,10 @@ def bus_diversion_favorable(
     for every bypassed stop, and (c) for non-priority routes, an estimated
     passenger delay under diversion strictly below waiting the blockage
     out.  Priority routes accept any feasible diversion.
+
+    Every blocked segment must already have residual 0 for the route's
+    mode at the overlay clock (``_bus_diversion`` passes only those), so
+    the detour search in (a) avoids them without a guard on the overlay.
     """
     net = state.net
     chain = route_node_chain(net, pt_route)
@@ -595,20 +599,8 @@ def bus_diversion_favorable(
     bypassed = tuple(n for n in interior if n in pt_route.stops)
 
     # (a) detour on the road network avoiding every blocked segment
-    guard = Contribution(
-        contrib_id="__diversion_probe__",
-        kind="factor",
-        targets=frozenset((s, pt_route.mode_id) for s in blocked_set),
-        value=0.0,
-        start=state.overlay.clock - 1.0,
-        end=float("inf"),
-    )
-    state.overlay.add_contribution(guard)
-    try:
-        prefs = RoutingPreferences(allowed_modes=frozenset({pt_route.mode_id}))
-        detour = route(detach, reattach, activation, prefs, state.overlay)
-    finally:
-        state.overlay.remove_contribution("__diversion_probe__")
+    prefs = RoutingPreferences(allowed_modes=frozenset({pt_route.mode_id}))
+    detour = route(detach, reattach, activation, prefs, state.overlay)
     if detour is None or not detour.moves:
         return None
 

@@ -32,6 +32,7 @@ the character offset of the first violation.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
@@ -252,22 +253,11 @@ _ENTRY_RULES = tuple((name, *rule) for _key, name, _kind, rules in _ENTRY_KEYS
 
 # -- canonical encoder -------------------------------------------------------
 
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f",
-            "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+# A string in quotes: ``\"``, ``\\`` and ``\b\f\n\r\t`` escaped, other
+# control characters as lowercase ``\u00XX``, everything else raw.
+_quote = json.encoder.encode_basestring
 # The character after a backslash, read back to the character it escapes.
-_UNESCAPES = {escaped[1]: ch for ch, escaped in _ESCAPES.items()}
-
-
-def _emit_string(value: str, out: list[str]) -> None:
-    out.append('"')
-    for ch in value:
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
+_UNESCAPES = {'"': '"', "\\": "\\", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
 
 
 def _emit_fraction(value: float, out: list[str], what: str) -> None:
@@ -284,7 +274,7 @@ def _emit_case_value(value: CaseValue, out: list[str], key: str) -> None:
     elif isinstance(value, float):
         _emit_fraction(value, out, f"case_specific {key}")
     elif isinstance(value, str):
-        _emit_string(value, out)
+        out.append(_quote(value))
     else:
         raise ValidationError(f"case_specific {key}: unsupported value type")
 
@@ -304,7 +294,7 @@ def encode(w: WarningMessage) -> bytes:
 def _emit(kind: str, value, out: list[str], key: str) -> None:
     """One value of the schema type ``kind`` under ``key``."""
     if kind == "string":
-        _emit_string(value, out)
+        out.append(_quote(value))
     elif kind == "int":
         out.append(str(value))
     elif kind == "fraction":
@@ -314,7 +304,7 @@ def _emit(kind: str, value, out: list[str], key: str) -> None:
         for j, mode in enumerate(value):
             if j:
                 out.append(",")
-            _emit_string(mode, out)
+            out.append(_quote(mode))
         out.append("]")
     elif kind == "severity":
         out.append("{")
@@ -344,7 +334,7 @@ def _emit(kind: str, value, out: list[str], key: str) -> None:
         for i, ck in enumerate(sorted(value)):
             if i:
                 out.append(",")
-            _emit_string(ck, out)
+            out.append(_quote(ck))
             out.append(":")
             _emit_case_value(value[ck], out, ck)
         out.append("}")

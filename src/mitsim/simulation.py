@@ -32,7 +32,7 @@ from .dissemination import MOBILE_ROLES, DevicePosition, DisseminationRecord, Ed
 from .errors import ValidationError
 from .messages import encode, make_warning, revise
 from .routing import evaluate_moves, route
-from .scenario import Scenario, TripSpec, ev_rate_windows, stream_rng
+from .scenario import Scenario, ev_rate_windows, stream_rng
 from .state import Contribution, WorldState
 
 
@@ -146,15 +146,23 @@ _ascii = json.encoder.encode_basestring_ascii
 _NO_T = object()
 
 
+def _num(x) -> str:
+    """A number as the log lines print it: a float rounded to 6 decimals,
+    or ``NaN``/``Infinity``/``-Infinity``; anything else as ``_json``."""
+    if isinstance(x, float):
+        if x - x == 0.0:  # finite
+            return repr(round(x, 6))
+        return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+    return _json(x)
+
+
 def _json(value) -> str:
     """``value`` as the log lines print it: ``json.dumps`` of its
     ``_canon`` copy with ``separators=(",", ":")``, built in one pass."""
     if isinstance(value, str):
         return _ascii(value)
     if isinstance(value, float):
-        if value - value == 0.0:  # finite
-            return repr(round(value, 6))
-        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+        return _num(value)
     if value is None:
         return "null"
     if value is True:
@@ -189,6 +197,25 @@ def _json_line(record: dict, t=_NO_T) -> str:
     return "".join(parts)
 
 
+# The three most frequent event lines, one per trip or replan, written from
+# fixed templates: each equals ``_json_line`` of its record led by ``"t"``.
+
+
+def _spawn_line(t, traveler: str, origin: str, dest: str) -> str:
+    return (f'{{"t":{_num(t)},"type":"spawn","traveler":{_ascii(traveler)},'
+            f'"origin":{_ascii(origin)},"dest":{_ascii(dest)}}}')
+
+
+def _trip_complete_line(t, traveler: str, depart, delay) -> str:
+    return (f'{{"t":{_num(t)},"type":"trip_complete","traveler":{_ascii(traveler)},'
+            f'"depart":{_num(depart)},"delay":{_num(delay)}}}')
+
+
+def _replan_line(t, traveler: str, arrival_estimate) -> str:
+    return (f'{{"t":{_num(t)},"type":"replan","traveler":{_ascii(traveler)},'
+            f'"arrival_estimate":{_num(arrival_estimate)}}}')
+
+
 class _Sim:
     def __init__(self, scenario: Scenario, config: RunConfig):
         self.scenario = scenario
@@ -215,22 +242,24 @@ class _Sim:
     def schedule(self, t: float, kind: str, payload: tuple) -> None:
         heapq.heappush(self.heap, (t, next(self._seq), kind, payload))
 
-    def log(self, t: float, record: dict) -> None:
-        self.event_log.append(_json_line(record, t))
+    def log(self, t: float, record) -> None:
+        """Appends one event line: ``record`` itself when it is a line built
+        from a template, else the dict led by ``"t": t``."""
+        self.event_log.append(record if isinstance(record, str) else _json_line(record, t))
 
     # -- setup ----------------------------------------------------------------
 
     def setup(self) -> None:
         scenario = self.scenario
+        add = self._add_traveler
         for trip in scenario.device_trips:
-            self._add_traveler(trip, trip.device_id, trip.device_id)
+            add(trip.device_id, trip.origin, trip.dest, trip.depart, trip.prefs, trip.device_id)
         for i, trip in enumerate(scenario.trips):
             for k in range(trip.count):
-                self._add_traveler(trip, f"trip{i}-{k}", None)
+                add(f"trip{i}-{k}", trip.origin, trip.dest, trip.depart, trip.prefs, None)
         for entry in scenario.arrivals:
             for n, t in enumerate(self._arrival_times(entry)):
-                spec = TripSpec(entry.origin, entry.dest, t, 1, entry.prefs)
-                self._add_traveler(spec, f"arr{entry.index}-{n}", None)
+                add(f"arr{entry.index}-{n}", entry.origin, entry.dest, t, entry.prefs, None)
         for event in scenario.events:
             self.schedule(event.start, "inject", (event.event_id,))
             self.schedule(event.true_end, "event_end", (event.event_id,))
@@ -276,26 +305,25 @@ class _Sim:
                 out.append(t)
         return out
 
-    def _add_traveler(self, trip: TripSpec, tid: str, device_id: Optional[str]) -> None:
+    def _add_traveler(self, tid: str, origin: str, dest: str, depart: float, prefs,
+                      device_id: Optional[str]) -> None:
         # Setup adds no contribution, so the overlay is still pristine here.
-        plan = route(trip.origin, trip.dest, trip.depart, trip.prefs, self.world.overlay)
-        tv = Traveler(
-            tid=tid, origin=trip.origin, dest=trip.dest, depart=trip.depart,
-            prefs=trip.prefs, device_id=device_id,
-        )
+        plan = route(origin, dest, depart, prefs, self.world.overlay)
+        tv = Traveler(tid=tid, origin=origin, dest=dest, depart=depart, prefs=prefs,
+                      device_id=device_id)
         if plan is not None:
             tv.baseline_cost = plan.total_cost
             tv.moves = list(plan.moves)
             if device_id is not None:
                 device = self.world.devices[device_id]
                 device.planned_route = plan.segment_etas() or None
-                device.destination = trip.dest
+                device.destination = dest
                 if plan.moves and device.mode is None:
                     device.mode = plan.moves[0][1]
         self.travelers[tid] = tv
         if device_id is not None:
             self.by_device[device_id] = tv
-        self.schedule(trip.depart, "spawn", (tv,))
+        self.schedule(depart, "spawn", (tv,))
 
     # -- movement --------------------------------------------------------------
 
@@ -309,8 +337,7 @@ class _Sim:
             device.planned_route = plan.segment_etas() or None
             if plan.moves:
                 device.mode = plan.moves[0][1]
-        self.log(t, {"type": "replan", "traveler": tv.tid,
-                     "arrival_estimate": plan.arrival})
+        self.log(t, _replan_line(t, tv.tid, plan.arrival))
 
     def _maybe_replan(self, tv: Traveler, t: float) -> None:
         """Adopts a fresh plan when the current one is blocked or the fresh
@@ -378,8 +405,7 @@ class _Sim:
         tv.status = "completed"
         tv.arrival = t
         delay = (t - tv.depart) - (tv.baseline_cost or 0.0)
-        self.log(t, {"type": "trip_complete", "traveler": tv.tid,
-                     "depart": tv.depart, "delay": delay})
+        self.log(t, _trip_complete_line(t, tv.tid, tv.depart, delay))
 
     def _abandon(self, tv: Traveler, t: float, why: str) -> None:
         tv.status = "abandoned"
@@ -408,8 +434,7 @@ class _Sim:
             self._abandon(tv, t, "no feasible plan")
             return
         tv.node = tv.origin
-        self.log(t, {"type": "spawn", "traveler": tv.tid, "origin": tv.origin,
-                     "dest": tv.dest})
+        self.log(t, _spawn_line(t, tv.tid, tv.origin, tv.dest))
         self._advance(tv, t, self._device(tv))
 
     def handle_arrive(self, t: float, tv: Traveler, node: str) -> None:

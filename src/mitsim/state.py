@@ -100,6 +100,7 @@ class NetworkState:
         self._contributions: dict[str, Contribution] = {}
         self._writes = 0
         self._by_target: dict[tuple[str, str], tuple[Contribution, ...]] = {}
+        self._free_flow: dict[str, Mapping[str, float]] = {}  # net.free_flow_times by mode
         self._searches_key: Optional[tuple] = None
         self._searches: dict = {}
 
@@ -182,8 +183,11 @@ class NetworkState:
         contribution names has residual 1.0, so its time is the free-flow
         time itself (``x / 1.0 == x`` for every float).
         """
-        free_flow = self.net.free_flow_times(mode_id).get(segment_id)
         patches = self._by_target.get((segment_id, mode_id))
+        times = self._free_flow.get(mode_id)
+        if times is None:
+            times = self._free_flow[mode_id] = self.net.free_flow_times(mode_id)
+        free_flow = times.get(segment_id)
         if patches is None:
             return free_flow
         if free_flow is None:

@@ -15,7 +15,10 @@ from mitsim.simulation import (
     MODE_TARGETED,
     _canon,
     _json_line,
+    _replan_line,
     _Sim,
+    _spawn_line,
+    _trip_complete_line,
     compare,
     ground_truth_affected,
     run,
@@ -619,6 +622,31 @@ def test_event_log_line_equals_dumps_of_the_merged_record(t, record):
     expected = brute_force_canon({"t": t, **record})
     assert sim.event_log == [json.dumps(expected, separators=(",", ":"))]
     assert repr(record) == before
+
+
+LOG_TIMES = st.one_of(LOG_FLOATS, st.integers())
+LOG_IDS = st.one_of(LOG_TEXT, st.sampled_from(['tv"1', "a\\b", "n\x07\n\x1f", "Zürich",
+                                              "\U0001F68C-7", '\\"\u00e9\U00010348']))
+
+
+@settings(max_examples=400, deadline=None)
+@given(LOG_TIMES, LOG_IDS, LOG_IDS, LOG_IDS, LOG_TIMES, LOG_TIMES)
+def test_templated_event_lines_equal_the_generic_writer(t, traveler, origin, dest, x, y):
+    """The spawn, trip_complete and replan templates print the bytes
+    ``_json_line`` prints for the same record, and ``_Sim.log`` keeps them."""
+    cases = [
+        (_spawn_line(t, traveler, origin, dest),
+         {"type": "spawn", "traveler": traveler, "origin": origin, "dest": dest}),
+        (_trip_complete_line(t, traveler, x, y),
+         {"type": "trip_complete", "traveler": traveler, "depart": x, "delay": y}),
+        (_replan_line(t, traveler, x),
+         {"type": "replan", "traveler": traveler, "arrival_estimate": x}),
+    ]
+    sim = SimpleNamespace(event_log=[])
+    for line, record in cases:
+        assert line == _json_line(record, t)
+        _Sim.log(sim, t, line)
+    assert sim.event_log == [line for line, _record in cases]
 
 
 # -- event order -------------------------------------------------------------------
