@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Hashable, Iterable, Mapping, Optional, Union
+from typing import Hashable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import (ValidationError, as_float, as_list, as_object, entries, id_pair,
                      known, require)
@@ -109,8 +109,7 @@ class MultimodalNode:
         return self.transfer_time[(from_mode, to_mode)]
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     """Directed traversable arc derived from a segment for one mode."""
 
     from_node: str
@@ -484,18 +483,20 @@ def _dijkstra(adj: Mapping[str, Iterable[tuple[str, float]]],
               initial: Mapping[str, float]) -> dict[str, float]:
     """Least distance from the ``initial`` nodes, at their initial
     distances, to every node reachable over the weighted ``adj``."""
+    inf = float("inf")
     dist: dict[str, float] = {}
+    get = dist.get
     heap: list[tuple[float, str]] = []
     for s in sorted(initial):
         dist[s] = initial[s]
         heapq.heappush(heap, (initial[s], s))
     while heap:
         d, node = heapq.heappop(heap)
-        if d > dist.get(node, float("inf")):
+        if d > get(node, inf):
             continue
         for nxt, w in adj[node]:
             nd = d + w
-            if nd < dist.get(nxt, float("inf")):
+            if nd < get(nxt, inf):
                 dist[nxt] = nd
                 heapq.heappush(heap, (nd, nxt))
     return dist

@@ -16,7 +16,10 @@ identical plan.
 
 A search is A* with landmark bounds (see :func:`_search`): it walks each
 mode's static per-node adjacency (plus any arcs that usage contributions
-open) and reads the overlay only for the arcs it relaxes.  A plan is one
+open) and reads the overlay only for the arcs it relaxes whose segment some
+contribution names (:meth:`NetworkState.touched`); every other arc keeps
+its free-flow time, since its residual is 1.0.  Arcs and plans are
+``NamedTuple`` records, immutable and cheap to build.  A plan is one
 tuple of moves, each with its duration: ``("start", mode, wait)``, then
 ``("seg", segment_id, mode, to_node, duration)`` and ``("transfer", node,
 from_mode, to_mode, duration)`` in order; the plan that stays at its
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ValidationError
 from .state import NetworkState
@@ -62,8 +65,7 @@ class RoutingPreferences:
 _UNSEEN = object()
 
 
-@dataclass(frozen=True)
-class JourneyPlan:
+class JourneyPlan(NamedTuple):
     """A search's moves timed from ``depart``; every plan of one search
     shares its move tuple."""
 
@@ -183,6 +185,8 @@ def _search(
         m for m in prefs.allowed_modes if net.modes[m].category == "walk"}
     modes = sorted(prefs.allowed_modes)
     out_arcs = {mode: state.mode_arcs(mode) for mode in modes}
+    # Only segments a contribution names can have a residual other than 1.0.
+    touched = {mode: state.touched(mode) for mode in modes}
     # mode_arcs hands out the static adjacency itself unless a usage
     # contribution opens arcs to the mode; only then are the bounds unsafe.
     if all(out_arcs[mode] is net.out_arcs(mode) for mode in modes):
@@ -221,7 +225,8 @@ def _search(
         heapq.heappush(heap, (g + h, label))
 
     for index, mode in enumerate(modes):
-        if not any(state.residual(arc.segment_id, mode) > 0.0
+        slowed = touched[mode]
+        if not any(arc.segment_id not in slowed or state.residual(arc.segment_id, mode) > 0.0
                    for arc in out_arcs[mode].get(origin, ())):
             continue
         wait = state.wait_to_board(mode)
@@ -242,23 +247,24 @@ def _search(
             goal = label
             break
         walking = mode in walk_modes
+        slowed = touched[mode]
         arcs = out_arcs[mode].get(node, ())
-        for index, arc in enumerate(arcs):
+        for index, (_from, to_node, seg_id, tt, length) in enumerate(arcs):
             if walking:
-                new_walk = walk_run + arc.length
+                new_walk = walk_run + length
                 if new_walk > prefs.max_walk:
                     continue
             else:
                 new_walk = 0.0
-            if new_walk >= done.get(arc.to_node, inf):
+            if new_walk >= done.get(to_node, inf):
                 continue
-            r = state.residual(arc.segment_id, mode)
-            if r <= 0.0:
-                continue
-            tt = arc.free_flow_time / r
-            push((arc.to_node, mode, new_walk), g + tt, transfers,
-                 seq + (arc.segment_id,), label, index,
-                 ("seg", arc.segment_id, mode, arc.to_node, tt))
+            if seg_id in slowed:
+                r = state.residual(seg_id, mode)
+                if r <= 0.0:
+                    continue
+                tt = tt / r
+            push((to_node, mode, new_walk), g + tt, transfers,
+                 seq + (seg_id,), label, index, ("seg", seg_id, mode, to_node, tt))
         mn = net.multimodal_nodes.get(node)
         if mn is not None and mode in mn.modes:
             for index, to_mode in enumerate(mn.modes, len(arcs)):

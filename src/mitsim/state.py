@@ -17,7 +17,11 @@ all contributions restores the pristine network exactly, field for field.
 Each write rebuilds an index from (segment, mode) to the contributions that
 name it, in insertion order, so ``residual`` reads only its own target's
 contributions (an untouched target is 1.0) and multiplies factors in the
-same order as a scan of every contribution would.
+same order as a scan of every contribution would.  The same write records,
+per mode, the segments some contribution names (:meth:`NetworkState.
+touched`), so the route search asks ``residual`` about those arcs only, and
+whether any usage contribution exists, so ``mode_arcs`` hands out the
+static adjacency at once while none does.
 
 Route search results live on the network, keyed by the overlay's content
 (:meth:`NetworkState.searches`): the boarding waits plus the contributions
@@ -25,7 +29,10 @@ active at ``clock``, in insertion order.  Nothing else changes what
 ``residual``, ``traversal_time`` or ``mode_arcs`` return, so every overlay
 on one network with that content, in any run, shares one search per query.
 The departure time is not part of the key, because a search result holds
-durations only; the caller turns them into times.
+durations only; the caller turns them into times.  The overlay keeps the
+store with its validity window: the write count and the clock interval
+between contribution edges over which the active set cannot change, so a
+repeated lookup within it is two comparisons.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .network import PT_CATEGORIES, Arc, MultiLayerNetwork, group_by_from_node
+
+_INF = float("inf")
+_UNTOUCHED: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -100,8 +110,12 @@ class NetworkState:
         self._contributions: dict[str, Contribution] = {}
         self._writes = 0
         self._by_target: dict[tuple[str, str], tuple[Contribution, ...]] = {}
+        self._touched: dict[str, frozenset[str]] = {}  # mode -> segments named for it
+        self._opens = False  # some contribution is a usage one
         self._free_flow: dict[str, Mapping[str, float]] = {}  # net.free_flow_times by mode
-        self._searches_key: Optional[tuple] = None
+        # The store for the content at clocks in [_lo, _hi) after _searches_writes writes.
+        self._searches_writes = -1
+        self._lo = self._hi = 0.0
         self._searches: dict = {}
 
     # -- contribution management --------------------------------------------
@@ -130,6 +144,11 @@ class NetworkState:
             for target in c.targets:
                 by_target.setdefault(target, []).append(c)
         self._by_target = {t: tuple(cs) for t, cs in by_target.items()}
+        touched: dict[str, set[str]] = {}
+        for seg_id, mode_id in by_target:
+            touched.setdefault(mode_id, set()).add(seg_id)
+        self._touched = {m: frozenset(segs) for m, segs in touched.items()}
+        self._opens = any(c.kind == "usage" for c in self._contributions.values())
 
     def contributions(self) -> list[Contribution]:
         return [self._contributions[k] for k in sorted(self._contributions)]
@@ -142,17 +161,39 @@ class NetworkState:
 
         The network's store for this overlay's content: the boarding waits
         and the active contributions in insertion order, which fix the
-        factor order ``residual`` multiplies in.  The content is looked up
-        again only when the write counter or the set of ids active at
-        ``clock`` has changed since the last call.
+        factor order ``residual`` multiplies in.  Beside the store the
+        overlay keeps the write count and the clock interval ``[lo, hi)``
+        over which the active set cannot change: ``lo`` is the latest
+        contribution start or end at or before ``clock``, ``hi`` the
+        earliest after it.  The content is looked up again only when a
+        write was made or ``clock`` has left that interval, so a repeated
+        call is two comparisons.  The pair (write count, interval) is an
+        O(1) content epoch: the content cannot have changed while both
+        hold.
         """
-        key = (self._writes,
-               tuple(cid for cid, c in self._contributions.items() if c.active(self.clock)))
-        if key != self._searches_key:
-            self._searches_key = key
-            self._searches = self.net.searches((tuple(sorted(self.boarding_wait.items())),
-                                                tuple(self._contributions[cid] for cid in key[1])))
+        clock = self.clock
+        if self._searches_writes == self._writes and self._lo <= clock < self._hi:
+            return self._searches
+        lo, hi = -_INF, _INF
+        active = []
+        for c in self._contributions.values():
+            for edge in (c.start, c.end):
+                if edge <= clock:
+                    if edge > lo:
+                        lo = edge
+                elif edge < hi:
+                    hi = edge
+            if c.active(clock):
+                active.append(c)
+        self._searches_writes, self._lo, self._hi = self._writes, lo, hi
+        self._searches = self.net.searches((tuple(sorted(self.boarding_wait.items())),
+                                            tuple(active)))
         return self._searches
+
+    def touched(self, mode_id: str) -> frozenset[str]:
+        """Ids of the segments some contribution names for ``mode_id``,
+        active or not.  Every other segment has residual 1.0 for the mode."""
+        return self._touched.get(mode_id, _UNTOUCHED)
 
     # -- capacity queries ----------------------------------------------------
 
@@ -211,6 +252,8 @@ class NetworkState:
         open segments to the mode: then both directions of each such
         segment follow each node's own arcs, in contribution id order.
         """
+        if not self._opens:
+            return self.net.out_arcs(mode_id)
         opened = []
         for c in self.active_contributions():
             if c.kind != "usage":

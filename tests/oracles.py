@@ -187,6 +187,17 @@ def brute_force_residual_map(state):
             for entry in state.net.segments[seg_id].usage}
 
 
+def brute_force_content(state, inserted):
+    """The overlay content ``state``'s search store must be keyed by: its
+    boarding waits, sorted, then the contributions active at its clock in
+    insertion order, by a scan of every one.  The overlay lists its
+    contributions only in id order, so the caller passes them as it
+    inserted them (``inserted``)."""
+    clock = state.clock
+    return (tuple(sorted(state.boarding_wait.items())),
+            tuple(c for c in inserted if c.start <= clock < c.end))
+
+
 def brute_force_residual(contributions, clock, segment_id, mode_id):
     """Scan every contribution, in insertion order, for one target."""
     factor = 1.0

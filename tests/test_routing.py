@@ -453,6 +453,65 @@ def test_route_equals_the_reference_on_16_node_networks_with_walk_limits():
     assert min(seen.values()) >= 30, seen
 
 
+# Contributions that name a target without slowing it (residual stays 1.0)
+# beside ones that slow or block it: (kind, values, window).
+NAMED = (("factor", (1.0,), (0.0, float("inf"))),
+         ("factor", (1.2,), (0.0, float("inf"))),  # clamped to 1.0
+         ("floor", (0.2, 0.7, 1.0), (0.0, float("inf"))),  # a floor-only target
+         ("factor", (0.5,), (200.0, 300.0)),  # not active yet
+         ("factor", (0.0, 0.5, 0.8), (0.0, float("inf"))))
+
+
+def test_arcs_named_but_not_slowed_keep_the_reference_plans(monkeypatch):
+    """Contributions name only some arcs of a mode, many of them without
+    slowing them.  The search asks ``residual`` about named arcs only and
+    takes every other arc at its free-flow time; plans stay the
+    reference's, which asks about every arc."""
+    residual = NetworkState.residual
+    read = []
+    monkeypatch.setattr(NetworkState, "residual",
+                        lambda self, s, m: read.append((s, m)) or residual(self, s, m))
+    seen = dict.fromkeys(("plans", "none", "named at 1.0", "slowed", "floor only",
+                          "unnamed"), 0)
+    for seed in range(60):
+        rng = random.Random(90_000 + seed)
+        net = (random_grid_network(rng, n=8) if seed % 2 else
+               random_network(rng, max_nodes=16, max_modes=3, max_extra_segments=16))
+        state = NetworkState(net, boarding_wait={m: rng.choice([0.0, 120.0]) for m in net.modes},
+                             clock=100.0)
+        pairs = [(s, e.mode_id) for s in sorted(net.segments) for e in net.segments[s].usage]
+        named = rng.sample(pairs, len(pairs) // 3)
+        kinds = {}
+        for i, target in enumerate(named + rng.sample(named, len(named) // 5)):
+            kind, values, (start, end) = rng.choice(NAMED)
+            kinds.setdefault(target, set()).add(kind)
+            state.add_contribution(Contribution(f"c{i:03d}", kind, frozenset({target}),
+                                                rng.choice(values), start, end))
+        nodes, modes = sorted(net.nodes), sorted(net.modes)
+        for _ in range(10):
+            origin, dest = rng.sample(nodes, 2)
+            prefs = RoutingPreferences(frozenset(rng.sample(modes, rng.randint(1, len(modes)))),
+                                       transfer_penalty=rng.choice([0.0, 30.0]))
+            read.clear()
+            found = _search(origin, dest, prefs, state)
+            assert set(read) <= set(named), (seed, origin, dest)
+            plan = same_as_reference(origin, dest, prefs, state)
+            seen["plans" if plan else "none"] += 1
+            for move in plan.moves if plan else ():
+                if move[0] != "seg":
+                    continue
+                target = move[1], move[2]
+                if target not in kinds:
+                    seen["unnamed"] += 1
+                elif residual(state, *target) < 1.0:
+                    seen["slowed"] += 1
+                else:
+                    seen["named at 1.0"] += 1
+                    seen["floor only"] += kinds[target] == {"floor"}
+            assert repr(found) == repr(plan.moves if plan else None)
+    assert min(seen.values()) >= 30, seen
+
+
 def segment_network(nodes, segments, mode="car"):
     """One car mode over (segment id, from, to, free-flow time) segments."""
     spec = line_network_spec(2, mode=mode)

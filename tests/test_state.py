@@ -12,6 +12,7 @@ from mitsim.state import Contribution, NetworkState, SimDefaults, WorldState
 from generators import CLOCKS, random_contribution, random_network, rebuilt
 from oracles import (
     brute_force_assemble,
+    brute_force_content,
     brute_force_flows,
     brute_force_mode_arcs,
     brute_force_residual,
@@ -20,6 +21,7 @@ from oracles import (
 )
 
 OWNERS = ("ev:a:", "ev:b:", "act:")
+INF = float("inf")
 
 
 def check_overlay(state, model):
@@ -189,6 +191,79 @@ def test_route_after_write_or_clock_move(line3):
     state.remove_contribution("slow")
     state.clock = 150.0
     assert route("v0", "v2", 150.0, prefs, state).total_cost == 200.0
+
+
+# Contribution edges for the validity-window fuzz; an end equal to its start
+# makes a contribution that is never active.
+EDGES = (0.0, 50.0, 100.0, 150.0, 200.0)
+
+
+def windowed_contribution(rng, net, cid):
+    """A random factor, floor or usage contribution whose window is empty,
+    bounded, or open-ended."""
+    start = rng.choice(EDGES)
+    end = rng.choice([start, INF] + [e for e in EDGES if e > start])
+    c = random_contribution(rng, net, cid)
+    return dataclasses.replace(c, start=start, end=end)
+
+
+def clock_step(rng, state, model):
+    """Moves the clock forward, backward, onto an edge of some contribution,
+    or just before one; returns the kind of move."""
+    edges = sorted({e for c in model.values() for e in (c.start, c.end) if e < INF})
+    kind = rng.choice(["forward", "back", "edge", "edge", "before"] if edges
+                      else ["forward", "back"])
+    if kind == "forward":
+        state.clock += rng.choice([1.0, 25.0, 50.0, 120.0])
+    elif kind == "back":
+        state.clock -= rng.choice([1.0, 25.0, 50.0, 120.0])
+    else:
+        state.clock = rng.choice(edges) - (kind == "before")
+    return kind
+
+
+def test_search_store_follows_the_content_within_its_validity_window():
+    """After every write and every clock move, ``searches()`` is the
+    network's store for the content a scan of every contribution gives,
+    whether the overlay reuses its store or looks it up again."""
+    seen = Counter()
+    for seed in range(150):
+        rng = random.Random(34_000 + seed)
+        net = random_network(rng, max_nodes=8, max_modes=3)
+        waits = {m: rng.choice([0.0, 150.0]) for m in net.modes}
+        state = NetworkState(net, boarding_wait=waits, clock=rng.choice(EDGES))
+        model: dict[str, Contribution] = {}
+        content = brute_force_content(state, model.values())
+        for step in range(40):
+            op = rng.choice(["add", "add", "replace", "remove", "remove_owned",
+                             "clock", "clock", "clock", "clock"])
+            if op in ("add", "replace"):
+                cid = (rng.choice(sorted(model)) if op == "replace" and model
+                       else f"{rng.choice(OWNERS)}{step}")
+                model[cid] = windowed_contribution(rng, net, cid)
+                state.add_contribution(model[cid])
+                seen["empty window"] += model[cid].start == model[cid].end
+                seen["open end"] += model[cid].end == INF
+            elif op == "remove":
+                cid = rng.choice(sorted(model) + ["missing"])
+                model.pop(cid, None)
+                state.remove_contribution(cid)
+            elif op == "remove_owned":
+                prefix = rng.choice(OWNERS + ("ev:",))
+                for cid in [k for k in model if k.startswith(prefix)]:
+                    del model[cid]
+                state.remove_owned(prefix)
+            else:
+                op = clock_step(rng, state, model)
+            previous, content = content, brute_force_content(state, model.values())
+            store = state.searches()
+            assert store is net.searches(content), (seed, step, op)
+            assert state.searches() is store
+            seen[op] += 1
+            if op in ("forward", "back", "edge", "before"):
+                seen["moved into another content" if content != previous
+                     else "moved within the content"] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 def test_searches_keep_the_factor_order(line3):
