@@ -17,7 +17,12 @@ and notifies, overlay writes, the entries ``setup`` schedules, and the median
 heap length as each entry reaches its handler.  Then each span in ``TIMED``
 is timed over ``--repeat`` runs with that span alone installed, so no nested
 span adds to it, each making the counted calls; ``seconds`` holds the median
-total and the mean per call (``time.perf_counter``, no reference scaling).
+total and the mean per call (``time.perf_counter``), and ``per_call_ref_us``,
+the mean per call in reference microseconds: before each repetition this
+process times the work of ``perfbench/reference.py``, divides the
+repetition's total by it and multiplies by ``perfbench/run.py``'s
+``REFERENCE_S``, so figures from two regenerations on a host whose speed
+drifts can be compared.
 
 Writes the report to ``--out`` (default: ``BENCH_layers.json`` at the repo
 root) and prints it.  Stdlib only; not part of any gate.
@@ -31,13 +36,16 @@ import os
 import platform
 import statistics
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import grid_city  # noqa: E402
+import reference  # noqa: E402
 from mitsim import scenario as scenario_module, simulation  # noqa: E402
+from run import REFERENCE_S  # noqa: E402
 from tracer import SPANS, Tracer  # noqa: E402
 
 # Spans beyond the tracer's own: (report name, module, attribute).
@@ -155,6 +163,15 @@ def count(workload: str, seed: int) -> dict:
     return {"calls": calls, "counts": counts}
 
 
+def reference_seconds() -> float:
+    """Seconds the work of ``perfbench/reference.py`` takes in this process now."""
+    start = time.perf_counter()
+    adj = reference.build_grid(reference.GRID)
+    for k in range(reference.SOURCES):
+        reference.distances(adj, (k % reference.GRID, (k * 7) % reference.GRID))
+    return time.perf_counter() - start
+
+
 def seconds(workload: str, seed: int, name: str, calls: int) -> float:
     """Plain seconds in ``name`` over one run with that span alone installed."""
     tracer = Tracer()
@@ -184,11 +201,16 @@ def main() -> int:
         out["seconds"] = {}
         for name in TIMED:
             calls = out["calls"][name]
-            total = statistics.median(seconds(workload, args.seed, name, calls)
-                                      for _ in range(args.repeat))
+            totals, scaled = [], []
+            for _ in range(args.repeat):
+                ref = reference_seconds()
+                totals.append(seconds(workload, args.seed, name, calls))
+                scaled.append(totals[-1] / ref * REFERENCE_S)
+            total, ref_total = statistics.median(totals), statistics.median(scaled)
             out["seconds"][name] = {
                 "total_s": round(total, 6),
                 "per_call_us": round(1e6 * total / calls, 3) if calls else None,
+                "per_call_ref_us": round(1e6 * ref_total / calls, 3) if calls else None,
             }
     text = json.dumps(report, indent=2, sort_keys=True)
     args.out.write_text(text + "\n", encoding="utf-8")

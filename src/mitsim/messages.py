@@ -86,15 +86,17 @@ class WarningMessage:
         ``encode`` emit bytes that ``decode`` rejects."""
         object.__setattr__(self, "case_specific", MappingProxyType(dict(self.case_specific)))
         got = vars(self)
-        for key, test, _wire_error, error in _FIELD_RULES:
-            if not test(got[key], got):
-                self._fail(error, got[key], got)
+        for key, _kind, rules in _FIELDS:
+            for test, _wire_error, error in rules:
+                if not test(got[key], got):
+                    self._fail(error, got[key], got)
             if key == "affected":
                 for entry in self.affected:
                     entry_got = vars(entry)
-                    for name, entry_test, _wire_error, entry_error in _ENTRY_RULES:
-                        if not entry_test(entry_got[name], entry_got):
-                            self._fail(entry_error, entry_got[name], entry_got)
+                    for _key, name, _kind, entry_rules in _ENTRY_KEYS:
+                        for test, _wire_error, error in entry_rules:
+                            if not test(entry_got[name], entry_got):
+                                self._fail(error, entry_got[name], entry_got)
 
     def _fail(self, error: str, value, got: Mapping):
         raise ValidationError(f"warning {self.warning_id}: " + error.format(value, **got))
@@ -241,14 +243,6 @@ _ENTRY_KEYS = (
                                   "modes must be sorted",
                                   "modes of {segment_id} not sorted"))),
 )
-
-
-# Each rule with the field it tests, in wire order.  The constructor runs
-# them on every warning built, and one flat loop per object is a quarter
-# faster than walking the key tables.
-_FIELD_RULES = tuple((key, *rule) for key, _kind, rules in _FIELDS for rule in rules)
-_ENTRY_RULES = tuple((name, *rule) for _key, name, _kind, rules in _ENTRY_KEYS
-                     for rule in rules)
 
 
 # -- canonical encoder -------------------------------------------------------

@@ -13,9 +13,10 @@ Networks are built once from a plain-dict description and are immutable
 afterwards; disturbance effects live in a separate overlay (see
 :mod:`mitsim.state`).  What is a pure function of the network and some
 further inputs is computed once and kept on it, so every run over one
-network shares it: per-mode adjacency and free-flow times, free-flow paths,
-distance tables from fixed source sets, the route search's landmark tables,
-and route search results per overlay content.
+network shares it: one arc table per mode (its adjacency by from-node),
+per-mode free-flow times, free-flow paths, distance tables from fixed
+source sets, the route search's landmark tables, and route search results
+per overlay content.
 """
 
 from __future__ import annotations
@@ -141,7 +142,6 @@ class MultiLayerNetwork:
         self.nodes = frozenset(nodes)
         self.segments = {s.segment_id: s for s in segments}
         self.multimodal_nodes = {mn.node_id: mn for mn in multimodal_nodes}
-        self._arcs: dict[str, tuple[Arc, ...]] = {}
         self._out_arcs: dict[str, dict[str, tuple[Arc, ...]]] = {}
         self._free_flow_times: dict[str, Mapping[str, float]] = {}
         self._undirected: Optional[dict[str, tuple[tuple[str, float], ...]]] = None
@@ -149,7 +149,6 @@ class MultiLayerNetwork:
         self._landmark_tables: Optional[tuple[Mapping[str, float], ...]] = None
         self._distance_tables: dict[tuple[tuple[str, float], ...], Mapping[str, float]] = {}
         self._searches: dict[Hashable, dict] = {}
-        # The check builds the views of MaaS modes into the caches above.
         self._check_maas_connectivity()
         self._shared_groups = self._index_shared_groups()
 
@@ -157,14 +156,16 @@ class MultiLayerNetwork:
 
     def _check_maas_connectivity(self) -> None:
         # Every MaaS mode must be reachable as a service: some connected
-        # component of its usable subgraph must contain >= 2 multimodal nodes.
+        # component of the segments it uses, taken undirected, must contain
+        # >= 2 multimodal nodes.
         for mode in self.modes.values():
             if not mode.maas_member:
                 continue
             adj: dict[str, set[str]] = {}
-            for arc in self.usable_subgraph(mode.mode_id):
-                adj.setdefault(arc.from_node, set()).add(arc.to_node)
-                adj.setdefault(arc.to_node, set()).add(arc.from_node)
+            for seg in self.segments.values():
+                if seg.usage_for(mode.mode_id) is not None:
+                    adj.setdefault(seg.from_node, set()).add(seg.to_node)
+                    adj.setdefault(seg.to_node, set()).add(seg.from_node)
             seen: set[str] = set()
             ok = False
             for start in sorted(adj):
@@ -196,33 +197,28 @@ class MultiLayerNetwork:
 
     # -- queries ------------------------------------------------------------
 
-    def usable_subgraph(self, mode_id: str) -> tuple[Arc, ...]:
-        """Directed arcs usable by ``mode_id``, respecting segment direction;
-        built once per mode."""
-        if mode_id not in self.modes:
-            raise ValidationError(f"unknown mode {mode_id}")
-        arcs = self._arcs.get(mode_id)
-        if arcs is None:
-            built = []
+    def out_arcs(self, mode_id: str) -> dict[str, tuple[Arc, ...]]:
+        """Directed arcs usable by ``mode_id``, respecting segment direction,
+        by from-node: each node's arcs in segment id order, forward before
+        backward.  Built once per mode; the mode's one arc table."""
+        grouped = self._out_arcs.get(mode_id)
+        if grouped is None:
+            if mode_id not in self.modes:
+                raise ValidationError(f"unknown mode {mode_id}")
+            built: dict[str, list[Arc]] = {}
             for seg_id in sorted(self.segments):
                 seg = self.segments[seg_id]
                 entry = seg.usage_for(mode_id)
                 if entry is None:
                     continue
                 if entry.direction in ("forward", "both"):
-                    built.append(Arc(seg.from_node, seg.to_node, seg.segment_id,
-                                     entry.free_flow_time, seg.length))
+                    built.setdefault(seg.from_node, []).append(Arc(
+                        seg.from_node, seg.to_node, seg_id, entry.free_flow_time, seg.length))
                 if entry.direction in ("backward", "both"):
-                    built.append(Arc(seg.to_node, seg.from_node, seg.segment_id,
-                                     entry.free_flow_time, seg.length))
-            arcs = self._arcs[mode_id] = tuple(built)
-        return arcs
-
-    def out_arcs(self, mode_id: str) -> dict[str, tuple[Arc, ...]]:
-        """The ``usable_subgraph`` arcs grouped by from-node, built once per mode."""
-        if mode_id not in self._out_arcs:
-            self._out_arcs[mode_id] = group_by_from_node(self.usable_subgraph(mode_id))
-        return self._out_arcs[mode_id]
+                    built.setdefault(seg.to_node, []).append(Arc(
+                        seg.to_node, seg.from_node, seg_id, entry.free_flow_time, seg.length))
+            grouped = self._out_arcs[mode_id] = {n: tuple(arcs) for n, arcs in built.items()}
+        return grouped
 
     def free_flow_times(self, mode_id: str) -> Mapping[str, float]:
         """Free-flow time of every segment ``mode_id`` uses, by segment id,
@@ -335,14 +331,6 @@ class MultiLayerNetwork:
         for seg_id in segment_ids:
             out |= self.shared_group_members(seg_id)
         return out
-
-
-def group_by_from_node(arcs: Iterable[Arc]) -> dict[str, tuple[Arc, ...]]:
-    """Arcs by from-node, each node's arcs in their input order."""
-    grouped: dict[str, list[Arc]] = {}
-    for arc in arcs:
-        grouped.setdefault(arc.from_node, []).append(arc)
-    return {node: tuple(out) for node, out in grouped.items()}
 
 
 # -- construction from plain data -------------------------------------------

@@ -92,9 +92,6 @@ class Metrics:
     relevance_precision: Optional[float] = None
     relevance_recall: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        return _canon(asdict(self))
-
 
 @dataclass
 class RunResult:
@@ -108,42 +105,19 @@ class RunResult:
     notified_mobile: set[str]
 
     def metrics_json(self) -> str:
-        return json.dumps(self.metrics.to_dict(), separators=(",", ":"), sort_keys=True)
+        """``metrics.json``: the metrics as the log lines print them, with
+        the keys of every object sorted."""
+        return _json(_sorted(asdict(self.metrics)))
 
 
-def _round6(x):
-    if isinstance(x, float):
-        return round(x, 6)
-    return x
-
-
-def _canon(obj):
-    """A copy of ``obj`` with floats rounded to 6 decimals and tuples made
-    lists, as ``metrics.json`` prints them.  Leaves are handled inline, so
-    only containers cost a recursive call."""
-    if isinstance(obj, dict):
-        out = {}
-        for k, v in obj.items():
-            if isinstance(v, float):
-                v = round(v, 6)
-            elif isinstance(v, (dict, list, tuple)):
-                v = _canon(v)
-            out[k] = v
-        return out
-    if isinstance(obj, (list, tuple)):
-        items = []
-        for v in obj:
-            if isinstance(v, float):
-                v = round(v, 6)
-            elif isinstance(v, (dict, list, tuple)):
-                v = _canon(v)
-            items.append(v)
-        return items
-    return _round6(obj)
+def _sorted(value):
+    """A copy of ``value`` with the keys of every dict in it sorted."""
+    if isinstance(value, dict):
+        return {k: _sorted(value[k]) for k in sorted(value)}
+    return [_sorted(v) for v in value] if isinstance(value, (list, tuple)) else value
 
 
 _ascii = json.encoder.encode_basestring_ascii
-_NO_T = object()
 
 
 def _num(x) -> str:
@@ -157,8 +131,9 @@ def _num(x) -> str:
 
 
 def _json(value) -> str:
-    """``value`` as the log lines print it: ``json.dumps`` of its
-    ``_canon`` copy with ``separators=(",", ":")``, built in one pass."""
+    """``value`` as every output line prints it: ``json.dumps`` with
+    ``separators=(",", ":")`` of a copy with floats rounded to 6 decimals,
+    built in one pass.  Dict keys must be strings."""
     if isinstance(value, str):
         return _ascii(value)
     if isinstance(value, float):
@@ -172,33 +147,14 @@ def _json(value) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, dict):
-        return _json_line(value)
+        return "{" + ",".join([_ascii(k) + ":" + _json(v) for k, v in value.items()]) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ",".join([_json(v) for v in value]) + "]"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _json_line(record: dict, t=_NO_T) -> str:
-    """``record`` as one JSON object (string keys only), led by ``"t": t``
-    when ``t`` is given; as in ``{"t": t, **record}``, a record's own
-    ``"t"`` then takes that first place."""
-    parts = []
-    sep = "{"
-    if t is not _NO_T:
-        if "t" in record:
-            t = record["t"]
-            record = {k: v for k, v in record.items() if k != "t"}
-        parts += ('{"t":', _json(t))
-        sep = ","
-    for k, v in record.items():
-        parts += (sep, _ascii(k), ":", _json(v))
-        sep = ","
-    parts.append("}" if parts else "{}")
-    return "".join(parts)
-
-
 # The three most frequent event lines, one per trip or replan, written from
-# fixed templates: each equals ``_json_line`` of its record led by ``"t"``.
+# fixed templates: each equals ``_json`` of its record led by ``"t"``.
 
 
 def _spawn_line(t, traveler: str, origin: str, dest: str) -> str:
@@ -244,8 +200,9 @@ class _Sim:
 
     def log(self, t: float, record) -> None:
         """Appends one event line: ``record`` itself when it is a line built
-        from a template, else the dict led by ``"t": t``."""
-        self.event_log.append(record if isinstance(record, str) else _json_line(record, t))
+        from a template, else the dict led by ``"t": t`` (a record's own
+        ``"t"`` takes that first place)."""
+        self.event_log.append(record if isinstance(record, str) else _json({"t": t, **record}))
 
     # -- setup ----------------------------------------------------------------
 
@@ -351,8 +308,6 @@ class _Sim:
 
     def _advance(self, tv: Traveler, t: float, device: Optional[EdgeDevice]) -> None:
         """Starts ``tv``'s next move at ``t``; ``device`` is ``tv``'s, or None."""
-        if tv.status in ("completed", "abandoned"):
-            return
         tv.status = "moving"
         if tv.replan_flag:
             self._maybe_replan(tv, t)
@@ -404,7 +359,7 @@ class _Sim:
     def _complete(self, tv: Traveler, t: float) -> None:
         tv.status = "completed"
         tv.arrival = t
-        delay = (t - tv.depart) - (tv.baseline_cost or 0.0)
+        delay = (t - tv.depart) - tv.baseline_cost
         self.log(t, _trip_complete_line(t, tv.tid, tv.depart, delay))
 
     def _abandon(self, tv: Traveler, t: float, why: str) -> None:
@@ -516,10 +471,9 @@ class _Sim:
             records = adaptation.apply(actions, self.world, t)
             for record in records:
                 if record.get("type") == "signal_conflict":
-                    self.log(t, {"type": "signal_conflict", **{
-                        k: v for k, v in record.items() if k != "type"}})
+                    self.log(t, record)
                 else:
-                    self.action_log.append(_json_line(record))
+                    self.action_log.append(_json(record))
                     self.metrics.actions_applied += 1
             for action in actions:
                 self.schedule(action.expiry, "action_end", (action,))
@@ -663,7 +617,7 @@ class _Sim:
             m.trips_total += 1
             if tv.status == "completed":
                 m.trips_completed += 1
-                delays.append((tv.arrival - tv.depart) - (tv.baseline_cost or 0.0))
+                delays.append((tv.arrival - tv.depart) - tv.baseline_cost)
             elif tv.status == "abandoned":
                 m.trips_abandoned += 1
             else:
@@ -735,15 +689,17 @@ class ComparisonReport:
     recall: Optional[float]
 
     def to_dict(self) -> dict:
+        """``compare.json``'s content: floats rounded to 6 decimals as in
+        ``metrics.json``."""
         def summarize(result: RunResult) -> dict:
-            d = result.metrics.to_dict()
+            m = result.metrics
             return {
-                "total_delay_s": d["total_delay_s"],
-                "trips_completed": d["trips_completed"],
-                "trips_abandoned": d["trips_abandoned"],
-                "messages_sent_total": d["messages_sent_total"],
-                "broadcast_baseline_total": d["broadcast_baseline_total"],
-                "warnings_issued": d["warnings_issued"],
+                "total_delay_s": round(m.total_delay_s, 6),
+                "trips_completed": m.trips_completed,
+                "trips_abandoned": m.trips_abandoned,
+                "messages_sent_total": m.messages_sent_total,
+                "broadcast_baseline_total": m.broadcast_baseline_total,
+                "warnings_issued": m.warnings_issued,
             }
 
         return {
@@ -753,8 +709,8 @@ class ComparisonReport:
             "ground_truth_devices": {
                 k: sorted(v) for k, v in sorted(self.ground_truth.items())
             },
-            "relevance_precision": _round6(self.precision),
-            "relevance_recall": _round6(self.recall),
+            "relevance_precision": None if self.precision is None else round(self.precision, 6),
+            "relevance_recall": None if self.recall is None else round(self.recall, 6),
         }
 
 

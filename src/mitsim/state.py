@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .network import PT_CATEGORIES, Arc, MultiLayerNetwork, group_by_from_node
+from .network import PT_CATEGORIES, Arc, MultiLayerNetwork
 
 _INF = float("inf")
 _UNTOUCHED: frozenset[str] = frozenset()
@@ -252,8 +252,9 @@ class NetworkState:
         open segments to the mode: then both directions of each such
         segment follow each node's own arcs, in contribution id order.
         """
+        static = self.net.out_arcs(mode_id)
         if not self._opens:
-            return self.net.out_arcs(mode_id)
+            return static
         opened = []
         for c in self.active_contributions():
             if c.kind != "usage":
@@ -267,8 +268,11 @@ class NetworkState:
                 opened.append(Arc(seg.to_node, seg.from_node, seg_id,
                                   c.free_flow_time, seg.length))
         if not opened:
-            return self.net.out_arcs(mode_id)
-        return group_by_from_node(self.net.usable_subgraph(mode_id) + tuple(opened))
+            return static
+        grouped = {node: list(arcs) for node, arcs in static.items()}
+        for arc in opened:
+            grouped.setdefault(arc.from_node, []).append(arc)
+        return grouped
 
     def wait_to_board(self, mode_id: str) -> float:
         return self.boarding_wait.get(mode_id, 0.0)

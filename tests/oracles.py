@@ -227,9 +227,20 @@ def brute_force_traversal_time(net, contributions, clock, segment_id, mode_id):
 
 
 def brute_force_mode_arcs(net, contributions, clock, mode_id):
-    """The mode's base arcs, then both directions of every segment an active
-    usage contribution opens to it, in contribution id order."""
-    arcs = list(net.usable_subgraph(mode_id))
+    """The mode's base arcs (each segment's in id order, forward before
+    backward, as its first usage entry for the mode directs), then both
+    directions of every segment an active usage contribution opens to it,
+    in contribution id order."""
+    arcs = []
+    for seg_id in sorted(net.segments):
+        seg = net.segments[seg_id]
+        entry = seg.usage_for(mode_id)
+        if entry is None:
+            continue
+        if entry.direction in ("forward", "both"):
+            arcs.append(Arc(seg.from_node, seg.to_node, seg_id, entry.free_flow_time, seg.length))
+        if entry.direction in ("backward", "both"):
+            arcs.append(Arc(seg.to_node, seg.from_node, seg_id, entry.free_flow_time, seg.length))
     for c in sorted(contributions, key=lambda c: c.contrib_id):
         if c.kind != "usage" or not c.active(clock):
             continue

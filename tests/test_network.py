@@ -13,10 +13,15 @@ from generators import random_network, random_network_spec
 from oracles import brute_force_free_flow_path, brute_force_node_distances
 
 
+def arcs(net, mode_id):
+    """Every arc of the mode's table, flattened."""
+    return [arc for out in net.out_arcs(mode_id).values() for arc in out]
+
+
 def test_minimal_valid_network():
     spec = line_network_spec(n=2)
     net = build_network(spec)
-    assert {a.segment_id for a in net.usable_subgraph("car")} == {"s0"}
+    assert {a.segment_id for a in arcs(net, "car")} == {"s0"}
 
 
 def test_unread_usage_keys_are_ignored():
@@ -76,7 +81,7 @@ def test_default_bundled_network(demo_net):
 def test_one_way_segment_single_arc():
     spec = line_network_spec(2, direction="forward")
     net = build_network(spec)
-    assert len(net.usable_subgraph("car")) == 1
+    assert len(arcs(net, "car")) == 1
 
 
 def test_two_way_cycling_on_one_way_street():
@@ -89,8 +94,8 @@ def test_two_way_cycling_on_one_way_street():
         {"mode_id": "bike", "direction": "both", "base_capacity": 300,
          "free_flow_time": 240})
     net = build_network(spec)
-    assert len(net.usable_subgraph("car")) == 1
-    assert len(net.usable_subgraph("bike")) == 2
+    assert len(arcs(net, "car")) == 1
+    assert len(arcs(net, "bike")) == 2
 
 
 def test_mode_with_no_segments_empty_graph():
@@ -100,12 +105,12 @@ def test_mode_with_no_segments_empty_graph():
     spec["networks"].append({"network_id": "rail", "name": "rail"})
     spec["usage_matrix"].append(["tram", "rail"])
     net = build_network(spec)
-    assert net.usable_subgraph("tram") == ()
+    assert net.out_arcs("tram") == {}
 
 
 def test_unknown_mode_subgraph_rejected(line3):
     with pytest.raises(ValidationError, match="unknown mode"):
-        line3.usable_subgraph("bus")
+        line3.out_arcs("bus")
 
 
 def test_shared_group_members_singleton(line3):
@@ -143,7 +148,7 @@ def test_arc_roundtrip_property():
         rng = random.Random(seed)
         net = random_network(rng)
         for mode_id in net.modes:
-            for arc in net.usable_subgraph(mode_id):
+            for arc in arcs(net, mode_id):
                 seg = net.segments[arc.segment_id]
                 assert seg.usage_for(mode_id) is not None
 

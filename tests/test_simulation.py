@@ -13,8 +13,9 @@ from mitsim.simulation import (
     MODE_BROADCAST,
     MODE_NO_ADAPT,
     MODE_TARGETED,
-    _canon,
-    _json_line,
+    Metrics,
+    RunResult,
+    _json,
     _replan_line,
     _Sim,
     _spawn_line,
@@ -389,9 +390,8 @@ def test_compare_no_disturbances_identical():
     raw = mini_scenario()
     raw["disturbances"] = []
     report = compare(load_scenario(raw))
-    a = report.no_adapt.metrics.to_dict()
-    b = report.broadcast.metrics.to_dict()
-    c = report.targeted.metrics.to_dict()
+    a, b, c = (json.loads(result.metrics_json())
+               for result in (report.no_adapt, report.broadcast, report.targeted))
     for key in ("trips_total", "trips_completed", "total_delay_s"):
         assert a[key] == b[key] == c[key]
     assert report.precision is None and report.recall is None
@@ -604,9 +604,7 @@ LOG_VALUES = st.recursive(
 @given(st.dictionaries(LOG_TEXT, LOG_VALUES, max_size=6))
 def test_log_line_equals_dumps_of_the_rounded_copy(record):
     before = repr(record)
-    expected = brute_force_canon(record)
-    assert repr(_canon(record)) == repr(expected)
-    assert _json_line(record) == json.dumps(expected, separators=(",", ":"))
+    assert _json(record) == json.dumps(brute_force_canon(record), separators=(",", ":"))
     assert repr(record) == before
 
 
@@ -624,6 +622,59 @@ def test_event_log_line_equals_dumps_of_the_merged_record(t, record):
     assert repr(record) == before
 
 
+METRIC_IDS = st.one_of(LOG_TEXT, st.sampled_from(['e"1', "a\\b", "Zürich", "\U0001F68C-7",
+                                                 "\ud83d", "e2", "e10"]))
+# Detection entries as the simulator builds them, with their keys in both
+# orders, or any small map.
+DETECTION_ENTRIES = st.one_of(
+    st.none(),
+    st.fixed_dictionaries({"latency": LOG_FLOATS, "source": LOG_TEXT}),
+    st.fixed_dictionaries({"source": LOG_TEXT, "latency": LOG_FLOATS}),
+    st.dictionaries(METRIC_IDS, LOG_SCALARS, max_size=3),
+)
+
+
+def metric_values(f):
+    """Values of one ``Metrics`` field; a float total may be the int 0."""
+    if f.name == "detection":
+        return st.dictionaries(METRIC_IDS, DETECTION_ENTRIES, max_size=5)
+    if f.name.startswith("relevance_"):
+        return st.one_of(st.none(), LOG_FLOATS)
+    return st.one_of(LOG_FLOATS, st.just(0)) if f.type == "float" else st.integers()
+
+
+METRICS = st.builds(Metrics, **{f.name: metric_values(f) for f in dataclasses.fields(Metrics)})
+
+
+@settings(max_examples=400, deadline=None)
+@given(METRICS)
+def test_metrics_json_equals_sorted_dumps_of_the_rounded_copy(metrics):
+    """``metrics.json`` is ``json.dumps`` of the rounded copy with every
+    level's keys sorted."""
+    result = RunResult(MODE_TARGETED, metrics, [], [], [], {}, [], set())
+    before = repr(metrics)
+    assert result.metrics_json() == json.dumps(
+        brute_force_canon(dataclasses.asdict(metrics)), separators=(",", ":"), sort_keys=True)
+    assert repr(metrics) == before
+
+
+def test_signal_conflict_lines():
+    """A later signal plan taking over an approach logs one event line per
+    approach, the adaptation record led by "t", and no action line."""
+    raw = demo_scenario()
+    second = dict(raw["disturbances"][0], event_id="bridge-crash-b", start=900)
+    raw["disturbances"].append(second)
+    result = run(load_scenario(raw))
+    assert [line for line in result.event_log if '"signal_conflict"' in line] == [
+        '{"t":953,"type":"signal_conflict","approach":["n1","R1"],'
+        '"overridden":"a-bridge-crash-3","winner":"a-bridge-crash-b-3"}',
+        '{"t":953,"type":"signal_conflict","approach":["n1","R2"],'
+        '"overridden":"a-bridge-crash-3","winner":"a-bridge-crash-b-3"}',
+    ]
+    assert not any("signal_conflict" in line for line in result.action_log)
+    assert result.metrics.actions_applied == len(result.action_log) == 6
+
+
 LOG_TIMES = st.one_of(LOG_FLOATS, st.integers())
 LOG_IDS = st.one_of(LOG_TEXT, st.sampled_from(['tv"1', "a\\b", "n\x07\n\x1f", "Zürich",
                                               "\U0001F68C-7", '\\"\u00e9\U00010348']))
@@ -633,7 +684,8 @@ LOG_IDS = st.one_of(LOG_TEXT, st.sampled_from(['tv"1', "a\\b", "n\x07\n\x1f", "Z
 @given(LOG_TIMES, LOG_IDS, LOG_IDS, LOG_IDS, LOG_TIMES, LOG_TIMES)
 def test_templated_event_lines_equal_the_generic_writer(t, traveler, origin, dest, x, y):
     """The spawn, trip_complete and replan templates print the bytes
-    ``_json_line`` prints for the same record, and ``_Sim.log`` keeps them."""
+    ``_json`` prints for the same record led by "t", and ``_Sim.log``
+    keeps them."""
     cases = [
         (_spawn_line(t, traveler, origin, dest),
          {"type": "spawn", "traveler": traveler, "origin": origin, "dest": dest}),
@@ -644,7 +696,7 @@ def test_templated_event_lines_equal_the_generic_writer(t, traveler, origin, des
     ]
     sim = SimpleNamespace(event_log=[])
     for line, record in cases:
-        assert line == _json_line(record, t)
+        assert line == _json({"t": t, **record})
         _Sim.log(sim, t, line)
     assert sim.event_log == [line for line, _record in cases]
 
