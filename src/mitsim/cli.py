@@ -101,10 +101,9 @@ def main(argv=None) -> int:
                              ("targeted", report.targeted)):
             _write_result(result, out_dir / name)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "compare.json").write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
         d = report.to_dict()
+        (out_dir / "compare.json").write_text(
+            json.dumps(d, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         print("delay (s): no_adapt {no} | broadcast {b} | targeted {t}".format(
             no=d["no_adapt"]["total_delay_s"],
             b=d["broadcast"]["total_delay_s"],

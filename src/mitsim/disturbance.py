@@ -14,6 +14,7 @@ interval; real wire standards are out of scope.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
 from typing import Container, Mapping, Optional
@@ -94,7 +95,9 @@ class DisturbanceEvent:
     ``details_at`` and ``registered_duration`` are also read into the
     numbers :attr:`details_at` and :attr:`registered_duration` when the
     event is built, so a value that is no number, or a registered duration
-    that is not > 0, fails there, naming the event.
+    that is not > 0, fails there, naming the event.  The run turns each end
+    (start plus a duration) into whole clock seconds, so a duration that is
+    not finite, or an end that overflows, fails there too.
     """
 
     event_id: str
@@ -130,6 +133,11 @@ class DisturbanceEvent:
             raise ValidationError(f"event {self.event_id}: start must be >= 0")
         if not (self.estimated_duration > 0 and self.true_duration > 0):
             raise ValidationError(f"event {self.event_id}: durations must be > 0")
+        durations = (self.estimated_duration, self.true_duration, self.registered_duration or 0.0)
+        if not all(map(math.isfinite, durations)):
+            raise ValidationError(f"event {self.event_id}: durations must be finite")
+        if not all(math.isfinite(self.start + d) for d in durations):
+            raise ValidationError(f"event {self.event_id}: end time is not finite")
 
     @property
     def estimated_end(self) -> float:
@@ -162,6 +170,8 @@ class DetectionSource:
             raise ValidationError(f"source {self.source_kind}: probability outside [0, 1]")
         if not 0.0 <= self.latency_min <= self.latency_max:
             raise ValidationError(f"source {self.source_kind}: bad latency interval")
+        if not math.isfinite(self.latency_max):
+            raise ValidationError(f"source {self.source_kind}: latency must be finite")
 
 
 # EffectMatrix: plain mapping kind -> frozenset of (mode_id, network_id).

@@ -2,10 +2,9 @@
 
 A warning is the data package pushed to edge devices when a disturbance is
 detected: disturbance kind, located affected entries (network, segment,
-segment class, modes), severity measures, estimated end time, a revision
-counter, and a detail tier.  The ``basic`` tier is small enough to spread
-broadly and is the one the simulator sends; the ``full`` tier adds
-case-specific details.
+segment class, modes), severity measures, estimated end time and a revision
+counter.  There is one warning form, small enough to spread broadly; the
+event's case-specific data stays with the event.
 
 Wire format
 -----------
@@ -21,7 +20,10 @@ encode to identical bytes in any implementation.
   ``displaced_volume``;
 * each ``affected`` entry: ``network_id``, ``segment_id``, ``class``,
   ``modes`` (modes sorted);
-* ``case_specific`` keys sorted lexicographically, scalar values only;
+* ``detail`` is always ``"basic"`` and ``case_specific`` always ``{}``:
+  fixed literals that keep the wire form of every warning ever written.
+  Dropping the two keys changes the wire format and every warnings log, so
+  it belongs with a deliberate behaviour change;
 * integers in decimal; times as integer seconds since scenario epoch;
   fractional numbers with exactly 4 decimal digits (e.g. ``0.2500``);
 * strings JSON-escaped (``\\``, ``"``, control characters).
@@ -34,18 +36,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from types import MappingProxyType
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Union
 
 from .disturbance import (DISTURBANCE_KINDS, SEVERITY_MEASURES, DisturbanceEvent, EffectMatrix,
                           SeverityMeasure, affected_pairs, hit_entries)
 from .errors import CodecError, ValidationError
 from .network import SEGMENT_CLASSES, MultiLayerNetwork
-
-DETAIL_TIERS = ("basic", "full")
-
-CaseValue = Union[str, int, bool, float]
 
 
 def quantize_fraction(x: float) -> float:
@@ -71,20 +68,15 @@ class WarningMessage:
     event_id: str
     kind: str
     revision: int
-    detail: str
     issue_time: int
     estimated_end: int
     severity: SeverityMeasure
     affected: tuple[AffectedEntry, ...]
-    case_specific: Mapping[str, CaseValue] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         """Raise the first wire rule (see ``_FIELDS``) this warning breaks.
 
-        Each warning is checked once, when it is built.  ``case_specific``
-        is stored as a read-only copy, so no later change can make
-        ``encode`` emit bytes that ``decode`` rejects."""
-        object.__setattr__(self, "case_specific", MappingProxyType(dict(self.case_specific)))
+        Each warning is checked once, when it is built."""
         got = vars(self)
         for key, _kind, rules in _FIELDS:
             for test, _wire_error, error in rules:
@@ -110,14 +102,14 @@ def make_warning(
     net: MultiLayerNetwork,
     matrix: EffectMatrix,
     issue_time: int,
-) -> tuple[WarningMessage, Optional[WarningMessage]]:
-    """Build revision 0 of an event's warning: (basic tier, full tier).
+) -> tuple[WarningMessage, None]:
+    """Build revision 0 of an event's warning, paired with None.
 
     Affected entries cover each located segment with the modes of its
     ``hit_entries``.  For kinds with an empty matrix row (major events)
     every mode present on the located segments is listed, since the impact
-    is a demand shift for everyone nearby.  The full tier is None when the
-    event carries no case-specific data.
+    is a demand shift for everyone nearby.  The second item is always None:
+    the pair stays until no caller unpacks it.
     """
     every_mode = not affected_pairs(event.kind, matrix)
     estimated_end = math.ceil(event.start + event.estimated_duration)
@@ -141,22 +133,16 @@ def make_warning(
             f"event {event.event_id}: no affected modes on the located segments"
         )
     severity = _quantize_severity(event.severity)
-    basic = WarningMessage(
+    return WarningMessage(
         warning_id=f"w-{event.event_id}",
         event_id=event.event_id,
         kind=event.kind,
         revision=0,
-        detail="basic",
         issue_time=int(issue_time),
         estimated_end=estimated_end,
         severity=severity,
         affected=tuple(entries),
-        case_specific={},
-    )
-    case = _coerce_case_map(event.specifics)
-    if not case:
-        return basic, None
-    return basic, replace(basic, detail="full", case_specific=case)
+    ), None
 
 
 def revise(w: WarningMessage, new_estimated_end: int) -> WarningMessage:
@@ -175,27 +161,19 @@ def _quantize_severity(severity: SeverityMeasure) -> SeverityMeasure:
     return SeverityMeasure(**values)
 
 
-def _coerce_case_map(specifics: Mapping[str, object]) -> dict[str, CaseValue]:
-    out: dict[str, CaseValue] = {}
-    for key in sorted(specifics):
-        value = specifics[key]
-        if isinstance(value, bool) or isinstance(value, (int, str)):
-            out[str(key)] = value
-        elif isinstance(value, float):
-            out[str(key)] = quantize_fraction(value)
-        else:
-            out[str(key)] = str(value)
-    return out
-
-
 # -- wire schema -------------------------------------------------------------
 #
 # The key orders of the wire format above.  encode and decode both walk
 # these tables, so the two directions cannot disagree on the order.  Value
 # types: "string", "int", "fraction", "modes" (a non-empty sorted list of
-# strings), and "severity" (the measures of SEVERITY_MEASURES, absent ones
-# left out), "affected" and "case_specific" for the nested parts of the
-# same names.
+# strings), "severity" (the measures of SEVERITY_MEASURES, absent ones
+# left out) and "affected" for the nested part of that name; or a _Literal,
+# a fixed text that no WarningMessage field holds.
+
+
+class _Literal(str):
+    """A value type that is its own wire text: written and expected as is."""
+
 
 # A rule is (test of a value given the fields of its object read before
 # it, the decoder's error, the constructor's error); the errors are format
@@ -203,8 +181,8 @@ def _coerce_case_map(specifics: Mapping[str, object]) -> dict[str, CaseValue]:
 # once its value is read and the constructor applies them in the same
 # order, so both report the first broken rule in wire order.
 
-# Top-level keys, each the WarningMessage field of that name: (key, value
-# type, rules).
+# Top-level keys, each the WarningMessage field of that name unless its
+# type is a _Literal: (key, value type, rules).
 _FIELDS = (
     ("warning_id", "string", ()),
     ("event_id", "string", ()),
@@ -212,8 +190,7 @@ _FIELDS = (
                          "unknown kind code {0!r}", "unknown kind {0!r}"),)),
     ("revision", "int", ((lambda v, got: v >= 0,
                           "revision must be >= 0", "negative revision"),)),
-    ("detail", "string", ((lambda v, got: v in DETAIL_TIERS,
-                           "unknown detail tier {0!r}", "bad detail tier {0!r}"),)),
+    ("detail", _Literal('"basic"'), ()),
     ("issue_time", "int", ()),
     ("estimated_end", "int", ((lambda v, got: v > got["issue_time"],
                                "estimated_end must exceed issue_time",
@@ -222,9 +199,7 @@ _FIELDS = (
     ("affected", "affected", ((lambda v, got: len(v) > 0,
                                "affected list must not be empty",
                                "empty affected list"),)),
-    ("case_specific", "case_specific", ((lambda v, got: not v or got["detail"] != "basic",
-                                         "basic tier must carry an empty case_specific map",
-                                         "basic tier must not carry case data"),)),
+    ("case_specific", _Literal("{}"), ()),
 )
 
 # Keys of an affected entry: (key, AffectedEntry field, value type, rules)
@@ -260,19 +235,6 @@ def _emit_fraction(value: float, out: list[str], what: str) -> None:
     out.append(f"{value:.4f}")
 
 
-def _emit_case_value(value: CaseValue, out: list[str], key: str) -> None:
-    if isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        _emit_fraction(value, out, f"case_specific {key}")
-    elif isinstance(value, str):
-        out.append(_quote(value))
-    else:
-        raise ValidationError(f"case_specific {key}: unsupported value type")
-
-
 def encode(w: WarningMessage) -> bytes:
     """Canonical byte encoding; equal warnings yield identical bytes."""
     out: list[str] = []
@@ -280,7 +242,10 @@ def encode(w: WarningMessage) -> bytes:
     for key, kind, _rules in _FIELDS:
         out.append(f'{sep}"{key}":')
         sep = ","
-        _emit(kind, getattr(w, key), out, key)
+        if isinstance(kind, _Literal):
+            out.append(kind)
+        else:
+            _emit(kind, getattr(w, key), out, key)
     out.append("}")
     return "".join(out).encode("utf-8")
 
@@ -311,7 +276,7 @@ def _emit(kind: str, value, out: list[str], key: str) -> None:
             sep = ","
             _emit(measure, v, out, name)
         out.append("}")
-    elif kind == "affected":
+    else:  # affected
         out.append("[")
         for i, entry in enumerate(value):
             if i:
@@ -323,15 +288,6 @@ def _emit(kind: str, value, out: list[str], key: str) -> None:
                 _emit(entry_kind, getattr(entry, name), out, entry_key)
             out.append("}")
         out.append("]")
-    else:  # case_specific
-        out.append("{")
-        for i, ck in enumerate(sorted(value)):
-            if i:
-                out.append(",")
-            out.append(_quote(ck))
-            out.append(":")
-            _emit_case_value(value[ck], out, ck)
-        out.append("}")
 
 
 # -- canonical decoder -------------------------------------------------------
@@ -440,6 +396,9 @@ def decode(data: bytes) -> WarningMessage:
         s.expect(sep)
         s.expect(f'"{key}":')
         sep = ","
+        if isinstance(kind, _Literal):
+            s.expect(kind)
+            continue
         at = s.i
         got[key] = _read(s, kind, key)
         _apply_rules(s, rules, got[key], got, at)
@@ -466,9 +425,7 @@ def _read(s: _Scanner, kind: str, key: str):
         return _parse_modes(s)
     if kind == "severity":
         return _parse_severity(s)
-    if kind == "affected":
-        return _parse_affected(s)
-    return _parse_case_map(s)
+    return _parse_affected(s)
 
 
 def _parse_severity(s: _Scanner) -> SeverityMeasure:
@@ -477,10 +434,12 @@ def _parse_severity(s: _Scanner) -> SeverityMeasure:
     fields: dict[str, object] = {}
     sep = ""
     for name, measure in SEVERITY_MEASURES:
-        try:
-            s.expect(f'{sep}"{name}":')
-        except CodecError:  # an absent measure; expect failed before moving
-            continue
+        key = f'{sep}"{name}":'
+        if not s.text.startswith(key, s.i):
+            if key.startswith(s.text[s.i:]):  # the input ends inside the key
+                s.fail("unexpected end of input")
+            continue  # an absent measure
+        s.i += len(key)
         fields[name] = s.parse_typed(measure, name)
         sep = ","
     s.expect("}")
@@ -527,35 +486,3 @@ def _parse_modes(s: _Scanner) -> tuple[str, ...]:
         modes.append(s.parse_string())
     return tuple(modes)
 
-
-def _parse_case_map(s: _Scanner) -> dict[str, CaseValue]:
-    s.expect("{")
-    out: dict[str, CaseValue] = {}
-    if s.peek() == "}":
-        s.i += 1
-        return out
-    prev_key: Optional[str] = None
-    while True:
-        key_at = s.i
-        key = s.parse_string()
-        if prev_key is not None and key <= prev_key:
-            s.fail("case_specific keys must be strictly ascending", at=key_at)
-        prev_key = key
-        s.expect(":")
-        ch = s.peek()
-        if ch == '"':
-            out[key] = s.parse_string()
-        elif ch == "t":
-            s.expect("true")
-            out[key] = True
-        elif ch == "f":
-            s.expect("false")
-            out[key] = False
-        else:
-            out[key] = s.parse_number()
-        if s.peek() == ",":
-            s.i += 1
-            continue
-        break
-    s.expect("}")
-    return out

@@ -163,9 +163,6 @@ class Scenario:
             raise ValidationError("scenario: seed must be an integer")
         return dataclasses.replace(self, seed=seed)
 
-    def stream(self, name: str) -> random.Random:
-        return stream_rng(self.seed, name)
-
 
 def stream_rng(seed: int, name: str) -> random.Random:
     """Named substream: independent draws per component and per entity."""
@@ -378,7 +375,7 @@ def load_scenario(raw: Mapping) -> Scenario:
     for i, s in entries(raw.get("detection_sources", []), "detection_sources",
                         "detection source"):
         where = f"detection source {i}"
-        sources.append(DetectionSource(
+        source = DetectionSource(
             source_kind=known(require(s, where, "source_kind"), DETECTION_SOURCE_KINDS, where,
                               "source kind"),
             applicable_kinds=frozenset(
@@ -388,7 +385,14 @@ def load_scenario(raw: Mapping) -> Scenario:
                                         "detect_probability"),
             latency_min=as_float(s.get("latency_min", 0.0), where, "latency_min"),
             latency_max=as_float(s.get("latency_max", 0.0), where, "latency_max"),
-        ))
+        )
+        # The run schedules a detection at its whole second, start + latency.
+        for event in events:
+            if (event.kind in source.applicable_kinds
+                    and not math.isfinite(event.start + source.latency_max)):
+                raise ValidationError(f"{where}: detection time of event {event.event_id} "
+                                      "is not finite")
+        sources.append(source)
 
     # devices, validated by building them once; runs copy these
     devices: list[EdgeDevice] = []

@@ -221,7 +221,7 @@ class _Sim:
             self.schedule(event.start, "inject", (event.event_id,))
             self.schedule(event.true_end, "event_end", (event.event_id,))
             if self.config.detection:
-                rng = scenario.stream(f"detect:{event.event_id}")
+                rng = stream_rng(scenario.seed, f"detect:{event.event_id}")
                 hit = detect(event, list(scenario.sources), rng)
                 if hit is not None:
                     detect_time, source = hit
@@ -449,7 +449,7 @@ class _Sim:
             self.log(t, {"type": "late_detection", "event": event_id})
             return
         try:
-            basic, _full = make_warning(event, self.net, self.scenario.matrix, issue_time)
+            basic, _ = make_warning(event, self.net, self.scenario.matrix, issue_time)
         except ValidationError as exc:
             # e.g. no affected mode present on the located segments
             self.log(t, {"type": "warning_suppressed", "event": event_id,

@@ -316,12 +316,10 @@ def random_warning(rng: random.Random, net: MultiLayerNetwork) -> WarningMessage
         event_id=f"e{rng.randint(0, 999)}",
         kind=rng.choice(["D1", "D2", "D4", "D8", "D9"]),
         revision=0,
-        detail="basic",
         issue_time=issue,
         estimated_end=issue + rng.randint(60, 7200),
         severity=SeverityMeasure(capacity_reduction=round(rng.uniform(0, 1), 4)),
         affected=tuple(entries),
-        case_specific={},
     )
 
 

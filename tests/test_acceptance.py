@@ -100,12 +100,6 @@ def test_criterion_1_warning_codec():
             if i % 50 == 0:
                 net = random_network(rng, max_nodes=6)
             w = random_warning(rng, net)
-            if i % 3 == 0:
-                w = w.__class__(**{
-                    **w.__dict__, "detail": "full",
-                    "case_specific": {"partial_blockage": bool(i % 2),
-                                      "note": f"case {i}", "ratio": round(i / 997, 4)},
-                })
             blob = encode(w)
             again = decode(blob)
             assert again == w
@@ -115,8 +109,6 @@ def test_criterion_1_warning_codec():
         for i in range(100):
             blob = blobs[rng.randrange(len(blobs))]
             mode = i % 10
-            if mode == 7 and b'"case_specific":{}' not in blob:
-                blob = next(b for b in blobs if b'"case_specific":{}' in b)
             mutated = _mutate(blob, mode)
             assert mutated != blob, f"mutation {mode} was a no-op"
             with pytest.raises(CodecError) as err:

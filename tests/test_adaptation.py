@@ -134,7 +134,7 @@ def make_event(net, kind, segments, nodes=(), reduction=1.0, specifics=None,
 
 def plan_for(net, world, event, issue=100):
     matrix = default_effect_matrix(net)
-    basic, _full = make_warning(event, net, matrix, issue_time=issue)
+    basic, _ = make_warning(event, net, matrix, issue_time=issue)
     skips = []
     actions = plan(event, basic, world, DEFAULT_STRATEGY_TABLE,
                    matrix=matrix, skip_log=skips)

@@ -8,7 +8,7 @@ from mitsim import scenario as scenario_module
 from mitsim.cli import main
 
 from conftest import DEMO_PATH, demo_scenario
-from test_scenario import NAN_CASES, place_rsu_a
+from test_scenario import NAN_CASES, NON_FINITE_CASES, place_rsu_a
 
 
 @pytest.fixture(scope="module")
@@ -189,3 +189,16 @@ def test_validate_rejects_nan_and_a_bool_seed(tmp_path, capsys, case):
     bad.write_text(json.dumps(raw))  # NaN is written as the token NaN, which json reads back
     assert main(["validate", str(bad)]) == 1
     assert capsys.readouterr().err.startswith("validation error: " + text)
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+def test_validate_rejects_a_time_run_could_not_reach(tmp_path, capsys, case):
+    """These once passed validate and then failed run with exit 2."""
+    edit, text = NON_FINITE_CASES[case]
+    raw = demo_scenario()
+    edit(raw)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))  # infinity is written as the token Infinity
+    assert main(["validate", str(bad)]) == 1
+    assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"validation error: {text}\n" * 2

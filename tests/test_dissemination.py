@@ -59,10 +59,10 @@ def warn_on(net, seg_ids, modes, issue=0, end=3600):
         for s in seg_ids
     )
     return WarningMessage(
-        warning_id="w1", event_id="e1", kind="D1", revision=0, detail="basic",
+        warning_id="w1", event_id="e1", kind="D1", revision=0,
         issue_time=issue, estimated_end=end,
         severity=SeverityMeasure(capacity_reduction=1.0),
-        affected=entries, case_specific={},
+        affected=entries,
     )
 
 

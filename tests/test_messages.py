@@ -42,32 +42,19 @@ entries = st.builds(
         lambda ms: tuple(sorted(ms))),
 )
 
-case_values = st.one_of(
-    st.booleans(),
-    st.integers(-10**6, 10**6),
-    fraction,
-    st.text(max_size=20),
-)
-
 
 @st.composite
 def warnings_strategy(draw):
     issue = draw(st.integers(0, 10**6))
-    detail = draw(st.sampled_from(["basic", "full"]))
-    case = draw(st.dictionaries(ids, case_values, max_size=4)) if detail == "full" else {}
-    if detail == "full" and not case:
-        case = {"note": "x"}
     return WarningMessage(
         warning_id=draw(ids),
         event_id=draw(ids),
         kind=draw(kinds),
         revision=draw(st.integers(0, 40)),
-        detail=detail,
         issue_time=issue,
         estimated_end=issue + draw(st.integers(1, 10**6)),
         severity=draw(severities),
         affected=tuple(draw(st.lists(entries, min_size=1, max_size=4))),
-        case_specific=case,
     )
 
 
@@ -83,37 +70,9 @@ def test_roundtrip_and_canonical(w):
     assert encode(again) == blob
 
 
-def test_case_specific_insertion_order_irrelevant():
-    base = dict(
-        warning_id="w1", event_id="e1", kind="D1", revision=0, detail="full",
-        issue_time=10, estimated_end=20,
-        severity=SeverityMeasure(capacity_reduction=0.5),
-        affected=(AffectedEntry("n1", "s1", "critical", ("car",)),),
-    )
-    a = WarningMessage(**base, case_specific={"x": 1, "a": True, "m": "z"})
-    b = WarningMessage(**base, case_specific={"m": "z", "a": True, "x": 1})
-    assert encode(a) == encode(b)
-
-
-def test_basic_never_longer_than_full():
-    event = DisturbanceEvent(
-        event_id="e9", kind="D1", segments=("s0",), start=0,
-        estimated_duration=600, true_duration=600,
-        severity=SeverityMeasure(capacity_reduction=0.25),
-        specifics={"partial_blockage": True, "note": "two lanes"},
-    )
-    from conftest import line_network_spec
-    from mitsim.network import build_network
-
-    net = build_network(line_network_spec(2))
-    basic, full = make_warning(event, net, default_effect_matrix(net), issue_time=5)
-    assert full is not None
-    assert len(encode(basic)) <= len(encode(full))
-
-
 def test_unquantized_fraction_rejected_on_encode():
     w = WarningMessage(
-        warning_id="w", event_id="e", kind="D1", revision=0, detail="basic",
+        warning_id="w", event_id="e", kind="D1", revision=0,
         issue_time=0, estimated_end=10,
         severity=SeverityMeasure(capacity_reduction=0.123456),
         affected=(AffectedEntry("n", "s", "minor", ("m",)),),
@@ -128,23 +87,12 @@ def test_unquantized_fraction_rejected_on_encode():
 
 def valid_blob():
     w = WarningMessage(
-        warning_id="w1", event_id="e1", kind="D4", revision=2, detail="full",
+        warning_id="w1", event_id="e1", kind="D4", revision=2,
         issue_time=100, estimated_end=400,
         severity=SeverityMeasure(capacity_reduction=0.75, lanes_affected=1),
         affected=(AffectedEntry("n1", "s7", "major", ("bus", "car")),),
-        case_specific={"partial_blockage": True},
     )
     return encode(w)
-
-
-def test_case_specific_cannot_change_after_the_check():
-    w = decode(valid_blob())
-    with pytest.raises(TypeError):
-        w.case_specific["partial_blockage"] = [1]
-    case = {"partial_blockage": True}
-    built = replace(w, case_specific=case)
-    case["partial_blockage"] = [1]  # the caller's dict, not the warning's copy
-    assert encode(w) == encode(built) == valid_blob()
 
 
 def test_decode_truncation_positioned():
@@ -179,8 +127,8 @@ def test_decode_trailing_garbage():
 
 
 def test_decode_basic_with_case_data():
-    blob = valid_blob().replace(b'"detail":"full"', b'"detail":"basic"')
-    with pytest.raises(CodecError, match="basic"):
+    blob = valid_blob().replace(b'"case_specific":{}', b'"case_specific":{"lane":2}')
+    with pytest.raises(CodecError, match="expected '{}'"):
         decode(blob)
 
 
@@ -199,14 +147,13 @@ def test_decode_invalid_utf8():
 
 
 def pin_blob():
-    """A full-tier warning with two entries and two case keys."""
+    """A warning with two entries."""
     return encode(WarningMessage(
-        warning_id="w1", event_id="e1", kind="D4", revision=2, detail="full",
+        warning_id="w1", event_id="e1", kind="D4", revision=2,
         issue_time=100, estimated_end=400,
         severity=SeverityMeasure(capacity_reduction=0.75, lanes_affected=1),
         affected=(AffectedEntry("n1", "s7", "major", ("bus", "car")),
                   AffectedEntry("n1", "s8", "minor", ("car",))),
-        case_specific={"lane": 2, "partial_blockage": True},
     ))
 
 
@@ -219,60 +166,63 @@ DECODE_FAILURES = [
      'error at byte 58: revision must be >= 0', 58),
     ('fractional-revision', b'"revision":2', b'"revision":2.0000',
      'error at byte 58: revision must be an integer', 58),
-    ('unknown-tier', b'"detail":"full"', b'"detail":"mid"',
-     "error at byte 69: unknown detail tier 'mid'", 69),
     ('end-equals-issue', b'"estimated_end":400', b'"estimated_end":100',
-     'error at byte 109: estimated_end must exceed issue_time', 109),
+     'error at byte 110: estimated_end must exceed issue_time', 110),
     ('end-before-issue', b'"estimated_end":400', b'"estimated_end":50',
-     'error at byte 109: estimated_end must exceed issue_time', 109),
+     'error at byte 110: estimated_end must exceed issue_time', 110),
     ('fractional-issue-time', b'"issue_time":100', b'"issue_time":100.0000',
-     'error at byte 89: issue_time must be an integer', 89),
+     'error at byte 90: issue_time must be an integer', 90),
     ('missing-key', b'"event_id":"e1",', b'',
      'error at byte 19: expected \'"event_id":\'', 19),
     ('reordered-keys', b'"event_id":"e1","kind":"D4"', b'"kind":"D4","event_id":"e1"',
      'error at byte 19: expected \'"event_id":\'', 19),
     ('missing-severity', b'"severity":{"capacity_reduction":0.7500,"lanes_affected":1},', b'',
-     'error at byte 113: expected \'"severity":\'', 113),
+     'error at byte 114: expected \'"severity":\'', 114),
     ('reordered-severity', b'{"capacity_reduction":0.7500,"lanes_affected":1}', b'{"lanes_affected":1,"capacity_reduction":0.7500}',
-     "error at byte 143: expected '}'", 143),
+     "error at byte 144: expected '}'", 144),
     ('unknown-severity-measure', b'"lanes_affected":1', b'"lanes":1',
-     "error at byte 152: expected '}'", 152),
+     "error at byte 153: expected '}'", 153),
     ('reordered-entry-keys', b'"network_id":"n1","segment_id":"s7"', b'"segment_id":"s7","network_id":"n1"',
-     'error at byte 185: expected \'{"network_id":\'', 185),
+     'error at byte 186: expected \'{"network_id":\'', 186),
     ('missing-entry-key', b',"class":"major"', b'',
-     'error at byte 221: expected \',"class":\'', 221),
+     'error at byte 222: expected \',"class":\'', 222),
     ('short-fraction', b'0.7500', b'0.75',
-     'error at byte 146: fractional values carry exactly 4 decimals', 146),
+     'error at byte 147: fractional values carry exactly 4 decimals', 147),
     ('long-fraction', b'0.7500', b'0.75000',
-     'error at byte 146: fractional values carry exactly 4 decimals', 146),
+     'error at byte 147: fractional values carry exactly 4 decimals', 147),
     ('int-for-fraction', b'0.7500', b'1',
-     'error at byte 146: capacity_reduction carries exactly 4 decimals', 146),
+     'error at byte 147: capacity_reduction carries exactly 4 decimals', 147),
     ('fraction-for-int', b'"lanes_affected":1', b'"lanes_affected":1.0000',
-     'error at byte 170: lanes_affected must be an integer', 170),
+     'error at byte 171: lanes_affected must be an integer', 171),
     ('severity-out-of-range', b'0.7500', b'1.5000',
-     'error at byte 124: severity measure: capacity_reduction outside [0, 1]', 124),
+     'error at byte 125: severity measure: capacity_reduction outside [0, 1]', 125),
     ('empty-severity', b'{"capacity_reduction":0.7500,"lanes_affected":1}', b'{}',
-     'error at byte 124: severity must carry at least one measure', 124),
+     'error at byte 125: severity must carry at least one measure', 125),
     ('empty-affected', b'[{"network_id":"n1","segment_id":"s7","class":"major","modes":["bus","car"]},{"network_id":"n1","segment_id":"s8","class":"minor","modes":["car"]}]', b'[]',
-     'error at byte 184: affected list must not be empty', 184),
+     'error at byte 185: affected list must not be empty', 185),
     ('unknown-class', b'"class":"minor"', b'"class":"huge"',
-     "error at byte 306: unknown segment class 'huge'", 306),
+     "error at byte 307: unknown segment class 'huge'", 307),
     ('empty-modes', b'"modes":["car"]', b'"modes":[]',
-     'error at byte 323: modes list must not be empty', 323),
+     'error at byte 324: modes list must not be empty', 324),
     ('unsorted-modes', b'["bus","car"]', b'["car","bus"]',
-     'error at byte 247: modes must be sorted', 247),
-    ('basic-with-case-data', b'"detail":"full"', b'"detail":"basic"',
-     'error at byte 349: basic tier must carry an empty case_specific map', 349),
-    ('unsorted-case-keys', b'{"lane":2,"partial_blockage":true}', b'{"partial_blockage":true,"lane":2}',
-     'error at byte 373: case_specific keys must be strictly ascending', 373),
-    ('duplicate-case-keys', b'{"lane":2,"partial_blockage":true}', b'{"lane":2,"lane":3}',
-     'error at byte 358: case_specific keys must be strictly ascending', 358),
-    ('case-fraction-width', b'"lane":2', b'"lane":2.5',
-     'error at byte 356: fractional values carry exactly 4 decimals', 356),
-    ('case-bad-literal', b'true}', b'tru}',
-     "error at byte 377: expected 'true'", 377),
-    ('trailing-data', b'true}}', b'true}} ',
-     'error at byte 383: trailing data after message', 383),
+     'error at byte 248: modes must be sorted', 248),
+    # the two fixed literals: any other tier, or any case data, is rejected
+    ('unknown-tier', b'"detail":"basic"', b'"detail":"mid"',
+     'error at byte 69: expected \'"basic"\'', 69),
+    ('full-tier', b'"detail":"basic"', b'"detail":"full"',
+     'error at byte 69: expected \'"basic"\'', 69),
+    ('basic-with-case-data', b'"case_specific":{}', b'"case_specific":{"lane":2,"partial_blockage":true}',
+     "error at byte 349: expected '{}'", 349),
+    ('unsorted-case-keys', b'"case_specific":{}', b'"case_specific":{"partial_blockage":true,"lane":2}',
+     "error at byte 349: expected '{}'", 349),
+    ('duplicate-case-keys', b'"case_specific":{}', b'"case_specific":{"lane":2,"lane":3}',
+     "error at byte 349: expected '{}'", 349),
+    ('case-fraction-width', b'"case_specific":{}', b'"case_specific":{"lane":2.5}',
+     "error at byte 349: expected '{}'", 349),
+    ('case-bad-literal', b'"case_specific":{}', b'"case_specific":{"partial_blockage":tru}',
+     "error at byte 349: expected '{}'", 349),
+    ('trailing-data', b'{}}', b'{}} ',
+     'error at byte 352: trailing data after message', 352),
     ('bad-utf8', b'"w1"', b'"w\xff"',
      'error at byte 16: invalid UTF-8', 16),
     ('bad-escape', b'"e1"', b'"e\\q"',
@@ -303,9 +253,11 @@ TRUNCATIONS = [
     (1, 'error at byte 1: unexpected end of input', 1),
     (14, 'error at byte 14: unexpected end of input', 14),
     (60, 'error at byte 60: unexpected end of input', 60),
-    (150, 'error at byte 146: fractional values carry exactly 4 decimals', 146),
-    (200, 'error at byte 200: unexpected end of input in string', 200),
-    (382, 'error at byte 382: unexpected end of input', 382),
+    # cut inside a severity key: an end of input, not an absent measure
+    (141, 'error at byte 126: unexpected end of input', 126),
+    (150, 'error at byte 147: fractional values carry exactly 4 decimals', 147),
+    (201, 'error at byte 201: unexpected end of input in string', 201),
+    (351, 'error at byte 351: unexpected end of input', 351),
 ]
 
 
@@ -334,7 +286,6 @@ def _entries(**second):
 VALIDATE_FAILURES = [
     ("unknown-kind", {"kind": "ZZ"}, "warning w1: unknown kind 'ZZ'"),
     ("negative-revision", {"revision": -1}, "warning w1: negative revision"),
-    ("unknown-tier", {"detail": "mid"}, "warning w1: bad detail tier 'mid'"),
     ("end-equals-issue", {"estimated_end": 100},
      "warning w1: estimated_end must exceed issue_time"),
     ("end-before-issue", {"estimated_end": 50},
@@ -346,8 +297,6 @@ VALIDATE_FAILURES = [
      "warning w1: entry s8 has no modes"),
     ("unsorted-modes", {"affected": _entries(modes=("car", "bus"))},
      "warning w1: modes of s8 not sorted"),
-    ("basic-with-case-data", {"detail": "basic"},
-     "warning w1: basic tier must not carry case data"),
     # the first broken rule in wire order is the one reported
     ("kind-before-revision", {"kind": "ZZ", "revision": -1},
      "warning w1: unknown kind 'ZZ'"),
@@ -423,14 +372,12 @@ def test_make_warning_ev_demand_only(small):
         severity=SeverityMeasure(displaced_volume=450.0),
         specifics={"expected_visitors": 30000},
     )
-    basic, full = make_warning(event, net, matrix, issue_time=0)
+    basic, none = make_warning(event, net, matrix, issue_time=0)
     assert basic.severity.capacity_reduction is None
     assert basic.severity.displaced_volume == 450.0
     assert basic.affected[0].modes == ("bus", "car")  # every mode present
-    assert full == replace(basic, detail="full", case_specific={"expected_visitors": 30000})
-    revised = revise(full, 9000)
-    assert (revised.revision, revised.detail, revised.estimated_end) == (1, "full", 9000)
-    assert revised.case_specific == full.case_specific
+    assert none is None  # case data stays with the event
+    assert b'"detail":"basic"' in encode(basic) and encode(basic).endswith(b'"case_specific":{}}')
 
 
 def test_revise_increments_and_carries():

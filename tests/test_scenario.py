@@ -392,6 +392,7 @@ def _default_headway_only(raw, value):
 
 
 NAN = float("nan")
+INF = float("inf")
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -549,6 +550,55 @@ def test_nan_and_a_bool_seed_rejected_naming_the_entry(case):
     with pytest.raises(ValidationError) as err:
         load_scenario(raw)
     assert str(err.value).startswith(text)
+
+
+def _far_event(raw, duration):
+    """The demo's event at t = 1e308 on a clock that reaches it."""
+    raw["end_time"] = 1.7e308
+    raw["disturbances"][0].update(start=1e308, estimated_duration=duration,
+                                  true_duration=duration)
+
+
+def _detected_after_overflow(raw):
+    _far_event(raw, 1e307)
+    for source in raw["detection_sources"]:
+        source.update(latency_min=1e308, latency_max=1e308)
+
+
+def _first_event(**fields):
+    return lambda raw: raw["disturbances"][0].update(**fields)
+
+
+# A run turns each event end and detection time into whole clock seconds,
+# which it cannot do for infinity or NaN.  Each case maps to (edit, the
+# error text).
+NON_FINITE_CASES = {
+    "estimated_duration": (_first_event(estimated_duration=INF),
+                           "event bridge-crash: durations must be finite"),
+    "true_duration": (_first_event(true_duration=INF),
+                      "event bridge-crash: durations must be finite"),
+    "registered_duration": (
+        _first_event(kind="D3", specifics={"details_at": 700, "registered_duration": INF}),
+        "event bridge-crash: durations must be finite"),
+    "latency": (lambda raw: raw["detection_sources"][0].update(latency_min=INF,
+                                                                latency_max=INF),
+                "source cits-v2i: latency must be finite"),
+    "end overflow": (lambda raw: _far_event(raw, 1e308),
+                     "event bridge-crash: end time is not finite"),
+    "detection overflow": (_detected_after_overflow,
+                           "detection source 0: detection time of event bridge-crash "
+                           "is not finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+def test_a_time_that_is_not_finite_rejected_naming_the_entry(case):
+    edit, text = NON_FINITE_CASES[case]
+    raw = demo_scenario()
+    edit(raw)
+    with pytest.raises(ValidationError) as err:
+        load_scenario(raw)
+    assert str(err.value) == text
 
 
 INTEGER_FIELDS = {
