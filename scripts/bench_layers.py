@@ -25,7 +25,9 @@ repetition's total by it and multiplies by ``perfbench/run.py``'s
 drifts can be compared.
 
 Writes the report to ``--out`` (default: ``BENCH_layers.json`` at the repo
-root) and prints it.  Stdlib only; not part of any gate.
+root) and prints it.  Stdlib only.  CI runs it with ``--repeat 1`` and fails
+on any count (not ``seconds``) that differs from the committed
+``BENCH_layers.json``, so a change that moves a count regenerates that file.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Adaptation strategies: turning a detected disturbance into actions.
 
 Each disturbance kind has an ordered row of strategy templates (the
-strategy table), and each template has one builder.  Planning walks the
-row, keeps what every feasible builder returns and skips the rest with a
+strategy table, checked once at load), and each template has one builder,
+which reads only the event's planning context.  Planning walks the row,
+keeps what every feasible builder returns and skips the rest with a
 reason, then numbers the actions ``a-<event>-1..n`` in the order they were
 built.  Each action type applies and undoes its own effect, which only ever
 touches the capacity overlay, signal claims, bus routes and fleet
@@ -58,10 +59,6 @@ class AdaptationAction:
     activation: float
     expiry: float
     actor_field = None
-
-    def __post_init__(self):
-        if self.expiry <= self.activation:
-            raise ValidationError(f"action {self.action_id}: expiry must exceed activation")
 
     def actor_device_ids(self) -> set[str]:
         return set(getattr(self, self.actor_field)) if self.actor_field else set()
@@ -145,11 +142,6 @@ class ReplacementService(AdaptationAction):
     vehicle_mode: str
     action_type = "replacement"
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.vehicle_count < 1:
-            raise ValidationError(f"action {self.action_id}: vehicle_count must be >= 1")
-
     def take_effect(self, state: WorldState) -> list[dict]:
         """Let the replaced mode run over the road path at the vehicles'
         free-flow time."""
@@ -170,13 +162,6 @@ class SignalPlanChange(AdaptationAction):
     controller_devices: tuple[str, ...]
     action_type = "signal_plan"
     actor_field = "controller_devices"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not 0.0 < self.capacity_multiplier <= 2.0:
-            raise ValidationError(
-                f"action {self.action_id}: multiplier outside (0, 2]"
-            )
 
     def take_effect(self, state: WorldState) -> list[dict]:
         """Scale every approach's capacity.  An approach another action
@@ -254,12 +239,14 @@ class DemandRebalance(AdaptationAction):
 StrategyTable = dict
 
 
-def validate_strategy_table(table: StrategyTable) -> None:
-    for kind in DISTURBANCE_KINDS:
-        if kind not in table:
-            raise ValidationError(f"strategy table: missing row for {kind}")
-        for template in table[kind]:
-            if template not in ACTION_TEMPLATES:
+def validate_strategy_table(rows: StrategyTable) -> None:
+    """Check a scenario's rows, in document order: each names a known kind
+    and only known templates."""
+    for kind, row in rows.items():
+        if kind not in DISTURBANCE_KINDS:
+            raise ValidationError(f"strategy table: unknown kind {kind!r}")
+        for template in row:
+            if not isinstance(template, str) or template not in _TEMPLATES:
                 raise ValidationError(f"strategy table {kind}: unknown template {template!r}")
 
 
@@ -379,19 +366,14 @@ def plan(
     A template whose builder raises :class:`InfeasibleError` is skipped
     with the error's text as the reason, appended to ``skip_log``.
     """
-    if event.kind not in table:
-        raise ValidationError(f"strategy table: missing row for kind {event.kind}")
     entries = {e.segment_id: e for e in warning.affected}
     context = _Context(event, state, entries, tuple(sorted(entries)),
                        float(warning.issue_time), float(warning.estimated_end), matrix)
     skips = skip_log if skip_log is not None else []
     built: list[AdaptationAction] = []
     for template in table[event.kind]:
-        builder = _TEMPLATES.get(template)
-        if builder is None:
-            raise ValidationError(f"unknown strategy template {template!r}")
         try:
-            built += builder(context)
+            built += _TEMPLATES[template](context)
         except InfeasibleError as exc:
             skips.append((template, str(exc)))
     return [replace(action, action_id=f"a-{event.event_id}-{n}")
@@ -457,8 +439,7 @@ def _bus_diversion(c: _Context) -> list[AdaptationAction]:
         )
         if not blocked:
             continue
-        diversion = bus_diversion_favorable(
-            pt_route, blocked, _available_cavs(state), state, *c.window)
+        diversion = bus_diversion_favorable(c, pt_route, blocked)
         if diversion is not None:
             out.append(diversion)
     if not out:
@@ -471,6 +452,7 @@ def _available_cavs(state: WorldState) -> list[CavUnit]:
 
 
 def _replacement(c: _Context) -> list[AdaptationAction]:
+    """Bridge the located rail line with road vehicles between its stations."""
     net = c.state.net
     rail_segs = tuple(
         s for s in c.located
@@ -482,7 +464,54 @@ def _replacement(c: _Context) -> list[AdaptationAction]:
     displaced = c.event.severity.displaced_volume
     if displaced is None and c.matrix is not None:
         displaced = displaced_volume(c.event, c.state.flows(c.now), net, c.matrix)
-    return [build_replacement(rail_segs, net, c.state, displaced or 0.0, *c.window)]
+    try:
+        chain = _chain_nodes(net, rail_segs)
+    except ValidationError:
+        raise InfeasibleError(
+            "replacement infeasible: blocked segments do not form a line"
+        ) from None
+    stations = [
+        n for n in chain
+        if n in net.multimodal_nodes
+        and any(net.modes[m].category in RAIL_CATEGORIES
+                for m in net.multimodal_nodes[n].modes)
+    ]
+    for endpoint in (chain[0], chain[-1]):
+        if endpoint not in stations:
+            raise InfeasibleError(
+                f"replacement infeasible: end node {endpoint} is not a station"
+            )
+    vehicle_mode = _vehicle_mode(net)
+    if vehicle_mode is None:
+        raise InfeasibleError("replacement infeasible: no road fleet mode")
+    for station in stations:
+        if not any(net.modes[m].category in ROAD_CATEGORIES
+                   for m in net.multimodal_nodes[station].modes):
+            raise InfeasibleError(
+                f"replacement infeasible: station {station} has no road attachment"
+            )
+    prefs = RoutingPreferences(allowed_modes=frozenset({vehicle_mode}))
+    path: list[str] = []
+    for a, b in zip(stations, stations[1:]):
+        leg = route(a, b, c.now, prefs, c.state.overlay)
+        if leg is None:
+            raise InfeasibleError(
+                f"replacement infeasible: no road path {a} to {b}"
+            )
+        for s in leg.segments():
+            if not path or path[-1] != s:
+                path.append(s)
+    capacity = c.state.defaults.replacement_vehicle_capacity
+    return [ReplacementService(
+        *c.window,
+        blocked_segments=rail_segs,
+        served_stations=tuple(stations),
+        road_path=tuple(path),
+        vehicle_count=max(1, math.ceil(displaced / capacity)) if displaced else 1,
+        replaced_mode=min(e.mode_id for s in rail_segs for e in net.segments[s].usage
+                          if net.modes[e.mode_id].category in RAIL_CATEGORIES),
+        vehicle_mode=vehicle_mode,
+    )]
 
 
 def _signal_plan(c: _Context) -> list[AdaptationAction]:
@@ -540,7 +569,7 @@ def _police(c: _Context) -> list[AdaptationAction]:
 
 def _demand_rebalance(c: _Context) -> list[AdaptationAction]:
     state = c.state
-    cav_ids = tuple(sorted(cav_id for cav_id, unit in state.cavs.items() if unit.available))
+    cav_ids = tuple(cav.cav_id for cav in _available_cavs(state))
     if not cav_ids:
         raise InfeasibleError("no fleet vehicles available")
     area = tuple(sorted(c.event.nodes or _end_nodes(state.net, c.located)))
@@ -559,23 +588,15 @@ _TEMPLATES = {
     "police": _police,
     "demand_rebalance": _demand_rebalance,
 }
-ACTION_TEMPLATES = tuple(_TEMPLATES)
 
 
 # -- bus diversion favorability -------------------------------------------------
 
 
 def bus_diversion_favorable(
-    pt_route: PtRoute,
-    blocked_segments: tuple[str, ...],
-    cavs: list[CavUnit],
-    state: WorldState,
-    action_id: str,
-    event_id: str,
-    activation: float,
-    expiry: float,
+    c: _Context, pt_route: PtRoute, blocked_segments: tuple[str, ...],
 ) -> Optional[BusDiversion]:
-    """Divert a bus route around blocked segments, when favorable.
+    """Divert a bus route around blocked segments of it, when favorable.
 
     Requires (a) a road detour between the detach and reattach nodes that
     avoids the blockage, (b) an available CAV within the pickup threshold
@@ -587,16 +608,14 @@ def bus_diversion_favorable(
     mode at the overlay clock (``_bus_diversion`` passes only those), so
     the detour search in (a) avoids them without a guard on the overlay.
     """
-    net = state.net
+    state, net, activation = c.state, c.state.net, c.now
     chain = route_node_chain(net, pt_route)
     blocked_set = set(blocked_segments)
     indices = [i for i, s in enumerate(pt_route.segments) if s in blocked_set]
-    if not indices:
-        return None
-    detach = chain[min(indices)]
-    reattach = chain[max(indices) + 1]
-    interior = chain[min(indices):max(indices) + 2][1:-1]
-    bypassed = tuple(n for n in interior if n in pt_route.stops)
+    first, last = indices[0], indices[-1]
+    skipped = pt_route.segments[first:last + 1]
+    detach, reattach = chain[first], chain[last + 1]
+    bypassed = tuple(n for n in chain[first + 1:last + 1] if n in pt_route.stops)
 
     # (a) detour on the road network avoiding every blocked segment
     prefs = RoutingPreferences(allowed_modes=frozenset({pt_route.mode_id}))
@@ -608,7 +627,7 @@ def bus_diversion_favorable(
     cav_mode = _mode_of_category(net, "cav-taxi")
     assigned: list[str] = []
     pickup_times: list[float] = []
-    available = list(cavs)
+    available = _available_cavs(state)
     for stop in bypassed:
         best = None
         for cav in available:
@@ -631,7 +650,7 @@ def bus_diversion_favorable(
     # (c) favorability: worst passenger delay under diversion vs waiting out
     # Added one by one: sum() of floats is compensated from Python 3.12 on.
     direct_time = 0
-    for s in pt_route.segments[min(indices):max(indices) + 1]:
+    for s in skipped:
         direct_time += net.segments[s].usage_for(pt_route.mode_id).free_flow_time
     detour_extra = detour.total_cost - direct_time
     delay_with = max([detour_extra] + pickup_times)
@@ -640,13 +659,10 @@ def bus_diversion_favorable(
         return None
 
     return BusDiversion(
-        action_id=action_id,
-        event_id=event_id,
-        activation=activation,
-        expiry=expiry,
+        *c.window,
         route_id=pt_route.route_id,
         skipped_stops=bypassed,
-        skipped_segments=tuple(pt_route.segments[min(indices):max(indices) + 1]),
+        skipped_segments=skipped,
         detour_segments=detour.segments(),
         cav_assignment=tuple(assigned),
     )
@@ -664,84 +680,6 @@ def _blockage_wait(state: WorldState, blocked: set[str], mode: str, now: float) 
     if latest is None or latest == float("inf"):
         return 1800.0
     return max(latest - now, 0.0)
-
-
-# -- rail replacement -------------------------------------------------------------
-
-
-def build_replacement(
-    blocked_segments: tuple[str, ...],
-    net: MultiLayerNetwork,
-    state: WorldState,
-    displaced: float = 0.0,
-    action_id: str = "a-replacement",
-    event_id: str = "",
-    activation: float = 0.0,
-    expiry: float = 3600.0,
-) -> ReplacementService:
-    """Bridge a blocked rail line with road vehicles between its stations.
-
-    Raises :class:`InfeasibleError` when a station lacks road attachment or
-    no road path connects consecutive stations.
-    """
-    rail_modes = sorted({
-        e.mode_id for s in blocked_segments for e in net.segments[s].usage
-        if net.modes[e.mode_id].category in RAIL_CATEGORIES
-    })
-    if not rail_modes:
-        raise InfeasibleError("replacement infeasible: no rail mode on the segments")
-    replaced_mode = rail_modes[0]
-    try:
-        chain = _chain_nodes(net, tuple(blocked_segments))
-    except ValidationError:
-        raise InfeasibleError(
-            "replacement infeasible: blocked segments do not form a line"
-        ) from None
-    stations = [
-        n for n in chain
-        if n in net.multimodal_nodes
-        and any(net.modes[m].category in RAIL_CATEGORIES
-                for m in net.multimodal_nodes[n].modes)
-    ]
-    for endpoint in (chain[0], chain[-1]):
-        if endpoint not in stations:
-            raise InfeasibleError(
-                f"replacement infeasible: end node {endpoint} is not a station"
-            )
-    vehicle_mode = _vehicle_mode(net)
-    if vehicle_mode is None:
-        raise InfeasibleError("replacement infeasible: no road fleet mode")
-    for station in stations:
-        if not any(net.modes[m].category in ROAD_CATEGORIES
-                   for m in net.multimodal_nodes[station].modes):
-            raise InfeasibleError(
-                f"replacement infeasible: station {station} has no road attachment"
-            )
-    prefs = RoutingPreferences(allowed_modes=frozenset({vehicle_mode}))
-    path: list[str] = []
-    for a, b in zip(stations, stations[1:]):
-        leg = route(a, b, activation, prefs, state.overlay)
-        if leg is None:
-            raise InfeasibleError(
-                f"replacement infeasible: no road path {a} to {b}"
-            )
-        for s in leg.segments():
-            if not path or path[-1] != s:
-                path.append(s)
-    capacity = state.defaults.replacement_vehicle_capacity
-    vehicle_count = max(1, math.ceil(displaced / capacity)) if displaced > 0 else 1
-    return ReplacementService(
-        action_id=action_id,
-        event_id=event_id,
-        activation=activation,
-        expiry=expiry,
-        blocked_segments=tuple(blocked_segments),
-        served_stations=tuple(stations),
-        road_path=tuple(path),
-        vehicle_count=vehicle_count,
-        replaced_mode=replaced_mode,
-        vehicle_mode=vehicle_mode,
-    )
 
 
 # -- applying and expiring actions -------------------------------------------------

@@ -309,12 +309,11 @@ class _Scanner:
         return self.text[self.i]
 
     def expect(self, literal: str) -> None:
-        end = self.i + len(literal)
-        if end > len(self.text):
-            self.fail("unexpected end of input")
-        if self.text[self.i:end] != literal:
-            self.fail(f"expected {literal!r}")
-        self.i = end
+        if not self.text.startswith(literal, self.i):
+            # a remainder that could still become the literal is a cut input
+            self.fail("unexpected end of input" if literal.startswith(self.text[self.i:])
+                      else f"expected {literal!r}")
+        self.i += len(literal)
 
     def parse_string(self) -> str:
         self.expect('"')

@@ -427,12 +427,10 @@ def load_scenario(raw: Mapping) -> Scenario:
         include_adaptation_actors=bool(rel_raw.get("include_adaptation_actors",
                                                    default.include_adaptation_actors)),
     )
-    table: StrategyTable = {
-        kind: tuple(row) for kind, row in DEFAULT_STRATEGY_TABLE.items()
-    }
-    for kind, row in as_object(pol.get("strategy_table"), "policies", "strategy_table").items():
-        table[kind] = tuple(as_list(row, "policies.strategy_table", kind))
-    validate_strategy_table(table)
+    rows = {kind: tuple(as_list(row, "policies.strategy_table", kind)) for kind, row
+            in as_object(pol.get("strategy_table"), "policies", "strategy_table").items()}
+    validate_strategy_table(rows)
+    table: StrategyTable = {**DEFAULT_STRATEGY_TABLE, **rows}
 
     rsu_ids = {d.device_id for d in devices if d.role == "roadside-unit"}
     adjacency: dict[str, set[str]] = {}

@@ -393,8 +393,6 @@ class _Sim:
         self._advance(tv, t, self._device(tv))
 
     def handle_arrive(self, t: float, tv: Traveler, node: str) -> None:
-        if tv.status != "moving":
-            return
         tv.node = node
         tv.current = None
         device = self.world.devices.get(tv.device_id) if tv.device_id else None
@@ -519,8 +517,7 @@ class _Sim:
                 self.schedule(t, "retry_flagged", (tv,))
 
     def handle_retry_flagged(self, t: float, tv: Traveler) -> None:
-        if tv.status == "moving" and tv.current is None and tv.node is not None:
-            self._advance(tv, t, self._device(tv))
+        self._advance(tv, t, self._device(tv))
 
     def handle_escalate(self, t: float, event_id: str, trigger: str) -> None:
         event = self.events[event_id]

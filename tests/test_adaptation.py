@@ -12,8 +12,6 @@ from mitsim.adaptation import (
     StopGuidance,
     _params,
     apply as apply_actions,
-    build_replacement,
-    bus_diversion_favorable,
     expire,
     plan,
 )
@@ -23,7 +21,6 @@ from mitsim.disturbance import (
     default_effect_matrix,
 )
 from mitsim.dissemination import DevicePosition, EdgeDevice
-from mitsim.errors import InfeasibleError
 from mitsim.messages import make_warning
 from mitsim.network import build_network
 from mitsim.simulation import _json
@@ -132,13 +129,17 @@ def make_event(net, kind, segments, nodes=(), reduction=1.0, specifics=None,
         true_duration=3600.0, severity=severity, specifics=specifics or {})
 
 
-def plan_for(net, world, event, issue=100):
+def plan_for(net, world, event, issue=100, table=DEFAULT_STRATEGY_TABLE):
     matrix = default_effect_matrix(net)
     basic, _ = make_warning(event, net, matrix, issue_time=issue)
     skips = []
-    actions = plan(event, basic, world, DEFAULT_STRATEGY_TABLE,
-                   matrix=matrix, skip_log=skips)
+    actions = plan(event, basic, world, table, matrix=matrix, skip_log=skips)
     return actions, skips
+
+
+def plan_only(net, world, event, template):
+    """Plans ``template`` alone for the event, at t = 100."""
+    return plan_for(net, world, event, table={event.kind: (template,)})
 
 
 def inject(world, event, net):
@@ -296,14 +297,12 @@ def test_unfavorable_route_takes_no_action_id():
 
 def test_diversion_single_blocked_segment_no_stops_bypassed():
     net = city_net()
-    world = make_world(net)
+    world = make_world(net, with_cav=False)
     event = make_event(net, "D1", ["g1"])
     inject(world, event, net)
     world.overlay.clock = 100.0
-    out = bus_diversion_favorable(
-        world.pt_routes["B"], ("g1",), [], world,
-        action_id="a1", event_id="ev", activation=100.0, expiry=3600.0)
-    assert out is not None
+    (out,), skips = plan_only(net, world, event, "bus_diversion")
+    assert skips == []
     assert out.skipped_stops == ()
     assert out.detour_segments == ("g3",)
     # favorability soundness: router-estimated delay strictly below waiting
@@ -317,10 +316,10 @@ def test_diversion_requires_cav_for_bypassed_stops():
     event = make_event(net, "D1", ["g1", "g2"])
     inject(world, event, net)
     world.overlay.clock = 100.0
-    out = bus_diversion_favorable(
-        world.pt_routes["B"], ("g1", "g2"), [], world,
-        action_id="a1", event_id="ev", activation=100.0, expiry=3600.0)
-    assert out is None  # stop q2 bypassed, nobody to serve it
+    actions, skips = plan_only(net, world, event, "bus_diversion")
+    # stop q2 bypassed, nobody to serve it
+    assert actions == []
+    assert skips == [("bus_diversion", "no favorable bus diversion")]
 
 
 def test_diversion_with_cav_assignment():
@@ -329,11 +328,7 @@ def test_diversion_with_cav_assignment():
     event = make_event(net, "D1", ["g1", "g2"])
     inject(world, event, net)
     world.overlay.clock = 100.0
-    cavs = [world.cavs["cavA"]]
-    out = bus_diversion_favorable(
-        world.pt_routes["B"], ("g1", "g2"), cavs, world,
-        action_id="a1", event_id="ev", activation=100.0, expiry=3600.0)
-    assert out is not None
+    (out,), _ = plan_only(net, world, event, "bus_diversion")
     assert out.skipped_stops == ("q2",)
     assert out.cav_assignment == ("cavA",)
     assert out.detour_segments == ("g4",)
@@ -341,21 +336,18 @@ def test_diversion_with_cav_assignment():
 
 def test_priority_route_accepts_equal_delay():
     net = city_net()
-    world = make_world(net)
+    world = make_world(net, with_cav=False)
     # short blockage: waiting it out beats the detour for regular routes
     world.overlay.add_contribution(Contribution(
         contrib_id="ev:short:g1:bus", kind="factor",
         targets=frozenset({("g1", "bus")}), value=0.0, start=0.0, end=200.0))
     world.overlay.clock = 100.0
-    regular = bus_diversion_favorable(
-        world.pt_routes["B"], ("g1",), [], world,
-        action_id="a1", event_id="ev", activation=100.0, expiry=200.0)
-    assert regular is None
+    event = make_event(net, "D1", ["g1"])
+    regular, _ = plan_only(net, world, event, "bus_diversion")
+    assert regular == []
     world.pt_routes["B"].priority = True
-    priority = bus_diversion_favorable(
-        world.pt_routes["B"], ("g1",), [], world,
-        action_id="a2", event_id="ev", activation=100.0, expiry=200.0)
-    assert priority is not None
+    priority, _ = plan_only(net, world, event, "bus_diversion")
+    assert [a.route_id for a in priority] == ["B"]
 
 
 # -- replacement -------------------------------------------------------------------
@@ -364,7 +356,8 @@ def test_priority_route_accepts_equal_delay():
 def test_replacement_minimal():
     net = city_net()
     world = make_world(net)
-    service = build_replacement(("k0",), net, world, displaced=10.0)
+    event = make_event(net, "D6", ["k0"], displaced=10.0)
+    (service,), _ = plan_only(net, world, event, "replacement")
     assert service.served_stations == ("q0", "q2")
     assert service.vehicle_count == 1
     assert service.replaced_mode == "metro"
@@ -373,15 +366,19 @@ def test_replacement_minimal():
 def test_replacement_vehicle_count_ceiling():
     net = city_net()
     world = make_world(net)
-    service = build_replacement(("k0",), net, world, displaced=450.0)
+    event = make_event(net, "D6", ["k0"], displaced=450.0)
+    (service,), _ = plan_only(net, world, event, "replacement")
     assert service.vehicle_count == 8
 
 
 def test_replacement_infeasible_without_road_station():
     net = city_net(extra_rail_stub=True)
     world = make_world(net)
-    with pytest.raises(InfeasibleError, match="road attachment"):
-        build_replacement(("k1",), net, world, displaced=10.0)
+    event = make_event(net, "D6", ["k1"], displaced=10.0)
+    actions, skips = plan_only(net, world, event, "replacement")
+    assert actions == []
+    assert skips == [("replacement",
+                      "replacement infeasible: station q4 has no road attachment")]
 
 
 # -- apply / expire -----------------------------------------------------------------
@@ -517,9 +514,8 @@ def test_replacement_apply_injects_usable_service():
     world.overlay.add_contribution(Contribution(
         contrib_id="cut", kind="factor", targets=frozenset({("k0", "metro")}),
         value=0.0, start=0.0, end=float("inf")))
-    service = build_replacement(("k0",), net, world, displaced=100.0,
-                                action_id="rep1", event_id="ev",
-                                activation=100.0, expiry=3600.0)
+    event = make_event(net, "D6", ["k0"], displaced=100.0)
+    (service,), _ = plan_only(net, world, event, "replacement")
     apply_actions([service], world, 100.0)
     from mitsim.routing import RoutingPreferences, route
 

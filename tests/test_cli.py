@@ -52,6 +52,15 @@ def test_validate_reports_a_missing_key(tmp_path, capsys):
     assert err == "validation error: event bridge-crash: missing field 'start'\n"
 
 
+def test_validate_rejects_a_strategy_row_of_an_unknown_kind(tmp_path, capsys):
+    raw = demo_scenario()
+    raw["policies"]["strategy_table"] = {"d1": ["no_such_template"], "D99": ["reroute"]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err == "validation error: strategy table: unknown kind 'd1'\n"
+
+
 def test_run_rejects_a_route_that_does_not_chain_before_running(tmp_path, capsys):
     raw = demo_scenario()
     bus1 = next(r for r in raw["policies"]["pt_routes"] if r["route_id"] == "Bus1")

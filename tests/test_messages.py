@@ -269,6 +269,25 @@ def test_decode_truncation_text_and_offset(cut, text, offset):
     assert (str(err.value), err.value.position) == (text, offset)
 
 
+def _detail_cut(value: bytes) -> bytes:
+    """pin_blob() cut after ``"detail":``, with ``value`` appended."""
+    blob = pin_blob()
+    return blob[:blob.index(b'"detail":') + len(b'"detail":')] + value
+
+
+# An input that ends is cut only where what is left could still become the
+# expected text; a remainder that already differs from it is that error.
+@pytest.mark.parametrize("blob,text,offset", [
+    (b'{"warning_id":"w1","x', 'error at byte 19: expected \'"event_id":\'', 19),
+    (_detail_cut(b'"bx'), 'error at byte 69: expected \'"basic"\'', 69),
+    (_detail_cut(b'"bas'), 'error at byte 69: unexpected end of input', 69),
+], ids=["short-wrong-key", "short-wrong-tier", "short-tier-prefix"])
+def test_decode_short_remainder_text_and_offset(blob, text, offset):
+    with pytest.raises(CodecError) as err:
+        decode(blob)
+    assert (str(err.value), err.value.position) == (text, offset)
+
+
 # -- pinned validate failures ----------------------------------------------------------
 
 

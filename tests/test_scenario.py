@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -140,6 +141,30 @@ def test_effect_matrix_override_validated():
     raw["effect_matrix"] = {"D1": [["M3", "N6"]]}  # cars on train rail
     with pytest.raises(ValidationError, match="usage matrix"):
         load_scenario(raw)
+
+
+def test_strategy_table_override_plans_only_its_row():
+    raw = demo_scenario()
+    raw["policies"]["strategy_table"] = {"D1": ["reroute"]}
+    scenario = load_scenario(raw)
+    assert scenario.strategy_table["D1"] == ("reroute",)
+    # untouched rows keep their defaults
+    assert scenario.strategy_table["D6"] == ("stop_guidance", "replacement", "reroute")
+    types = [json.loads(line)["type"] for line in run(scenario, MODE_TARGETED).action_log]
+    assert types == ["reroute"]
+    # the default D1 row plans more than a reroute on the demo
+    default = run(load_scenario(demo_scenario()), MODE_TARGETED).action_log
+    assert len({json.loads(line)["type"] for line in default}) > 1
+
+
+@pytest.mark.parametrize("template", ["no_such_template", ["reroute"], 5],
+                         ids=["unknown", "list", "int"])
+def test_strategy_table_unknown_template_rejected(template):
+    raw = demo_scenario()
+    raw["policies"]["strategy_table"] = {"D1": ["reroute", template]}
+    with pytest.raises(ValidationError) as err:
+        load_scenario(raw)
+    assert str(err.value) == f"strategy table D1: unknown template {template!r}"
 
 
 def test_shared_group_expansion_on_load():
@@ -908,7 +933,11 @@ def test_a_bad_id_reference_is_rejected_naming_the_entry(name, value_id):
      "event bridge-crash: unknown node zz2"),
     (lambda raw: raw["network"]["multimodal_nodes"][0].update(services=["pt-stop", "s2", "s1"]),
      "multimodal node a1: unknown service s2"),
-], ids=["allowed-modes", "usage-matrix", "applicable-kinds", "event-nodes", "services"])
+    (lambda raw: raw["policies"].update(
+        strategy_table={"d1": ["no_such_template"], "D99": ["reroute"]}),
+     "strategy table: unknown kind 'd1'"),
+], ids=["allowed-modes", "usage-matrix", "applicable-kinds", "event-nodes", "services",
+        "strategy-table-kinds"])
 def test_the_first_bad_id_in_document_order_is_reported(edit, message):
     raw = demo_scenario()
     edit(raw)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -462,6 +463,51 @@ def test_randomized_scenarios_conserve_and_restore():
         for line in result.action_log:
             action = json.loads(line)
             assert action["activation"] >= warn_times[action["event_id"]]
+
+
+class HandlerStateSim(_Sim):
+    """Asserts the traveler states ``handle_arrive`` and
+    ``handle_retry_flagged`` rely on without checking, then delegates.
+
+    A traveler has at most one pending ``arrive``, and while it is pending
+    nothing changes its status (flags, patience and retries act only on
+    waiting travelers).  A flagged traveler was waiting, so it stands at a
+    node, and the flag set it moving."""
+
+    def __init__(self, scenario, config):
+        super().__init__(scenario, config)
+        self.seen = Counter()
+
+    def handle_arrive(self, t, tv, node):
+        assert tv.status == "moving", (t, tv.tid, tv.status)
+        self.seen["arrive"] += 1
+        super().handle_arrive(t, tv, node)
+
+    def handle_retry_flagged(self, t, tv):
+        assert tv.status == "moving", (t, tv.tid, tv.status)
+        assert tv.current is None and tv.node is not None, (t, tv.tid, tv.current)
+        self.seen["retry_flagged"] += 1
+        super().handle_retry_flagged(t, tv)
+
+
+# (generator, seeds, whether a warning flags a waiting traveler on them:
+# random seeds 120 and 190 and tie seeds 57 and 88 do)
+@pytest.mark.parametrize("make, seeds, flags", [
+    (random_scenario_dict, range(200), True),
+    (tie_scenario_dict, range(100), True),
+    (rail_line_scenario_dict, range(3), False),
+    (idle_obu_grid_scenario_dict, range(3), False),
+], ids=["random", "tie", "rail", "idle-obu"])
+def test_arrivals_and_flagged_retries_find_the_states_they_rely_on(make, seeds, flags):
+    seen = Counter()
+    for seed in seeds:
+        raw = make(random.Random(seed))
+        for config in (MODE_TARGETED, MODE_BROADCAST, MODE_NO_ADAPT):
+            sim = HandlerStateSim(load_scenario(raw), config)
+            assert run_outputs(sim.run()) == run_outputs(run(load_scenario(raw), config))
+            seen += sim.seen
+    assert seen["arrive"] > 0
+    assert (seen["retry_flagged"] > 0) == flags
 
 
 # -- fleet integration -------------------------------------------------------------------
