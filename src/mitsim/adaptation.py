@@ -109,16 +109,16 @@ class BusDiversion(AdaptationAction):
     actor_field = "cav_assignment"
 
     def take_effect(self, state: WorldState) -> list[dict]:
-        """Splice the detour into the route in place of the skipped run,
-        drop the skipped stops and take the assigned CAVs out of the fleet."""
-        pt_route = state.pt_routes[self.route_id]
-        state.diversions[self.action_id] = (pt_route.segments, pt_route.stops)
+        """Keep the route's record and run a copy with the detour for the skipped
+        run and without the skipped stops; take the assigned CAVs out of the fleet."""
+        pt_route = state.diversions[self.action_id] = state.pt_routes[self.route_id]
         segments = pt_route.segments
         skipped = [i for i, s in enumerate(segments) if s in self.skipped_segments]
         if skipped:
-            pt_route.segments = (segments[:skipped[0]] + self.detour_segments
-                                 + segments[skipped[-1] + 1:])
-        pt_route.stops = tuple(s for s in pt_route.stops if s not in self.skipped_stops)
+            segments = (segments[:skipped[0]] + self.detour_segments
+                        + segments[skipped[-1] + 1:])
+        stops = tuple(s for s in pt_route.stops if s not in self.skipped_stops)
+        state.pt_routes[self.route_id] = replace(pt_route, segments=segments, stops=stops)
         for cav_id in self.cav_assignment:
             state.cavs[cav_id].available = False
         return []
@@ -126,8 +126,7 @@ class BusDiversion(AdaptationAction):
     def undo(self, state: WorldState) -> None:
         stored = state.diversions.pop(self.action_id, None)
         if stored is not None:
-            pt_route = state.pt_routes[self.route_id]
-            pt_route.segments, pt_route.stops = stored
+            state.pt_routes[self.route_id] = stored
             for cav_id in self.cav_assignment:
                 state.cavs[cav_id].available = True
 
@@ -344,7 +343,7 @@ class _Context:
     located: tuple[str, ...]
     now: float
     expiry: float
-    matrix: Optional[EffectMatrix]
+    matrix: EffectMatrix
 
     @property
     def window(self) -> tuple:
@@ -357,7 +356,7 @@ def plan(
     warning: WarningMessage,
     state: WorldState,
     table: StrategyTable,
-    matrix: Optional[EffectMatrix] = None,
+    matrix: EffectMatrix,
     skip_log: Optional[list] = None,
 ) -> list[AdaptationAction]:
     """Instantiate the strategy row for the event's kind, in template order,
@@ -462,7 +461,7 @@ def _replacement(c: _Context) -> list[AdaptationAction]:
     if not rail_segs:
         raise InfeasibleError("no rail segments located")
     displaced = c.event.severity.displaced_volume
-    if displaced is None and c.matrix is not None:
+    if displaced is None:
         displaced = displaced_volume(c.event, c.state.flows(c.now), net, c.matrix)
     try:
         chain = _chain_nodes(net, rail_segs)

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Container, Mapping, Optional
 
-from .errors import ValidationError, as_float
+from .errors import ValidationError, as_bool, as_float
 from .network import ROAD_CATEGORIES, MultiLayerNetwork, Segment, UsageEntry
 
 DISTURBANCE_KINDS = (
@@ -94,10 +94,11 @@ class DisturbanceEvent:
     registry backing), ``registered_duration``, or ``expected_visitors``.
     ``details_at`` and ``registered_duration`` are also read into the
     numbers :attr:`details_at` and :attr:`registered_duration` when the
-    event is built, so a value that is no number, or a registered duration
-    that is not > 0, fails there, naming the event.  The run turns each end
-    (start plus a duration) into whole clock seconds, so a duration that is
-    not finite, or an end that overflows, fails there too.
+    event is built, so a value that is no number, a registered duration
+    that is not > 0, or a ``reserved_lane_hit`` that is no boolean fails
+    there, naming the event.  The run turns each end (start plus a
+    duration) into whole clock seconds, so a duration that is not finite,
+    or an end that overflows, fails there too.
     """
 
     event_id: str
@@ -125,6 +126,7 @@ class DisturbanceEvent:
             if not registered > 0:
                 raise ValidationError(f"{where}: registered_duration must be > 0")
             object.__setattr__(self, "registered_duration", registered)
+        as_bool(self.specifics.get("reserved_lane_hit", False), where, "reserved_lane_hit")
         if self.kind not in DISTURBANCE_KINDS:
             raise ValidationError(f"event {self.event_id}: unknown kind {self.kind!r}")
         if not self.segments:
@@ -237,7 +239,7 @@ def hit_entries(
     Reserved lanes and tracks are spared unless
     ``specifics.reserved_lane_hit`` is true."""
     pairs = affected_pairs(event.kind, matrix)
-    reserved_hit = bool(event.specifics.get("reserved_lane_hit", False))
+    reserved_hit = event.specifics.get("reserved_lane_hit", False)
     out = []
     for seg_id in sorted(set(event.segments)):
         seg = net.segments.get(seg_id)

@@ -101,6 +101,13 @@ def require(entry, where: str, key: str):
     return entry[key]
 
 
+def as_bool(value, where: str, key: str) -> bool:
+    """``value``, the ``key`` flag of the scenario entry ``where``: JSON true or false."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"{where}: {key} must be true or false")
+    return value
+
+
 def as_float(value, where: str, key: str) -> float:
     """``float(value)`` for the ``key`` field of the scenario entry ``where``.
 

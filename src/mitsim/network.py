@@ -22,11 +22,11 @@ per overlay content.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Hashable, Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Hashable, Iterable, Mapping, NamedTuple, Optional
 
-from .errors import (ValidationError, as_float, as_list, as_object, entries, id_pair,
+from .errors import (ValidationError, as_bool, as_float, as_list, as_object, entries, id_pair,
                      known, require)
 
 MODE_CATEGORIES = frozenset(
@@ -49,7 +49,6 @@ class ModeSpec:
 
     mode_id: str
     category: str
-    agile: bool
     maas_member: bool
 
 
@@ -63,7 +62,6 @@ class UsageEntry:
 
     mode_id: str
     direction: str = "both"
-    base_capacity: float = 1000.0
     free_flow_time: float = 60.0
     reserved: bool = False
 
@@ -95,14 +93,9 @@ class MultimodalNode:
     """
 
     node_id: str
-    attachments: frozenset[tuple[str, str]]  # (mode_id, network_id)
+    modes: tuple[str, ...]  # the attached modes, sorted
     transfer_time: Mapping[tuple[str, str], float]
     services: frozenset[str] = frozenset()
-    # the attached modes, sorted; derived from ``attachments``
-    modes: tuple[str, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(sorted({m for m, _ in self.attachments})))
 
     def transfer(self, from_mode: str, to_mode: str) -> float:
         if from_mode == to_mode:
@@ -121,7 +114,7 @@ class Arc(NamedTuple):
 
 
 class MultiLayerNetwork:
-    """Immutable container for modes, networks, nodes and segments.
+    """Immutable container for modes, the usage matrix, nodes and segments.
 
     :func:`build_network` checks a description as it reads it; the
     container itself only checks that every MaaS mode can be served.
@@ -130,14 +123,12 @@ class MultiLayerNetwork:
     def __init__(
         self,
         modes: Iterable[ModeSpec],
-        networks: Iterable[str],
         usage_matrix: Iterable[tuple[str, str]],
         nodes: Iterable[str],
         segments: Iterable[Segment],
         multimodal_nodes: Iterable[MultimodalNode],
     ):
         self.modes = {m.mode_id: m for m in modes}
-        self.networks = frozenset(networks)
         self.usage_matrix = frozenset(tuple(p) for p in usage_matrix)
         self.nodes = frozenset(nodes)
         self.segments = {s.segment_id: s for s in segments}
@@ -351,10 +342,10 @@ def build_network(spec: Mapping) -> MultiLayerNetwork:
                                 "mode_id"):
         where = f"mode {mode_id}"
         category = known(require(raw, where, "category"), MODE_CATEGORIES, where, "category")
-        agile = bool(raw.get("agile", category in AGILE_CATEGORIES))
-        if category in AGILE_CATEGORIES and not agile:
+        if not as_bool(raw.get("agile", True), where, "agile") and category in AGILE_CATEGORIES:
             raise ValidationError(f"{where}: category {category} must be agile")
-        modes[mode_id] = ModeSpec(mode_id, category, agile, bool(raw.get("maas_member", False)))
+        modes[mode_id] = ModeSpec(mode_id, category,
+                                  as_bool(raw.get("maas_member", False), where, "maas_member"))
     networks = {network_id for network_id, _ in entries(
         require(spec, "network", "networks"), "network.networks", "network", "network_id")}
     # The container gets the pair and node lists in document order: the
@@ -395,8 +386,8 @@ def build_network(spec: Mapping) -> MultiLayerNetwork:
                                       f"usage matrix")
             # Positional arguments: these frozen records are built once per
             # entry, and keywords make that measurably slower.
-            usage.append(UsageEntry(mode_id, direction, base_capacity, free_flow_time,
-                                    bool(u.get("reserved", False))))
+            usage.append(UsageEntry(mode_id, direction, free_flow_time,
+                                    as_bool(u.get("reserved", False), where, "usage reserved")))
         if not usage:
             raise ValidationError(f"{where}: empty usage list")
         seg_class = known(raw.get("class", "minor"), SEGMENT_CLASSES, where, "class")
@@ -414,14 +405,14 @@ def build_network(spec: Mapping) -> MultiLayerNetwork:
                                 "multimodal node", "node_id"):
         where = f"multimodal node {node_id}"
         known(node_id, nodes, where, "node")
-        attachments = []
+        attached = set()
         for pair in as_list(require(raw, where, "attachments"), where, "attachments"):
             attachment = id_pair(pair, where, "attachment")
             if attachment not in usage_matrix:
                 raise ValidationError(f"{where}: attachment ({attachment[0]}, "
                                       f"{attachment[1]}) not in the usage matrix")
-            attachments.append(attachment)
-        attached_modes = sorted({m for m, _ in attachments})
+            attached.add(attachment[0])
+        attached_modes = tuple(sorted(attached))
         raw_transfer = as_object(raw.get("transfer_time"), where, "transfer_time")
         transfer: dict[tuple[str, str], float] = {}
         for a in attached_modes:
@@ -435,14 +426,13 @@ def build_network(spec: Mapping) -> MultiLayerNetwork:
                 transfer[(a, b)] = duration
         multimodal_nodes.append(MultimodalNode(
             node_id=node_id,
-            attachments=frozenset(attachments),
+            modes=attached_modes,
             transfer_time=transfer,
             services=frozenset(known(service, NODE_SERVICES, where, "service") for service
                                in as_list(raw.get("services", []), where, "services")),
         ))
     return MultiLayerNetwork(
         modes=modes.values(),
-        networks=networks,
         usage_matrix=usage_pairs,
         nodes=node_list,
         segments=segments,
@@ -450,21 +440,15 @@ def build_network(spec: Mapping) -> MultiLayerNetwork:
     )
 
 
-def node_distances(
-    net: MultiLayerNetwork,
-    sources: Union[Iterable[str], Mapping[str, float]],
-) -> dict[str, float]:
+def node_distances(net: MultiLayerNetwork, sources: Mapping[str, float]) -> dict[str, float]:
     """Shortest along-segment distance (meters) from a source set to all nodes.
 
     Distances are over the undirected union of all segments regardless of
-    mode, matching how warning areas are scoped.  ``sources`` may carry
-    initial distances (for positions in a segment's interior).
+    mode, matching how warning areas are scoped.  ``sources`` maps each
+    source node to its initial distance (nonzero for positions in a
+    segment's interior).
     """
-    if isinstance(sources, Mapping):
-        initial = dict(sources)
-    else:
-        initial = {s: 0.0 for s in sources}
-    return _dijkstra(net.undirected_adjacency(), initial)
+    return _dijkstra(net.undirected_adjacency(), sources)
 
 
 def _dijkstra(adj: Mapping[str, Iterable[tuple[str, float]]],

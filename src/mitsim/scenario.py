@@ -26,8 +26,8 @@ from .disturbance import (DETECTION_SOURCE_KINDS, DISTURBANCE_KINDS, SEVERITY_ME
                           default_effect_matrix, validate_effect_matrix)
 from .dissemination import (DEVICE_ROLES, MOBILE_ROLES, DevicePosition, EdgeDevice,
                             RelevancePolicy, RsuTopology)
-from .errors import (ValidationError, as_float, as_int, as_list, as_object, entries, id_pair,
-                     known, require)
+from .errors import (ValidationError, as_bool, as_float, as_int, as_list, as_object, entries,
+                     id_pair, known, require)
 from .network import MultiLayerNetwork, build_network
 from .routing import RoutingPreferences
 from .state import CavUnit, NetworkState, PtRoute, SimDefaults, WorldState, boarding_waits
@@ -138,9 +138,7 @@ class Scenario:
         return WorldState(
             overlay=overlay,
             devices=devices,
-            pt_routes={r.route_id: PtRoute(r.route_id, r.mode_id, r.stops,
-                                           r.segments, r.headway, r.priority)
-                       for r in self.pt_routes},
+            pt_routes={r.route_id: r for r in self.pt_routes},
             cavs=cavs,
             defaults=self.defaults,
         )
@@ -363,9 +361,9 @@ def load_scenario(raw: Mapping) -> Scenario:
                 f"{MAX_STREAM_ARRIVALS} arrivals before the window ends")
 
     # effect matrix: scenario rows override the documented default
-    matrix = dict(default_effect_matrix(
-        net, tram_crossing_signals=bool(raw.get("effect_matrix_tram_crossing", False))
-    ))
+    tram_crossing = as_bool(raw.get("effect_matrix_tram_crossing", False), "scenario",
+                            "effect_matrix_tram_crossing")
+    matrix = dict(default_effect_matrix(net, tram_crossing_signals=tram_crossing))
     for kind, pairs in as_object(raw.get("effect_matrix"), "scenario", "effect_matrix").items():
         matrix[kind] = frozenset(id_pair(pair, f"effect matrix {kind}", "pair")
                                  for pair in as_list(pairs, "effect matrix", kind))
@@ -424,8 +422,9 @@ def load_scenario(raw: Mapping) -> Scenario:
                             f"area_radius {level}")
             for level, radius in default.area_radius.items()
         },
-        include_adaptation_actors=bool(rel_raw.get("include_adaptation_actors",
-                                                   default.include_adaptation_actors)),
+        include_adaptation_actors=as_bool(rel_raw.get("include_adaptation_actors",
+                                                      default.include_adaptation_actors),
+                                          "policies.relevance", "include_adaptation_actors"),
     )
     rows = {kind: tuple(as_list(row, "policies.strategy_table", kind)) for kind, row
             in as_object(pol.get("strategy_table"), "policies", "strategy_table").items()}
@@ -462,7 +461,7 @@ def load_scenario(raw: Mapping) -> Scenario:
             raise ValidationError(f"{where}: headway must be > 0")
         pt_route = PtRoute(
             route_id=route_id, mode_id=mode_id, stops=stops, segments=segments,
-            headway=headway, priority=bool(r.get("priority", False)),
+            headway=headway, priority=as_bool(r.get("priority", False), where, "priority"),
         )
         route_node_chain(net, pt_route)  # a bus diversion walks this chain mid-run
         pt_routes.append(pt_route)

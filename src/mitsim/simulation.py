@@ -65,10 +65,9 @@ class Traveler:
     device_id: Optional[str] = None
     baseline_cost: Optional[float] = None
     status: str = "pending"  # pending|moving|waiting|completed|abandoned
-    node: Optional[str] = None
+    node: Optional[str] = None  # None while on a segment: traversals[-1]
     moves: list = field(default_factory=list)
-    current: Optional[tuple] = None  # (seg, enter, exit, to_node)
-    traversals: list = field(default_factory=list)
+    traversals: list = field(default_factory=list)  # (seg, mode, enter, exit)
     replan_flag: bool = False
     wait_version: int = 0
     arrival: Optional[float] = None
@@ -185,7 +184,6 @@ class _Sim:
         self.warning_log: list[str] = []
         self.action_log: list[str] = []
         self.records: list[DisseminationRecord] = []
-        self.travelers: dict[str, Traveler] = {}
         self.by_device: dict[str, Traveler] = {}
         self.node_positions: dict[str, DevicePosition] = {}  # immutable, shared by devices
         self.events: dict[str, DisturbanceEvent] = {e.event_id: e for e in scenario.events}
@@ -277,7 +275,7 @@ class _Sim:
                 device.destination = dest
                 if plan.moves and device.mode is None:
                     device.mode = plan.moves[0][1]
-        self.travelers[tid] = tv
+        self.world.travelers[tid] = tv
         if device_id is not None:
             self.by_device[device_id] = tv
         self.schedule(depart, "spawn", (tv,))
@@ -342,10 +340,9 @@ class _Sim:
             tv.moves.pop(0)
             if device is not None:
                 device.mode = mode
-            self.world.flow_entries.append((t, seg_id, mode))
             exit_t = t + tt
-            tv.current = (seg_id, t, exit_t, to_node)
-            tv.traversals.append((seg_id, t, exit_t))
+            tv.node = None
+            tv.traversals.append((seg_id, mode, t, exit_t))
             heapq.heappush(self.heap, (exit_t, next(self._seq), "arrive", (tv, to_node)))
             return
 
@@ -367,15 +364,16 @@ class _Sim:
         self.log(t, {"type": "trip_abandoned", "traveler": tv.tid, "reason": why})
 
     def _wake_waiting(self, t: float) -> None:
-        for tid in sorted(tid for tid, tv in self.travelers.items() if tv.status == "waiting"):
-            self.schedule(t, "retry", (self.travelers[tid],))
+        travelers = self.world.travelers
+        for tid in sorted(tid for tid, tv in travelers.items() if tv.status == "waiting"):
+            self.schedule(t, "retry", (travelers[tid],))
 
     def _refresh_positions(self, now: float) -> None:
         for tv in self.by_device.values():
             device = self._device(tv)
-            if device is None or tv.current is None or tv.status != "moving":
+            if device is None or tv.node is not None or tv.status != "moving":
                 continue
-            seg_id, enter, exit_t, _to = tv.current
+            seg_id, _mode, enter, exit_t = tv.traversals[-1]
             length = self.net.segments[seg_id].length
             frac = 0.0 if exit_t <= enter else (now - enter) / (exit_t - enter)
             frac = min(max(frac, 0.0), 1.0)
@@ -394,7 +392,6 @@ class _Sim:
 
     def handle_arrive(self, t: float, tv: Traveler, node: str) -> None:
         tv.node = node
-        tv.current = None
         device = self.world.devices.get(tv.device_id) if tv.device_id else None
         if device is not None:
             position = self.node_positions.get(node)
@@ -593,7 +590,7 @@ class _Sim:
             event_log=self.event_log,
             warning_log=self.warning_log,
             action_log=self.action_log,
-            trips=self.travelers,
+            trips=self.world.travelers,
             records=self.records,
             notified_mobile=self._notified_mobile(),
         )
@@ -609,8 +606,7 @@ class _Sim:
     def _finalize(self) -> None:
         m = self.metrics
         delays = []
-        for tid in sorted(self.travelers):
-            tv = self.travelers[tid]
+        for tid, tv in sorted(self.world.travelers.items()):
             m.trips_total += 1
             if tv.status == "completed":
                 m.trips_completed += 1
@@ -669,7 +665,7 @@ def ground_truth_affected(
         if tv.status != other.status or cost_a != cost_b:
             affected.add(tv.device_id)
             continue
-        for seg_id, enter, exit_t in tv.traversals:
+        for seg_id, _mode, enter, exit_t in tv.traversals:
             if seg_id in located and enter < event.true_end and exit_t > event.start:
                 affected.add(tv.device_id)
                 break

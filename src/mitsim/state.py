@@ -33,13 +33,14 @@ durations only; the caller turns them into times.  The overlay keeps the
 store with its validity window: the write count and the clock interval
 between contribution edges over which the active set cannot change, so a
 repeated lookup within it is two comparisons.
+
+Observed flows are counted from the traversals of the world's travelers.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .network import PT_CATEGORIES, Arc, MultiLayerNetwork
@@ -78,7 +79,7 @@ class SimDefaults:
     flow_window: float = 3600.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class PtRoute:
     route_id: str
     mode_id: str
@@ -311,24 +312,21 @@ class WorldState:
     cavs: dict[str, CavUnit] = field(default_factory=dict)
     defaults: SimDefaults = field(default_factory=SimDefaults)
     signal_claims: dict[tuple[str, str], tuple[str, float]] = field(default_factory=dict)
-    # action id -> the diverted route's (segments, stops) before the diversion
-    diversions: dict[str, tuple] = field(default_factory=dict)
-    # (entry time, segment, mode) of each traversal, appended at its entry
-    # time, so the times never decrease.
-    flow_entries: list[tuple[float, str, str]] = field(default_factory=list)
+    # action id -> the diverted route's record before the diversion
+    diversions: dict[str, PtRoute] = field(default_factory=dict)
+    # trip id -> Traveler; flows are counted from their traversals
+    travelers: dict = field(default_factory=dict)
 
     @property
     def net(self) -> MultiLayerNetwork:
         return self.overlay.net
 
     def flows(self, now: float) -> dict[tuple[str, str], float]:
-        """Observed hourly flow per (segment, mode) over the trailing window."""
+        """Observed hourly flow per (segment, mode) over the trailing window:
+        the traversals entered in ``(now - flow_window, now]``."""
         window = self.defaults.flow_window
-        entries, entry_time = self.flow_entries, itemgetter(0)
-        lo = bisect_right(entries, now - window, key=entry_time)
-        hi = bisect_right(entries, now, lo=lo, key=entry_time)
-        counts: dict[tuple[str, str], float] = {}
-        for _t, seg, mode in entries[lo:hi]:
-            counts[(seg, mode)] = counts.get((seg, mode), 0.0) + 1.0
+        counts = Counter((seg, mode) for tv in self.travelers.values()
+                         for seg, mode, enter, _exit in tv.traversals
+                         if now - window < enter <= now)
         scale = 3600.0 / window
         return {k: v * scale for k, v in counts.items()}

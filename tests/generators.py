@@ -154,7 +154,7 @@ def random_grid_network(rng: random.Random, n: int = 30) -> MultiLayerNetwork:
 
 def rebuilt(net: MultiLayerNetwork) -> MultiLayerNetwork:
     """An equal network built anew, sharing none of ``net``'s caches."""
-    return MultiLayerNetwork(net.modes.values(), net.networks, net.usage_matrix,
+    return MultiLayerNetwork(net.modes.values(), net.usage_matrix,
                              net.nodes, net.segments.values(), net.multimodal_nodes.values())
 
 

@@ -48,8 +48,8 @@ def brute_force_route(origin, dest, prefs, state):
             rec(arc.to_node, mode, nw, cost + tt, transfers,
                 seq + (arc.segment_id,), time + tt, visited | {stt})
         mn = net.multimodal_nodes.get(node)
-        if mn is not None and mode in {m for m, _ in mn.attachments}:
-            for m2 in sorted({m for m, _ in mn.attachments}):
+        if mn is not None and mode in mn.modes:
+            for m2 in mn.modes:
                 if m2 == mode or m2 not in prefs.allowed_modes:
                     continue
                 dur = mn.transfer(mode, m2) + state.wait_to_board(m2)
@@ -130,8 +130,8 @@ def reference_search(origin, dest, prefs, state):
                 ("seg", arc.segment_id, mode, arc.to_node, tt),
             )
         mn = net.multimodal_nodes.get(node)
-        if mn is not None and mode in {m for m, _ in mn.attachments}:
-            for to_mode in sorted({m for m, _ in mn.attachments}):
+        if mn is not None and mode in mn.modes:
+            for to_mode in mn.modes:
                 if to_mode == mode or to_mode not in prefs.allowed_modes:
                     continue
                 duration = mn.transfer(mode, to_mode) + state.wait_to_board(to_mode)
@@ -303,13 +303,14 @@ def oracle_key(oracle):
     return (time, transfers, seq)
 
 
-def brute_force_flows(flow_entries, now, window):
+def brute_force_flows(travelers, now, window):
     """Hourly flow per (segment, mode) over ``(now - window, now]``, by a
-    scan of every entry."""
+    scan of every traversal of every traveler, in traveler order."""
     counts = {}
-    for t, seg, mode in flow_entries:
-        if now - window < t <= now:
-            counts[(seg, mode)] = counts.get((seg, mode), 0.0) + 1.0
+    for tv in travelers:
+        for seg, mode, enter, _exit in tv.traversals:
+            if now - window < enter <= now:
+                counts[(seg, mode)] = counts.get((seg, mode), 0.0) + 1.0
     return {k: v * (3600.0 / window) for k, v in counts.items()}
 
 
@@ -527,6 +528,6 @@ class SingleHeapSim(_Sim):
         return RunResult(
             config=self.config, metrics=self.metrics, event_log=self.event_log,
             warning_log=self.warning_log, action_log=self.action_log,
-            trips=self.travelers, records=self.records,
+            trips=self.world.travelers, records=self.records,
             notified_mobile=self._notified_mobile(),
         )

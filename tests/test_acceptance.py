@@ -238,10 +238,10 @@ def _train_city_spec():
         "modes": [
             {"mode_id": m.mode_id,
              "category": "train" if m.category == "metro" else m.category,
-             "agile": m.agile, "maas_member": m.maas_member}
+             "maas_member": m.maas_member}
             for m in net.modes.values()
         ],
-        "networks": [{"network_id": n} for n in sorted(net.networks)],
+        "networks": [{"network_id": n} for n in sorted({n for _, n in net.usage_matrix})],
         "usage_matrix": [list(p) for p in sorted(net.usage_matrix)],
         "nodes": sorted(net.nodes),
         "segments": [
@@ -250,7 +250,6 @@ def _train_city_spec():
              "length": s.length, "class": s.seg_class,
              "shared_group": s.shared_group,
              "usage": [{"mode_id": u.mode_id, "direction": u.direction,
-                        "base_capacity": u.base_capacity,
                         "free_flow_time": u.free_flow_time,
                         "reserved": u.reserved}
                        for u in s.usage]}
@@ -258,7 +257,7 @@ def _train_city_spec():
         ],
         "multimodal_nodes": [
             {"node_id": mn.node_id,
-             "attachments": [list(a) for a in sorted(mn.attachments)],
+             "attachments": [[m, n] for m, n in sorted(net.usage_matrix) if m in mn.modes],
              "transfer_time": {f"{a},{b}": t
                                for (a, b), t in mn.transfer_time.items()},
              "services": sorted(mn.services)}

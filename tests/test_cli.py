@@ -8,7 +8,7 @@ from mitsim import scenario as scenario_module
 from mitsim.cli import main
 
 from conftest import DEMO_PATH, demo_scenario
-from test_scenario import NAN_CASES, NON_FINITE_CASES, place_rsu_a
+from test_scenario import BOOL_FIELDS, NAN_CASES, NON_FINITE_CASES, place_rsu_a
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +198,17 @@ def test_validate_rejects_nan_and_a_bool_seed(tmp_path, capsys, case):
     bad.write_text(json.dumps(raw))  # NaN is written as the token NaN, which json reads back
     assert main(["validate", str(bad)]) == 1
     assert capsys.readouterr().err.startswith("validation error: " + text)
+
+
+@pytest.mark.parametrize("field", sorted(BOOL_FIELDS))
+def test_validate_rejects_a_flag_that_is_a_string(tmp_path, capsys, field):
+    edit, entry = BOOL_FIELDS[field]
+    raw = demo_scenario()
+    edit(raw, "false")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err == f"validation error: {entry} must be true or false\n"
 
 
 @pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))

@@ -68,9 +68,54 @@ def test_walk_must_be_agile():
         build_network(spec)
 
 
+def _usage(spec, **fields):
+    spec["segments"][0]["usage"][0].update(fields)
+
+
+def _attach(spec, *pair):
+    spec["multimodal_nodes"].append({"node_id": "v1", "attachments": [list(pair)]})
+
+
+# Keys the network checks but does not keep: each case maps to (edit, the
+# error text).
+CHECKED_UNKEPT = {
+    "cycle not agile": (lambda spec: spec["modes"][0].update(category="cycle", agile=False),
+                        "mode car: category cycle must be agile"),
+    "base_capacity 0": (lambda spec: _usage(spec, base_capacity=0),
+                        "segment s0: capacity and free-flow time must be > 0 for mode car"),
+    "base_capacity -1": (lambda spec: _usage(spec, base_capacity=-1.0),
+                         "segment s0: capacity and free-flow time must be > 0 for mode car"),
+    "base_capacity string": (lambda spec: _usage(spec, base_capacity="abc"),
+                             "segment s0: usage base_capacity must be a number"),
+    "unknown network": (lambda spec: spec["segments"][0].update(network_id="rail"),
+                        "segment s0: unknown network rail"),
+    "attachment outside the matrix": (lambda spec: _attach(spec, "car", "rail"),
+                                      r"multimodal node v1: attachment \(car, rail\) not in"),
+    "attachment not a pair": (lambda spec: _attach(spec, "car"),
+                              "multimodal node v1: attachment must be a pair of ids"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKED_UNKEPT))
+def test_checked_but_unkept_keys_still_rejected(case):
+    edit, text = CHECKED_UNKEPT[case]
+    spec = line_network_spec(3)
+    edit(spec)
+    with pytest.raises(ValidationError, match=f"^{text}"):
+        build_network(spec)
+
+
+def test_multimodal_node_keeps_its_attached_modes_sorted():
+    spec = line_network_spec(3)
+    spec["modes"].append({"mode_id": "bus", "category": "bus"})
+    spec["usage_matrix"].append(["bus", "net"])
+    spec["multimodal_nodes"].append(
+        {"node_id": "v1", "attachments": [["car", "net"], ["bus", "net"], ["car", "net"]]})
+    assert build_network(spec).multimodal_nodes["v1"].modes == ("bus", "car")
+
+
 def test_default_bundled_network(demo_net):
     assert len(demo_net.modes) == 8
-    assert len(demo_net.networks) == 6
     # walking pairs with the pedestrian network
     assert ("M1", "N1") in demo_net.usage_matrix
     categories = {m.category for m in demo_net.modes.values()}
@@ -162,7 +207,7 @@ def test_maas_connectivity_enforced():
 
 
 def test_node_distances_multi_source(line3):
-    dist = node_distances(line3, ["v0"])
+    dist = node_distances(line3, {"v0": 0.0})
     assert dist == {"v0": 0.0, "v1": 1000.0, "v2": 2000.0}
     dist = node_distances(line3, {"v0": 0.0, "v2": 0.0})
     assert dist["v1"] == 1000.0
@@ -175,10 +220,9 @@ def test_node_distances_match_bellman_ford():
         picked = rng.sample(sorted(net.nodes), rng.randint(1, 3))
         if rng.random() < 0.5:
             sources = {n: 0.0 for n in picked}
-            got = node_distances(net, picked)
         else:
             sources = {n: rng.uniform(0.0, 2000.0) for n in picked}
-            got = node_distances(net, sources)
+        got = node_distances(net, sources)
         assert got == brute_force_node_distances(net, sources)
         assert net.distance_table(sources) == got
 

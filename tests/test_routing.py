@@ -673,7 +673,7 @@ def traveler_sim(spec, origin, dest, modes):
     ``origin`` for ``dest`` at t = 0."""
     sim = _Sim(traveler_scenario(spec, origin, dest, modes), MODE_TARGETED)
     sim.setup()
-    tv = sim.travelers["tv"]
+    tv = sim.world.travelers["tv"]
     sim.handle_spawn(0.0, tv)
     return sim, tv
 
@@ -685,7 +685,7 @@ def test_first_segment_is_entered_after_the_boarding_wait(category, wait):
     sim = _Sim(traveler_scenario(spec, "v0", "v2", ["m"], depart=500.0), MODE_TARGETED)
     tv = sim.run().trips["tv"]
     t = 500.0 + wait
-    assert tv.traversals == [("s0", t, t + 100.0), ("s1", t + 100.0, t + 200.0)]
+    assert tv.traversals == [("s0", "m", t, t + 100.0), ("s1", "m", t + 100.0, t + 200.0)]
     assert tv.arrival == t + 200.0
 
 
@@ -695,13 +695,14 @@ def logged(sim, kind):
 
 def test_reroute_keeps_unaffected_plan():
     sim, tv = traveler_sim(line_network_spec(3), "v0", "v2", ["car"])
-    assert tv.current == ("s0", 0.0, 100.0, "v1")
+    assert tv.node is None and tv.traversals[-1] == ("s0", "car", 0.0, 100.0)
     assert tv.moves == [("seg", "s1", "car", "v2", 100.0)]
     sim._flag_replans({"tv"}, 50.0)
     assert tv.replan_flag
     sim.handle_arrive(100.0, tv, "v1")
     assert not tv.replan_flag and logged(sim, "replan") == []
-    assert tv.current == ("s1", 100.0, 200.0, "v2") and tv.moves == []
+    assert tv.node is None and tv.traversals[-1] == ("s1", "car", 100.0, 200.0)
+    assert tv.moves == []
 
 
 def test_reroute_blocked_next_segment_no_alternative():
@@ -719,11 +720,12 @@ def test_reroute_adopts_improving_detour():
     modes = ["car", "metro"]
     # From v1 the road (r1, r2) beats going back to the metro at v0.
     keep, keep_tv = traveler_sim(multimodal_toy_spec(), "v1", "v3", modes)
-    assert keep_tv.current == ("r1", 0.0, 300.0, "v2")
+    assert keep_tv.node is None and keep_tv.traversals[-1] == ("r1", "car", 0.0, 300.0)
     assert keep_tv.moves == [("seg", "r2", "car", "v3", 300.0)]
     keep._flag_replans({"tv"}, 100.0)
     keep.handle_arrive(300.0, keep_tv, "v2")
-    assert logged(keep, "replan") == [] and keep_tv.current[0] == "r2"
+    assert logged(keep, "replan") == []
+    assert keep_tv.node is None and keep_tv.traversals[-1][0] == "r2"
     # r2 degraded so badly that going back to the metro pays off.
     sim, tv = traveler_sim(multimodal_toy_spec(), "v1", "v3", modes)
     overlay = sim.world.overlay
@@ -733,7 +735,8 @@ def test_reroute_adopts_improving_detour():
     sim._flag_replans({"tv"}, 100.0)
     sim.handle_arrive(300.0, tv, "v2")
     (replan,) = [json.loads(line) for line in logged(sim, "replan")]
-    seq = (tv.current[0],) + tuple(m[1] for m in tv.moves if m[0] == "seg")
+    assert tv.node is None
+    seq = (tv.traversals[-1][0],) + tuple(m[1] for m in tv.moves if m[0] == "seg")
     transfers = sum(m[0] == "transfer" for m in tv.moves)
     oracle = brute_force_route("v2", "v3", RoutingPreferences(frozenset(modes)), overlay)
     assert (replan["arrival_estimate"] - 300.0, transfers, seq) == oracle_key(oracle)

@@ -522,6 +522,48 @@ def test_non_number_rejected_naming_the_entry(field, value, problem):
         load_scenario(raw)
 
 
+# Each flag maps to (edit, the entry and key its error names).  Non-agile
+# categories are checked too, so the agile case edits the car mode.
+BOOL_FIELDS = {
+    "agile": (lambda raw, v: raw["network"]["modes"][2].update(agile=v), "mode M3: agile"),
+    "maas_member": (lambda raw, v: raw["network"]["modes"][2].update(maas_member=v),
+                    "mode M3: maas_member"),
+    "reserved": (lambda raw, v: _segment(raw)["usage"][0].update(reserved=v),
+                 "segment R1: usage reserved"),
+    "priority": (lambda raw, v: raw["policies"]["pt_routes"][0].update(priority=v),
+                 "pt route Met1: priority"),
+    "include_adaptation_actors": (
+        lambda raw, v: raw["policies"]["relevance"].update(include_adaptation_actors=v),
+        "policies.relevance: include_adaptation_actors"),
+    "effect_matrix_tram_crossing": (
+        lambda raw, v: raw.update(effect_matrix_tram_crossing=v),
+        "scenario: effect_matrix_tram_crossing"),
+    "reserved_lane_hit": (
+        lambda raw, v: raw["disturbances"][0].update(specifics={"reserved_lane_hit": v}),
+        "event bridge-crash: reserved_lane_hit"),
+}
+
+
+@pytest.mark.parametrize("value", ["false", "no", 0, 1, None],
+                         ids=["string-false", "string-no", "zero", "one", "null"])
+@pytest.mark.parametrize("field", sorted(BOOL_FIELDS))
+def test_non_boolean_flag_rejected_naming_the_entry(field, value):
+    """A flag read by truthiness would turn on for the string "false"."""
+    edit, entry = BOOL_FIELDS[field]
+    raw = demo_scenario()
+    edit(raw, value)
+    with pytest.raises(ValidationError, match=f"^{entry} must be true or false$"):
+        load_scenario(raw)
+
+
+@pytest.mark.parametrize("field", sorted(BOOL_FIELDS))
+def test_boolean_flags_load_as_given(field):
+    for value in (True, False):
+        raw = demo_scenario()
+        BOOL_FIELDS[field][0](raw, value)
+        load_scenario(raw)
+
+
 def _severity(raw, **fields):
     raw["disturbances"][0]["severity"] = fields
 

@@ -34,7 +34,8 @@ from generators import (
     run_outputs,
     tie_scenario_dict,
 )
-from oracles import SingleHeapSim, brute_force_canon, brute_force_residual_map
+from oracles import (SingleHeapSim, brute_force_canon, brute_force_flows,
+                     brute_force_residual_map)
 
 
 def mini_scenario(kind="D1", block=1.0, start=150.0, est=1800.0, true=None,
@@ -471,8 +472,11 @@ class HandlerStateSim(_Sim):
 
     A traveler has at most one pending ``arrive``, and while it is pending
     nothing changes its status (flags, patience and retries act only on
-    waiting travelers).  A flagged traveler was waiting, so it stands at a
-    node, and the flag set it moving."""
+    waiting travelers).  It arrives either from a segment, its last
+    traversal, which ends then at the node (its ``node`` is None on the
+    way), or at the node it stands at, after a boarding wait or a
+    transfer.  A flagged traveler was waiting, so it stands at a node, and
+    the flag set it moving."""
 
     def __init__(self, scenario, config):
         super().__init__(scenario, config)
@@ -480,12 +484,19 @@ class HandlerStateSim(_Sim):
 
     def handle_arrive(self, t, tv, node):
         assert tv.status == "moving", (t, tv.tid, tv.status)
-        self.seen["arrive"] += 1
+        if tv.node is None:
+            seg_id, _mode, _enter, exit_t = tv.traversals[-1]
+            seg = self.net.segments[seg_id]
+            assert exit_t == t and node in (seg.from_node, seg.to_node), (t, tv.tid, node)
+            self.seen["arrive"] += 1
+        else:
+            assert node == tv.node, (t, tv.tid, node, tv.node)
+            self.seen["arrive at the node"] += 1
         super().handle_arrive(t, tv, node)
 
     def handle_retry_flagged(self, t, tv):
         assert tv.status == "moving", (t, tv.tid, tv.status)
-        assert tv.current is None and tv.node is not None, (t, tv.tid, tv.current)
+        assert tv.node is not None, (t, tv.tid)
         self.seen["retry_flagged"] += 1
         super().handle_retry_flagged(t, tv)
 
@@ -508,6 +519,40 @@ def test_arrivals_and_flagged_retries_find_the_states_they_rely_on(make, seeds, 
             seen += sim.seen
     assert seen["arrive"] > 0
     assert (seen["retry_flagged"] > 0) == flags
+
+
+def test_flows_equal_a_scan_of_every_traversal_in_runs():
+    """Each ``flows`` call a replacement plan makes mid-run equals a scan of
+    every traveler's traversals, anonymous travelers included, on rail
+    lines broken by a D7 (a train line) or a D6 (the same line as metro),
+    under flow windows short and long."""
+    seen = Counter()
+    for seed in range(12):
+        rng = random.Random(seed)
+        raw = rail_line_scenario_dict(rng)
+        window = rng.choice([60.0, 600.0, 3600.0])
+        raw["policies"]["defaults"]["flow_window"] = window
+        if seed % 2:
+            raw["network"]["modes"][2]["category"] = "metro"
+            raw["disturbances"][0]["kind"] = "D6"
+            raw["detection_sources"][0]["applicable_kinds"] = ["D6"]
+        sim = _Sim(load_scenario(raw), MODE_TARGETED)
+
+        def checked_flows(now, world=sim.world, flows=sim.world.flows, window=window,
+                          kind=raw["disturbances"][0]["kind"]):
+            got = flows(now)
+            expected = brute_force_flows(world.travelers.values(), now, window)
+            assert list(got.items()) == list(expected.items())
+            entered = [(tv.device_id, enter) for tv in world.travelers.values()
+                       for _seg, _mode, enter, _exit in tv.traversals]
+            seen[kind] += bool(got)
+            seen["anonymous"] += any(d is None and now - window < e <= now for d, e in entered)
+            seen["before the window"] += any(e <= now - window for _d, e in entered)
+            return got
+
+        sim.world.flows = checked_flows
+        assert run_outputs(sim.run()) == run_outputs(run(load_scenario(raw), MODE_TARGETED))
+    assert min(seen[k] for k in ("D6", "D7", "anonymous", "before the window")) >= 2, seen
 
 
 # -- fleet integration -------------------------------------------------------------------
@@ -582,7 +627,7 @@ def test_replacement_service_carries_stranded_riders():
     assert any(a["type"] == "replacement" for a in actions)
     rider = result.trips["rider"]
     assert rider.status == "completed"
-    ridden = [seg for seg, _enter, _exit in rider.traversals]
+    ridden = [seg for seg, _mode, _enter, _exit in rider.traversals]
     assert ridden == ["g0", "g1"]  # the road bridge, in the metro's stead
     # slower than the metro it replaces, but far better than waiting it out
     assert 0 < result.metrics.total_delay_s < 3600.0 - 400.0

@@ -7,6 +7,7 @@ from collections import Counter
 
 from mitsim import routing
 from mitsim.routing import RoutingPreferences, _search, route
+from mitsim.simulation import Traveler
 from mitsim.state import Contribution, NetworkState, SimDefaults, WorldState
 
 from generators import CLOCKS, random_contribution, random_network, rebuilt
@@ -349,22 +350,27 @@ def test_traversal_time_is_free_flow_over_the_scanned_residual(monkeypatch):
 
 
 def test_flows_equal_a_scan_of_every_entry(line3):
-    """``flows`` reads only its window of the time-ordered entries; it equals
-    a scan of all of them, insertion order included, also for entries at
-    the cutoff and at ``now``."""
+    """``flows`` counts the traversals of every traveler entered in the
+    trailing window; it equals a scan of all of them, traveler order
+    included, also for entries at the cutoff and at ``now``."""
     seen = Counter()
     for seed in range(200):
         rng = random.Random(52_000 + seed)
         window = rng.choice([60.0, 100.0, 3600.0])
         world = WorldState(overlay=NetworkState(line3),
                            defaults=SimDefaults(flow_window=window))
-        times = sorted(rng.choice([0.0, 40.0, 60.0, 100.0, 160.0, 200.0, 3600.0, 3700.0])
-                       for _ in range(rng.randint(0, 30)))
-        world.flow_entries = [(t, rng.choice(["s0", "s1"]), rng.choice(["car", "bus"]))
-                              for t in times]
+        times = []
+        for k in range(rng.randint(0, 5)):
+            tv = Traveler(f"t{k}", "v0", "v2", 0.0, None)
+            for enter in sorted(rng.choice([0.0, 40.0, 60.0, 100.0, 160.0, 200.0, 3600.0,
+                                            3700.0]) for _ in range(rng.randint(0, 6))):
+                tv.traversals.append((rng.choice(["s0", "s1"]), rng.choice(["car", "bus"]),
+                                      enter, enter + 30.0))
+                times.append(enter)
+            world.travelers[tv.tid] = tv
         for now in (0.0, 60.0, 100.0, 160.0, 200.0, 250.0, 3700.0, 1e9):
             got = world.flows(now)
-            expected = brute_force_flows(world.flow_entries, now, window)
+            expected = brute_force_flows(world.travelers.values(), now, window)
             assert list(got.items()) == list(expected.items())
             seen["at cutoff"] += (now - window) in times
             seen["at now"] += now in times
