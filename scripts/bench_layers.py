@@ -13,8 +13,10 @@ what a ``Probe`` sees beside them: searches made for ``route`` and for
 ``free_flow_path`` and the states each settles (a search reads
 ``net.multimodal_nodes`` once per state it expands; a found plan adds its
 destination), ``route()``'s store hits, the devices ``distribute`` is handed
-and notifies, overlay writes, the entries ``setup`` schedules, and the median
-heap length as each entry reaches its handler.  Then each span in ``TIMED``
+and notifies, overlay writes, the entries ``setup`` schedules, the median
+heap length as each entry reaches its handler, the cone travelers that
+``compare``'s partial leave-one-out runs simulate, and the leave-one-out runs
+that fall back to a full run.  Then each span in ``TIMED``
 is timed over ``--repeat`` runs with that span alone installed, so no nested
 span adds to it, each making the counted calls; ``seconds`` holds the median
 total and the mean per call (``time.perf_counter``), and ``per_call_ref_us``,
@@ -78,7 +80,8 @@ class Probe:
     def __init__(self) -> None:
         self.counts = dict.fromkeys(("route_searches", "route_settled", "free_flow_path_searches",
                                      "free_flow_path_settled", "store_hits", "setup_entries",
-                                     "devices_seen", "notified"), 0)
+                                     "devices_seen", "notified", "cone_travelers",
+                                     "leave_one_out_fallbacks"), 0)
         self.kind = ["route"]
         self.heap_lens: list[int] = []
         self.nodes = CountingNodes()
@@ -120,6 +123,15 @@ class Probe:
         def counted(sim):
             fn(sim)
             self.counts["setup_entries"] += len(sim.setup_entries)
+            if isinstance(sim, simulation.LeaveOneOut):
+                self.counts["cone_travelers"] += len(sim.world.travelers)
+        return counted
+
+    def partial_trips(self, fn):
+        def counted(*args):
+            trips = fn(*args)
+            self.counts["leave_one_out_fallbacks"] += trips is None
+            return trips
         return counted
 
     def handler(self, fn):
@@ -154,6 +166,7 @@ def count(workload: str, seed: int) -> dict:
     handlers = [(n, probe.handler) for n in vars(simulation._Sim) if n.startswith("handle_")]
     for attr, hook in [("setup", probe.setup)] + handlers:
         tracer._patch("mitsim.simulation", "_Sim." + attr, hook)
+    tracer._patch("mitsim.simulation", "partial_trips", probe.partial_trips)
     run_workload(workload, seed, tracer, probe)
     counts = probe.counts
     for kind in ("route", "free_flow_path"):

@@ -335,7 +335,8 @@ def route_node_chain(net: MultiLayerNetwork, pt_route: PtRoute) -> list[str]:
 class _Context:
     """What a template builder reads: the event, the world, the warning's
     entries by segment and their segments in id order (``located``), the
-    action window and the effect matrix."""
+    action window, the effect matrix and the reroute targets, when the
+    caller decided them."""
 
     event: DisturbanceEvent
     state: WorldState
@@ -344,6 +345,7 @@ class _Context:
     now: float
     expiry: float
     matrix: EffectMatrix
+    reroute_targets: Optional[tuple[str, ...]]
 
     @property
     def window(self) -> tuple:
@@ -358,16 +360,21 @@ def plan(
     table: StrategyTable,
     matrix: EffectMatrix,
     skip_log: Optional[list] = None,
+    reroute_targets: Optional[tuple[str, ...]] = None,
 ) -> list[AdaptationAction]:
     """Instantiate the strategy row for the event's kind, in template order,
     and number the actions ``a-<event>-1..n`` in the order they were built.
 
     A template whose builder raises :class:`InfeasibleError` is skipped
-    with the error's text as the reason, appended to ``skip_log``.
+    with the error's text as the reason, appended to ``skip_log``.  The
+    reroute template targets ``reroute_targets`` when given (a caller that
+    knows the devices ``routed_via`` picks without scanning the fleet),
+    else every device of the state ``routed_via`` picks, in id order.
     """
     entries = {e.segment_id: e for e in warning.affected}
     context = _Context(event, state, entries, tuple(sorted(entries)),
-                       float(warning.issue_time), float(warning.estimated_end), matrix)
+                       float(warning.issue_time), float(warning.estimated_end), matrix,
+                       reroute_targets)
     skips = skip_log if skip_log is not None else []
     built: list[AdaptationAction] = []
     for template in table[event.kind]:
@@ -379,24 +386,29 @@ def plan(
             for n, action in enumerate(built, 1)]
 
 
+def routed_via(device, entries: dict, now: float) -> bool:
+    """Whether a mobile device's planned route enters a segment of
+    ``entries`` (a warning's entries by segment) at or after ``now``, in a
+    mode the entry affects: the reroute template's test."""
+    if device.role not in MOBILE_ROLES or device.mode is None or device.planned_route is None:
+        return False
+    for seg_id, eta in device.planned_route:
+        if eta < now:
+            continue
+        entry = entries.get(seg_id)
+        if entry is not None and device.mode in entry.modes:
+            return True
+    return False
+
+
 def _reroute(c: _Context) -> list[AdaptationAction]:
-    targets = []
-    for device_id in sorted(c.state.devices):
-        device = c.state.devices[device_id]
-        if device.role not in MOBILE_ROLES:
-            continue
-        if device.mode is None or device.planned_route is None:
-            continue
-        for seg_id, eta in device.planned_route:
-            if eta < c.now:
-                continue
-            entry = c.entries.get(seg_id)
-            if entry is not None and device.mode in entry.modes:
-                targets.append(device_id)
-                break
+    targets = c.reroute_targets
+    if targets is None:
+        devices = c.state.devices
+        targets = tuple(d for d in sorted(devices) if routed_via(devices[d], c.entries, c.now))
     if not targets:
         raise InfeasibleError("no devices routed via the disturbance")
-    return [Reroute(*c.window, tuple(targets))]
+    return [Reroute(*c.window, targets)]
 
 
 def _stop_guidance(c: _Context) -> list[AdaptationAction]:

@@ -306,6 +306,52 @@ def _rsu_reach(
     return depth, parent
 
 
+class Relay:
+    """The roadside units that carry one warning, and whom each one serves.
+
+    The unit closest to the affected area (the first in id order on a tie)
+    issues the warning, and it relays along the unit adjacency up to the
+    hop budget.  ``rsus`` must be every roadside unit of the fleet.
+    """
+
+    def __init__(self, scope: WarningScope, rsus: list[EdgeDevice], topology: RsuTopology):
+        net = self.net = scope.net
+
+        def event_distance(rsu: EdgeDevice) -> float:
+            anchors = _anchor_map(net, rsu.position).items()
+            return min((0.0 if rsu.position.segment == seg_id
+                        else _table_distance(table, anchors)
+                        for seg_id, _modes, _radius, table in scope.areas),
+                       default=float("inf"))
+
+        self.origin = min(rsus, key=lambda r: (event_distance(r), r.device_id)).device_id
+        depth, self.parent = _rsu_reach(rsus, self.origin, topology)
+        # The reachable units by depth, then id: the order of the serving key.
+        self.reach = sorted(((depth[rsu.device_id], rsu,
+                              net.distance_table(_anchor_map(net, rsu.position)))
+                             for rsu in rsus if rsu.device_id in depth),
+                            key=lambda item: item[0])
+
+    def serve(self, device: EdgeDevice) -> Optional[tuple[int, float, str]]:
+        """``(hops, distance, unit id)`` of the unit that serves ``device``:
+        the least such key among the reachable units in range, or None."""
+        pos = device.position
+        anchors = _anchor_map(self.net, pos).items()
+        best_key = None
+        for hops, rsu, cover in self.reach:
+            if best_key is not None and hops > best_key[0]:
+                break  # no deeper unit serves better
+            d = _table_distance(cover, anchors)
+            if rsu.position.segment is not None and rsu.position.segment == pos.segment:
+                d = min(d, abs(rsu.position.offset - pos.offset))
+            if d > max(rsu.comm_range, device.comm_range):
+                continue
+            key = (hops, d, rsu.device_id)
+            if best_key is None or key < best_key:
+                best_key = key
+        return best_key
+
+
 def distribute(
     w: WarningMessage,
     devices: Iterable[EdgeDevice],
@@ -317,12 +363,11 @@ def distribute(
 ) -> DisseminationRecord:
     """Deliver a warning to every relevant, reachable device.
 
-    The roadside unit closest to the affected area issues the warning; it
-    relays along the unit adjacency up to the hop budget and each relevant
-    device is served by its best covering unit (smallest depth, then
-    distance, then id).  ``messages_sent`` counts relay transmissions on
-    the used tree paths plus one delivery per notified device.  Relevant
-    devices no reachable unit covers are reported as missed.
+    Each relevant device is served by its best covering unit of the
+    warning's :class:`Relay` (smallest depth, then distance, then id).
+    ``messages_sent`` counts relay transmissions on the used tree paths
+    plus one delivery per notified device.  Relevant devices no reachable
+    unit covers are reported as missed.
 
     ``is_relevant`` decides for every device, in device-id order.
     """
@@ -346,35 +391,12 @@ def distribute(
             baseline=len(devices),
         )
 
-    def event_distance(rsu: EdgeDevice) -> float:
-        anchors = _anchor_map(net, rsu.position).items()
-        return min((0.0 if rsu.position.segment == seg_id else _table_distance(table, anchors)
-                    for seg_id, _modes, _radius, table in scope.areas), default=float("inf"))
-
-    origin = min(rsus, key=lambda r: (event_distance(r), r.device_id))
-    depth, parent = _rsu_reach(rsus, origin.device_id, topology)
-    # The reachable units by depth, then id: the order of the serving key.
-    reach = sorted(((depth[rsu.device_id], rsu, net.distance_table(_anchor_map(net, rsu.position)))
-                    for rsu in rsus if rsu.device_id in depth), key=lambda item: item[0])
-
+    relay = Relay(scope, rsus, topology)
     notified: dict[str, int] = {}
     serving: dict[str, str] = {}
     missed: set[str] = set()
     for device_id, (device, _decision) in decisions.items():
-        pos = device.position
-        anchors = _anchor_map(net, pos).items()
-        best_key = None
-        for hops, rsu, cover in reach:
-            if best_key is not None and hops > best_key[0]:
-                break  # no deeper unit serves better
-            d = _table_distance(cover, anchors)
-            if rsu.position.segment is not None and rsu.position.segment == pos.segment:
-                d = min(d, abs(rsu.position.offset - pos.offset))
-            if d > max(rsu.comm_range, device.comm_range):
-                continue
-            key = (hops, d, rsu.device_id)
-            if best_key is None or key < best_key:
-                best_key = key
+        best_key = relay.serve(device)
         if best_key is None:
             missed.add(device_id)
         else:
@@ -384,8 +406,8 @@ def distribute(
     relay_edges: set[tuple[str, str]] = set()
     for rsu_id in sorted(set(serving.values())):
         node = rsu_id
-        while node != origin.device_id:
-            prev = parent[node]
+        while node != relay.origin:
+            prev = relay.parent[node]
             relay_edges.add((prev, node))
             node = prev
 
@@ -403,3 +425,33 @@ def distribute(
         reasons=reasons,
         baseline=len(devices),
     )
+
+
+def notified_among(
+    w: WarningMessage,
+    devices: Iterable[EdgeDevice],
+    rsus: list[EdgeDevice],
+    topology: RsuTopology,
+    policy: RelevancePolicy,
+    net: MultiLayerNetwork,
+    actions: Iterable,
+    now: float,
+) -> set[str]:
+    """The ids of ``devices`` that ``distribute`` notifies when handed a
+    fleet holding them and exactly the roadside units ``rsus``.
+
+    Relevance and delivery are both decided per device, so the rest of
+    the fleet is not read; the relay is built only once some device is
+    relevant.
+    """
+    scope = WarningScope(w, policy, net, actions, now)
+    relay = None
+    notified = set()
+    for device in devices:
+        if not rsus or not is_relevant(scope, device).relevant:
+            continue
+        if relay is None:
+            relay = Relay(scope, rsus, topology)
+        if relay.serve(device) is not None:
+            notified.add(device.device_id)
+    return notified

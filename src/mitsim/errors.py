@@ -109,27 +109,35 @@ def as_bool(value, where: str, key: str) -> bool:
 
 
 def as_float(value, where: str, key: str) -> float:
-    """``float(value)`` for the ``key`` field of the scenario entry ``where``.
+    """``value``, the ``key`` field of the scenario entry ``where``, which
+    must be a JSON number, as a float.
 
-    A value ``float`` rejects, and an integer beyond every float, raise a
-    :class:`ValidationError` naming the entry and the field instead.
+    Anything else (a string such as ``"inf"``, a boolean, null, a list),
+    and an integer beyond every float, raise a :class:`ValidationError`
+    naming the entry and the field.
     """
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{where}: {key} must be a number") from None
-    except OverflowError:
-        raise ValidationError(f"{where}: {key} is too large") from None
+    kind = type(value)
+    if kind is float:
+        return value
+    if kind is int:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValidationError(f"{where}: {key} is too large") from None
+    raise ValidationError(f"{where}: {key} must be a number")
 
 
 def as_int(value, where: str, key: str) -> int:
-    """``int(value)`` for the ``key`` field of the scenario entry ``where``.
+    """``value``, the ``key`` field of the scenario entry ``where``, which
+    must be a JSON number with an integral value, as an int.
 
-    A value ``int`` rejects (text that is no integer, null, a list, an
-    infinite or NaN float) raises a :class:`ValidationError` naming the
-    entry and the field instead.
+    Anything else (a string such as ``"3"``, a boolean, null, a list, an
+    object, a float with a fraction such as ``2.7``, an infinite or NaN
+    float) raises a :class:`ValidationError` naming the entry and the field.
     """
-    try:
+    kind = type(value)
+    if kind is int:
+        return value
+    if kind is float and value.is_integer():
         return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{where}: {key} must be an integer") from None
+    raise ValidationError(f"{where}: {key} must be an integer")

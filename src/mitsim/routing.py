@@ -61,10 +61,6 @@ class RoutingPreferences:
             raise ValidationError("routing preferences: max_walk must be >= 0")
 
 
-# A query the search store does not hold yet.
-_UNSEEN = object()
-
-
 class JourneyPlan(NamedTuple):
     """A search's moves timed from ``depart``; every plan of one search
     shares its move tuple."""
@@ -108,8 +104,8 @@ def route(
     """Minimum-generalized-cost plan, or None when no feasible plan exists."""
     searches = state.searches()
     query = (origin, dest, prefs)
-    moves = searches.get(query, _UNSEEN)
-    if moves is _UNSEEN:
+    entry = searches.get(query)
+    if entry is None:
         # Only this branch writes the store, so a stored query has passed
         # these checks against the same network.
         net = state.net
@@ -121,7 +117,9 @@ def route(
                 raise ValidationError(f"unknown mode {mode}")
         if origin == dest:
             return JourneyPlan(origin, dest, depart, (), 0.0)
-        moves = searches[query] = _search(origin, dest, prefs, state)
+        reads: set = set()
+        entry = searches[query] = (_search(origin, dest, prefs, state, reads), reads)
+    moves = entry[0]
     if moves is None:
         return None
     t = depart + moves[0][2]
@@ -140,8 +138,10 @@ def _search(
     dest: str,
     prefs: RoutingPreferences,
     state: NetworkState,
+    reads: Optional[set] = None,
 ) -> Optional[tuple[Move, ...]]:
-    """The best plan's moves, or None.
+    """The best plan's moves, or None; each (segment, mode) whose
+    ``residual`` it asks for is added to ``reads``, when given.
 
     A* over (node, mode, walk run) states with ALT bounds (Goldberg and
     Harrelson, SODA 2005): ``h(v)`` is the largest ``|d_L(dest) - d_L(v)|``
@@ -224,9 +224,14 @@ def _search(
         labels[st] = label
         heapq.heappush(heap, (g + h, label))
 
+    if reads is None:
+        reads = set()
+
     for index, mode in enumerate(modes):
         slowed = touched[mode]
-        if not any(arc.segment_id not in slowed or state.residual(arc.segment_id, mode) > 0.0
+        # reads.add returns None, so each named arc is noted, then read.
+        if not any(arc.segment_id not in slowed or reads.add((arc.segment_id, mode))
+                   or state.residual(arc.segment_id, mode) > 0.0
                    for arc in out_arcs[mode].get(origin, ())):
             continue
         wait = state.wait_to_board(mode)
@@ -259,6 +264,7 @@ def _search(
             if new_walk >= done.get(to_node, inf):
                 continue
             if seg_id in slowed:
+                reads.add((seg_id, mode))
                 r = state.residual(seg_id, mode)
                 if r <= 0.0:
                     continue

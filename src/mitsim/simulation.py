@@ -26,11 +26,12 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from . import adaptation, dissemination
-from .adaptation import PoliceNotification, Reroute, plan as plan_actions
+from .adaptation import PoliceNotification, Reroute, plan as plan_actions, routed_via
+from .cone import Influence, affected_devices, full_run_needed, seen_by_travelers
 from .disturbance import DisturbanceEvent, detect, direct_effects, escalate
 from .dissemination import MOBILE_ROLES, DevicePosition, DisseminationRecord, EdgeDevice
 from .errors import ValidationError
-from .messages import encode, make_warning, revise
+from .messages import WarningMessage, encode, make_warning, revise
 from .routing import evaluate_moves, route
 from .scenario import Scenario, ev_rate_windows, stream_rng
 from .state import Contribution, WorldState
@@ -102,6 +103,7 @@ class RunResult:
     trips: dict[str, Traveler]
     records: list[DisseminationRecord]
     notified_mobile: set[str]
+    influence: Optional[Influence] = None  # targeted runs only (see mitsim.cone)
 
     def metrics_json(self) -> str:
         """``metrics.json``: the metrics as the log lines print them, with
@@ -190,6 +192,10 @@ class _Sim:
         # event id -> (the latest revision of its warning, the actions planned for it)
         self.issued: dict[str, tuple] = {}
         self.metrics = Metrics()
+        # A targeted run notes what each event reached; ``owners`` is empty
+        # while no event's contributions can be read.
+        self.influence = Influence() if config == MODE_TARGETED else None
+        self.owners = {} if self.influence is None else self.influence.owners
 
     # -- infrastructure -------------------------------------------------------
 
@@ -206,15 +212,7 @@ class _Sim:
 
     def setup(self) -> None:
         scenario = self.scenario
-        add = self._add_traveler
-        for trip in scenario.device_trips:
-            add(trip.device_id, trip.origin, trip.dest, trip.depart, trip.prefs, trip.device_id)
-        for i, trip in enumerate(scenario.trips):
-            for k in range(trip.count):
-                add(f"trip{i}-{k}", trip.origin, trip.dest, trip.depart, trip.prefs, None)
-        for entry in scenario.arrivals:
-            for n, t in enumerate(self._arrival_times(entry)):
-                add(f"arr{entry.index}-{n}", entry.origin, entry.dest, t, entry.prefs, None)
+        self._add_travelers()
         for event in scenario.events:
             self.schedule(event.start, "inject", (event.event_id,))
             self.schedule(event.true_end, "event_end", (event.event_id,))
@@ -239,6 +237,18 @@ class _Sim:
                     self.schedule(event.estimated_end, "revise", (event.event_id,))
         self.setup_entries = sorted(self.heap, reverse=True)
         self.heap = []
+
+    def _add_travelers(self) -> None:
+        scenario = self.scenario
+        add = self._add_traveler
+        for trip in scenario.device_trips:
+            add(trip.device_id, trip.origin, trip.dest, trip.depart, trip.prefs, trip.device_id)
+        for i, trip in enumerate(scenario.trips):
+            for k in range(trip.count):
+                add(f"trip{i}-{k}", trip.origin, trip.dest, trip.depart, trip.prefs, None)
+        for entry in scenario.arrivals:
+            for n, t in enumerate(self._arrival_times(entry)):
+                add(f"arr{entry.index}-{n}", entry.origin, entry.dest, t, entry.prefs, None)
 
     def _arrival_times(self, entry) -> list[float]:
         if entry.rate_per_hour <= 0:
@@ -300,8 +310,13 @@ class _Sim:
         keeps moving until the blockage forces a wait (see ``_advance``)."""
         tv.replan_flag = False
         candidate = route(tv.node, tv.dest, t, tv.prefs, self.world.overlay)
+        if self.owners:
+            self._note_search(tv, t, tv.moves)
         evaluated = evaluate_moves(t, tv.moves, self.world.overlay)
-        if candidate is not None and (evaluated is None or candidate.arrival < evaluated[0]):
+        adopt = candidate is not None and (evaluated is None or candidate.arrival < evaluated[0])
+        if self.influence is not None:
+            self.influence.replanned(tv.device_id, adopt)
+        if adopt:
             self._adopt(tv, candidate, t)
 
     def _advance(self, tv: Traveler, t: float, device: Optional[EdgeDevice]) -> None:
@@ -332,6 +347,8 @@ class _Sim:
             tt = self.world.overlay.traversal_time(seg_id, mode)
             if tt is None:
                 candidate = route(tv.node, tv.dest, t, tv.prefs, self.world.overlay)
+                if self.owners and tv.device_id is not None:
+                    self._note_search(tv, t, (move,))  # the segment found impassable too
                 if candidate is None:
                     self._start_waiting(tv, t)
                     return
@@ -345,6 +362,12 @@ class _Sim:
             tv.traversals.append((seg_id, mode, t, exit_t))
             heapq.heappush(self.heap, (exit_t, next(self._seq), "arrive", (tv, to_node)))
             return
+
+    def _note_search(self, tv: Traveler, t: float, moves=()) -> None:
+        """Notes what ``tv``'s ``route`` call at ``t`` read, and the segments
+        of ``moves``, which it timed too."""
+        entry = self.world.overlay.searches().get((tv.node, tv.dest, tv.prefs))
+        self.influence.read(tv.device_id, t, () if entry is None else entry[1], moves)
 
     def _start_waiting(self, tv: Traveler, t: float) -> None:
         tv.status = "waiting"
@@ -363,10 +386,15 @@ class _Sim:
         tv.status = "abandoned"
         self.log(t, {"type": "trip_abandoned", "traveler": tv.tid, "reason": why})
 
-    def _wake_waiting(self, t: float) -> None:
+    def _wake_waiting(self, t: float, event_id: str) -> None:
+        """Retries every waiting traveler; ``event_id``'s end or police
+        arrival woke them."""
         travelers = self.world.travelers
-        for tid in sorted(tid for tid, tv in travelers.items() if tv.status == "waiting"):
+        waiting = sorted(tid for tid, tv in travelers.items() if tv.status == "waiting")
+        for tid in waiting:
             self.schedule(t, "retry", (travelers[tid],))
+        if self.influence is not None:
+            self.influence.woke(event_id, [travelers[tid].device_id for tid in waiting])
 
     def _refresh_positions(self, now: float) -> None:
         for tv in self.by_device.values():
@@ -398,6 +426,8 @@ class _Sim:
             if position is None:
                 position = self.node_positions[node] = DevicePosition(node=node)
             device.position = position
+            if self.owners:
+                self.influence.read(tv.device_id, t, moves=tv.moves)
             evaluated = evaluate_moves(t, tv.moves, self.world.overlay)
             if evaluated is not None:
                 device.planned_route = evaluated[1] or None
@@ -415,22 +445,27 @@ class _Sim:
     def handle_inject(self, t: float, event_id: str) -> None:
         event = self.events[event_id]
         effects = direct_effects(event, self.net, self.scenario.matrix)
-        for seg_id, mode_id, residual in effects:
-            self.world.overlay.add_contribution(Contribution(
-                contrib_id=f"ev:{event_id}:{seg_id}:{mode_id}",
-                kind="factor",
-                targets=frozenset({(seg_id, mode_id)}),
-                value=residual,
-                start=event.start,
-                end=event.true_end,
-            ))
+        contributions = [Contribution(
+            contrib_id=f"ev:{event_id}:{seg_id}:{mode_id}",
+            kind="factor",
+            targets=frozenset({(seg_id, mode_id)}),
+            value=residual,
+            start=event.start,
+            end=event.true_end,
+        ) for seg_id, mode_id, residual in effects]
+        for contribution in contributions:
+            self.world.overlay.add_contribution(contribution)
+        if self.influence is not None:
+            self.influence.own(event_id, 1, contributions)
         self.log(t, {"type": "inject", "event": event_id, "kind": event.kind,
                      "segments": list(event.segments), "effects": len(effects)})
 
     def handle_event_end(self, t: float, event_id: str) -> None:
         self.world.overlay.remove_owned(f"ev:{event_id}:")
+        if self.influence is not None:
+            self.influence.own(event_id, -1)
         self.log(t, {"type": "event_end", "event": event_id})
-        self._wake_waiting(t)
+        self._wake_waiting(t, event_id)
 
     def handle_respond(self, t: float, event_id: str, detect_time: float, source: str) -> None:
         event = self.events[event_id]
@@ -443,41 +478,66 @@ class _Sim:
         if detect_time >= event.true_end or issue_time >= math.ceil(event.estimated_end):
             self.log(t, {"type": "late_detection", "event": event_id})
             return
-        try:
-            basic, _ = make_warning(event, self.net, self.scenario.matrix, issue_time)
-        except ValidationError as exc:
-            # e.g. no affected mode present on the located segments
-            self.log(t, {"type": "warning_suppressed", "event": event_id,
-                         "reason": str(exc)})
+        basic = self._warning(event, issue_time, t)
+        if basic is None:
             return
-        self.warning_log.append(encode(basic).decode("utf-8"))
-        self.metrics.warnings_issued += 1
-        self.log(t, {"type": "warn", "warning_id": basic.warning_id,
-                     "event": event_id, "revision": 0})
-        skips: list = []
-        actions = plan_actions(event, basic, self.world, self.scenario.strategy_table,
-                               matrix=self.scenario.matrix, skip_log=skips)
-        for template, reason in skips:
-            self.log(t, {"type": "plan_skip", "event": event_id,
-                         "template": template, "reason": reason})
+        self._publish(basic, t)
+        actions = self._plan(event, basic, t)
         self.issued[event_id] = (basic, actions)
         self._disseminate(basic, actions, t)
         if actions:
-            records = adaptation.apply(actions, self.world, t)
-            for record in records:
-                if record.get("type") == "signal_conflict":
-                    self.log(t, record)
-                else:
-                    self.action_log.append(_json(record))
-                    self.metrics.actions_applied += 1
+            self._apply(actions, t)
             for action in actions:
                 self.schedule(action.expiry, "action_end", (action,))
                 if isinstance(action, PoliceNotification):
                     arrive_at = action.activation + action.response_delay
                     if arrive_at < action.expiry:
-                        self.schedule(arrive_at, "wake", ())
+                        self.schedule(arrive_at, "wake", (event_id,))
             self._flag_replans({device_id for action in actions if isinstance(action, Reroute)
-                                for device_id in action.targets}, t)
+                                for device_id in action.targets}, t, event_id)
+        if self.influence is not None:
+            self.influence.planned[event_id] = (t, basic, actions)
+
+    def _warning(self, event: DisturbanceEvent, issue_time: int,
+                 t: float) -> Optional[WarningMessage]:
+        """The event's first warning, or None when it cannot be made."""
+        try:
+            return make_warning(event, self.net, self.scenario.matrix, issue_time)[0]
+        except ValidationError as exc:
+            # e.g. no affected mode present on the located segments
+            self.log(t, {"type": "warning_suppressed", "event": event.event_id,
+                         "reason": str(exc)})
+            return None
+
+    def _publish(self, warning: WarningMessage, t: float) -> None:
+        """Writes a warning or revision to ``warnings.log`` and counts it."""
+        self.warning_log.append(encode(warning).decode("utf-8"))
+        if warning.revision:
+            self.metrics.revisions_issued += 1
+        else:
+            self.metrics.warnings_issued += 1
+        self.log(t, {"type": "warn", "warning_id": warning.warning_id,
+                     "event": warning.event_id, "revision": warning.revision})
+
+    def _plan(self, event: DisturbanceEvent, warning: WarningMessage, t: float) -> list:
+        skips: list = []
+        actions = plan_actions(event, warning, self.world, self.scenario.strategy_table,
+                               matrix=self.scenario.matrix, skip_log=skips)
+        for template, reason in skips:
+            self.log(t, {"type": "plan_skip", "event": event.event_id,
+                         "template": template, "reason": reason})
+        return actions
+
+    def _apply(self, actions: list, t: float) -> None:
+        records = adaptation.apply(actions, self.world, t)
+        for record in records:
+            if record.get("type") == "signal_conflict":
+                self.log(t, record)
+            else:
+                self.action_log.append(_json(record))
+                self.metrics.actions_applied += 1
+        if self.influence is not None:
+            self.influence.applied(actions, records, self.world.overlay.contributions())
 
     def _disseminate(self, warning, actions, t: float) -> None:
         devices = self.world.devices
@@ -501,14 +561,18 @@ class _Sim:
         self.metrics.messages_sent_total += record.messages_sent
         self.metrics.broadcast_baseline_total += record.baseline
         self.log(t, {"type": "dissemination", **record.log_fields()})
-        self._flag_replans(record.notified, t)
+        self._flag_replans(record.notified, t, warning.event_id)
 
-    def _flag_replans(self, device_ids, t: float) -> None:
+    def _flag_replans(self, device_ids, t: float, event_id: str) -> None:
+        """Flags the travelers of ``device_ids`` for a replan, for
+        ``event_id``'s warning or Reroute, and wakes the waiting ones."""
         for device_id in sorted(device_ids):
             tv = self.by_device.get(device_id)
             if tv is None or tv.status in ("completed", "abandoned"):
                 continue
             tv.replan_flag = True
+            if self.influence is not None:
+                self.influence.flagged(device_id, event_id, tv.status == "waiting")
             if tv.status == "waiting":
                 tv.status = "moving"
                 self.schedule(t, "retry_flagged", (tv,))
@@ -549,18 +613,17 @@ class _Sim:
             return
         basic = revise(basic, new_end)
         self.issued[event_id] = (basic, actions)
-        self.warning_log.append(encode(basic).decode("utf-8"))
-        self.metrics.revisions_issued += 1
-        self.log(t, {"type": "warn", "warning_id": basic.warning_id, "event": event_id,
-                     "revision": basic.revision})
+        self._publish(basic, t)
         self._disseminate(basic, actions, t)
 
     def handle_action_end(self, t: float, action) -> None:
         adaptation.expire(action, self.world)
+        if self.influence is not None:
+            self.influence.own(action.event_id, -1)
         self.log(t, {"type": "action_end", "action_id": action.action_id})
 
-    def handle_wake(self, t: float) -> None:
-        self._wake_waiting(t)
+    def handle_wake(self, t: float, event_id: str) -> None:
+        self._wake_waiting(t, event_id)
 
     # -- main loop ----------------------------------------------------------------
 
@@ -593,6 +656,7 @@ class _Sim:
             trips=self.world.travelers,
             records=self.records,
             notified_mobile=self._notified_mobile(),
+            influence=self.influence,
         )
 
     def _notified_mobile(self) -> set[str]:
@@ -637,6 +701,104 @@ def run(scenario: Scenario, config: RunConfig = MODE_TARGETED) -> RunResult:
     return _Sim(scenario, config).run()
 
 
+class Diverged(Exception):
+    """Another event's plan in a partial leave-one-out run differs from the
+    one the targeted run made."""
+
+
+class LeaveOneOut(_Sim):
+    """The targeted run of a scenario without one event, simulating only the
+    travelers in that event's cone (``Influence.cone``).
+
+    Outside the cone every traveler takes the targeted run's trip: nothing
+    it read or received could depend on the removed event.  Travelers do
+    not act on each other, so the cone's trips need only the other events'
+    entries, which run as in a full run with three differences.  Their
+    warnings and actions are the targeted run's, and a plan made at or
+    after the removed event's start is made again on this run's world with
+    the recorded Reroute targets outside the cone and fresh decisions
+    inside it; a plan that travelers outside the cone could tell from the
+    recorded one (``seen_by_travelers``) raises ``Diverged``.
+    Dissemination asks relevance and delivery of the cone's devices only
+    (``notified_among``).  Nothing is logged or encoded.
+
+    Every entry this run serves is served by the full run too, and each is
+    scheduled while the same entry is handled there, in the same order
+    among the ones this run keeps.  So a fresh counter sorts them as the
+    full run does, ties included.
+    """
+
+    def __init__(self, scenario: Scenario, event: DisturbanceEvent, cone: set[str],
+                 influence: Influence):
+        super().__init__(scenario.without_event(event.event_id), MODE_TARGETED)
+        self.influence = None
+        self.start = event.start
+        self.cone = cone
+        self.planned = influence.planned
+        self.rsus = [d for _id, d in sorted(self.world.devices.items())
+                     if d.role == "roadside-unit"]
+
+    def _add_travelers(self) -> None:
+        for trip in self.scenario.device_trips:
+            if trip.device_id in self.cone:
+                self._add_traveler(trip.device_id, trip.origin, trip.dest, trip.depart,
+                                   trip.prefs, trip.device_id)
+
+    def log(self, t: float, record) -> None:
+        pass
+
+    def _publish(self, warning: WarningMessage, t: float) -> None:
+        pass
+
+    def _warning(self, event: DisturbanceEvent, issue_time: int,
+                 t: float) -> Optional[WarningMessage]:
+        planned = self.planned.get(event.event_id)
+        return None if planned is None else planned[1]
+
+    def _plan(self, event: DisturbanceEvent, warning: WarningMessage, t: float) -> list:
+        recorded = self.planned[event.event_id][2]
+        if t < self.start:  # nothing differs before the removed event's first entry
+            return recorded
+        kept = next((a.targets for a in recorded if isinstance(a, Reroute)), ())
+        entries = {e.segment_id: e for e in warning.affected}
+        devices, now = self.world.devices, float(warning.issue_time)
+        targets = {d for d in kept if d not in self.cone}
+        targets.update(d for d in self.cone if routed_via(devices[d], entries, now))
+        actions = plan_actions(event, warning, self.world, self.scenario.strategy_table,
+                               matrix=self.scenario.matrix, reroute_targets=tuple(sorted(targets)))
+        if seen_by_travelers(actions) != seen_by_travelers(recorded):
+            raise Diverged(event.event_id)
+        return actions
+
+    def _apply(self, actions: list, t: float) -> None:
+        adaptation.apply(actions, self.world, t)
+
+    def _disseminate(self, warning, actions, t: float) -> None:
+        self._refresh_positions(t)
+        devices = self.world.devices
+        notified = dissemination.notified_among(
+            warning, [devices[d] for d in self.by_device], self.rsus, self.scenario.topology,
+            self.scenario.policy, self.net, actions, t)
+        self._flag_replans(notified, t, warning.event_id)
+
+
+def partial_trips(event: DisturbanceEvent, scenario: Scenario,
+                  targeted: RunResult) -> Optional[dict[str, Traveler]]:
+    """The trips of ``event``'s cone in the targeted run without it, taken
+    from a ``LeaveOneOut`` run; None when only a full run gives them: when
+    ``cone.full_run_needed`` says so, and when another event's plan changes
+    without it (``Diverged``).
+    """
+    influence = targeted.influence
+    if influence is None or full_run_needed(event, scenario, influence):
+        return None
+    cone = influence.cone(event.event_id, targeted.trips)
+    try:
+        return LeaveOneOut(scenario, event, cone, influence).run().trips
+    except Diverged:
+        return None
+
+
 def ground_truth_affected(
     event: DisturbanceEvent,
     scenario: Scenario,
@@ -648,28 +810,20 @@ def ground_truth_affected(
     differs between the configured run and an otherwise-identical run with
     the event removed, or when it traverses a located segment while the
     event is active.
+
+    The run without the event re-simulates only the event's cone: the
+    device-bound travelers whose reads or messages the targeted run saw the
+    event could shape (``Influence.cone``).  Every other traveler keeps the
+    targeted run's trip, and the answer is the one a full run without the
+    event gives (``partial_trips`` names the cases that run one).
     """
     with_event = base_result if base_result is not None else run(scenario, MODE_TARGETED)
-    without = run(scenario.without_event(event.event_id), MODE_TARGETED)
-    located = set(event.segments)
-    affected: set[str] = set()
-    for tid, tv in with_event.trips.items():
-        if tv.device_id is None:
-            continue
-        other = without.trips.get(tid)
-        if other is None:
-            affected.add(tv.device_id)
-            continue
-        cost_a = None if tv.arrival is None else tv.arrival - tv.depart
-        cost_b = None if other.arrival is None else other.arrival - other.depart
-        if tv.status != other.status or cost_a != cost_b:
-            affected.add(tv.device_id)
-            continue
-        for seg_id, _mode, enter, exit_t in tv.traversals:
-            if seg_id in located and enter < event.true_end and exit_t > event.start:
-                affected.add(tv.device_id)
-                break
-    return affected
+    cone_trips = partial_trips(event, scenario, with_event)
+    if cone_trips is None:
+        without = run(scenario.without_event(event.event_id), MODE_TARGETED).trips
+    else:
+        without = {**with_event.trips, **cone_trips}
+    return affected_devices(event, with_event.trips, without)
 
 
 @dataclass
@@ -712,7 +866,11 @@ def compare(scenario: Scenario) -> ComparisonReport:
 
     All three runs share the scenario seed.  Relevance precision and recall
     of the targeted run are scored against ground truth obtained by
-    paired-run differencing per event.
+    paired-run differencing per event (``ground_truth_affected``): each
+    run without an event re-simulates only the event's cone and reuses the
+    targeted run's other trips, falling back to a full run where that
+    cannot be shown to give the same answer.  The report is the one full
+    re-runs give, byte for byte.
     """
     no_adapt = run(scenario, MODE_NO_ADAPT)
     broadcast = run(scenario, MODE_BROADCAST)

@@ -158,7 +158,10 @@ class NetworkState:
         return [c for c in self.contributions() if c.active(self.clock)]
 
     def searches(self) -> dict:
-        """Route search results valid for the overlay as it is now.
+        """Route search results valid for the overlay as it is now: by
+        query, the search's moves (None when no plan exists) and the
+        (segment, mode) targets whose ``residual`` it asked for.  A
+        contribution naming none of those targets cannot have changed it.
 
         The network's store for this overlay's content: the boarding waits
         and the active contributions in insertion order, which fix the

@@ -702,3 +702,90 @@ def idle_obu_grid_scenario_dict(rng: random.Random, size: int = 5) -> dict:
             "defaults": {},
         },
     }
+
+
+def bus_grid_scenario_dict(rng: random.Random, size: int = 4, cavs: int = 1) -> dict:
+    """A size x size road grid for cars, CAV taxis and one bus line.
+
+    The bus runs along row 1, stopping at every node, and is a priority
+    route, so any feasible diversion is taken.  Two D1 events each block
+    two consecutive bus segments, which bypasses the stop between them, so
+    each diversion needs a CAV; with ``cavs=1`` the first diversion takes
+    the only one, and the second event's plan depends on the first
+    event.  Device-bound car travelers cross the grid meanwhile.
+    """
+    def node(r, c):
+        return f"g{r}_{c}"
+
+    nodes = [node(r, c) for r in range(size) for c in range(size)]
+    segments = []
+    for r in range(size):
+        for c in range(size):
+            for kind, r2, c2 in (("h", r, c + 1), ("v", r + 1, c)):
+                if r2 >= size or c2 >= size:
+                    continue
+                fft = float(rng.randint(3, 8) * 10)
+                segments.append({
+                    "segment_id": f"{kind}{r}_{c}", "network_id": "road",
+                    "from_node": node(r, c), "to_node": node(r2, c2),
+                    "length": fft * 10.0, "class": rng.choice(CLASSES),
+                    "usage": [{"mode_id": mode, "direction": "both", "base_capacity": 500,
+                               "free_flow_time": fft} for mode in ("car", "cav", "bus")],
+                })
+    line = [f"h1_{c}" for c in range(size - 1)]
+    devices = [{"device_id": "rsu0", "role": "roadside-unit",
+                "position": {"node": node(1, 1)}, "comm_range": 100000.0}]
+    for k in range(cavs):
+        devices.append({"device_id": f"cav{k}", "role": "vehicle-obu", "mode": "cav",
+                        "position": {"node": rng.choice(nodes)}, "comm_range": 500.0})
+    for k in range(rng.randint(4, 8)):
+        origin, dest = rng.sample(nodes, 2)
+        devices.append({
+            "device_id": f"tv{k}", "role": rng.choice(["vehicle-obu", "traveler-app"]),
+            "position": {"node": origin}, "comm_range": 500.0, "mode": "car",
+            "trip": {"origin": origin, "dest": dest, "depart": float(rng.randint(0, 90) * 10),
+                     "prefs": {"allowed_modes": ["car"]}},
+        })
+    disturbances = []
+    for k in range(2):
+        first = rng.randrange(len(line) - 1)
+        estimated = float(rng.randint(20, 60) * 60)
+        disturbances.append({
+            "event_id": f"ev{k}", "kind": "D1", "segments": line[first:first + 2],
+            "nodes": [], "start": float(rng.randint(10, 60) * 10 + 600 * k),
+            "estimated_duration": estimated, "true_duration": estimated * rng.choice([1.0, 1.5]),
+            "severity": {"capacity_reduction": 1.0},
+        })
+    return {
+        "seed": rng.randint(0, 2**31),
+        "end_time": 4 * 3600.0,
+        "network": {
+            "modes": [
+                {"mode_id": "car", "name": "car", "category": "private-car",
+                 "agile": False, "maas_member": False},
+                {"mode_id": "cav", "name": "cav", "category": "cav-taxi",
+                 "agile": False, "maas_member": False},
+                {"mode_id": "bus", "name": "bus", "category": "bus",
+                 "agile": False, "maas_member": False},
+            ],
+            "networks": [{"network_id": "road", "name": "road"}],
+            "usage_matrix": [["car", "road"], ["cav", "road"], ["bus", "road"]],
+            "nodes": nodes,
+            "segments": segments,
+            "multimodal_nodes": [],
+        },
+        "demand": {"trips": [], "arrivals": [], "ev_modifiers": []},
+        "disturbances": disturbances,
+        "detection_sources": [{
+            "source_kind": "user-app", "applicable_kinds": ["D1"],
+            "detect_probability": 1.0, "latency_min": 10.0, "latency_max": 60.0,
+        }],
+        "devices": devices,
+        "policies": {
+            "rsu_links": [],
+            "pt_routes": [{"route_id": "B0", "mode_id": "bus", "priority": True,
+                           "stops": [node(1, c) for c in range(size)], "segments": line,
+                           "headway": 600}],
+            "defaults": {"cav_pickup_threshold": 3600},
+        },
+    }

@@ -1,11 +1,17 @@
 """Independent brute-force oracles used by the test and acceptance suites."""
 
+import contextlib
 import heapq
 import itertools
+from collections import Counter
 
-from mitsim.dissemination import predict_trajectory
-from mitsim.network import Arc, node_distances
-from mitsim.simulation import RunResult, _Sim
+import pytest
+
+from mitsim import dissemination, routing, simulation
+from mitsim.cone import affected_devices
+from mitsim.dissemination import DisseminationRecord, predict_trajectory
+from mitsim.network import Arc, MultiLayerNetwork, node_distances
+from mitsim.simulation import MODE_TARGETED, RunResult, _Sim, run
 
 
 def brute_force_route(origin, dest, prefs, state):
@@ -67,11 +73,15 @@ def brute_force_route(origin, dest, prefs, state):
     return best[0]
 
 
-def reference_search(origin, dest, prefs, state):
+def reference_search(origin, dest, prefs, state, reads=None):
     """Plain Dijkstra over (node, mode, walk run) states, one label per
     state, keyed by (cost, transfers, segment sequence) with ties to the
     first push: the search ``routing._search`` must equal bit for bit.
-    Returns the plan's move tuple or None."""
+    Returns the plan's move tuple or None; each (segment, mode) whose
+    residual it reads, which is every one it relaxes, is added to
+    ``reads``, when given."""
+    if reads is None:
+        reads = set()
     net = state.net
     # Without a walk limit nothing reads walk_run, so it stays 0.0 and walk
     # states collapse to one label per (node, mode).
@@ -94,7 +104,8 @@ def reference_search(origin, dest, prefs, state):
         heapq.heappush(heap, (key, next(counter), st))
 
     for mode in sorted(prefs.allowed_modes):
-        if not any(state.residual(arc.segment_id, mode) > 0.0
+        if not any(reads.add((arc.segment_id, mode))  # None: each arc is noted, then read
+                   or state.residual(arc.segment_id, mode) > 0.0
                    for arc in out_arcs[mode].get(origin, ())):
             continue
         wait = state.wait_to_board(mode)
@@ -119,6 +130,7 @@ def reference_search(origin, dest, prefs, state):
                     continue
             else:
                 new_walk = 0.0
+            reads.add((arc.segment_id, mode))
             r = state.residual(arc.segment_id, mode)
             if r <= 0.0:
                 continue
@@ -529,5 +541,50 @@ class SingleHeapSim(_Sim):
             config=self.config, metrics=self.metrics, event_log=self.event_log,
             warning_log=self.warning_log, action_log=self.action_log,
             trips=self.world.travelers, records=self.records,
-            notified_mobile=self._notified_mobile(),
+            notified_mobile=self._notified_mobile(), influence=self.influence,
         )
+
+
+def reference_distribute(w, devices, topology, policy, net, actions, now):
+    """The record ``dissemination.distribute`` must give, from the
+    brute-force relevance and delivery oracles."""
+    devices = list(devices)
+    by_id = {d.device_id: d for d in devices}
+    hops, messages, missed = oracle_delivery(w, devices, topology, policy, net, actions, now)
+    reasons = Counter(brute_force_relevant(w, by_id[d], policy, net, actions, now) for d in hops)
+    return DisseminationRecord(
+        warning_id=w.warning_id, notified=frozenset(hops), messages_sent=messages,
+        hops=dict(sorted(hops.items())), missed=frozenset(missed), reasons=dict(reasons),
+        baseline=len(devices))
+
+
+def reference_ground_truth(event, scenario, base_result=None):
+    """The devices ``event`` affected, from a full run without it: the
+    answer ``simulation.ground_truth_affected`` must give."""
+    with_event = base_result if base_result is not None else run(scenario, MODE_TARGETED)
+    without = run(scenario.without_event(event.event_id), MODE_TARGETED)
+    return affected_devices(event, with_event.trips, without.trips)
+
+
+@contextlib.contextmanager
+def reference_mode():
+    """Every fast path swapped for its oracle, for one block:
+
+    - the route search for ``reference_search`` and free-flow paths for
+      ``reference_free_flow_path``;
+    - the network's search store for a fresh dict per overlay content;
+    - ``_Sim`` for ``SingleHeapSim``;
+    - ``distribute`` for ``reference_distribute`` (brute-force relevance
+      and delivery);
+    - ground truth for ``reference_ground_truth`` (a full run per event).
+
+    Outputs made inside must equal, byte for byte, those made outside.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(routing, "_search", reference_search)
+        patch.setattr(MultiLayerNetwork, "free_flow_path", reference_free_flow_path)
+        patch.setattr(MultiLayerNetwork, "searches", lambda net, metric: {})
+        patch.setattr(simulation, "_Sim", SingleHeapSim)
+        patch.setattr(dissemination, "distribute", reference_distribute)
+        patch.setattr(simulation, "ground_truth_affected", reference_ground_truth)
+        yield

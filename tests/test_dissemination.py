@@ -294,6 +294,31 @@ def test_distribute_matches_oracle_on_16_node_networks(policy):
 
 
 
+@pytest.mark.parametrize("policy", [POLICY, TIGHT], ids=["default", "tight"])
+def test_notified_among_is_distribute_restricted_to_the_devices_asked(policy):
+    """Relevance and delivery are per device: asking about a subset of the
+    fleet, with all of its roadside units, notifies what ``distribute`` over
+    the whole fleet notifies of that subset."""
+    notified = 0
+    for seed in range(120):
+        rng = random.Random(71_000 + seed)
+        net = random_network(rng, max_nodes=16, max_modes=3, max_extra_segments=16)
+        devices = random_devices(rng, net, max_devices=30)
+        topology = random_topology(rng, devices)
+        w = random_warning(rng, net)
+        actions = [Actors(w.event_id, [d.device_id for d in devices if rng.random() < 0.1])]
+        record = distribute(w, devices, topology, policy, net, actions, w.issue_time)
+        asked = [d for d in devices if d.role != "roadside-unit" and rng.random() < 0.5]
+        rsus = sorted((d for d in devices if d.role == "roadside-unit"),
+                      key=lambda d: d.device_id)
+        got = dissemination.notified_among(w, asked, rsus, topology, policy, net, actions,
+                                           w.issue_time)
+        assert got == record.notified & {d.device_id for d in asked}
+        notified += len(got)
+    assert notified >= 50
+
+
+
 
 @pytest.fixture
 def asked(monkeypatch):

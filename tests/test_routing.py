@@ -74,7 +74,7 @@ def test_warm_store_still_checks_nodes_and_modes(line3):
     stay = route("v2", "v2", 50.0, prefs, state)
     assert stay.total_cost == 0.0 and stay.arrival == 50.0 and stay.moves == ()
     assert state.searches() == stored
-    assert route("v0", "v2", 50.0, prefs, state).moves is stored[("v0", "v2", prefs)]
+    assert route("v0", "v2", 50.0, prefs, state).moves is stored[("v0", "v2", prefs)][0]
 
 
 def test_blocked_segment_impassable(line3):
@@ -340,7 +340,7 @@ def test_plans_share_their_search_without_aliasing(line3):
     prefs = RoutingPreferences(frozenset({"car"}))
     first = route("v0", "v2", 0.0, prefs, state)
     second = route("v0", "v2", 250.0, prefs, state)
-    stored = state.searches()[("v0", "v2", prefs)]
+    stored = state.searches()[("v0", "v2", prefs)][0]
     assert first.moves is second.moves is stored
     expected = (("start", "car", 30.0), ("seg", "s0", "car", "v1", 100.0),
                 ("seg", "s1", "car", "v2", 100.0))
@@ -697,7 +697,7 @@ def test_reroute_keeps_unaffected_plan():
     sim, tv = traveler_sim(line_network_spec(3), "v0", "v2", ["car"])
     assert tv.node is None and tv.traversals[-1] == ("s0", "car", 0.0, 100.0)
     assert tv.moves == [("seg", "s1", "car", "v2", 100.0)]
-    sim._flag_replans({"tv"}, 50.0)
+    sim._flag_replans({"tv"}, 50.0, "e0")
     assert tv.replan_flag
     sim.handle_arrive(100.0, tv, "v1")
     assert not tv.replan_flag and logged(sim, "replan") == []
@@ -709,7 +709,7 @@ def test_reroute_blocked_next_segment_no_alternative():
     sim, tv = traveler_sim(line_network_spec(3), "v0", "v2", ["car"])
     sim.world.overlay.add_contribution(Contribution(
         "blk", "factor", frozenset({("s1", "car")}), 0.0, 0.0, float("inf")))
-    sim._flag_replans({"tv"}, 50.0)
+    sim._flag_replans({"tv"}, 50.0, "e0")
     sim.handle_arrive(100.0, tv, "v1")
     assert logged(sim, "replan") == []
     assert logged(sim, "blocked") == ['{"t":100.0,"type":"blocked","traveler":"tv","node":"v1"}']
@@ -722,7 +722,7 @@ def test_reroute_adopts_improving_detour():
     keep, keep_tv = traveler_sim(multimodal_toy_spec(), "v1", "v3", modes)
     assert keep_tv.node is None and keep_tv.traversals[-1] == ("r1", "car", 0.0, 300.0)
     assert keep_tv.moves == [("seg", "r2", "car", "v3", 300.0)]
-    keep._flag_replans({"tv"}, 100.0)
+    keep._flag_replans({"tv"}, 100.0, "e0")
     keep.handle_arrive(300.0, keep_tv, "v2")
     assert logged(keep, "replan") == []
     assert keep_tv.node is None and keep_tv.traversals[-1][0] == "r2"
@@ -732,7 +732,7 @@ def test_reroute_adopts_improving_detour():
     overlay.add_contribution(Contribution(
         "deg", "factor", frozenset({("r2", "car")}), 0.1, 0.0, float("inf")))
     overlay.clock = 300.0
-    sim._flag_replans({"tv"}, 100.0)
+    sim._flag_replans({"tv"}, 100.0, "e0")
     sim.handle_arrive(300.0, tv, "v2")
     (replan,) = [json.loads(line) for line in logged(sim, "replan")]
     assert tv.node is None

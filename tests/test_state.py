@@ -125,10 +125,10 @@ def test_reused_searches_equal_fresh_state_searches():
                 reused += query in state.searches()
                 plan = route(origin, dest, depart, prefs, state)
                 result = _search(origin, dest, prefs, fresh)
-                assert state.searches()[query] == result
+                assert state.searches()[query][0] == result
                 assert (plan is None) == (result is None)
                 if result is not None:
-                    assert plan.moves is state.searches()[query]
+                    assert plan.moves is state.searches()[query][0]
                     assert repr(plan_view(plan)) == repr(brute_force_assemble(depart, result))
                 routed += plan is not None
             random_write(rng, net, state, model, step, hot)
