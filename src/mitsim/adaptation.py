@@ -73,12 +73,12 @@ class AdaptationAction:
 
     def _add(self, state: WorldState, effect: str, kind: str, targets: Iterable,
              value: float, start: Optional[float] = None, free_flow_time: float = 0.0) -> None:
-        """Add the contribution ``<action_id>:<effect>``, active from
-        ``start`` (default: activation) until expiry.  The colon keeps
-        sibling ids that share a textual prefix (a-e-1, a-e-11) apart."""
+        """Add the contribution ``<action_id>:<effect>``, owned by this
+        action, active from ``start`` (default: activation) until expiry."""
         state.overlay.add_contribution(Contribution(
             f"{self.action_id}:{effect}", kind, frozenset(targets), value,
             self.activation if start is None else start, self.expiry, free_flow_time,
+            self.action_id,
         ))
 
 
@@ -727,5 +727,5 @@ def _params(action: AdaptationAction) -> dict:
 
 def expire(action: AdaptationAction, state: WorldState) -> None:
     """Exact inverse of :func:`apply` for one action."""
-    state.overlay.remove_owned(f"{action.action_id}:")
+    state.overlay.remove_owned(action.action_id)
     action.undo(state)

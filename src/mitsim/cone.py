@@ -99,8 +99,8 @@ class Influence:
 
     def applied(self, actions: list, records: list[dict], contributions) -> None:
         """Notes one event's applied ``actions``: the ``apply`` records,
-        and the overlay's ``contributions`` after it, whose ids the actions
-        prefix are the event's."""
+        and the overlay's ``contributions`` after it, of which those the
+        actions own are the event's."""
         event_id = actions[0].event_id
         for record in records:
             if record["type"] == "signal_conflict":
@@ -108,9 +108,8 @@ class Influence:
                 self.conflicts |= {event_id, next(
                     (e for e, (_t, _w, planned) in self.planned.items()
                      if any(a.action_id == overridden for a in planned)), event_id)}
-        prefixes = tuple(f"{action.action_id}:" for action in actions)
-        self.own(event_id, len(actions),
-                 [c for c in contributions if c.contrib_id.startswith(prefixes)])
+        owners = {action.action_id for action in actions}
+        self.own(event_id, len(actions), [c for c in contributions if c.owner in owners])
 
     def flagged(self, device_id: str, event_id: str, waiting: bool) -> None:
         """The event flagged the device's traveler for a replan; a waiting
@@ -155,17 +154,6 @@ class Influence:
         return cone & travelling
 
 
-def _extends(other: str, event_id: str) -> bool:
-    """Whether a prefix ``event_id``'s removals use (``ev:<id>:``, or
-    ``a-<id>-<n>:`` for an action) also starts ids of event ``other``'s
-    contributions: ``other`` is the id followed by ``:`` or by ``-<n>:``."""
-    if other == event_id or not other.startswith(event_id):
-        return False
-    rest = other[len(event_id):]
-    head, colon, _tail = rest[1:].partition(":")
-    return rest[0] == ":" or (rest[0] == "-" and bool(colon) and head.isdecimal())
-
-
 # Actions a traveler outside the cone cannot tell apart by their fields: a
 # Reroute flags only its targets (those outside the cone are kept), and bus
 # diversions, stop guidance and demand rebalancing touch no contribution and
@@ -185,9 +173,8 @@ def full_run_needed(event: DisturbanceEvent, scenario: Scenario, influence: Infl
 
     That is when removing the event changes ``setup`` (an EV modifier names
     it); when its signal plans and another event's claimed one approach;
-    when its removals by id prefix also remove another event's
-    contributions; and when another event planned a replacement service
-    from observed flows at or after its start (flows count every traveler).
+    and when another event planned a replacement service from observed
+    flows at or after its start (flows count every traveler).
     """
     event_id = event.event_id
     if event_id in influence.conflicts:
@@ -195,8 +182,6 @@ def full_run_needed(event: DisturbanceEvent, scenario: Scenario, influence: Infl
     if event.kind == "EV" and any(m.event_id == event_id for m in scenario.ev_modifiers):
         return True
     events = {e.event_id: e for e in scenario.events}
-    if any(_extends(other, event_id) for other in events):
-        return True
     return any(other != event_id and t >= event.start
                and events[other].severity.displaced_volume is None
                and any(isinstance(a, ReplacementService) for a in actions)

@@ -6,10 +6,26 @@ replan -> expiry restores the overlay.  Travelers execute their plans
 segment by segment; they replan only when warned, when they run into a
 blocked segment, or when woken after waiting.
 
-Entries run in (time, scheduling order).  Those ``setup`` schedules wait in
-one list sorted that way, the rest in a heap, and ``run`` takes the smaller
-of the two next entries; every setup entry was scheduled before any
-run-time entry, so this merge yields a single heap's order, ties included.
+Entries run in (time, provenance key) order.  An entry's key is (the
+handled entry that scheduled it, as its (time, key), and its index among
+that handler's schedules); ``setup``'s entries have keys ``((), k)``.
+Handlers run in that order, so it is the order of scheduling, ties
+included: the order a single heap with a global counter gives.  Setup's
+entries wait in one list sorted that way, the rest in a heap, and ``run``
+takes the smaller of the two next entries.
+
+A traveler runs ahead of that loop up to its safe time (conservative
+lookahead: Chandy and Misra, IEEE TSE 5(5), 1979): the earlier of the next
+pending entry whose handler writes the overlay or reads other travelers
+(``_SHARED_KINDS``) and the end of the overlay's content window
+(``NetworkState.content_end``).  An arrival strictly before it, not after
+``end_time``, that logs nothing (the trip goes on over a passable segment)
+is handled in place in ``_advance``, with the key it would have had;
+nothing else can tell it from a queued arrival.  Inside one content
+window a trip's remaining moves only shrink, so a device's route is
+re-timed only at a queued arrival and at the last arrival in place when
+another entry may read it before the next queued one.
+
 All randomness flows from named substreams of the scenario seed (one per
 detection event, one per demand entry), so a run is a pure function of
 (scenario, seed): repeated runs produce byte-identical logs, and removing
@@ -19,7 +35,6 @@ one event does not perturb the draws of the others.
 from __future__ import annotations
 
 import heapq
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -123,8 +138,17 @@ _ascii = json.encoder.encode_basestring_ascii
 
 def _num(x) -> str:
     """A number as the log lines print it: a float rounded to 6 decimals,
-    or ``NaN``/``Infinity``/``-Infinity``; anything else as ``_json``."""
+    or ``NaN``/``Infinity``/``-Infinity``; anything else as ``_json``.
+
+    A float ``x`` prints as ``repr(round(x, 6))``.  For 1e-4 <= |x| < 1e9
+    that is ``"%.6f" % x`` without its trailing zeros (keeping ``.0``):
+    both take the same correctly rounded 6-decimal string, and no shorter
+    one reads back as the same float, since the float spacing there is
+    finer than 1e-6; ``repr`` prints no exponent in that range."""
     if isinstance(x, float):
+        if 1e-4 <= abs(x) < 1e9:  # False for NaN
+            text = ("%.6f" % x).rstrip("0")
+            return text + "0" if text[-1] == "." else text
         if x - x == 0.0:  # finite
             return repr(round(x, 6))
         return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
@@ -173,6 +197,12 @@ def _replan_line(t, traveler: str, arrival_estimate) -> str:
             f'"arrival_estimate":{_num(arrival_estimate)}}}')
 
 
+# Entries whose handlers write the overlay or read travelers other than
+# their own: no traveler moves past the earliest pending one on its own.
+_SHARED_KINDS = frozenset({"inject", "event_end", "respond", "action_end", "escalate",
+                           "revise", "wake"})
+
+
 class _Sim:
     def __init__(self, scenario: Scenario, config: RunConfig):
         self.scenario = scenario
@@ -181,7 +211,10 @@ class _Sim:
         self.net = scenario.net
         self.heap: list[tuple] = []  # entries scheduled during the run
         self.setup_entries: list[tuple] = []  # setup's, sorted, next one last
-        self._seq = itertools.count()
+        self.shared_times: list[float] = []  # heap of the pending _SHARED_KINDS entries' times
+        # The (time, key) of the entry being handled, and its schedules so far.
+        self.parent: tuple = ()
+        self.index = 0
         self.event_log: list[str] = []
         self.warning_log: list[str] = []
         self.action_log: list[str] = []
@@ -200,7 +233,10 @@ class _Sim:
     # -- infrastructure -------------------------------------------------------
 
     def schedule(self, t: float, kind: str, payload: tuple) -> None:
-        heapq.heappush(self.heap, (t, next(self._seq), kind, payload))
+        heapq.heappush(self.heap, (t, (self.parent, self.index), kind, payload))
+        self.index += 1
+        if kind in _SHARED_KINDS:
+            heapq.heappush(self.shared_times, t)
 
     def log(self, t: float, record) -> None:
         """Appends one event line: ``record`` itself when it is a line built
@@ -320,10 +356,16 @@ class _Sim:
             self._adopt(tv, candidate, t)
 
     def _advance(self, tv: Traveler, t: float, device: Optional[EdgeDevice]) -> None:
-        """Starts ``tv``'s next move at ``t``; ``device`` is ``tv``'s, or None."""
+        """Starts ``tv``'s next move at ``t``; ``device`` is ``tv``'s, or None.
+
+        Each arrival at the end of a segment that comes before ``tv``'s
+        safe time, not after ``end_time``, and logs nothing (a passable
+        segment follows) is handled here in place, and the next segment
+        entered; the first other arrival is queued."""
         tv.status = "moving"
         if tv.replan_flag:
             self._maybe_replan(tv, t)
+        overlay = self.world.overlay
         while True:
             if not tv.moves:
                 self._complete(tv, t)
@@ -344,23 +386,50 @@ class _Sim:
                 return
             # The planned duration is not read: the overlay times the segment now.
             _, seg_id, mode, to_node, _planned = move
-            tt = self.world.overlay.traversal_time(seg_id, mode)
-            if tt is None:
-                candidate = route(tv.node, tv.dest, t, tv.prefs, self.world.overlay)
-                if self.owners and tv.device_id is not None:
-                    self._note_search(tv, t, (move,))  # the segment found impassable too
-                if candidate is None:
-                    self._start_waiting(tv, t)
-                    return
-                self._adopt(tv, candidate, t)
-                continue
-            tv.moves.pop(0)
+            tt = overlay.traversal_time(seg_id, mode)
+            if tt is not None:
+                break
+            candidate = route(tv.node, tv.dest, t, tv.prefs, overlay)
+            if self.owners and tv.device_id is not None:
+                self._note_search(tv, t, (move,))  # the segment found impassable too
+            if candidate is None:
+                self._start_waiting(tv, t)
+                return
+            self._adopt(tv, candidate, t)
+        moves = tv.moves
+        shared = self.shared_times
+        safe = min(shared[0] if shared else math.inf, overlay.content_end())
+        end_time = self.scenario.end_time
+        at = None  # the node of the latest arrival handled here
+        tv.node = None
+        traversals = tv.traversals
+        parent, index = self.parent, self.index  # the handler's, then each arrival's in place
+        while True:  # across the segment of ``move``, which takes ``tt``
+            moves.pop(0)
             if device is not None:
                 device.mode = mode
             exit_t = t + tt
-            tv.node = None
-            tv.traversals.append((seg_id, mode, t, exit_t))
-            heapq.heappush(self.heap, (exit_t, next(self._seq), "arrive", (tv, to_node)))
+            traversals.append((seg_id, mode, t, exit_t))
+            key = (parent, index)
+            if exit_t < safe and exit_t <= end_time and moves and moves[0][0] == "seg":
+                nxt = moves[0]
+                tt_next = overlay.traversal_time(nxt[1], nxt[2])
+                if tt_next is not None:  # the arrival at ``to_node``, in place
+                    parent, index = (exit_t, key), 0
+                    t, tt, at, move = exit_t, tt_next, to_node, nxt
+                    if self.owners and device is not None:
+                        self.influence.read(tv.device_id, t, moves=moves)
+                    _, seg_id, mode, to_node, _planned = move
+                    continue
+            self.parent, self.index = parent, index + 1
+            heapq.heappush(self.heap, (exit_t, key, "arrive", (tv, to_node)))
+            if at is not None and device is not None and exit_t >= safe:
+                # Another entry may read the device before that arrival: leave
+                # what the last arrival handled here left.
+                self._arrived(device, at)
+                evaluated = evaluate_moves(t, [move, *moves], overlay)
+                if evaluated is not None:
+                    device.planned_route = evaluated[1] or None
             return
 
     def _note_search(self, tv: Traveler, t: float, moves=()) -> None:
@@ -418,14 +487,18 @@ class _Sim:
         self.log(t, _spawn_line(t, tv.tid, tv.origin, tv.dest))
         self._advance(tv, t, self._device(tv))
 
+    def _arrived(self, device: EdgeDevice, node: str) -> None:
+        """Places ``device`` at ``node``."""
+        position = self.node_positions.get(node)
+        if position is None:
+            position = self.node_positions[node] = DevicePosition(node=node)
+        device.position = position
+
     def handle_arrive(self, t: float, tv: Traveler, node: str) -> None:
         tv.node = node
         device = self.world.devices.get(tv.device_id) if tv.device_id else None
         if device is not None:
-            position = self.node_positions.get(node)
-            if position is None:
-                position = self.node_positions[node] = DevicePosition(node=node)
-            device.position = position
+            self._arrived(device, node)
             if self.owners:
                 self.influence.read(tv.device_id, t, moves=tv.moves)
             evaluated = evaluate_moves(t, tv.moves, self.world.overlay)
@@ -452,6 +525,7 @@ class _Sim:
             value=residual,
             start=event.start,
             end=event.true_end,
+            owner=f"ev:{event_id}",
         ) for seg_id, mode_id, residual in effects]
         for contribution in contributions:
             self.world.overlay.add_contribution(contribution)
@@ -461,7 +535,7 @@ class _Sim:
                      "segments": list(event.segments), "effects": len(effects)})
 
     def handle_event_end(self, t: float, event_id: str) -> None:
-        self.world.overlay.remove_owned(f"ev:{event_id}:")
+        self.world.overlay.remove_owned(f"ev:{event_id}")
         if self.influence is not None:
             self.influence.own(event_id, -1)
         self.log(t, {"type": "event_end", "event": event_id})
@@ -636,14 +710,18 @@ class _Sim:
         pending = self.setup_entries
         heap = self.heap
         heappop = heapq.heappop
+        shared = self.shared_times
         while heap or pending:
             if pending and (not heap or pending[-1] < heap[0]):
-                t, _seq, kind, payload = pending.pop()
+                t, key, kind, payload = pending.pop()
             else:
-                t, _seq, kind, payload = heappop(heap)
+                t, key, kind, payload = heappop(heap)
             if t > end_time:
                 break
+            if kind in _SHARED_KINDS:
+                heappop(shared)
             overlay.clock = t
+            self.parent, self.index = (t, key), 0
             handlers[kind](t, *payload)
         overlay.clock = end_time
         self._finalize()
@@ -722,10 +800,12 @@ class LeaveOneOut(_Sim):
     Dissemination asks relevance and delivery of the cone's devices only
     (``notified_among``).  Nothing is logged or encoded.
 
-    Every entry this run serves is served by the full run too, and each is
-    scheduled while the same entry is handled there, in the same order
-    among the ones this run keeps.  So a fresh counter sorts them as the
-    full run does, ties included.
+    With one entry per arrival, every entry this run serves is served by
+    the full run too, and each is scheduled while the same entry is handled
+    there, in the same order among the ones this run keeps.  So provenance
+    keys sort them as the full run does, ties included.  Each run handles
+    arrivals in place up to its own safe time, which changes no output of
+    either (see the module docstring).
     """
 
     def __init__(self, scenario: Scenario, event: DisturbanceEvent, cone: set[str],

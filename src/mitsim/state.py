@@ -58,6 +58,7 @@ class Contribution:
     start: float
     end: float
     free_flow_time: float = 0.0  # usage only
+    owner: str = ""  # what removes it: "ev:<event id>" or an action id
 
     def active(self, clock: float) -> bool:
         return self.start <= clock < self.end
@@ -129,8 +130,8 @@ class NetworkState:
         if self._contributions.pop(contrib_id, None) is not None:
             self._reindex()
 
-    def remove_owned(self, prefix: str) -> None:
-        owned = [c for c in self._contributions if c.startswith(prefix)]
+    def remove_owned(self, owner: str) -> None:
+        owned = [cid for cid, c in self._contributions.items() if c.owner == owner]
         for cid in owned:
             del self._contributions[cid]
         if owned:
@@ -193,6 +194,14 @@ class NetworkState:
         self._searches = self.net.searches((tuple(sorted(self.boarding_wait.items())),
                                             tuple(active)))
         return self._searches
+
+    def content_end(self) -> float:
+        """The end ``hi`` of the clock interval ``searches`` keeps its store
+        for: the earliest contribution start or end after ``clock``.  Until
+        then, unless a write is made, every ``residual``,
+        ``traversal_time`` and ``mode_arcs`` answer stays as it is now."""
+        self.searches()
+        return self._hi
 
     def touched(self, mode_id: str) -> frozenset[str]:
         """Ids of the segments some contribution names for ``mode_id``,

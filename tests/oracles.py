@@ -9,9 +9,9 @@ import pytest
 
 from mitsim import dissemination, routing, simulation
 from mitsim.cone import affected_devices
-from mitsim.dissemination import DisseminationRecord, predict_trajectory
+from mitsim.dissemination import DevicePosition, DisseminationRecord, predict_trajectory
 from mitsim.network import Arc, MultiLayerNetwork, node_distances
-from mitsim.simulation import MODE_TARGETED, RunResult, _Sim, run
+from mitsim.simulation import MODE_TARGETED, LeaveOneOut, RunResult, _Sim, run
 
 
 def brute_force_route(origin, dest, prefs, state):
@@ -508,9 +508,11 @@ def oracle_delivery(w, devices, topology, policy, net, actions, now):
     return hops, len(edges) + len(hops), relevant - set(hops)
 
 
-class SingleHeapSim(_Sim):
-    """The simulator with every entry on one heap, as a reference for the
-    order in which ``_Sim.run`` serves its entries.
+class PerArrivalSim(_Sim):
+    """The simulator with one heap entry per arrival, every entry on one
+    heap and a global counter for ties: the reference for the order in
+    which ``_Sim.run`` serves its entries and for the arrivals it handles
+    in place.
 
     ``run`` puts the entries ``setup`` scheduled back into the heap and pops
     only the heap, in ``(t, seq)`` order.  ``popped`` lists the ``(t, seq)``
@@ -518,7 +520,11 @@ class SingleHeapSim(_Sim):
     (they hold the seqs below it), so a test can see which ties it met.
     """
 
+    def schedule(self, t, kind, payload):
+        heapq.heappush(self.heap, (t, next(self.seq), kind, payload))
+
     def run(self):
+        self.seq = itertools.count()
         self.setup()
         heap = self.setup_entries + self.heap
         heapq.heapify(heap)
@@ -543,6 +549,75 @@ class SingleHeapSim(_Sim):
             trips=self.world.travelers, records=self.records,
             notified_mobile=self._notified_mobile(), influence=self.influence,
         )
+
+    def _advance(self, tv, t, device):
+        tv.status = "moving"
+        if tv.replan_flag:
+            self._maybe_replan(tv, t)
+        while True:
+            if not tv.moves:
+                self._complete(tv, t)
+                return
+            move = tv.moves[0]
+            if move[0] == "start":
+                tv.moves.pop(0)
+                if move[2] > 0:
+                    self.schedule(t + move[2], "arrive", (tv, tv.node))
+                    return
+                continue
+            if move[0] == "transfer":
+                tv.moves.pop(0)
+                _, node, _from_mode, to_mode, duration = move
+                if device is not None:
+                    device.mode = to_mode
+                self.schedule(t + duration, "arrive", (tv, node))
+                return
+            _, seg_id, mode, to_node, _planned = move
+            tt = self.world.overlay.traversal_time(seg_id, mode)
+            if tt is None:
+                candidate = routing.route(tv.node, tv.dest, t, tv.prefs, self.world.overlay)
+                if self.owners and tv.device_id is not None:
+                    self._note_search(tv, t, (move,))
+                if candidate is None:
+                    self._start_waiting(tv, t)
+                    return
+                self._adopt(tv, candidate, t)
+                continue
+            tv.moves.pop(0)
+            if device is not None:
+                device.mode = mode
+            tv.node = None
+            tv.traversals.append((seg_id, mode, t, t + tt))
+            self.schedule(t + tt, "arrive", (tv, to_node))
+            return
+
+    def handle_arrive(self, t, tv, node):
+        tv.node = node
+        device = self.world.devices.get(tv.device_id) if tv.device_id else None
+        if device is not None:
+            device.position = DevicePosition(node=node)
+            if self.owners:
+                self.influence.read(tv.device_id, t, moves=tv.moves)
+            evaluated = routing.evaluate_moves(t, tv.moves, self.world.overlay)
+            if evaluated is not None:
+                device.planned_route = evaluated[1] or None
+        self._advance(tv, t, device)
+
+
+class PerArrivalLeaveOneOut(PerArrivalSim, LeaveOneOut):
+    """``LeaveOneOut`` on the per-arrival engine."""
+
+
+@contextlib.contextmanager
+def per_arrival_mode():
+    """Runs, and the partial leave-one-out runs ``compare`` makes, on the
+    per-arrival engine (``PerArrivalSim``), for one block; every other
+    fast path stays.  Outputs made inside must equal, byte for byte, those
+    made outside."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "_Sim", PerArrivalSim)
+        patch.setattr(simulation, "LeaveOneOut", PerArrivalLeaveOneOut)
+        yield
 
 
 def reference_distribute(w, devices, topology, policy, net, actions, now):
@@ -573,7 +648,7 @@ def reference_mode():
     - the route search for ``reference_search`` and free-flow paths for
       ``reference_free_flow_path``;
     - the network's search store for a fresh dict per overlay content;
-    - ``_Sim`` for ``SingleHeapSim``;
+    - ``_Sim`` for ``PerArrivalSim`` (one entry per arrival);
     - ``distribute`` for ``reference_distribute`` (brute-force relevance
       and delivery);
     - ground truth for ``reference_ground_truth`` (a full run per event).
@@ -584,7 +659,7 @@ def reference_mode():
         patch.setattr(routing, "_search", reference_search)
         patch.setattr(MultiLayerNetwork, "free_flow_path", reference_free_flow_path)
         patch.setattr(MultiLayerNetwork, "searches", lambda net, metric: {})
-        patch.setattr(simulation, "_Sim", SingleHeapSim)
+        patch.setattr(simulation, "_Sim", PerArrivalSim)
         patch.setattr(dissemination, "distribute", reference_distribute)
         patch.setattr(simulation, "ground_truth_affected", reference_ground_truth)
         yield

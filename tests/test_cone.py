@@ -13,9 +13,9 @@ import random
 
 import pytest
 
-from mitsim.cone import _extends
 from mitsim.scenario import load_scenario
-from mitsim.simulation import Diverged, LeaveOneOut, compare, partial_trips, run
+from mitsim.simulation import (MODE_BROADCAST, MODE_NO_ADAPT, MODE_TARGETED, Diverged,
+                               LeaveOneOut, compare, partial_trips, run)
 
 from conftest import demo_scenario
 from generators import (
@@ -194,17 +194,21 @@ def test_signal_plans_claiming_one_approach_run_in_full():
     assert_compare_is_the_reference(raw)
 
 
-def test_event_id_extended_by_another_runs_in_full():
-    assert _extends("e:1", "e") and _extends("e-2:x", "e")
-    assert not any(_extends(other, "e") for other in ("e", "e1", "e-2", "e-x:1", "f:e"))
-    raw = with_event(mini_scenario(true=600.0), event_id="e0:late", kind="D1",
-                     segments=["s0"], start=3000.0, estimated_duration=600.0,
-                     true_duration=600.0)
+def test_event_id_extended_by_another_stays_partial():
+    """``e0:x`` blocks s1 from 400 s to 4000 s; ``e0``, whose contribution
+    ids ``e0:x``'s extend, ends at 750 s.  Removal is by exact owner, so
+    tv0, reaching s1 at 900 s, waits for ``e0:x``'s end in every mode, and
+    neither event needs a full run without it."""
+    raw = with_event(mini_scenario(true=600.0, depart=800.0), event_id="e0:x", kind="D1",
+                     segments=["s1"], start=400.0, estimated_duration=3600.0,
+                     true_duration=3600.0)
     scenario = load_scenario(raw)
+    for config in (MODE_TARGETED, MODE_BROADCAST, MODE_NO_ADAPT):
+        tv0 = run(load_scenario(raw), config).trips["tv0"]
+        assert tv0.traversals == [("s0", "car", 800.0, 900.0), ("s1", "car", 4000.0, 4100.0)]
     targeted = run(scenario)
-    e0, late = scenario.events
-    assert partial_trips(e0, scenario, targeted) is None
-    assert partial_trips(late, scenario, targeted) is not None
+    for event in scenario.events:
+        assert partial_trips(event, scenario, targeted) is not None
     assert_compare_is_the_reference(raw)
 
 

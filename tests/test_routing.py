@@ -670,9 +670,12 @@ def traveler_scenario(spec, origin, dest, modes, depart=0.0):
 
 def traveler_sim(spec, origin, dest, modes):
     """A ``_Sim`` on ``spec`` whose one device ``tv`` has just left
-    ``origin`` for ``dest`` at t = 0."""
+    ``origin`` for ``dest`` at t = 0.  A pending wake at t = 0, which the
+    tests never serve, keeps ``tv``'s safe time at 0, so each of its
+    arrivals stays a real one that a test hands to ``handle_arrive``."""
     sim = _Sim(traveler_scenario(spec, origin, dest, modes), MODE_TARGETED)
     sim.setup()
+    sim.schedule(0.0, "wake", ("e0",))
     tv = sim.world.travelers["tv"]
     sim.handle_spawn(0.0, tv)
     return sim, tv

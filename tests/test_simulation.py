@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import math
 import random
+import struct
 from collections import Counter
 from types import SimpleNamespace
 
@@ -17,6 +19,7 @@ from mitsim.simulation import (
     Metrics,
     RunResult,
     _json,
+    _num,
     _replan_line,
     _Sim,
     _spawn_line,
@@ -34,7 +37,7 @@ from generators import (
     run_outputs,
     tie_scenario_dict,
 )
-from oracles import (SingleHeapSim, brute_force_canon, brute_force_flows,
+from oracles import (PerArrivalSim, brute_force_canon, brute_force_flows, per_arrival_mode,
                      brute_force_residual_map)
 
 
@@ -691,6 +694,26 @@ LOG_VALUES = st.recursive(
 )
 
 
+# Finite floats: any, those near the edges of ``_num``'s "%.6f" range, and
+# raw 64-bit patterns, which reach every exponent and subnormals.
+FINITE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e-4, 1e9]).flatmap(lambda edge: st.floats(
+        edge * 0.999999, edge * 1.000001)).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.sampled_from([1e-4, 1e9, math.nextafter(1e-4, 0.0), math.nextafter(1e9, 0.0),
+                     999999999.9999995, 0.00010000049999999999, 0.0001000005, 0.5, 1.0,
+                     -1e-4, -1e9, 123456.0000005, 0.1 + 0.2, 2.5e-6]),
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+    .filter(math.isfinite),
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(FINITE_FLOATS)
+def test_num_prints_a_finite_float_as_repr_of_its_rounding(x):
+    assert _num(x) == repr(round(x, 6))
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.dictionaries(LOG_TEXT, LOG_VALUES, max_size=6))
 def test_log_line_equals_dumps_of_the_rounded_copy(record):
@@ -808,21 +831,22 @@ def mixed_ties(sim) -> int:
                for (t0, s0), (t1, s1) in zip(sim.popped, sim.popped[1:]))
 
 
-def test_run_serves_entries_in_single_heap_order(monkeypatch):
-    """``run`` merges setup's sorted list with the heap; one heap holding
-    every entry must give the same bytes, on scenarios built so that
-    spawns, arrivals, injections and detections share seconds."""
+def test_run_serves_entries_in_single_heap_order():
+    """``run`` merges setup's sorted list with the heap, orders entries by
+    provenance key and handles some arrivals in place; one heap holding
+    every entry, one per arrival, with a global counter for ties must give
+    the same bytes, on scenarios built so that spawns, arrivals,
+    injections and detections share seconds."""
     ties = 0
     for seed in range(30):
         raw = tie_scenario_dict(random.Random(91_000 + seed))
         for config in (MODE_TARGETED, MODE_BROADCAST, MODE_NO_ADAPT):
-            reference = SingleHeapSim(load_scenario(raw), config)
+            reference = PerArrivalSim(load_scenario(raw), config)
             expected = reference.run()
             assert run_view(run(load_scenario(raw), config)) == run_view(expected)
             ties += mixed_ties(reference)
         got = compare(load_scenario(raw))
-        with monkeypatch.context() as patch:
-            patch.setattr(simulation, "_Sim", SingleHeapSim)
+        with per_arrival_mode():
             expected = compare(load_scenario(raw))
         assert got.to_dict() == expected.to_dict()
         for name in ("no_adapt", "broadcast", "targeted"):

@@ -21,7 +21,8 @@ from oracles import (
     plan_view,
 )
 
-OWNERS = ("ev:a:", "ev:b:", "act:")
+# "ev" starts the other owners' names and ids but owns nothing.
+OWNERS = ("ev:a", "ev:a:b", "ev:b", "act")
 INF = float("inf")
 
 
@@ -69,23 +70,24 @@ def random_write(rng, net, state, model, step, hot):
         if op == "replace" and model:
             cid = rng.choice(sorted(model))
         else:
-            cid = f"{rng.choice(OWNERS)}{step}"
+            cid = f"{rng.choice(OWNERS)}:{step}"
         if rng.random() < 0.5:
-            model[cid] = random_contribution(
+            c = random_contribution(
                 rng, net, cid, kind=rng.choice(["factor", "factor", "floor"]),
                 targets=frozenset(rng.sample(hot, rng.randint(1, len(hot)))))
         else:
-            model[cid] = random_contribution(rng, net, cid)
+            c = random_contribution(rng, net, cid)
+        model[cid] = dataclasses.replace(c, owner=cid.rpartition(":")[0])
         state.add_contribution(model[cid])
     elif op == "remove":
         cid = rng.choice(sorted(model) + ["missing"])
         model.pop(cid, None)
         state.remove_contribution(cid)
     elif op == "remove_owned":
-        prefix = rng.choice(OWNERS + ("ev:",))
-        for cid in [k for k in model if k.startswith(prefix)]:
+        owner = rng.choice(OWNERS + ("ev",))
+        for cid in [k for k, c in model.items() if c.owner == owner]:
             del model[cid]
-        state.remove_owned(prefix)
+        state.remove_owned(owner)
     else:
         state.clock = rng.choice(CLOCKS)
 
@@ -240,8 +242,9 @@ def test_search_store_follows_the_content_within_its_validity_window():
                              "clock", "clock", "clock", "clock"])
             if op in ("add", "replace"):
                 cid = (rng.choice(sorted(model)) if op == "replace" and model
-                       else f"{rng.choice(OWNERS)}{step}")
-                model[cid] = windowed_contribution(rng, net, cid)
+                       else f"{rng.choice(OWNERS)}:{step}")
+                model[cid] = dataclasses.replace(windowed_contribution(rng, net, cid),
+                                                 owner=cid.rpartition(":")[0])
                 state.add_contribution(model[cid])
                 seen["empty window"] += model[cid].start == model[cid].end
                 seen["open end"] += model[cid].end == INF
@@ -250,10 +253,10 @@ def test_search_store_follows_the_content_within_its_validity_window():
                 model.pop(cid, None)
                 state.remove_contribution(cid)
             elif op == "remove_owned":
-                prefix = rng.choice(OWNERS + ("ev:",))
-                for cid in [k for k in model if k.startswith(prefix)]:
+                owner = rng.choice(OWNERS + ("ev",))
+                for cid in [k for k, c in model.items() if c.owner == owner]:
                     del model[cid]
-                state.remove_owned(prefix)
+                state.remove_owned(owner)
             else:
                 op = clock_step(rng, state, model)
             previous, content = content, brute_force_content(state, model.values())
