@@ -440,6 +440,7 @@ def _stop_guidance(c: _Context) -> list[AdaptationAction]:
 def _bus_diversion(c: _Context) -> list[AdaptationAction]:
     state = c.state
     out = []
+    taken: set[str] = set()  # the CAVs earlier diversions of this plan took
     for route_id in sorted(state.pt_routes):
         pt_route = state.pt_routes[route_id]
         if state.net.modes[pt_route.mode_id].category != "bus":
@@ -450,9 +451,10 @@ def _bus_diversion(c: _Context) -> list[AdaptationAction]:
         )
         if not blocked:
             continue
-        diversion = bus_diversion_favorable(c, pt_route, blocked)
+        diversion = bus_diversion_favorable(c, pt_route, blocked, taken)
         if diversion is not None:
             out.append(diversion)
+            taken.update(diversion.cav_assignment)
     if not out:
         raise InfeasibleError("no favorable bus diversion")
     return out
@@ -606,14 +608,16 @@ _TEMPLATES = {
 
 def bus_diversion_favorable(
     c: _Context, pt_route: PtRoute, blocked_segments: tuple[str, ...],
+    taken: set[str],
 ) -> Optional[BusDiversion]:
     """Divert a bus route around blocked segments of it, when favorable.
 
     Requires (a) a road detour between the detach and reattach nodes that
-    avoids the blockage, (b) an available CAV within the pickup threshold
-    for every bypassed stop, and (c) for non-priority routes, an estimated
-    passenger delay under diversion strictly below waiting the blockage
-    out.  Priority routes accept any feasible diversion.
+    avoids the blockage, (b) an available CAV not in ``taken`` (the plan's
+    earlier diversions hold those) within the pickup threshold for every
+    bypassed stop, and (c) for non-priority routes, an estimated passenger
+    delay under diversion strictly below waiting the blockage out.
+    Priority routes accept any feasible diversion.
 
     Every blocked segment must already have residual 0 for the route's
     mode at the overlay clock (``_bus_diversion`` passes only those), so
@@ -638,7 +642,7 @@ def bus_diversion_favorable(
     cav_mode = _mode_of_category(net, "cav-taxi")
     assigned: list[str] = []
     pickup_times: list[float] = []
-    available = _available_cavs(state)
+    available = [cav for cav in _available_cavs(state) if cav.cav_id not in taken]
     for stop in bypassed:
         best = None
         for cav in available:

@@ -426,32 +426,3 @@ def distribute(
         baseline=len(devices),
     )
 
-
-def notified_among(
-    w: WarningMessage,
-    devices: Iterable[EdgeDevice],
-    rsus: list[EdgeDevice],
-    topology: RsuTopology,
-    policy: RelevancePolicy,
-    net: MultiLayerNetwork,
-    actions: Iterable,
-    now: float,
-) -> set[str]:
-    """The ids of ``devices`` that ``distribute`` notifies when handed a
-    fleet holding them and exactly the roadside units ``rsus``.
-
-    Relevance and delivery are both decided per device, so the rest of
-    the fleet is not read; the relay is built only once some device is
-    relevant.
-    """
-    scope = WarningScope(w, policy, net, actions, now)
-    relay = None
-    notified = set()
-    for device in devices:
-        if not rsus or not is_relevant(scope, device).relevant:
-            continue
-        if relay is None:
-            relay = Relay(scope, rsus, topology)
-        if relay.serve(device) is not None:
-            notified.add(device.device_id)
-    return notified

@@ -220,6 +220,7 @@ class _Sim:
         self.action_log: list[str] = []
         self.records: list[DisseminationRecord] = []
         self.by_device: dict[str, Traveler] = {}
+        self.fleet = self.world.devices  # the devices dissemination asks about
         self.node_positions: dict[str, DevicePosition] = {}  # immutable, shared by devices
         self.events: dict[str, DisturbanceEvent] = {e.event_id: e for e in scenario.events}
         # event id -> (the latest revision of its warning, the actions planned for it)
@@ -340,31 +341,42 @@ class _Sim:
                 device.mode = plan.moves[0][1]
         self.log(t, _replan_line(t, tv.tid, plan.arrival))
 
-    def _maybe_replan(self, tv: Traveler, t: float) -> None:
-        """Adopts a fresh plan when the current one is blocked or the fresh
-        one arrives strictly earlier.  A blocked traveler with no fresh plan
-        keeps moving until the blockage forces a wait (see ``_advance``)."""
-        tv.replan_flag = False
-        candidate = route(tv.node, tv.dest, t, tv.prefs, self.world.overlay)
-        if self.owners:
-            self._note_search(tv, t, tv.moves)
-        evaluated = evaluate_moves(t, tv.moves, self.world.overlay)
-        adopt = candidate is not None and (evaluated is None or candidate.arrival < evaluated[0])
-        if self.influence is not None:
-            self.influence.replanned(tv.device_id, adopt)
+    def _replan(self, tv: Traveler, t: float, blocked: bool = False) -> bool:
+        """Plans ``tv``'s trip afresh at ``t``, and adopts the plan when the
+        current one is ``blocked`` (its next segment is impassable, so it is
+        not timed) or the fresh one arrives strictly earlier; says whether
+        it adopted one.  Only an unblocked replan answers ``tv``'s flag."""
+        overlay = self.world.overlay
+        candidate = route(tv.node, tv.dest, t, tv.prefs, overlay)
+        if self.owners and tv.device_id is not None:  # what the search read, and the moves timed
+            entry = overlay.searches().get((tv.node, tv.dest, tv.prefs))
+            self.influence.read(tv.device_id, t, () if entry is None else entry[1],
+                                tv.moves[:1] if blocked else tv.moves)
+        if blocked:
+            adopt = candidate is not None
+        else:
+            tv.replan_flag = False
+            evaluated = evaluate_moves(t, tv.moves, overlay)
+            adopt = candidate is not None and (not evaluated or candidate.arrival < evaluated[0])
+            if self.influence is not None:
+                self.influence.replanned(tv.device_id, adopt)
         if adopt:
             self._adopt(tv, candidate, t)
+        return adopt
 
     def _advance(self, tv: Traveler, t: float, device: Optional[EdgeDevice]) -> None:
         """Starts ``tv``'s next move at ``t``; ``device`` is ``tv``'s, or None.
 
-        Each arrival at the end of a segment that comes before ``tv``'s
-        safe time, not after ``end_time``, and logs nothing (a passable
-        segment follows) is handled here in place, and the next segment
-        entered; the first other arrival is queued."""
+        A flagged traveler replans first (``_replan``), and one facing an
+        impassable segment replans there, or waits.  Each arrival at the
+        end of a segment that comes before ``tv``'s safe time, not after
+        ``end_time``, and logs nothing (a passable segment follows) is
+        handled here in place; the first other one is queued, and when
+        another entry may read the device before it, the last one handled
+        here re-times the device (``_arrived``)."""
         tv.status = "moving"
         if tv.replan_flag:
-            self._maybe_replan(tv, t)
+            self._replan(tv, t)
         overlay = self.world.overlay
         while True:
             if not tv.moves:
@@ -389,13 +401,9 @@ class _Sim:
             tt = overlay.traversal_time(seg_id, mode)
             if tt is not None:
                 break
-            candidate = route(tv.node, tv.dest, t, tv.prefs, overlay)
-            if self.owners and tv.device_id is not None:
-                self._note_search(tv, t, (move,))  # the segment found impassable too
-            if candidate is None:
+            if not self._replan(tv, t, blocked=True):
                 self._start_waiting(tv, t)
                 return
-            self._adopt(tv, candidate, t)
         moves = tv.moves
         shared = self.shared_times
         safe = min(shared[0] if shared else math.inf, overlay.content_end())
@@ -424,19 +432,10 @@ class _Sim:
             self.parent, self.index = parent, index + 1
             heapq.heappush(self.heap, (exit_t, key, "arrive", (tv, to_node)))
             if at is not None and device is not None and exit_t >= safe:
-                # Another entry may read the device before that arrival: leave
-                # what the last arrival handled here left.
-                self._arrived(device, at)
-                evaluated = evaluate_moves(t, [move, *moves], overlay)
-                if evaluated is not None:
-                    device.planned_route = evaluated[1] or None
+                # Another entry may read the device before that arrival: leave what
+                # the last one handled here left (noting its read again adds nothing).
+                self._arrived(device, t, at, [move, *moves])
             return
-
-    def _note_search(self, tv: Traveler, t: float, moves=()) -> None:
-        """Notes what ``tv``'s ``route`` call at ``t`` read, and the segments
-        of ``moves``, which it timed too."""
-        entry = self.world.overlay.searches().get((tv.node, tv.dest, tv.prefs))
-        self.influence.read(tv.device_id, t, () if entry is None else entry[1], moves)
 
     def _start_waiting(self, tv: Traveler, t: float) -> None:
         tv.status = "waiting"
@@ -487,23 +486,25 @@ class _Sim:
         self.log(t, _spawn_line(t, tv.tid, tv.origin, tv.dest))
         self._advance(tv, t, self._device(tv))
 
-    def _arrived(self, device: EdgeDevice, node: str) -> None:
-        """Places ``device`` at ``node``."""
+    def _arrived(self, device: EdgeDevice, t: float, node: str, moves) -> None:
+        """Places ``device`` at ``node``, where its traveler arrived at ``t``
+        with ``moves`` left, notes that read and re-times its planned route
+        over them; a re-timing that finds them blocked keeps the old one."""
         position = self.node_positions.get(node)
         if position is None:
             position = self.node_positions[node] = DevicePosition(node=node)
         device.position = position
+        if self.owners:
+            self.influence.read(device.device_id, t, moves=moves)
+        evaluated = evaluate_moves(t, moves, self.world.overlay)
+        if evaluated is not None:
+            device.planned_route = evaluated[1] or None
 
     def handle_arrive(self, t: float, tv: Traveler, node: str) -> None:
         tv.node = node
         device = self.world.devices.get(tv.device_id) if tv.device_id else None
         if device is not None:
-            self._arrived(device, node)
-            if self.owners:
-                self.influence.read(tv.device_id, t, moves=tv.moves)
-            evaluated = evaluate_moves(t, tv.moves, self.world.overlay)
-            if evaluated is not None:
-                device.planned_route = evaluated[1] or None
+            self._arrived(device, t, node, tv.moves)
         self._advance(tv, t, device)
 
     def handle_retry(self, t: float, tv: Traveler) -> None:
@@ -614,7 +615,7 @@ class _Sim:
             self.influence.applied(actions, records, self.world.overlay.contributions())
 
     def _disseminate(self, warning, actions, t: float) -> None:
-        devices = self.world.devices
+        devices = self.fleet
         if self.config.broadcast:
             record = DisseminationRecord(
                 warning_id=warning.warning_id,
@@ -797,8 +798,10 @@ class LeaveOneOut(_Sim):
     the recorded Reroute targets outside the cone and fresh decisions
     inside it; a plan that travelers outside the cone could tell from the
     recorded one (``seen_by_travelers``) raises ``Diverged``.
-    Dissemination asks relevance and delivery of the cone's devices only
-    (``notified_among``).  Nothing is logged or encoded.
+    Dissemination runs ``distribute`` over a fleet of the cone's devices
+    and every roadside unit: relevance and delivery are decided per device,
+    and the relay reads only the units, so a cone device is notified
+    exactly when the full run notifies it.  Nothing is logged or encoded.
 
     With one entry per arrival, every entry this run serves is served by
     the full run too, and each is scheduled while the same entry is handled
@@ -815,8 +818,8 @@ class LeaveOneOut(_Sim):
         self.start = event.start
         self.cone = cone
         self.planned = influence.planned
-        self.rsus = [d for _id, d in sorted(self.world.devices.items())
-                     if d.role == "roadside-unit"]
+        self.fleet = {device_id: device for device_id, device in self.world.devices.items()
+                      if device_id in cone or device.role == "roadside-unit"}
 
     def _add_travelers(self) -> None:
         for trip in self.scenario.device_trips:
@@ -852,14 +855,6 @@ class LeaveOneOut(_Sim):
 
     def _apply(self, actions: list, t: float) -> None:
         adaptation.apply(actions, self.world, t)
-
-    def _disseminate(self, warning, actions, t: float) -> None:
-        self._refresh_positions(t)
-        devices = self.world.devices
-        notified = dissemination.notified_among(
-            warning, [devices[d] for d in self.by_device], self.rsus, self.scenario.topology,
-            self.scenario.policy, self.net, actions, t)
-        self._flag_replans(notified, t, warning.event_id)
 
 
 def partial_trips(event: DisturbanceEvent, scenario: Scenario,

@@ -553,7 +553,7 @@ class PerArrivalSim(_Sim):
     def _advance(self, tv, t, device):
         tv.status = "moving"
         if tv.replan_flag:
-            self._maybe_replan(tv, t)
+            self._replan(tv, t)
         while True:
             if not tv.moves:
                 self._complete(tv, t)
@@ -575,9 +575,12 @@ class PerArrivalSim(_Sim):
             _, seg_id, mode, to_node, _planned = move
             tt = self.world.overlay.traversal_time(seg_id, mode)
             if tt is None:
-                candidate = routing.route(tv.node, tv.dest, t, tv.prefs, self.world.overlay)
+                overlay = self.world.overlay
+                candidate = routing.route(tv.node, tv.dest, t, tv.prefs, overlay)
                 if self.owners and tv.device_id is not None:
-                    self._note_search(tv, t, (move,))
+                    entry = overlay.searches().get((tv.node, tv.dest, tv.prefs))
+                    self.influence.read(tv.device_id, t, () if entry is None else entry[1],
+                                        (move,))
                 if candidate is None:
                     self._start_waiting(tv, t)
                     return

@@ -336,6 +336,26 @@ def test_diversion_with_cav_assignment():
     assert out.detour_segments == ("g4",)
 
 
+def test_two_diversions_of_one_event_do_not_share_a_cav():
+    """Routes B and C (the same line) both bypass q2 under a D1 on g1, g2,
+    and only cavA can serve it.  B's diversion takes cavA, so C's has no
+    CAV and is not planned; expiring B's frees cavA, which no other
+    diversion holds."""
+    net = city_net()
+    world = make_world(net)
+    world.pt_routes["C"] = replace(world.pt_routes["B"], route_id="C")
+    event = make_event(net, "D1", ["g1", "g2"])
+    inject(world, event, net)
+    world.overlay.clock = 100.0
+    diversions, skips = plan_only(net, world, event, "bus_diversion")
+    assert skips == []
+    assert [(a.route_id, a.cav_assignment) for a in diversions] == [("B", ("cavA",))]
+    apply_actions(diversions, world, 100.0)
+    assert world.cavs["cavA"].available is False
+    expire(diversions[0], world)
+    assert world.cavs["cavA"].available is True
+
+
 def test_priority_route_accepts_equal_delay():
     net = city_net()
     world = make_world(net, with_cav=False)

@@ -104,6 +104,24 @@ def test_runs_and_compare_equal_the_per_arrival_engine(name):
     assert in_place > 0
 
 
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_the_targeted_run_notes_what_the_per_arrival_engine_notes(name):
+    """The targeted run's ``Influence`` (reached devices, flaggers,
+    conflicts, spans and the rest) equals the per-arrival engine's.  An
+    output cannot show a cone that is too wide, since a partial run over
+    more travelers gives the same answer, so only this holds replans and
+    arrivals handled in place to noting exactly what they read."""
+    make, _seeds = GENERATORS[name]
+    reached = 0
+    for seed in range(40):
+        raw = make(random.Random(95_000 + seed))
+        got = run(load_scenario(raw)).influence
+        expected = PerArrivalSim(load_scenario(raw), MODE_TARGETED).run().influence
+        assert got == expected, seed
+        reached += sum(map(len, got.reached.values()))
+    assert reached > 0 or name == "rail"  # rail trips are Poisson streams, with no device
+
+
 def test_an_arrival_in_place_ties_with_a_setup_entry():
     """tv0 leaves v0 at 0 s and reaches v1 at 100 s in place; tv1's spawn
     at v1, a setup entry, is due then too.  Both trips end at v2 at 200 s.

@@ -134,6 +134,28 @@ def test_undetectable_event_delays_silently():
         '"trips_total":1,"warnings_issued":0}')
 
 
+@pytest.mark.parametrize("true, est, latency", [
+    (600.0, 1800.0, 600.0),  # detected at the true end, 750 s
+    # detected at 750.2 s, before the estimated end (750.5 s), and issued at
+    # 751 s = ceil(750.5), when the warning's window would be empty
+    (1800.0, 600.5, 600.2),
+], ids=["at-true-end", "issued-at-estimated-end"])
+def test_a_late_detection_issues_no_warning_and_no_action(true, est, latency):
+    raw = mini_scenario(true=true, est=est, latency=(latency, latency))
+    result = run(load_scenario(raw))
+    logs = logs_by_type(result)
+    assert [r["event"] for r in logs["late_detection"]] == ["e0"]
+    assert "warn" not in logs and "dissemination" not in logs
+    assert result.warning_log == [] and result.action_log == []
+    assert result.metrics.warnings_issued == result.metrics.actions_applied == 0
+    assert result.metrics.detection["e0"]["latency"] == latency
+    # One second earlier the warning goes out.
+    early = run(load_scenario(mini_scenario(true=true, est=est,
+                                            latency=(latency - 1, latency - 1))))
+    assert "late_detection" not in logs_by_type(early)
+    assert early.metrics.warnings_issued == 1
+
+
 def test_blocked_traveler_waits_then_resumes():
     raw = mini_scenario(sources=False, true=600.0)
     result = run(load_scenario(raw))
@@ -298,6 +320,20 @@ def test_ev_modifier_scales_arrivals():
     without["demand"] = dict(raw["demand"], ev_modifiers=[])
     plain = run(load_scenario(without)).metrics.trips_total
     assert boosted > plain
+
+
+def test_a_stream_at_rate_zero_spawns_nobody():
+    """It loads, draws nothing and leaves every output as without it."""
+    raw = mini_scenario()
+    plain = run(load_scenario(raw))
+    raw["demand"]["arrivals"] = [{
+        "origin": "v0", "dest": "v2", "rate_per_hour": 0,
+        "start": 0.0, "end": 3600.0, "prefs": {"allowed_modes": ["car"]}}]
+    scenario = load_scenario(raw)
+    assert scenario.arrivals[0].rate_per_hour == 0.0
+    result = run(scenario)
+    assert list(result.trips) == ["tv0"]
+    assert run_outputs(result) == run_outputs(plain)
 
 
 def test_stream_cap_counts_ev_multipliers():
