@@ -295,7 +295,7 @@ def test_distribute_matches_oracle_on_16_node_networks(policy):
 
 
 @pytest.mark.parametrize("policy", [POLICY, TIGHT], ids=["default", "tight"])
-def test_distribute_over_a_subset_with_every_unit_notifies_what_the_fleet_does(policy):
+def test_notified_among_is_distribute_restricted_to_the_devices_asked(policy):
     """Relevance and delivery are per device: ``distribute`` over a subset
     of the fleet with all of its roadside units (the fleet of a partial
     leave-one-out run) notifies what it notifies of that subset over the
