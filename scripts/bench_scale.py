@@ -3,7 +3,6 @@
 city-sized grids.
 
     python3 scripts/bench_scale.py [--seed 100] [--repeat 3] [--out BENCH_scale.json]
-                                   [--against DIR]
 
 The cities (``CITIES``) are ``perfbench/grid_city.py``'s ``city-compare``
 workload grown to an n x n grid, with devices in proportion to n^2, and
@@ -19,14 +18,6 @@ temporary directory, and reports:
 - ``seconds``: the median over ``--repeat`` plain runs of the operation's
   wall time, load excluded (``time.perf_counter``, in this process).
 
-``--against DIR`` loads ``DIR/src/mitsim`` (say, a ``git archive`` of the
-parent commit) as a second package in this process, and times each
-operation in ``--repeat`` pairs, alternating the two trees and which of
-them goes first.  ``seconds`` then also holds the other tree's median
-(``against_wall_s``), ``ratio`` (this tree's median over the other's) and
-``wins`` (the pairs this tree was faster in); the counts and digests are
-this tree's alone.
-
 Writes the report to ``--out`` (default: ``BENCH_scale.json`` at the repo
 root) and prints it.  Stdlib only.  CI runs it with ``--repeat 1`` and fails
 on any value outside ``seconds`` that differs from the committed
@@ -39,8 +30,6 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
-import importlib
-import importlib.util
 import io
 import json
 import os
@@ -56,8 +45,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import grid_city  # noqa: E402
-import mitsim.scenario  # noqa: E402
 from mitsim import cli, simulation  # noqa: E402
+from mitsim.scenario import load_scenario  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
 # name -> (grid side, device-bound travelers, idle OBUs, events)
@@ -116,39 +105,12 @@ def counted(raw: dict, operation: str) -> dict:
             "sha256": digests}
 
 
-def seconds(raw: dict, operation: str, package=mitsim) -> float:
-    """Plain wall seconds of one ``operation`` on a fresh load of ``raw``,
-    with this tree's mitsim or another ``package`` (see ``against``)."""
-    scenario = package.scenario.load_scenario(raw)
+def seconds(raw: dict, operation: str) -> float:
+    """Plain wall seconds of one ``operation`` on a fresh load of ``raw``."""
+    scenario = load_scenario(raw)
     start = time.perf_counter()
-    getattr(package.simulation, operation)(scenario)
+    getattr(simulation, operation)(scenario)
     return time.perf_counter() - start
-
-
-def against(tree: Path):
-    """``tree/src/mitsim`` imported as the package ``against_mitsim``, beside
-    this tree's ``mitsim`` (its modules import one another relatively)."""
-    init = tree / "src" / "mitsim" / "__init__.py"
-    spec = importlib.util.spec_from_file_location(
-        "against_mitsim", init, submodule_search_locations=[str(init.parent)])
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = package
-    spec.loader.exec_module(package)
-    for module in ("scenario", "simulation"):
-        importlib.import_module(f"{spec.name}.{module}")
-    return package
-
-
-def paired(raw: dict, operation: str, repeat: int, other) -> dict:
-    """``seconds`` of ``repeat`` pairs of runs of this tree and ``other``,
-    the tree going first alternating from pair to pair."""
-    packages, times = (mitsim, other), ([], [])
-    for i in range(repeat):
-        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
-            times[side].append(seconds(raw, operation, packages[side]))
-    mine, theirs = (statistics.median(t) for t in times)
-    return {"wall_s": round(mine, 6), "against_wall_s": round(theirs, 6),
-            "ratio": round(mine / theirs, 4), "wins": sum(a < b for a, b in zip(*times))}
 
 
 def main() -> int:
@@ -156,10 +118,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=100)
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_scale.json")
-    parser.add_argument("--against", type=Path, metavar="DIR",
-                        help="time each operation in pairs against DIR's src/mitsim")
     args = parser.parse_args()
-    other = None if args.against is None else against(args.against.resolve())
     report = {
         "seed": args.seed,
         "repeat": args.repeat,
@@ -168,19 +127,14 @@ def main() -> int:
         "cities": {},
         "workloads": {},
     }
-    if other is not None:
-        report["against"] = str(args.against)
     for name in CITIES:
         register(name)
         report["cities"][name] = dataclasses.asdict(grid_city.WORKLOADS[name])
         raw = grid_city.generate(name, args.seed)
         for operation in OPERATIONS:
             out = report["workloads"][f"{name} {operation}"] = counted(raw, operation)
-            if other is None:
-                wall = statistics.median(seconds(raw, operation) for _ in range(args.repeat))
-                out["seconds"] = {"wall_s": round(wall, 6)}
-            else:
-                out["seconds"] = paired(raw, operation, args.repeat, other)
+            wall = statistics.median(seconds(raw, operation) for _ in range(args.repeat))
+            out["seconds"] = {"wall_s": round(wall, 6)}
     text = json.dumps(report, indent=2, sort_keys=True)
     args.out.write_text(text + "\n", encoding="utf-8")
     print(text)
