@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 
 from .disturbance import (DISTURBANCE_KINDS, DisturbanceEvent, EffectMatrix, displaced_volume,
                           severity_index_from)
-from .dissemination import MOBILE_ROLES
+from .dissemination import MOBILE_ROLES, enters_affected
 from .errors import InfeasibleError, ValidationError
 from .messages import WarningMessage
 from .network import RAIL_CATEGORIES, ROAD_CATEGORIES, MultiLayerNetwork
@@ -278,9 +278,7 @@ def _end_nodes(net: MultiLayerNetwork, segments: Iterable[str]) -> set[str]:
 
 
 def _chain_nodes(net: MultiLayerNetwork, segments: tuple[str, ...]) -> list[str]:
-    """Node chain of a contiguous segment sequence, deterministic end first."""
-    if not segments:
-        return []
+    """Node chain of a non-empty contiguous segment sequence, lesser end first."""
     degree: dict[str, int] = {}
     for seg_id in segments:
         seg = net.segments[seg_id]
@@ -392,13 +390,7 @@ def routed_via(device, entries: dict, now: float) -> bool:
     mode the entry affects: the reroute template's test."""
     if device.role not in MOBILE_ROLES or device.mode is None or device.planned_route is None:
         return False
-    for seg_id, eta in device.planned_route:
-        if eta < now:
-            continue
-        entry = entries.get(seg_id)
-        if entry is not None and device.mode in entry.modes:
-            return True
-    return False
+    return enters_affected(device.planned_route, entries, device.mode, now, math.inf)
 
 
 def _reroute(c: _Context) -> list[AdaptationAction]:

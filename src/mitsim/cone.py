@@ -190,17 +190,15 @@ def full_run_needed(event: DisturbanceEvent, scenario: Scenario, influence: Infl
 
 def affected_devices(event: DisturbanceEvent, trips: dict, without: dict) -> set[str]:
     """The devices whose trip in ``trips`` (travelers by id) differs from
-    the one in ``without`` in status or realized cost, or crosses a located
-    segment of ``event`` while it is active (see ``ground_truth_affected``)."""
+    the one in ``without`` (which has every device trip, by the same id) in
+    status or realized cost, or crosses a located segment of ``event``
+    while it is active (see ``ground_truth_affected``)."""
     located = set(event.segments)
     affected: set[str] = set()
     for tid, tv in trips.items():
         if tv.device_id is None:
             continue
-        other = without.get(tid)
-        if other is None:
-            affected.add(tv.device_id)
-            continue
+        other = without[tid]
         cost_a = None if tv.arrival is None else tv.arrival - tv.depart
         cost_b = None if other.arrival is None else other.arrival - other.depart
         if tv.status != other.status or cost_a != cost_b:

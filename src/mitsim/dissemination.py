@@ -115,7 +115,6 @@ class DisseminationRecord:
     warning_id: str
     notified: frozenset[str]
     messages_sent: int
-    hops: Mapping[str, int]
     missed: frozenset[str]
     reasons: Mapping[str, int]
     baseline: int
@@ -208,6 +207,18 @@ AREA = RelevanceDecision(relevant=True, reason="area")
 ADAPTATION_ACTOR = RelevanceDecision(relevant=True, reason="adaptation-actor")
 
 
+def enters_affected(trajectory: Iterable[tuple[str, float]], entries: Mapping,
+                    mode: str, now: float, until: float) -> bool:
+    """Whether ``trajectory`` ((segment, ETA) pairs) enters a segment of
+    ``entries`` (a warning's entries by segment) at an ETA in ``[now,
+    until]``, in ``mode``, one of the modes its entry affects."""
+    for seg_id, eta in trajectory:
+        entry = entries.get(seg_id)
+        if entry is not None and now <= eta <= until and mode in entry.modes:
+            return True
+    return False
+
+
 class WarningScope:
     """What the relevance test reads of one warning, built once per warning.
 
@@ -256,10 +267,9 @@ def is_relevant(scope: WarningScope, device: EdgeDevice) -> RelevanceDecision:
             device.planned_route is not None
             or (device.destination is not None
                 and not entries.keys().isdisjoint(_continuation(device, scope.net)))):
-        for seg_id, eta in predict_trajectory(device, scope.net, scope.now):
-            entry = entries.get(seg_id)
-            if entry is not None and eta <= scope.horizon_end and mode in entry.modes:
-                return TRAJECTORY_HIT
+        if enters_affected(predict_trajectory(device, scope.net, scope.now), entries, mode,
+                           scope.now, scope.horizon_end):
+            return TRAJECTORY_HIT
 
     pos = device.position
     for seg_id, modes, radius, table in scope.areas:
@@ -363,45 +373,33 @@ def distribute(
 ) -> DisseminationRecord:
     """Deliver a warning to every relevant, reachable device.
 
-    Each relevant device is served by its best covering unit of the
-    warning's :class:`Relay` (smallest depth, then distance, then id).
+    One pass over the devices in id order: ``is_relevant`` decides for
+    each, and each relevant one is served by its best covering unit of the
+    warning's :class:`Relay` (smallest depth, then distance, then id),
+    built at the first relevant device when the fleet has roadside units.
     ``messages_sent`` counts relay transmissions on the used tree paths
     plus one delivery per notified device.  Relevant devices no reachable
     unit covers are reported as missed.
-
-    ``is_relevant`` decides for every device, in device-id order.
     """
     devices = sorted(devices, key=lambda d: d.device_id)
     scope = WarningScope(w, policy, net, actions, now)
-    decisions: dict[str, tuple[EdgeDevice, RelevanceDecision]] = {}
+    rsus = [d for d in devices if d.role == "roadside-unit"]
+    relay: Optional[Relay] = None
+    serving: dict[str, str] = {}  # notified device id -> its serving unit's id
+    missed: set[str] = set()
+    reasons: dict[str, int] = {}
     for device in devices:
         decision = is_relevant(scope, device)
-        if decision.relevant:
-            decisions[device.device_id] = (device, decision)
-    rsus = [d for d in devices if d.role == "roadside-unit"]
-
-    if not rsus or not decisions:
-        return DisseminationRecord(
-            warning_id=w.warning_id,
-            notified=frozenset(),
-            messages_sent=0,
-            hops={},
-            missed=frozenset(decisions),
-            reasons={},
-            baseline=len(devices),
-        )
-
-    relay = Relay(scope, rsus, topology)
-    notified: dict[str, int] = {}
-    serving: dict[str, str] = {}
-    missed: set[str] = set()
-    for device_id, (device, _decision) in decisions.items():
-        best_key = relay.serve(device)
+        if not decision.relevant:
+            continue
+        if relay is None and rsus:
+            relay = Relay(scope, rsus, topology)
+        best_key = relay.serve(device) if relay is not None else None
         if best_key is None:
-            missed.add(device_id)
-        else:
-            notified[device_id] = best_key[0] + 1
-            serving[device_id] = best_key[2]
+            missed.add(device.device_id)
+            continue
+        serving[device.device_id] = best_key[2]
+        reasons[decision.reason] = reasons.get(decision.reason, 0) + 1
 
     relay_edges: set[tuple[str, str]] = set()
     for rsu_id in sorted(set(serving.values())):
@@ -411,18 +409,11 @@ def distribute(
             relay_edges.add((prev, node))
             node = prev
 
-    reasons: dict[str, int] = {}
-    for device_id in notified:
-        reason = decisions[device_id][1].reason
-        reasons[reason] = reasons.get(reason, 0) + 1
-
     return DisseminationRecord(
         warning_id=w.warning_id,
-        notified=frozenset(notified),
-        messages_sent=len(relay_edges) + len(notified),
-        hops=dict(sorted(notified.items())),
+        notified=frozenset(serving),
+        messages_sent=len(relay_edges) + len(serving),
         missed=frozenset(missed),
         reasons=reasons,
         baseline=len(devices),
     )
-

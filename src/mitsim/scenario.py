@@ -6,7 +6,8 @@ A scenario is one JSON document with sections ``network``, ``demand``,
 reference and raises :class:`ValidationError` naming the offending
 identifier; a validated scenario is immutable and each simulation run
 builds its own fresh world state from it.  The edge devices are parsed
-and validated once, at load; each run gets its own copies of them.
+and validated once, at load; runs share them and copy only the devices
+their travelers carry.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class Scenario:
     matrix: Mapping[str, frozenset]
     sources: tuple[DetectionSource, ...]
     device_specs: tuple[Mapping, ...]
-    devices: tuple[EdgeDevice, ...]  # validated templates, in spec order; never run on
+    devices: tuple[EdgeDevice, ...]  # validated, in spec order; shared by runs, never written
     device_trips: tuple[TripSpec, ...]  # declared on mobile devices, in device order
     policy: RelevancePolicy
     strategy_table: StrategyTable
@@ -113,15 +114,13 @@ class Scenario:
     # -- per-run builders ----------------------------------------------------
 
     def build_world(self) -> WorldState:
+        """A fresh world for one run, sharing the loaded devices: a run copies
+        only those its travelers carry (``simulation._Sim._add_traveler``)."""
         overlay = NetworkState(
             self.net,
             boarding_wait=boarding_waits(self.net, self.pt_routes, self.defaults),
         )
-        # A run moves, re-routes and re-modes its devices, so it gets its own
-        # copies.  Positions and planned-route tuples are immutable and shared.
-        devices = {d.device_id: EdgeDevice(d.device_id, d.role, d.position, d.comm_range,
-                                           d.planned_route, d.mode, d.destination)
-                   for d in self.devices}
+        devices = {d.device_id: d for d in self.devices}
         travelling = {trip.device_id for trip in self.device_trips}
         cavs: dict[str, CavUnit] = {}
         for device in devices.values():
@@ -392,7 +391,7 @@ def load_scenario(raw: Mapping) -> Scenario:
                                       "is not finite")
         sources.append(source)
 
-    # devices, validated by building them once; runs copy these
+    # devices, validated by building them once; runs share these
     devices: list[EdgeDevice] = []
     device_trips: list[TripSpec] = []
     for device_id, spec in entries(raw.get("devices", []), "devices", "device", "device_id"):

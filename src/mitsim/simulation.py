@@ -221,6 +221,9 @@ class _Sim:
         self.records: list[DisseminationRecord] = []
         self.by_device: dict[str, Traveler] = {}
         self.fleet = self.world.devices  # the devices dissemination asks about
+        self.infrastructure = {d.device_id for d in self.fleet.values()
+                               if d.role not in MOBILE_ROLES}
+        self.notified_mobile: set[str] = set()  # the travelers' devices any warning notified
         self.node_positions: dict[str, DevicePosition] = {}  # immutable, shared by devices
         self.events: dict[str, DisturbanceEvent] = {e.event_id: e for e in scenario.events}
         # event id -> (the latest revision of its warning, the actions planned for it)
@@ -313,18 +316,22 @@ class _Sim:
         plan = route(origin, dest, depart, prefs, self.world.overlay)
         tv = Traveler(tid=tid, origin=origin, dest=dest, depart=depart, prefs=prefs,
                       device_id=device_id)
+        device = None
+        if device_id is not None:  # a copy of its own: the run moves, re-routes and re-modes it
+            d = self.world.devices[device_id]
+            device = self.world.devices[device_id] = EdgeDevice(
+                device_id, d.role, d.position, d.comm_range, d.planned_route, d.mode,
+                d.destination)
+            self.by_device[device_id] = tv
         if plan is not None:
             tv.baseline_cost = plan.total_cost
             tv.moves = list(plan.moves)
-            if device_id is not None:
-                device = self.world.devices[device_id]
+            if device is not None:
                 device.planned_route = plan.segment_etas() or None
                 device.destination = dest
                 if plan.moves and device.mode is None:
                     device.mode = plan.moves[0][1]
         self.world.travelers[tid] = tv
-        if device_id is not None:
-            self.by_device[device_id] = tv
         self.schedule(depart, "spawn", (tv,))
 
     # -- movement --------------------------------------------------------------
@@ -621,7 +628,6 @@ class _Sim:
                 warning_id=warning.warning_id,
                 notified=frozenset(devices),
                 messages_sent=len(devices),
-                hops={},
                 missed=frozenset(),
                 reasons={},
                 baseline=len(devices),
@@ -635,6 +641,8 @@ class _Sim:
         self.records.append(record)
         self.metrics.messages_sent_total += record.messages_sent
         self.metrics.broadcast_baseline_total += record.baseline
+        self.metrics.infrastructure_notified_total += len(record.notified & self.infrastructure)
+        self.notified_mobile |= record.notified & self.by_device.keys()
         self.log(t, {"type": "dissemination", **record.log_fields()})
         self._flag_replans(record.notified, t, warning.event_id)
 
@@ -672,10 +680,7 @@ class _Sim:
             event_id, math.ceil(escalated.start + escalated.estimated_duration), t)
 
     def handle_revise(self, t: float, event_id: str) -> None:
-        event = self.events[event_id]
-        if event.true_end <= t:
-            return
-        self._issue_revision(event_id, math.ceil(event.true_end), t)
+        self._issue_revision(event_id, math.ceil(self.events[event_id].true_end), t)
 
     def _issue_revision(self, event_id: str, new_end: int, t: float) -> None:
         """Revises the event's warning, if one was issued, to end at
@@ -734,17 +739,9 @@ class _Sim:
             action_log=self.action_log,
             trips=self.world.travelers,
             records=self.records,
-            notified_mobile=self._notified_mobile(),
+            notified_mobile=self.notified_mobile,
             influence=self.influence,
         )
-
-    def _notified_mobile(self) -> set[str]:
-        """The devices with trips (all mobile, as the load checks) that any
-        warning notified."""
-        out: set[str] = set()
-        for record in self.records:
-            out |= record.notified & self.by_device.keys()
-        return out
 
     def _finalize(self) -> None:
         m = self.metrics
@@ -767,12 +764,6 @@ class _Sim:
             total += delay
         m.total_delay_s = total
         m.mean_delay_s = m.total_delay_s / len(delays) if delays else 0.0
-        infra = {
-            d.device_id for d in self.world.devices.values()
-            if d.role not in MOBILE_ROLES
-        }
-        for record in self.records:
-            m.infrastructure_notified_total += len(set(record.notified) & infra)
 
 
 def run(scenario: Scenario, config: RunConfig = MODE_TARGETED) -> RunResult:
@@ -818,14 +809,15 @@ class LeaveOneOut(_Sim):
         self.start = event.start
         self.cone = cone
         self.planned = influence.planned
-        self.fleet = {device_id: device for device_id, device in self.world.devices.items()
-                      if device_id in cone or device.role == "roadside-unit"}
 
     def _add_travelers(self) -> None:
         for trip in self.scenario.device_trips:
             if trip.device_id in self.cone:
                 self._add_traveler(trip.device_id, trip.origin, trip.dest, trip.depart,
                                    trip.prefs, trip.device_id)
+        # Built from the run's own copies of the cone's devices.
+        self.fleet = {device_id: device for device_id, device in self.world.devices.items()
+                      if device_id in self.cone or device.role == "roadside-unit"}
 
     def log(self, t: float, record) -> None:
         pass

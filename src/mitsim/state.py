@@ -262,29 +262,29 @@ class NetworkState:
         """Directed arcs usable by a mode right now, by from-node.
 
         The network's static adjacency, unless active usage contributions
-        open segments to the mode: then both directions of each such
-        segment follow each node's own arcs, in contribution id order.
+        open segments the mode does not use statically: then both
+        directions of each such segment follow each node's own arcs, at the
+        free-flow time of the active usage contribution with the smallest
+        id, the time ``traversal_time`` charges.
         """
         static = self.net.out_arcs(mode_id)
         if not self._opens:
             return static
-        opened = []
+        times = self.net.free_flow_times(mode_id)
+        opened: dict[str, float] = {}  # segment -> its time, in contribution id order
         for c in self.active_contributions():
             if c.kind != "usage":
                 continue
             for seg_id, m in sorted(c.targets):
-                if m != mode_id:
-                    continue
-                seg = self.net.segments[seg_id]
-                opened.append(Arc(seg.from_node, seg.to_node, seg_id,
-                                  c.free_flow_time, seg.length))
-                opened.append(Arc(seg.to_node, seg.from_node, seg_id,
-                                  c.free_flow_time, seg.length))
+                if m == mode_id and seg_id not in times:
+                    opened.setdefault(seg_id, c.free_flow_time)
         if not opened:
             return static
         grouped = {node: list(arcs) for node, arcs in static.items()}
-        for arc in opened:
-            grouped.setdefault(arc.from_node, []).append(arc)
+        for seg_id, free_flow in opened.items():
+            seg = self.net.segments[seg_id]
+            for a, b in ((seg.from_node, seg.to_node), (seg.to_node, seg.from_node)):
+                grouped.setdefault(a, []).append(Arc(a, b, seg_id, free_flow, seg.length))
         return grouped
 
     def wait_to_board(self, mode_id: str) -> float:

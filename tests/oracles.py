@@ -241,9 +241,11 @@ def brute_force_traversal_time(net, contributions, clock, segment_id, mode_id):
 def brute_force_mode_arcs(net, contributions, clock, mode_id):
     """The mode's base arcs (each segment's in id order, forward before
     backward, as its first usage entry for the mode directs), then both
-    directions of every segment an active usage contribution opens to it,
-    in contribution id order."""
+    directions of every segment the mode has no base usage on that an
+    active usage contribution opens to it, once, at the free-flow time of
+    the one with the smallest id, in contribution id order."""
     arcs = []
+    opened = set()
     for seg_id in sorted(net.segments):
         seg = net.segments[seg_id]
         entry = seg.usage_for(mode_id)
@@ -257,8 +259,9 @@ def brute_force_mode_arcs(net, contributions, clock, mode_id):
         if c.kind != "usage" or not c.active(clock):
             continue
         for seg_id, m in sorted(c.targets):
-            if m == mode_id:
-                seg = net.segments[seg_id]
+            seg = net.segments[seg_id]
+            if m == mode_id and seg.usage_for(mode_id) is None and seg_id not in opened:
+                opened.add(seg_id)
                 arcs.append(Arc(seg.from_node, seg.to_node, seg_id,
                                 c.free_flow_time, seg.length))
                 arcs.append(Arc(seg.to_node, seg.from_node, seg_id,
@@ -547,7 +550,7 @@ class PerArrivalSim(_Sim):
             config=self.config, metrics=self.metrics, event_log=self.event_log,
             warning_log=self.warning_log, action_log=self.action_log,
             trips=self.world.travelers, records=self.records,
-            notified_mobile=self._notified_mobile(), influence=self.influence,
+            notified_mobile=self.notified_mobile, influence=self.influence,
         )
 
     def _advance(self, tv, t, device):
@@ -632,8 +635,7 @@ def reference_distribute(w, devices, topology, policy, net, actions, now):
     reasons = Counter(brute_force_relevant(w, by_id[d], policy, net, actions, now) for d in hops)
     return DisseminationRecord(
         warning_id=w.warning_id, notified=frozenset(hops), messages_sent=messages,
-        hops=dict(sorted(hops.items())), missed=frozenset(missed), reasons=dict(reasons),
-        baseline=len(devices))
+        missed=frozenset(missed), reasons=dict(reasons), baseline=len(devices))
 
 
 def reference_ground_truth(event, scenario, base_result=None):

@@ -12,6 +12,7 @@ from mitsim.adaptation import (
     Reroute,
     SignalPlanChange,
     StopGuidance,
+    _chain_nodes,
     _params,
     apply as apply_actions,
     expire,
@@ -23,11 +24,13 @@ from mitsim.disturbance import (
     default_effect_matrix,
 )
 from mitsim.dissemination import DevicePosition, EdgeDevice
+from mitsim.errors import ValidationError
 from mitsim.messages import make_warning
 from mitsim.network import build_network
 from mitsim.simulation import _json
 from mitsim.state import CavUnit, Contribution, NetworkState, PtRoute, WorldState
 
+from conftest import line_network_spec
 from oracles import brute_force_residual_map
 
 
@@ -356,6 +359,46 @@ def test_two_diversions_of_one_event_do_not_share_a_cav():
     assert world.cavs["cavA"].available is True
 
 
+def test_each_bypassed_stop_gets_its_own_reachable_cav():
+    """A bus line p0-p1-p2-p3 blocked end to end, with a road detour p0-p3,
+    bypasses p1 and p2.  cavA (at depot x, 50 s from p1 and 60 s from p2)
+    takes p1; p2 then skips it for cavD, 200 s away.  cavB, at p3, can
+    reach neither stop over the blockage."""
+    spec = {
+        "modes": [{"mode_id": m, "name": m, "category": c, "agile": False,
+                   "maas_member": False} for m, c in (("bus", "bus"), ("cav", "cav-taxi"))],
+        "networks": [{"network_id": "road", "name": "road"}],
+        "usage_matrix": [["bus", "road"], ["cav", "road"]],
+        "nodes": ["p0", "p1", "p2", "p3", "x", "z"],
+        "segments": [],
+        "multimodal_nodes": [],
+    }
+    for seg_id, a, b, fft, modes in (
+            ("e0", "p0", "p1", 100, ("bus", "cav")), ("e1", "p1", "p2", 100, ("bus", "cav")),
+            ("e2", "p2", "p3", 100, ("bus", "cav")), ("e3", "p0", "p3", 500, ("bus", "cav")),
+            ("c1", "x", "p1", 50, ("cav",)), ("c2", "x", "p2", 60, ("cav",)),
+            ("c3", "z", "p2", 200, ("cav",))):
+        spec["segments"].append({
+            "segment_id": seg_id, "network_id": "road", "from_node": a, "to_node": b,
+            "length": fft * 10.0, "class": "major",
+            "usage": [{"mode_id": m, "direction": "both", "base_capacity": 500,
+                       "free_flow_time": fft} for m in modes]})
+    net = build_network(spec)
+    world = WorldState(overlay=NetworkState(net))
+    world.pt_routes["L"] = PtRoute(route_id="L", mode_id="bus", stops=("p0", "p1", "p2", "p3"),
+                                   segments=("e0", "e1", "e2"), headway=600)
+    for cav_id, node in (("cavA", "x"), ("cavB", "p3"), ("cavD", "z")):
+        world.cavs[cav_id] = CavUnit(cav_id=cav_id, node=node)
+    event = make_event(net, "D1", ["e0", "e1", "e2"])
+    inject(world, event, net)
+    world.overlay.clock = 100.0
+    (out,), skips = plan_only(net, world, event, "bus_diversion")
+    assert skips == []
+    assert out.skipped_stops == ("p1", "p2")
+    assert out.detour_segments == ("e3",)
+    assert out.cav_assignment == ("cavA", "cavD")
+
+
 def test_priority_route_accepts_equal_delay():
     net = city_net()
     world = make_world(net, with_cav=False)
@@ -401,6 +444,29 @@ def test_replacement_infeasible_without_road_station():
     assert actions == []
     assert skips == [("replacement",
                       "replacement infeasible: station q4 has no road attachment")]
+
+
+def test_replacement_infeasible_without_a_road_path_between_stations():
+    net = city_net()
+    world = make_world(net)
+    world.overlay.add_contribution(Contribution(
+        contrib_id="closed:g0", kind="factor",
+        targets=frozenset({("g0", m) for m in ("car", "cav", "bus")}), value=0.0,
+        start=0.0, end=float("inf")))
+    event = make_event(net, "D6", ["k0"], displaced=10.0)
+    actions, skips = plan_only(net, world, event, "replacement")
+    assert actions == []
+    assert skips == [("replacement", "replacement infeasible: no road path q0 to q2")]
+
+
+def test_segments_in_two_pieces_do_not_form_a_line():
+    """s0 alone is a line with two ends; s2 and s3 join v2 and v3 twice,
+    adding no end, so the walk from v0 stops at v1 with both left."""
+    spec = line_network_spec(4)
+    spec["segments"].append({**spec["segments"][2], "segment_id": "s3"})
+    net = build_network(spec)
+    with pytest.raises(ValidationError, match="blocked segments do not form a line"):
+        _chain_nodes(net, ("s0", "s2", "s3"))
 
 
 # -- apply / expire -----------------------------------------------------------------

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from mitsim import scenario as scenario_module
+from mitsim import cli, scenario as scenario_module
 from mitsim.cli import main
 
 from conftest import DEMO_PATH, demo_scenario
@@ -97,6 +97,20 @@ def test_validate_unparseable_file(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{nope")
     assert main(["validate", str(path)]) == 1
+
+
+def test_a_missing_scenario_file_exits_1(tmp_path, capsys):
+    assert main(["validate", str(tmp_path / "absent.json")]) == 1
+    assert "cannot read scenario" in capsys.readouterr().err
+
+
+def test_an_exception_during_the_run_exits_2(demo_path, tmp_path, capsys, monkeypatch):
+    def fail(*_args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run", fail)
+    assert main(["run", demo_path, "--out", str(tmp_path / "out")]) == 2
+    assert "runtime error: boom" in capsys.readouterr().err
 
 
 def test_run_writes_outputs(demo_path, tmp_path):

@@ -13,6 +13,8 @@ import random
 
 import pytest
 
+from mitsim import dissemination
+from mitsim.dissemination import distribute
 from mitsim.scenario import load_scenario
 from mitsim.simulation import (MODE_BROADCAST, MODE_NO_ADAPT, MODE_TARGETED, Diverged,
                                LeaveOneOut, compare, partial_trips, run)
@@ -106,6 +108,40 @@ def test_partial_leave_one_out_runs_equal_full_runs(name):
     assert "partial" in seen
     if name.startswith("bus"):
         assert "diverged" in seen
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_partial_runs_notify_the_cone_as_the_full_run_does(name, monkeypatch):
+    """Each ``distribute`` call of a partial leave-one-out run notifies the
+    cone devices the full run without the event notifies in that call: the
+    same warnings, at the same times, in the same order."""
+    calls = []
+
+    def spy(w, *args):
+        record = distribute(w, *args)
+        calls.append((args[-1], w.warning_id, w.revision, record.notified))
+        return record
+
+    monkeypatch.setattr(dissemination, "distribute", spy)
+    checked = notified = 0
+    for raw in scenarios(name):
+        scenario = load_scenario(raw)
+        targeted = run(scenario)
+        for event in scenario.events:
+            cone = targeted.influence.cone(event.event_id, targeted.trips)
+            calls.clear()
+            try:
+                LeaveOneOut(scenario, event, cone, targeted.influence).run()
+            except Diverged:
+                continue
+            partial = list(calls)
+            calls.clear()
+            run(scenario.without_event(event.event_id))
+            assert partial == [(t, wid, rev, got & cone) for t, wid, rev, got in calls]
+            checked += len(partial)
+            notified += sum(len(got) for *_, got in partial)
+    if name != "rail":  # a rail scenario has one event: without it nothing is warned
+        assert checked and notified
 
 
 @pytest.mark.parametrize("name", sorted(GENERATORS))

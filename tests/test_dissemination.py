@@ -10,6 +10,7 @@ from mitsim.dissemination import (
     DevicePosition,
     EdgeDevice,
     RelevancePolicy,
+    Relay,
     RsuTopology,
     WarningScope,
     distribute,
@@ -46,6 +47,17 @@ POLICY = RelevancePolicy()
 def relevance(w, device, policy, net, actions, now):
     """``is_relevant`` on one device, with the warning's scope built for it."""
     return is_relevant(WarningScope(w, policy, net, actions, now), device)
+
+
+def served_hops(w, devices, topology, policy, net, actions, now, notified):
+    """Relay hops plus the delivery, by notified device: one more than the
+    depth of the unit that ``Relay.serve`` picks for it."""
+    if not notified:
+        return {}
+    rsus = sorted((d for d in devices if d.role == "roadside-unit"), key=lambda d: d.device_id)
+    relay = Relay(WarningScope(w, policy, net, actions, now), rsus, topology)
+    by_id = {d.device_id: d for d in devices}
+    return {did: relay.serve(by_id[did])[0] + 1 for did in notified}
 
 
 def warn_on(net, seg_ids, modes, issue=0, end=3600):
@@ -283,7 +295,8 @@ def test_distribute_matches_oracle_on_16_node_networks(policy):
         expected = set(hops)
         assert set(record.notified) == expected
         assert set(record.missed) == missed
-        assert record.hops == hops
+        assert served_hops(w, devices, topology, policy, net, actions, now,
+                           record.notified) == hops
         assert record.messages_sent == messages
         assert record.reasons == dict(Counter(reasons[did] for did in expected))
         seen.update(reasons.values())
@@ -359,7 +372,8 @@ def test_distribute_matches_oracle_on_200_device_networks(policy, asked):
         expected = set(hops)
         assert set(record.notified) == expected
         assert set(record.missed) == missed
-        assert record.hops == hops
+        assert served_hops(w, devices, topology, policy, net, actions, now,
+                           record.notified) == hops
         assert record.messages_sent == messages
         assert record.reasons == dict(Counter(reasons[did] for did in expected))
         seen.update(reasons.values())
@@ -460,7 +474,10 @@ def test_distribute_matches_oracle_on_random_scenarios():
         assert record.messages_sent >= len(record.notified)
         rsu_count = sum(1 for d in devices if d.role == "roadside-unit")
         assert record.messages_sent <= len(record.notified) + rsu_count
-        assert all(h >= 1 for h in record.hops.values())
+        hops, _messages, _missed = oracle_delivery(w, devices, topology, POLICY, net, [],
+                                                   w.issue_time)
+        assert served_hops(w, devices, topology, POLICY, net, [], w.issue_time,
+                           record.notified) == hops
         if expected:
             nonempty += 1
     assert nonempty >= 20

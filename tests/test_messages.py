@@ -166,6 +166,8 @@ DECODE_FAILURES = [
      'error at byte 58: revision must be >= 0', 58),
     ('fractional-revision', b'"revision":2', b'"revision":2.0000',
      'error at byte 58: revision must be an integer', 58),
+    ('non-digit-revision', b'"revision":2', b'"revision":x',
+     'error at byte 58: expected a number', 58),
     ('end-equals-issue', b'"estimated_end":400', b'"estimated_end":100',
      'error at byte 110: estimated_end must exceed issue_time', 110),
     ('end-before-issue', b'"estimated_end":400', b'"estimated_end":50',
@@ -252,6 +254,8 @@ TRUNCATIONS = [
     (0, 'error at byte 0: unexpected end of input', 0),
     (1, 'error at byte 1: unexpected end of input', 1),
     (14, 'error at byte 14: unexpected end of input', 14),
+    # cut where a value is due
+    (58, 'error at byte 58: unexpected end of input', 58),
     (60, 'error at byte 60: unexpected end of input', 60),
     # cut inside a severity key: an end of input, not an absent measure
     (141, 'error at byte 126: unexpected end of input', 126),
@@ -281,7 +285,11 @@ def _detail_cut(value: bytes) -> bytes:
     (b'{"warning_id":"w1","x', 'error at byte 19: expected \'"event_id":\'', 19),
     (_detail_cut(b'"bx'), 'error at byte 69: expected \'"basic"\'', 69),
     (_detail_cut(b'"bas'), 'error at byte 69: unexpected end of input', 69),
-], ids=["short-wrong-key", "short-wrong-tier", "short-tier-prefix"])
+    (b'{"warning_id":"w\\', 'error at byte 17: unexpected end of input in escape', 17),
+    (b'{"warning_id":"\\u00',
+     'error at byte 16: unexpected end of input in unicode escape', 16),
+], ids=["short-wrong-key", "short-wrong-tier", "short-tier-prefix", "cut-after-backslash",
+        "cut-in-unicode-escape"])
 def test_decode_short_remainder_text_and_offset(blob, text, offset):
     with pytest.raises(CodecError) as err:
         decode(blob)

@@ -6,11 +6,14 @@ import pytest
 from mitsim.disturbance import affected_pairs
 from mitsim.dissemination import DevicePosition, RelevancePolicy, RsuTopology
 from mitsim.errors import ValidationError
-from mitsim.scenario import MAX_STREAM_ARRIVALS, Scenario, load_scenario, stream_rng
-from mitsim.simulation import MODE_BROADCAST, MODE_NO_ADAPT, MODE_TARGETED, _Sim, run
+from mitsim.scenario import (MAX_STREAM_ARRIVALS, Scenario, ev_rate_windows, load_scenario,
+                             stream_rng)
+from mitsim.simulation import (MODE_BROADCAST, MODE_NO_ADAPT, MODE_TARGETED, LeaveOneOut, _Sim,
+                               compare, run)
 
 from conftest import demo_scenario
 from generators import run_outputs
+from test_cone import GENERATORS, scenarios
 
 
 def edited(**changes):
@@ -736,6 +739,59 @@ def test_details_at_is_read_once_at_load():
     assert load_scenario(demo_scenario()).events[0].details_at is None
 
 
+def _device(raw, device_id):
+    return next(d for d in raw["devices"] if d["device_id"] == device_id)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw["demand"]["arrivals"][0].update(rate_per_hour=-1.0),
+     "demand arrivals 0: negative rate"),
+    (lambda raw: _device(raw, "veh1").update(planned_route=[["R1"]]),
+     r"device veh1: planned_route steps must be \[segment, eta\] pairs"),
+    (lambda raw: _device(raw, "sd_n1").update(trip={"origin": "a1", "dest": "b1", "depart": 0}),
+     "device sd_n1: only mobile devices carry trips"),
+    (lambda raw: raw.update(effect_matrix={"D99": []}), "effect matrix: unknown kind 'D99'"),
+    (lambda raw: raw["disturbances"][0]["severity"].update(lanes_affected=-1),
+     "severity measure: lanes_affected must be >= 0"),
+    (lambda raw: raw["disturbances"][0]["severity"].update(severity_index=0),
+     r"severity measure: severity_index must be in 1\.\.5"),
+    (lambda raw: raw["disturbances"][0]["severity"].update(severity_index=6),
+     r"severity measure: severity_index must be in 1\.\.5"),
+], ids=["negative-rate", "route-step-no-pair", "trip-on-display", "matrix-kind",
+        "negative-lanes", "severity-index-0", "severity-index-6"])
+def test_a_value_the_load_checks_is_rejected(edit, message):
+    raw = demo_scenario()
+    edit(raw)
+    with pytest.raises(ValidationError, match=message):
+        load_scenario(raw)
+
+
+def test_an_idle_cav_on_a_segment_waits_at_its_end():
+    raw = demo_scenario()
+    _device(raw, "cav2")["position"] = {"segment": "R1", "offset": 10.0}
+    scenario = load_scenario(raw)
+    assert scenario.build_world().cavs["cav2"].node == scenario.net.segments["R1"].to_node
+
+
+def test_an_ev_modifier_applies_to_streams_from_or_to_its_nodes():
+    windows = {}
+    for nodes in (["a1"], ["b1"], ["h2"], []):
+        raw = demo_scenario()
+        raw["disturbances"].append({
+            "event_id": "rally", "kind": "EV", "segments": ["R1"], "nodes": [], "start": 0,
+            "estimated_duration": 600, "true_duration": 600,
+            "severity": {"capacity_reduction": 0.1}, "specifics": {}})
+        raw["demand"]["ev_modifiers"] = [{"event_id": "rally", "multiplier": 2.0,
+                                          "nodes": nodes}]
+        scenario = load_scenario(raw)
+        events = {e.event_id: e for e in scenario.events}
+        windows[tuple(nodes)] = ev_rate_windows(scenario.arrivals[0], scenario.ev_modifiers,
+                                                events)
+    # The demo's one stream runs from a1 to b1.
+    assert windows[()] == windows[("a1",)] == windows[("b1",)] == ([(0.0, 600.0, 2.0)], 12.0)
+    assert windows[("h2",)] == ([], 6.0)
+
+
 def test_a_cav_with_its_own_trip_is_not_in_the_idle_fleet():
     raw = demo_scenario()
     cav1 = next(d for d in raw["devices"] if d["device_id"] == "cav1")
@@ -745,13 +801,35 @@ def test_a_cav_with_its_own_trip_is_not_in_the_idle_fleet():
     assert world.cavs["cav2"].node == "h2" and world.cavs["cav2"].available
 
 
-def test_each_world_gets_its_own_copy_of_the_fleet(demo):
+def test_a_world_shares_the_loaded_fleet_and_a_run_copies_its_travelers_devices(demo):
     a, b = demo.build_world().devices, demo.build_world().devices
+    assert a is not b
     assert list(a) == list(b) == [d.device_id for d in demo.devices]
     for template in demo.devices:
-        copy_a, copy_b = a[template.device_id], b[template.device_id]
-        assert copy_a is not template and copy_b is not template and copy_a is not copy_b
-        assert copy_a == template == copy_b
+        assert a[template.device_id] is template is b[template.device_id]
+    carried = {trip.device_id for trip in demo.device_trips}
+    assert carried and carried < set(a)
+    sim = _Sim(demo, MODE_TARGETED)
+    sim.setup()
+    assert sim.fleet is sim.world.devices
+    for template in demo.devices:
+        own = sim.world.devices[template.device_id]
+        assert (own is not template) == (template.device_id in carried)
+        assert (own.device_id, own.role, own.comm_range) == (
+            template.device_id, template.role, template.comm_range)
+    # A partial run copies its cone's devices alone, and disseminates to those copies.
+    targeted = run(demo)
+    event = demo.events[0]
+    cone = targeted.influence.cone(event.event_id, targeted.trips)
+    partial = LeaveOneOut(demo, event, cone, targeted.influence)
+    partial.setup()
+    assert cone and set(partial.fleet) == cone | {
+        d.device_id for d in demo.devices if d.role == "roadside-unit"}
+    for template in demo.devices:
+        own = partial.world.devices[template.device_id]
+        assert (own is not template) == (template.device_id in cone)
+        if template.device_id in partial.fleet:
+            assert partial.fleet[template.device_id] is own
 
 
 def test_a_run_leaves_the_scenario_fleet_as_loaded():
@@ -764,6 +842,13 @@ def test_a_run_leaves_the_scenario_fleet_as_loaded():
     assert {"position", "mode", "destination"} <= {
         field for d in scenario.devices for field, value in vars(d).items()
         if vars(sim.world.devices[d.device_id])[field] != value}
+    # So does compare, with its partial runs, on every scenario family.
+    for name in sorted(GENERATORS):
+        for raw in scenarios(name):
+            scenario = load_scenario(raw)
+            before = [dict(vars(d)) for d in scenario.devices]
+            compare(scenario)
+            assert [dict(vars(d)) for d in scenario.devices] == before, name
 
 
 # -- malformed documents -------------------------------------------------------

@@ -409,8 +409,9 @@ def test_runs_after_compare_equal_runs_on_a_fresh_load(make):
     lambda: idle_obu_grid_scenario_dict(random.Random(1)),
 ], ids=["demo", "idle-1"])
 def test_compare_equals_compare_with_a_fresh_fleet_per_run(make, monkeypatch):
-    """Every run of compare copies the one fleet the load built; the answer
-    is the one runs on freshly loaded devices give."""
+    """Every run of compare shares the one fleet the load built, copying
+    only its travelers' devices; the answer is the one runs on freshly
+    loaded devices give."""
     text = json.dumps(make())
     shared = compare(load_scenario(json.loads(text)))
 

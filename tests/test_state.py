@@ -6,10 +6,12 @@ import random
 from collections import Counter
 
 from mitsim import routing
+from mitsim.network import build_network
 from mitsim.routing import RoutingPreferences, _search, route
 from mitsim.simulation import Traveler
 from mitsim.state import Contribution, NetworkState, SimDefaults, WorldState
 
+from conftest import line_network_spec
 from generators import CLOCKS, random_contribution, random_network, rebuilt
 from oracles import (
     brute_force_assemble,
@@ -379,3 +381,36 @@ def test_flows_equal_a_scan_of_every_entry(line3):
             seen["at now"] += now in times
             seen["empty"] += not got
     assert min(seen.values()) >= 20, seen
+
+
+def test_a_search_plans_an_opened_segment_at_the_time_it_is_traversed_at():
+    """Usage contributions open a segment only to a mode that does not use
+    it statically, at the time of the active one with the smallest id: the
+    time ``traversal_time`` charges, so a plan's arrival is the one its
+    moves take.  A tram runs on ``s0`` at 100 s; ``s1`` is road only."""
+    spec = line_network_spec(3)
+    spec["modes"].append({"mode_id": "tram", "name": "tram", "category": "tram",
+                          "agile": False, "maas_member": False})
+    spec["usage_matrix"].append(["tram", "net"])
+    spec["segments"][0]["usage"].append({"mode_id": "tram", "direction": "both",
+                                         "base_capacity": 100, "free_flow_time": 100.0})
+    net = build_network(spec)
+    tram = RoutingPreferences(allowed_modes=frozenset({"tram"}))
+
+    def usage(cid, seg_id, free_flow_time):
+        return Contribution(cid, "usage", frozenset({(seg_id, "tram")}), 1.0, 0.0, INF,
+                            free_flow_time)
+
+    # Street running: s0 opened at 10 s beside its static 100 s, s1 at 10 s.
+    state = NetworkState(net)
+    state.add_contribution(usage("use:s0", "s0", 10.0))
+    state.add_contribution(usage("use:s1", "s1", 10.0))
+    plan = route("v0", "v2", 0.0, tram, state)
+    assert plan.total_cost == 110.0 == routing.evaluate_moves(0.0, plan.moves, state)[0]
+    # Two openings of s1: the plan takes the smaller id's 10 s, not the other's 3 s.
+    state = NetworkState(net)
+    state.add_contribution(usage("a", "s1", 10.0))
+    state.add_contribution(usage("b", "s1", 3.0))
+    plan = route("v1", "v2", 0.0, tram, state)
+    assert plan.total_cost == 10.0 == routing.evaluate_moves(0.0, plan.moves, state)[0]
+    assert state.traversal_time("s1", "tram") == 10.0
